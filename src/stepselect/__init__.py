@@ -22,12 +22,10 @@ from .evidence import (EvidenceEstimate, GridSpec, KdeDensity, bracket_bounds,
                        kde_fit, quadrature_marginal, subsample_draws)
 from .mcmc import (Chain, ProposalConfig, effective_sample_size,
                    load_chain_csv, mh_run, save_chain_csv)
-from .models import (GlucoseParams, LogisticParams, OdeSystem, glucose_rhs,
-                     logistic_exact, logistic_rhs, make_glucose_system,
-                     make_logistic_system)
+from .models import (GlucoseParams, LogisticParams, OdeSystem, logistic_exact,
+                     make_glucose_system, make_logistic_system)
 from .ode import (METHOD_ORDERS, SolverConfig, Trajectory, check_grid,
-                  divides, estimate_order, integrate, integrate_states,
-                  step_euler, step_rk2, step_rk4)
+                  divides, estimate_order, integrate, integrate_states)
 from .stepfit import (BfReport, EvidenceCurve, bayes_factor, build_report,
                       fit_curve, posterior_discrepancy, recommend_step,
                       within_jeffreys)

@@ -10,7 +10,6 @@ Verbs:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -21,17 +20,17 @@ from .harness import (ExperimentSpec, generate_synthetic, report, run_single,
 
 
 def _load_spec(args) -> ExperimentSpec:
-    spec = ExperimentSpec.from_json_file(args.spec)
+    """The spec file with the command-line overrides applied, re-validated."""
+    d = ExperimentSpec.from_json_file(args.spec).to_dict()
     if getattr(args, "seed", None) is not None:
-        spec.seed = args.seed
+        d["seed"] = args.seed
     if getattr(args, "model", None) is not None:
-        spec = ExperimentSpec.from_dict({**spec.to_dict(), "model": args.model,
-                                         "params": {}})
+        d.update(model=args.model, params={})
     if getattr(args, "solver", None) is not None:
-        spec.solver = args.solver
+        d["solver"] = args.solver
     if getattr(args, "h", None) is not None:
-        spec.h_grid = (args.h,)
-    return spec
+        d["h_grid"] = [args.h]
+    return ExperimentSpec.from_dict(d)
 
 
 def cmd_gen(args) -> int:
@@ -44,7 +43,7 @@ def cmd_gen(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _load_spec(args)
-    record = run_sweep(spec, args.out, jobs=args.jobs)
+    run_sweep(spec, args.out, jobs=args.jobs)
     report(args.out)
     print((Path(args.out) / "summary.txt").read_text(), end="")
     return 0

@@ -108,6 +108,35 @@ class ExperimentSpec:
         merged = dict(defaults)
         merged.update(self.params)
         self.params = merged
+        try:
+            self._validate()
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ParseError(f"bad experiment spec: {exc}") from exc
+
+    def _validate(self) -> None:
+        """Reject values the sweep would only trip over after it started."""
+        for h in self.h_grid:
+            SolverConfig(self.solver, h)
+        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        self.build_prior()
+        self.build_proposal()
+        for name, value in (("mcmc.n_iter", self.mcmc.n_iter),
+                            ("mcmc.burn_in", self.mcmc.burn_in or 0),
+                            ("evidence.subsample", self.evidence.subsample)):
+            if not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        n_iter, burn_in = self.mcmc.n_iter, self.mcmc.resolved_burn_in()
+        if not 0 <= burn_in < n_iter:
+            raise ValueError("mcmc needs n_iter > burn_in >= 0")
+        kept = n_iter - burn_in
+        if min(kept, self.evidence.subsample) < 30:
+            raise ValueError(
+                f"the weighting density needs at least 30 draws, but mcmc "
+                f"keeps {kept} after burn-in and evidence subsamples "
+                f"{self.evidence.subsample}")
+        if not 0.0 < self.evidence.shrink <= 1.0:
+            raise ValueError("evidence.shrink must be in (0, 1]")
 
     # -- serialization ------------------------------------------------------
 
@@ -169,6 +198,12 @@ class ExperimentSpec:
     def build_prior(self) -> Prior:
         return Prior((GammaPrior(shape=float(self.prior["shape"]),
                                  rate=float(self.prior["rate"])),))
+
+    def build_proposal(self) -> ProposalConfig:
+        return ProposalConfig(step_scales=np.array([self.mcmc.step_scale]),
+                              adapt=self.mcmc.adapt,
+                              adapt_window=self.mcmc.adapt_window,
+                              target_accept=self.mcmc.target_accept)
 
     def init_value(self) -> float:
         if self.mcmc.init is not None:
@@ -289,11 +324,8 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
     logpost = make_log_posterior(dataset, prior, forward, base_phi)
 
     seed = spec.chain_seed(k)
-    proposal = ProposalConfig(step_scales=np.array([spec.mcmc.step_scale]),
-                              adapt=spec.mcmc.adapt,
-                              adapt_window=spec.mcmc.adapt_window,
-                              target_accept=spec.mcmc.target_accept)
-    chain = mh_run(logpost, base_phi, proposal, n_iter=spec.mcmc.n_iter,
+    chain = mh_run(logpost, base_phi, spec.build_proposal(),
+                   n_iter=spec.mcmc.n_iter,
                    burn_in=spec.mcmc.resolved_burn_in(), seed=seed)
     est = evidence_from_chain(chain, subsample=spec.evidence.subsample,
                               shrink=spec.evidence.shrink, seed=seed,

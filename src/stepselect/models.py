@@ -8,9 +8,8 @@ inferred coordinates; everything else is frozen into the system.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -23,19 +22,13 @@ class OdeSystem:
     ----------
     dim_p : state dimension.
     dim_d : number of inferred parameters (length of theta).
-    rhs : callable (x, t, theta) -> dx/dt, ndarray of shape (dim_p,).
+    rhs : callable (x, t, theta) -> dx/dt, with theta a tuple of floats.  For
+        dim_p == 1 the state x and the result are floats; otherwise both are
+        tuples of dim_p floats.
     obs : observation map; takes states with the state on the last axis and
         returns the observed scalar(s), so it works on single states and on
         whole trajectories alike.
     x0 : initial state, ndarray of shape (dim_p,).
-    rhs_scalar : optional (x, t, theta) -> float variant for dim_p == 1,
-        used by the integrator's fast path.
-    rhs_tuple : optional (x, t, theta) -> tuple variant operating on plain
-        float tuples, the fast path for small dim_p > 1.
-
-    The fast-path variants receive theta as a tuple of floats and must
-    compute each component with the same operations as ``rhs`` so the two
-    paths stay bit-identical.
     """
 
     dim_p: int
@@ -43,8 +36,6 @@ class OdeSystem:
     rhs: Callable
     obs: Callable
     x0: np.ndarray
-    rhs_scalar: Optional[Callable] = None
-    rhs_tuple: Optional[Callable] = None
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +53,6 @@ class LogisticParams:
     def __post_init__(self):
         if not (self.lam > 0.0 and self.K > 0.0 and self.X0 > 0.0):
             raise ValueError("lam, K and X0 must all be positive")
-
-
-def logistic_rhs(x, t, params: LogisticParams):
-    return params.lam * x * (1.0 - x / params.K)
 
 
 def logistic_exact(t, params: LogisticParams):
@@ -86,11 +73,8 @@ def make_logistic_system(params: LogisticParams) -> OdeSystem:
     def rhs(x, t, theta):
         return theta[0] * x * (1.0 - x / K)
 
-    def rhs_scalar(x, t, theta):
-        return theta[0] * x * (1.0 - x / K)
-
     return OdeSystem(dim_p=1, dim_d=1, rhs=rhs, obs=lambda s: s[..., 0],
-                     x0=np.array([params.X0]), rhs_scalar=rhs_scalar)
+                     x0=np.array([params.X0]))
 
 
 # ---------------------------------------------------------------------------
@@ -119,22 +103,6 @@ class GlucoseParams:
                 raise ValueError(f"{name} must be positive")
 
 
-def glucose_rhs(x, t, params: GlucoseParams):
-    """dG = (L - I) G + D/theta2; insulin and liver terms switch at G = Gb.
-
-    The positive parts are exact clamps, not smooth approximations: below
-    basal glucose the insulin response is off, above it the liver release
-    is off.
-    """
-    g, i, l, d = x
-    over = g / params.Gb - 1.0
-    dg = (l - i) * g + d / params.theta2
-    di = params.theta0 * (over if over > 0.0 else 0.0) - i / params.a
-    dl = params.theta1 * (-over if over < 0.0 else 0.0) - l / params.b
-    dd = -d / params.theta2
-    return np.array([dg, di, dl, dd])
-
-
 def make_glucose_system(params: GlucoseParams, d0: float,
                         D0: float = 200.0) -> OdeSystem:
     """Glucose system with theta = [theta0] inferred.
@@ -151,15 +119,12 @@ def make_glucose_system(params: GlucoseParams, d0: float,
                                 params.b, params.Gb)
 
     def rhs(x, t, theta):
-        g, i, l, d = x
-        over = g / Gb - 1.0
-        dg = (l - i) * g + d / theta2
-        di = theta[0] * (over if over > 0.0 else 0.0) - i / a
-        dl = theta1 * (-over if over < 0.0 else 0.0) - l / b
-        dd = -d / theta2
-        return np.array([dg, di, dl, dd])
+        """dG = (L - I) G + D/theta2; insulin and liver terms switch at G = Gb.
 
-    def rhs_tuple(x, t, theta):
+        The positive parts are exact clamps, not smooth approximations: below
+        basal glucose the insulin response is off, above it the liver release
+        is off.
+        """
         g, i, l, d = x
         over = g / Gb - 1.0
         return ((l - i) * g + d / theta2,
@@ -168,5 +133,4 @@ def make_glucose_system(params: GlucoseParams, d0: float,
                 -d / theta2)
 
     return OdeSystem(dim_p=4, dim_d=1, rhs=rhs, obs=lambda s: s[..., 0],
-                     x0=np.array([d0, 0.0, 0.0, float(D0)]),
-                     rhs_tuple=rhs_tuple)
+                     x0=np.array([d0, 0.0, 0.0, float(D0)]))

@@ -80,33 +80,6 @@ class Trajectory:
         return self.states[idx]
 
 
-def step_euler(x, t, h, rhs, theta):
-    """One explicit Euler step: K = K1."""
-    k1 = rhs(x, t, theta)
-    return x + h * k1
-
-
-def step_rk2(x, t, h, rhs, theta):
-    """One explicit midpoint step: K = K2 evaluated at the half step."""
-    half = 0.5 * h
-    k1 = rhs(x, t, theta)
-    k2 = rhs(x + half * k1, t + half, theta)
-    return x + h * k2
-
-
-def step_rk4(x, t, h, rhs, theta):
-    """One classical fourth-order Runge-Kutta step."""
-    half = 0.5 * h
-    k1 = rhs(x, t, theta)
-    k2 = rhs(x + half * k1, t + half, theta)
-    k3 = rhs(x + half * k2, t + half, theta)
-    k4 = rhs(x + h * k3, t + h, theta)
-    return x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
-_STEPPERS = {"euler": step_euler, "rk2": step_rk2, "rk4": step_rk4}
-
-
 def divides(h: float, span: float, rtol: float = GRID_RTOL) -> bool:
     """True if span is an integer (>= 1) multiple of h up to rtol."""
     if span <= 0.0:
@@ -147,22 +120,12 @@ def integrate_states(system, theta, config: SolverConfig, t0: float,
     they precompute ``n_steps`` and their observation node indices and call
     it directly.
     """
-    h = config.h
-    theta = np.asarray(theta, dtype=float)
-
-    rhs_scalar = getattr(system, "rhs_scalar", None)
-    rhs_tuple = getattr(system, "rhs_tuple", None)
-    if system.dim_p == 1 and rhs_scalar is not None:
-        theta_f = tuple(float(v) for v in np.atleast_1d(theta))
-        return _integrate_scalar(rhs_scalar, float(system.x0[0]), theta_f,
-                                 config.method, t0, h, n_steps)
-    if rhs_tuple is not None:
-        theta_f = tuple(float(v) for v in np.atleast_1d(theta))
-        return _integrate_tuple(rhs_tuple,
-                                tuple(float(v) for v in system.x0), theta_f,
-                                config.method, t0, h, n_steps)
-    return _integrate_array(system.rhs, np.asarray(system.x0, dtype=float),
-                            theta, config.method, t0, h, n_steps)
+    theta_f = tuple(float(v) for v in np.atleast_1d(theta))
+    if system.dim_p == 1:
+        return _integrate_scalar(system.rhs, float(system.x0[0]), theta_f,
+                                 config.method, t0, config.h, n_steps)
+    return _integrate_tuple(system.rhs, tuple(float(v) for v in system.x0),
+                            theta_f, config.method, t0, config.h, n_steps)
 
 
 def integrate(system, theta, config: SolverConfig, t0: float, t_end: float) -> Trajectory:
@@ -170,12 +133,11 @@ def integrate(system, theta, config: SolverConfig, t0: float, t_end: float) -> T
 
     Parameters
     ----------
-    system : object with ``rhs(x, t, theta)``, ``dim_p`` and ``x0`` attributes;
-        an optional ``rhs_scalar(x, t, theta)`` enables a fast path for
-        one-dimensional states (same arithmetic, same results), and an
-        optional ``rhs_tuple(x, t, theta)`` does the same for small
-        multi-state systems.
-    theta : parameter vector handed through to the right-hand side.
+    system : object with ``rhs(x, t, theta)``, ``dim_p`` and ``x0`` attributes.
+        For ``dim_p == 1`` the right-hand side takes and returns a float;
+        otherwise it takes and returns a tuple of ``dim_p`` floats.
+    theta : parameter vector, handed to the right-hand side as a tuple of
+        floats.
 
     Raises
     ------
@@ -190,25 +152,9 @@ def integrate(system, theta, config: SolverConfig, t0: float, t_end: float) -> T
     return Trajectory(grid=grid, states=states)
 
 
-def _integrate_array(rhs, x0, theta, method, t0, h, n_steps):
-    step = _STEPPERS[method]
-    dim = x0.shape[0]
-    states = np.empty((n_steps + 1, dim))
-    x = x0.copy()
-    states[0] = x
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            x = step(x, t0 + n * h, h, rhs, theta)
-            if not np.isfinite(x).all():
-                raise NonFiniteState(t0 + (n + 1) * h, n, theta)
-            states[n + 1] = x
-    return states
-
-
 def _integrate_scalar(rhs_s, x0, theta, method, t0, h, n_steps):
-    # Mirrors the step functions stage for stage so results are bit-identical
-    # with the array path; plain floats cut the per-step overhead hard, which
-    # matters because the samplers call this millions of times.
+    # Plain Python floats, not numpy arrays, keep the per-step overhead low,
+    # which matters because the samplers call this millions of times.
     out = np.empty((n_steps + 1, 1))
     x = x0
     out[0, 0] = x
@@ -246,7 +192,7 @@ def _integrate_scalar(rhs_s, x0, theta, method, t0, h, n_steps):
 
 
 def _integrate_tuple(rhs_t, x0, theta, method, t0, h, n_steps):
-    # Same stage-for-stage mirroring as the scalar path, on float tuples.
+    # The scalar loop's stages, componentwise on float tuples.
     dim = len(x0)
     out = np.empty((n_steps + 1, dim))
     x = x0

@@ -291,7 +291,6 @@ def posterior_discrepancy(dataset: Dataset, prior: Prior, forward1: Callable,
             raise BoundsTooTight("posterior mass reaches the window boundary")
 
     def stat(xs, v1, v2) -> float:
-        out = []
         dens = []
         for v in (v1, v2):
             shift = float(np.max(v))

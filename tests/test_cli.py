@@ -81,6 +81,18 @@ def test_failure_exits_one_with_error_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_bad_spec_exits_one_without_run_dir(tmp_path, capsys):
+    spec = write_spec(tmp_path, mcmc={"n_iter": 30})
+    run_dir = tmp_path / "run"
+    assert main(["sweep", "--spec", spec, "--out", str(run_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not run_dir.exists()
+    # overrides are validated too
+    spec = write_spec(tmp_path)
+    assert main(["evidence", "--spec", spec, "--h", "-0.1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_console_script_help():
     proc = subprocess.run([sys.executable, "-c",
                            "import sys; from stepselect.cli import main; "

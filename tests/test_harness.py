@@ -60,6 +60,14 @@ def test_spec_validation():
         ExperimentSpec(h_grid=())
     with pytest.raises(ParseError):
         ExperimentSpec.from_dict({"model": "logistic", "bogus": 1})
+    base = small_spec().to_dict()
+    for bad in ({"sigma": -1}, {"solver": "rk3"}, {"h_grid": [-0.2, 0.1]},
+                {"mcmc": {"step_scale": 0}}, {"evidence": {"shrink": 2}},
+                {"prior": {"shape": 2.0, "rate": -1}},
+                {"mcmc": {"n_iter": 30}},        # 24 draws left for the KDE
+                {"mcmc": {"n_iter": "abc"}}):
+        with pytest.raises(ParseError):
+            ExperimentSpec.from_dict({**base, **bad})
 
 
 def test_spec_params_merge_with_defaults():

@@ -1,15 +1,15 @@
-"""Forward-model tests: closed forms, clamps, and the fast-path mirrors."""
+"""Forward-model tests: closed forms, clamps, and the observation maps."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from stepselect import (GlucoseParams, LogisticParams, SolverConfig, integrate,
                         make_glucose_system, make_logistic_system)
-from stepselect.models import glucose_rhs, logistic_exact, logistic_rhs
+from stepselect.models import logistic_exact
 
 
 # ---------------------------------------------------------------------------
@@ -26,12 +26,13 @@ def test_logistic_exact_endpoints():
 def test_logistic_exact_solves_the_ode():
     # central finite difference of the closed form against the rhs
     params = LogisticParams(lam=1.3, K=1000.0, X0=100.0)
+    rhs = make_logistic_system(params).rhs
     eps = 1e-6
     for t in (0.0, 0.7, 3.0, 9.5):
         x = float(logistic_exact(t, params))
         dx = (float(logistic_exact(t + eps, params))
               - float(logistic_exact(t - eps, params))) / (2 * eps)
-        assert abs(dx - logistic_rhs(x, t, params)) < 1e-4
+        assert abs(dx - rhs(x, t, (params.lam,))) < 1e-4
 
 
 def test_logistic_params_validation():
@@ -53,10 +54,8 @@ def test_logistic_exact_bounded_and_monotone(lam, t):
 def test_logistic_system_rhs_uses_theta():
     system = make_logistic_system(LogisticParams(lam=1.0, K=1000.0, X0=100.0))
     # the system infers lam through theta, not through params.lam
-    assert system.rhs(np.array([100.0]), 0.0, np.array([2.0]))[0] \
-        == pytest.approx(2.0 * 100.0 * 0.9)
+    assert system.rhs(100.0, 0.0, (2.0,)) == pytest.approx(2.0 * 100.0 * 0.9)
     assert system.dim_p == 1 and system.dim_d == 1
-    assert system.rhs_scalar(100.0, 0.0, (2.0,)) == pytest.approx(180.0)
 
 
 # ---------------------------------------------------------------------------
@@ -65,16 +64,18 @@ def test_logistic_system_rhs_uses_theta():
 
 def test_glucose_clamps_switch_at_basal():
     p = GlucoseParams()
+    rhs = make_glucose_system(p, d0=90.0).rhs
+    theta = (p.theta0,)
     # above basal: insulin response active, liver release off
-    d = glucose_rhs(np.array([100.0, 0.0, 0.0, 0.0]), 0.0, p)
+    d = rhs((100.0, 0.0, 0.0, 0.0), 0.0, theta)
     assert d[1] == pytest.approx(p.theta0 * (100.0 / p.Gb - 1.0))
     assert d[2] == 0.0
     # below basal: insulin off, liver on
-    d = glucose_rhs(np.array([60.0, 0.0, 0.0, 0.0]), 0.0, p)
+    d = rhs((60.0, 0.0, 0.0, 0.0), 0.0, theta)
     assert d[1] == 0.0
     assert d[2] == pytest.approx(p.theta1 * (1.0 - 60.0 / p.Gb))
     # exactly at basal both response terms vanish
-    d = glucose_rhs(np.array([p.Gb, 0.5, 0.5, 0.0]), 0.0, p)
+    d = rhs((p.Gb, 0.5, 0.5, 0.0), 0.0, theta)
     assert d[1] == pytest.approx(-0.5 / p.a)
     assert d[2] == pytest.approx(-0.5 / p.b)
 
@@ -86,31 +87,6 @@ def test_glucose_params_validation():
         make_glucose_system(GlucoseParams(), d0=-1.0)
     with pytest.raises(ValueError):
         make_glucose_system(GlucoseParams(), d0=90.0, D0=-5.0)
-
-
-@settings(max_examples=60)
-@given(st.floats(min_value=20.0, max_value=200.0, allow_nan=False),
-       st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
-       st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
-       st.floats(min_value=0.0, max_value=300.0, allow_nan=False),
-       st.floats(min_value=1.0, max_value=40.0, allow_nan=False))
-def test_glucose_tuple_path_mirrors_array_path(g, i, l, d, theta0):
-    system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
-    x = np.array([g, i, l, d])
-    a = system.rhs(x, 0.0, np.array([theta0]))
-    b = system.rhs_tuple((g, i, l, d), 0.0, (theta0,))
-    assert np.array_equal(a, np.asarray(b))
-
-
-def test_glucose_integration_paths_identical():
-    system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
-    stripped = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
-    object.__setattr__(stripped, "rhs_tuple", None)
-    for method in ("euler", "rk2", "rk4"):
-        cfg = SolverConfig(method, 0.0625)
-        a = integrate(system, np.array([9.3]), cfg, 0.0, 2.0).states
-        b = integrate(stripped, np.array([9.3]), cfg, 0.0, 2.0).states
-        assert np.array_equal(a, b)
 
 
 def test_glucose_deposit_decays_exponentially():

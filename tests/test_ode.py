@@ -1,7 +1,8 @@
 """Solver unit tests: single-step oracles, grid logic, convergence orders.
 
 The single-step values below were worked out by hand on dx/dt = x (one step
-of size 0.5 from x=1) and on the logistic right-hand side (one Euler step of
+of size 0.5 from x=1), on the rotation dx/dt = y, dy/dt = -x (one step of
+size 0.5 from (1, 0)) and on the logistic right-hand side (one Euler step of
 size 0.1 from x=100), so they are independent of the implementation.
 """
 
@@ -12,24 +13,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepselect import (METHOD_ORDERS, LogisticParams, SolverConfig, Trajectory,
-                        check_grid, divides, estimate_order, integrate,
-                        integrate_states, make_logistic_system)
+from stepselect import (METHOD_ORDERS, GlucoseParams, LogisticParams,
+                        SolverConfig, Trajectory, check_grid, divides,
+                        estimate_order, integrate, integrate_states,
+                        make_glucose_system, make_logistic_system)
 from stepselect.errors import DegenerateFit, GridMismatch, NonFiniteState
 from stepselect.models import OdeSystem, logistic_exact
 
 
-def exp_system(with_scalar: bool = True) -> OdeSystem:
+def exp_system() -> OdeSystem:
     """dx/dt = theta0 * x, exact solution exp(theta0 * t)."""
     def rhs(x, t, theta):
         return theta[0] * x
 
-    def rhs_scalar(x, t, theta):
-        return theta[0] * x
-
     return OdeSystem(dim_p=1, dim_d=1, rhs=rhs, obs=lambda s: s[..., 0],
-                     x0=np.array([1.0]),
-                     rhs_scalar=rhs_scalar if with_scalar else None)
+                     x0=np.array([1.0]))
+
+
+def rotation_system() -> OdeSystem:
+    """dx/dt = y, dy/dt = -x from (1, 0): the two-state tuple path."""
+    def rhs(x, t, theta):
+        return (x[1], -x[0])
+
+    return OdeSystem(dim_p=2, dim_d=1, rhs=rhs, obs=lambda s: s[..., 0],
+                     x0=np.array([1.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -38,39 +45,67 @@ def exp_system(with_scalar: bool = True) -> OdeSystem:
 
 def one_step(system, method, h, theta=(1.0,)):
     traj = integrate(system, np.asarray(theta), SolverConfig(method, h), 0.0, h)
-    return float(traj.states[-1, 0])
+    return traj.states[-1].tolist()
 
 
 def test_euler_single_step_exp():
     # x1 = 1 + 0.5 * 1 = 1.5
-    assert one_step(exp_system(), "euler", 0.5) == 1.5
+    assert one_step(exp_system(), "euler", 0.5) == [1.5]
+    # rotation: k1 = (0, -1), x1 = (1, 0) + 0.5 * k1
+    assert one_step(rotation_system(), "euler", 0.5) == [1.0, -0.5]
 
 
 def test_rk2_single_step_exp():
     # k1 = 1, k2 = (1 + 0.25) = 1.25, x1 = 1 + 0.5 * 1.25 = 1.625
-    assert one_step(exp_system(), "rk2", 0.5) == 1.625
+    assert one_step(exp_system(), "rk2", 0.5) == [1.625]
+    # rotation: k2 = rhs((1, -0.25)) = (-0.25, -1), x1 = (1, 0) + 0.5 * k2
+    assert one_step(rotation_system(), "rk2", 0.5) == [0.875, -0.5]
 
 
 def test_rk4_single_step_exp():
     # k1=1, k2=1.25, k3=1.3125, k4=1.65625
     # x1 = 1 + (0.5/6)(1 + 2*1.25 + 2*1.3125 + 1.65625) = 1.6484375
-    assert one_step(exp_system(), "rk4", 0.5) == 1.6484375
+    assert one_step(exp_system(), "rk4", 0.5) == [1.6484375]
+    # rotation: k1=(0,-1), k2=(-0.25,-1), k3=(-0.25,-0.9375),
+    # k4=(-0.46875,-0.875); x1 = (1, 0) + (0.5/6) * (-1.46875, -5.75)
+    assert one_step(rotation_system(), "rk4", 0.5) == pytest.approx(
+        [1.0 - 1.46875 / 12.0, -5.75 / 12.0], rel=0.0, abs=1e-15)
 
 
 def test_euler_single_step_logistic():
     # x1 = 100 + 0.1 * 1 * 100 * (1 - 0.1) = 109
     system = make_logistic_system(LogisticParams(lam=1.0, K=1000.0, X0=100.0))
-    assert one_step(system, "euler", 0.1) == 109.0
+    assert one_step(system, "euler", 0.1) == [109.0]
 
 
-def test_fast_paths_match_array_path():
-    # the rhs_scalar shortcut must be arithmetic-for-arithmetic identical
-    sys_fast, sys_slow = exp_system(True), exp_system(False)
-    for method in METHOD_ORDERS:
-        cfg = SolverConfig(method, 0.125)
-        a = integrate(sys_fast, np.array([0.7]), cfg, 0.0, 2.0).states
-        b = integrate(sys_slow, np.array([0.7]), cfg, 0.0, 2.0).states
-        assert np.array_equal(a, b)
+# final states as float.hex, which the integrator must reproduce bit for bit;
+# both right-hand sides use only + - * / and comparisons, so the bits do not
+# depend on the platform's libm
+PINNED_FINAL_STATES = {
+    ("logistic", "euler"): ["0x1.736b7303a86c7p+9"],
+    ("logistic", "rk2"): ["0x1.7752d65805691p+9"],
+    ("logistic", "rk4"): ["0x1.7763ca6d67c95p+9"],
+    ("glucose", "euler"): ["0x1.df5d6377c5b39p+6", "0x1.51dd584d8333bp+3",
+                           "0x1.454d748c9cca9p+2", "0x1.454f2a493a49cp-10"],
+    ("glucose", "rk2"): ["0x1.f441e81a73157p+6", "0x1.160c9c0f7356ep+2",
+                         "0x1.6c8ae1a09e570p+1", "0x1.6d65812f0139ap-7"],
+    ("glucose", "rk4"): ["0x1.023691405634cp+7", "0x1.18a86a48c1d30p+2",
+                         "0x1.736589ae42106p+1", "0x1.29d718d735f44p-7"],
+}
+
+
+@pytest.mark.parametrize("model,method", sorted(PINNED_FINAL_STATES))
+def test_final_state_bits_pinned(model, method):
+    if model == "logistic":
+        system = make_logistic_system(LogisticParams())
+        theta, h, t_end = 1.1, 0.1, 3.0
+    else:
+        system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
+        theta, h, t_end = 9.3, 0.0625, 2.0
+    traj = integrate(system, np.array([theta]), SolverConfig(method, h),
+                     0.0, t_end)
+    assert [v.hex() for v in traj.states[-1].tolist()] \
+        == PINNED_FINAL_STATES[model, method]
 
 
 def test_integrate_states_matches_integrate():
@@ -145,32 +180,22 @@ def test_solver_config_validation():
 # blow-up detection
 # ---------------------------------------------------------------------------
 
-def quadratic_blowup_system() -> OdeSystem:
+def quadratic_blowup_system(dim_p: int) -> OdeSystem:
+    """dx/dt = x^2 from 10 in every component (a scalar when dim_p == 1)."""
     def rhs(x, t, theta):
-        return x * x
+        return x * x if dim_p == 1 else tuple(xi * xi for xi in x)
 
-    def rhs_scalar(x, t, theta):
-        return x * x
-
-    return OdeSystem(dim_p=1, dim_d=1, rhs=rhs, obs=lambda s: s[..., 0],
-                     x0=np.array([10.0]), rhs_scalar=rhs_scalar)
+    return OdeSystem(dim_p=dim_p, dim_d=1, rhs=rhs, obs=lambda s: s[..., 0],
+                     x0=np.full(dim_p, 10.0))
 
 
 def test_nonfinite_state_raised_with_context():
-    with pytest.raises(NonFiniteState) as exc:
-        integrate(quadratic_blowup_system(), np.array([1.0]),
-                  SolverConfig("euler", 10.0), 0.0, 200.0)
-    assert exc.value.step_index >= 0
-    assert math.isfinite(exc.value.t)
-
-
-def test_nonfinite_state_array_path():
-    sys_arr = OdeSystem(dim_p=1, dim_d=1,
-                        rhs=lambda x, t, theta: x * x,
-                        obs=lambda s: s[..., 0], x0=np.array([10.0]))
-    with pytest.raises(NonFiniteState):
-        integrate(sys_arr, np.array([1.0]), SolverConfig("euler", 10.0),
-                  0.0, 200.0)
+    for dim_p in (1, 2):   # scalar and tuple loops
+        with pytest.raises(NonFiniteState) as exc:
+            integrate(quadratic_blowup_system(dim_p), np.array([1.0]),
+                      SolverConfig("euler", 10.0), 0.0, 200.0)
+        assert exc.value.step_index >= 0
+        assert math.isfinite(exc.value.t)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +218,8 @@ def test_estimate_order_logistic(method, band):
 
 def test_estimate_order_rejects_degenerate_errors():
     # a constant rhs integrated exactly by every method: all errors ~ 0
-    system = OdeSystem(dim_p=1, dim_d=1,
-                       rhs=lambda x, t, theta: np.zeros(1),
-                       obs=lambda s: s[..., 0], x0=np.array([3.0]),
-                       rhs_scalar=lambda x, t, theta: 0.0)
+    system = OdeSystem(dim_p=1, dim_d=1, rhs=lambda x, t, theta: 0.0,
+                       obs=lambda s: s[..., 0], x0=np.array([3.0]))
     with pytest.raises(DegenerateFit):
         estimate_order(system, np.array([1.0]), "rk4", H_LIST, 0.0, 1.0,
                        oracle=lambda t: np.array([3.0]))
