@@ -30,6 +30,7 @@ def _load_spec(args) -> ExperimentSpec:
         d["solver"] = args.solver
     if getattr(args, "h", None) is not None:
         d["h_grid"] = [args.h]
+        d["regression"]["mask_h"] = None
     return ExperimentSpec.from_dict(d)
 
 
@@ -112,7 +113,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except StepSelectError as exc:
+    except (StepSelectError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

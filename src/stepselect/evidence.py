@@ -148,19 +148,11 @@ def kde_fit(draws: np.ndarray, bandwidth_rule: str = "silverman",
 # reciprocal importance sampling
 # ---------------------------------------------------------------------------
 
-def _log_density_values(alpha, draws: np.ndarray) -> np.ndarray:
-    if hasattr(alpha, "log_density"):
-        return np.asarray(alpha.log_density(draws), dtype=float)
-    out = np.asarray(alpha(draws), dtype=float) if callable(alpha) else None
-    if out is None or out.shape != (draws.shape[0],):
-        raise TypeError("alpha must be a KdeDensity or a vectorized log-density")
-    return out
-
-
-def gelfand_dey(energies: np.ndarray, alpha, draws: np.ndarray,
+def gelfand_dey(energies: np.ndarray, log_alpha: np.ndarray,
                 method: str = "gelfand_dey_kde", h: Optional[float] = None,
                 solver: Optional[str] = None, n_batches: int = 32) -> EvidenceEstimate:
-    """Reciprocal-importance marginal likelihood from energies and draws.
+    """Reciprocal-importance marginal likelihood from the chain energies and
+    the weighting log-density at the same draws, ``log_alpha[l] = -A_l``.
 
     The Monte Carlo standard error (on the log marginal) comes from batch
     means over the term series with a delta-method transfer through the
@@ -170,12 +162,12 @@ def gelfand_dey(energies: np.ndarray, alpha, draws: np.ndarray,
     mode.
     """
     energies = np.asarray(energies, dtype=float)
-    draws = np.atleast_2d(np.asarray(draws, dtype=float))
+    log_alpha = np.asarray(log_alpha, dtype=float)
     L = energies.size
-    if draws.shape[0] != L or L < 4:
-        raise ValueError("need matching energies/draws with at least 4 entries")
+    if log_alpha.shape != energies.shape or L < 4:
+        raise ValueError("need matching energies/log_alpha with at least 4 entries")
 
-    log_terms = energies + _log_density_values(alpha, draws)   # U_l - A_l
+    log_terms = energies + log_alpha   # U_l - A_l
     shift = float(np.max(log_terms))
     if not math.isfinite(shift):
         raise StepSelectError("all estimator terms vanished or diverged")
@@ -206,12 +198,8 @@ def harmonic_mean(energies: np.ndarray, log_prior_fn: Callable,
     """Gelfand-Dey with alpha = prior: the harmonic mean of the likelihoods."""
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     log_alpha = np.array([float(log_prior_fn(row)) for row in draws])
-
-    class _Wrapped:
-        def log_density(self, pts):
-            return log_alpha
-    return gelfand_dey(energies, _Wrapped(), draws, method="harmonic_mean",
-                       h=h, solver=solver)
+    return gelfand_dey(energies, log_alpha, method="harmonic_mean", h=h,
+                       solver=solver)
 
 
 def evidence_from_chain(chain, subsample: int = 500, shrink: float = 0.5,
@@ -233,7 +221,8 @@ def evidence_from_chain(chain, subsample: int = 500, shrink: float = 0.5,
     if not (split and draws.shape[0] >= 120):
         sub = subsample_draws(draws, m=subsample, seed=seed)
         alpha = kde_fit(sub, shrink=shrink, trunc_pct=trunc_pct)
-        return gelfand_dey(energies, alpha, draws, h=h, solver=solver)
+        return gelfand_dey(energies, alpha.log_density(draws), h=h,
+                           solver=solver)
 
     cut = draws.shape[0] // 2
     alphas = [kde_fit(subsample_draws(draws[:cut], m=subsample, seed=seed),
@@ -242,12 +231,7 @@ def evidence_from_chain(chain, subsample: int = 500, shrink: float = 0.5,
                       shrink=shrink, trunc_pct=trunc_pct)]
     log_alpha = np.concatenate([alphas[1].log_density(draws[:cut]),
                                 alphas[0].log_density(draws[cut:])])
-
-    class _CrossFit:
-        def log_density(self, pts):
-            return log_alpha
-
-    return gelfand_dey(energies, _CrossFit(), draws, h=h, solver=solver)
+    return gelfand_dey(energies, log_alpha, h=h, solver=solver)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,16 @@ knob of a study: model, solver, step grid, seeds, priors, sampler and
 estimator settings.  ``run_sweep`` executes one MCMC + evidence estimate per
 step size (independent runs, optionally in parallel worker processes),
 regresses the evidence curve, and leaves a self-contained run directory
-behind; ``report`` turns that directory into flat CSV tables.
+behind whose ``record.json`` holds every per-step result, the fitted curve and
+the Bayes-factor table of :func:`stepfit.build_report`; ``report`` renders
+that record as flat CSV tables and a text summary, computing nothing of the
+table itself.
 
 Reproducibility contract: the same spec produces byte-identical observation,
-table and curve CSVs.  Timings are real and therefore live in their own
-files, never in the deterministic tables.  Per-step chain seeds derive from
-the spec seed and the step index, so a sweep is reproducible run-by-run no
-matter how work is distributed over workers.
+table and curve CSVs.  Timings are real and therefore live only in
+``record.json`` and ``summary.txt``, never in the deterministic tables.
+Per-step chain seeds derive from the spec seed and the step index, so a sweep
+is reproducible run-by-run no matter how work is distributed over workers.
 """
 
 from __future__ import annotations
@@ -83,6 +86,14 @@ class RegressionSettings:
     mask_h: Optional[Tuple[float, ...]] = None
 
 
+def _read_json(path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
 @dataclass
 class ExperimentSpec:
     model: str = "logistic"
@@ -121,11 +132,18 @@ class ExperimentSpec:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         self.build_prior()
         self.build_proposal()
-        for name, value in (("mcmc.n_iter", self.mcmc.n_iter),
+        for name, value in (("seed", self.seed), ("times.n", self.times.n),
+                            ("mcmc.n_iter", self.mcmc.n_iter),
                             ("mcmc.burn_in", self.mcmc.burn_in or 0),
-                            ("evidence.subsample", self.evidence.subsample)):
+                            ("evidence.subsample", self.evidence.subsample),
+                            ("regression.mask_smallest",
+                             self.regression.mask_smallest)):
             if not isinstance(value, int):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        times = self.obs_times()
+        Dataset(times=times, values=np.zeros(times.size))
         n_iter, burn_in = self.mcmc.n_iter, self.mcmc.resolved_burn_in()
         if not 0 <= burn_in < n_iter:
             raise ValueError("mcmc needs n_iter > burn_in >= 0")
@@ -137,6 +155,15 @@ class ExperimentSpec:
                 f"{self.evidence.subsample}")
         if not 0.0 < self.evidence.shrink <= 1.0:
             raise ValueError("evidence.shrink must be in (0, 1]")
+        reg = self.regression
+        if reg.mask_smallest < 3:
+            raise ValueError("regression.mask_smallest must be at least 3")
+        if reg.mask_h is not None and not (
+                len(set(reg.mask_h)) >= 3 and set(reg.mask_h) <= set(self.h_grid)):
+            raise ValueError("regression.mask_h must name at least three "
+                             "steps of h_grid")
+        if not 0.0 < self.jeffreys_threshold < 1.0:
+            raise ValueError("jeffreys_threshold must be in (0, 1)")
 
     # -- serialization ------------------------------------------------------
 
@@ -149,8 +176,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
-        d = dict(d)
         try:
+            d = dict(d)
             if "times" in d and isinstance(d["times"], dict):
                 d["times"] = TimesSpec(**d["times"])
             if "mcmc" in d and isinstance(d["mcmc"], dict):
@@ -165,17 +192,12 @@ class ExperimentSpec:
             if "h_grid" in d:
                 d["h_grid"] = tuple(d["h_grid"])
             return cls(**d)
-        except TypeError as exc:
+        except (TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"bad experiment spec: {exc}") from exc
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentSpec":
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(_read_json(path))
 
     def spec_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
@@ -388,37 +410,25 @@ def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1,
               "version": __version__, "observations_csv": "observations.csv",
               "runs": runs, "curve": None, "recommendation": None}
 
-    ok = [r for r in runs if r["status"] == "ok"]
-    if len(ok) >= 3:
-        points = [(r["h"], r["log_marginal"], r["se"]) for r in ok]
-        try:
-            curve = fit_curve(points, p=METHOD_ORDERS[spec.solver],
-                              mask_h=spec.regression.mask_h,
-                              mask_smallest=spec.regression.mask_smallest)
-            record["curve"] = {
-                "p": curve.p, "log_fitted_a": curve.log_fitted_a,
-                "rel_se_a": curve.rel_se_a, "by": curve.by, "r2": curve.r2,
-                "mask_h": curve.h[curve.mask].tolist(),
-            }
-            order = np.argsort([r["h"] for r in ok])
-            cpu = np.asarray([ok[i]["cpu_seconds"] for i in order])
-            rep = build_report(curve, cpu, spec.solver,
-                               threshold=spec.jeffreys_threshold)
-            record["recommendation"] = {"recommended_h": rep.recommended_h,
-                                        "speedup": rep.speedup}
-        except StepSelectError as exc:
-            record["curve_error"] = str(exc)
+    ok = sorted((r for r in runs if r["status"] == "ok"), key=lambda r: r["h"])
+    try:
+        curve = fit_curve([(r["h"], r["log_marginal"], r["se"]) for r in ok],
+                          p=METHOD_ORDERS[spec.solver],
+                          mask_h=spec.regression.mask_h,
+                          mask_smallest=spec.regression.mask_smallest)
+        record["curve"] = {
+            "p": curve.p, "log_fitted_a": curve.log_fitted_a,
+            "rel_se_a": curve.rel_se_a, "by": curve.by, "r2": curve.r2,
+            "mask_h": curve.h[curve.mask].tolist(),
+        }
+        record["recommendation"] = build_report(
+            curve, [r["cpu_seconds"] for r in ok], spec.solver,
+            threshold=spec.jeffreys_threshold).as_dict()
+    except StepSelectError as exc:
+        record["curve_error"] = str(exc)
 
     with open(out_dir / "record.json", "w") as fh:
         json.dump(record, fh, indent=2)
-    with open(out_dir / "evidence.json", "w") as fh:
-        json.dump([{"log_marginal": r["log_marginal"], "se": r["se"],
-                    "method": r["method"], "h": r["h"], "solver": r["solver"]}
-                   for r in ok], fh, indent=2)
-    with open(out_dir / "timings.csv", "w") as fh:
-        fh.write("h,cpu_seconds\n")
-        for r in sorted(ok, key=lambda r: r["h"]):
-            fh.write("%.17g,%.6f\n" % (r["h"], r["cpu_seconds"]))
     return record
 
 
@@ -447,25 +457,32 @@ def _quadrature_exact(spec: ExperimentSpec, dataset: Dataset):
 
 
 def report(out_dir) -> dict:
-    """Write the flat tables for a finished run directory.
+    """Render the flat tables of a finished run directory from its record.
 
-    Emits table.csv (exact vs extrapolated marginal), curve.csv
-    (h, log marginal, se, Bayes factor, Jeffreys flag), bf_report.json/csv
-    (same plus timings), a posterior histogram per step, and summary.txt.
-    Everything except the cpu_seconds columns and summary timing lines is
-    byte-deterministic given the spec.
+    Emits table.csv (exact vs extrapolated marginal), curve.csv (h, log
+    marginal, se, Bayes factor, Jeffreys flag), a posterior histogram per
+    step, and summary.txt.  The Bayes factors and flags are the ones
+    ``run_sweep`` stored in ``record["recommendation"]["steps"]``; without
+    a fitted curve their cells stay empty.  Everything except the summary's
+    timing figures is byte-deterministic given the spec.
     """
     out_dir = Path(out_dir)
-    with open(out_dir / "record.json") as fh:
-        record = json.load(fh)
-    spec = ExperimentSpec.from_dict(record["spec"])
-    dataset = load_observations(out_dir / record["observations_csv"],
-                                sigma=spec.sigma)
-    ok = [r for r in record["runs"] if r["status"] == "ok"]
-    ok.sort(key=lambda r: r["h"])
-
+    path = out_dir / "record.json"
+    record = _read_json(path)
+    try:
+        spec = ExperimentSpec.from_dict(record["spec"])
+        obs_csv = out_dir / record["observations_csv"]
+        ok = sorted((r for r in record["runs"] if r["status"] == "ok"),
+                    key=lambda r: r["h"])
+        curve = record.get("curve")
+        rec = record.get("recommendation")
+        steps = (rec["steps"] if rec is not None
+                 else [dict(r, bf=None, flag=None) for r in ok])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path} is not a run record "
+                         f"({type(exc).__name__}: {exc})") from exc
+    dataset = load_observations(obs_csv, sigma=spec.sigma)
     exact = _quadrature_exact(spec, dataset)
-    curve = record.get("curve")
 
     with open(out_dir / "table.csv", "w") as fh:
         fh.write("sigma,log_exact_marginal,exact_marginal,"
@@ -480,43 +497,13 @@ def report(out_dir) -> dict:
         fh.write("%.17g,%s,%s,%s,%s\n" % (spec.sigma, ex_log, ex_lin,
                                           fit_log, fit_lin))
 
-    log_a = curve["log_fitted_a"] if curve is not None else None
     with open(out_dir / "curve.csv", "w") as fh:
         fh.write("h,log_marginal,se,bf,flag\n")
-        for r in ok:
-            if log_a is not None:
-                bf = math.exp(r["log_marginal"] - log_a)
-                flag = int(abs(r["log_marginal"] - log_a)
-                           <= -math.log(spec.jeffreys_threshold))
-                fh.write("%.17g,%.17g,%.17g,%.17g,%d\n"
-                         % (r["h"], r["log_marginal"], r["se"], bf, flag))
-            else:
-                fh.write("%.17g,%.17g,%.17g,,\n"
-                         % (r["h"], r["log_marginal"], r["se"]))
-
-    rec = record.get("recommendation") or {}
-    bf_payload = {"solver": spec.solver, "threshold": spec.jeffreys_threshold,
-                  "log_fitted_a": log_a,
-                  "recommended_h": rec.get("recommended_h"),
-                  "speedup": rec.get("speedup"),
-                  "steps": []}
-    with open(out_dir / "bf_report.csv", "w") as fh:
-        fh.write("h,log_marginal,se,bf,flag,cpu_seconds\n")
-        for r in ok:
-            bf = math.exp(r["log_marginal"] - log_a) if log_a is not None else None
-            flag = (bool(abs(r["log_marginal"] - log_a)
-                         <= -math.log(spec.jeffreys_threshold))
-                    if log_a is not None else None)
-            bf_payload["steps"].append(
-                {"h": r["h"], "log_marginal": r["log_marginal"], "se": r["se"],
-                 "bf": bf, "flag": flag, "cpu_seconds": r["cpu_seconds"]})
-            fh.write("%.17g,%.17g,%.17g,%s,%s,%.6f\n"
-                     % (r["h"], r["log_marginal"], r["se"],
-                        "%.17g" % bf if bf is not None else "",
-                        "%d" % flag if flag is not None else "",
-                        r["cpu_seconds"]))
-    with open(out_dir / "bf_report.json", "w") as fh:
-        json.dump(bf_payload, fh, indent=2)
+        for s in steps:
+            bf_flag = ",," if s["bf"] is None else ",%.17g,%d" % (s["bf"],
+                                                                s["flag"])
+            fh.write("%.17g,%.17g,%.17g%s\n" % (s["h"], s["log_marginal"],
+                                                s["se"], bf_flag))
 
     for r in ok:
         if r["chain_csv"] is None:
@@ -538,20 +525,20 @@ def report(out_dir) -> dict:
         lines.append(f"extrapolated marginal: {math.exp(curve['log_fitted_a']):.6g} "
                      f"(log {curve['log_fitted_a']:.6f}, rel se {curve['rel_se_a']:.3g}, "
                      f"fit mask h={curve['mask_h']})")
-    for r in ok:
-        bf_s = ""
-        if log_a is not None:
-            bf_s = f"  BF={math.exp(r['log_marginal'] - log_a):.6f}"
-        lines.append(f"h={r['h']:<8g} log P = {r['log_marginal']:.6f} "
-                     f"+- {r['se']:.4f}{bf_s}  cpu={r['cpu_seconds']:.2f}s "
+    for s, r in zip(steps, ok):
+        bf_s = "" if s["bf"] is None else f"  BF={s['bf']:.6f}"
+        lines.append(f"h={s['h']:<8g} log P = {s['log_marginal']:.6f} "
+                     f"+- {s['se']:.4f}{bf_s}  cpu={s['cpu_seconds']:.2f}s "
                      f"accept={r['accept_rate']:.3f}")
     failed = [r for r in record["runs"] if r["status"] != "ok"]
     for r in failed:
         lines.append(f"h={r['h']:<8g} {r['status']}")
-    if rec.get("recommended_h") is not None:
+    if "curve_error" in record:
+        lines.append(f"no evidence curve: {record['curve_error']}")
+    if rec is not None and rec["recommended_h"] is not None:
         lines.append(f"recommended step: h={rec['recommended_h']:g} "
                      f"(speedup {rec['speedup']:.2f}x over the finest step)")
-    elif curve is not None:
+    elif rec is not None:
         lines.append("recommended step: none admissible at this threshold")
     with open(out_dir / "summary.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -31,8 +31,8 @@ class EvidenceCurve:
     """Per-step marginals plus the fitted a + b h^p extrapolation.
 
     Points are stored sorted by increasing h; ``mask`` marks the points the
-    regression used.  ``log_fitted_a`` is the authoritative intercept (the
-    linear-scale ``fitted_a`` underflows below ~1e-300).
+    regression used.  The intercept is kept on the log scale only, because
+    marginals of order exp(-180) and below underflow on the linear scale.
     """
 
     p: int
@@ -40,8 +40,6 @@ class EvidenceCurve:
     log_marginal: np.ndarray
     se: np.ndarray
     mask: np.ndarray
-    fitted_a: float
-    fitted_b: float
     log_fitted_a: float
     rel_se_a: float
     by: float              # B_y = -b/a, the leading relative-error coefficient
@@ -74,13 +72,11 @@ def fit_curve(points: Sequence, p: int, mask_h: Optional[Sequence[float]] = None
     should stay out of the regression even when they belong on the plot.
 
     Weights are 1/se^2 on the linear scale (uniform when every se is zero,
-    e.g. quadrature input).  Raises IllConditionedFit when the masked grid
-    spans less than a factor 2 in h^p or the intercept comes out
-    non-positive.
+    e.g. quadrature input).  Raises IllConditionedFit when the mask holds
+    fewer than three points, the masked grid spans less than a factor 2 in
+    h^p or the intercept comes out non-positive.
     """
     hs, logs, ses = _as_points(points)
-    if hs.size < 3:
-        raise ValueError("need at least three points to fit the evidence curve")
     if np.unique(hs).size != hs.size:
         raise ValueError("duplicate step sizes in the evidence curve")
     order = np.argsort(hs)
@@ -88,11 +84,13 @@ def fit_curve(points: Sequence, p: int, mask_h: Optional[Sequence[float]] = None
 
     if mask_h is not None:
         mask = np.isin(hs, np.asarray(list(mask_h), dtype=float))
-        if mask.sum() < 3:
-            raise ValueError("mask_h selects fewer than three points")
     else:
         mask = np.zeros(hs.size, dtype=bool)
         mask[:min(mask_smallest, hs.size)] = True
+    if mask.sum() < 3:
+        raise IllConditionedFit(
+            f"the fit mask holds {int(mask.sum())} of {hs.size} points; the "
+            "regression needs at least three")
 
     hm = hs[mask]
     if (hm.max() / hm.min()) ** p < 2.0:
@@ -138,8 +136,6 @@ def fit_curve(points: Sequence, p: int, mask_h: Optional[Sequence[float]] = None
     r2 = 1.0 - float(np.sum(w * resid ** 2)) / sst if sst > 0.0 else 1.0
 
     return EvidenceCurve(p=int(p), h=hs, log_marginal=logs, se=ses, mask=mask,
-                         fitted_a=a_s * math.exp(shift),
-                         fitted_b=b_s * math.exp(shift),
                          log_fitted_a=shift + math.log(a_s),
                          rel_se_a=rel_se_a, by=-b_s / a_s, r2=r2)
 
@@ -174,26 +170,18 @@ def within_jeffreys(bf: float, threshold: float = DEFAULT_THRESHOLD) -> bool:
 
 def recommend_step(curve: EvidenceCurve, cpu_seconds,
                    threshold: float = DEFAULT_THRESHOLD) -> Tuple[float, float]:
-    """Largest step whose Bayes factor against the extrapolated exact
-    marginal sits inside the Jeffreys window, with its measured speedup.
+    """The recommendation of :func:`build_report`, as (h, speedup).
 
-    ``cpu_seconds`` aligns with ``curve.h`` (ascending).  The speedup is
-    cpu(h_min) / cpu(h_recommended): time bought relative to the finest
-    sweep member.  Raises NoAdmissibleStep when even the finest step falls
-    outside the window — the signature of a solver order too low to ever
-    flatten out on this grid.
+    Raises NoAdmissibleStep when even the finest step falls outside the
+    window — the signature of a solver order too low to ever flatten out on
+    this grid.
     """
-    cpu = np.asarray(cpu_seconds, dtype=float)
-    if cpu.shape != curve.h.shape:
-        raise ValueError("cpu_seconds must align with curve.h")
-    log_bf = curve.log_marginal - curve.log_fitted_a
-    flags = np.abs(log_bf) <= -math.log(threshold)
-    if not flags.any():
+    rep = build_report(curve, cpu_seconds, solver="", threshold=threshold)
+    if rep.recommended_h is None:
         raise NoAdmissibleStep(
             f"no step in {curve.h.tolist()} has a Bayes factor within "
             f"[{threshold}, {1 / threshold:.6g}] of the extrapolated marginal")
-    idx = int(np.max(np.where(flags)[0]))
-    return float(curve.h[idx]), float(cpu[0] / cpu[idx])
+    return rep.recommended_h, rep.speedup
 
 
 @dataclass
@@ -231,22 +219,30 @@ class BfReport:
 
 def build_report(curve: EvidenceCurve, cpu_seconds, solver: str,
                  threshold: float = DEFAULT_THRESHOLD) -> BfReport:
-    """Assemble the per-step Bayes-factor table around a fitted curve.
+    """Per-step Bayes factors against the extrapolated exact marginal, their
+    Jeffreys flags, and the recommendation.
 
-    Unlike :func:`recommend_step` this never raises on a hopeless sweep; the
-    recommendation fields are simply left empty, because a report of the
-    failure is still a report.
+    ``cpu_seconds`` aligns with ``curve.h`` (ascending).  The recommended
+    step is the largest one inside the Jeffreys window; its speedup is
+    cpu(h_min) / cpu(h_recommended), the time bought relative to the finest
+    sweep member.  A hopeless sweep leaves both fields empty instead of
+    raising, because a report of the failure is still a report.
     """
     cpu = np.asarray(cpu_seconds, dtype=float)
+    if cpu.shape != curve.h.shape:
+        raise ValueError("cpu_seconds must align with curve.h")
     log_bf = curve.log_marginal - curve.log_fitted_a
     flags = np.abs(log_bf) <= -math.log(threshold)
-    try:
-        rec_h, speedup = recommend_step(curve, cpu, threshold)
-    except NoAdmissibleStep:
-        rec_h, speedup = None, None
+    rec_h = speedup = None
+    if flags.any():
+        idx = int(np.max(np.where(flags)[0]))
+        rec_h, speedup = float(curve.h[idx]), float(cpu[0] / cpu[idx])
+    # math.exp, not np.exp: numpy's SIMD exp can differ from libm's in the
+    # last bit, and curve.csv prints all 17 digits of the libm value
+    bf = np.array([math.exp(x) for x in log_bf])
     return BfReport(solver=solver, p=curve.p, threshold=threshold, h=curve.h,
-                    log_marginal=curve.log_marginal, se=curve.se,
-                    bf=np.exp(log_bf), flag=flags, cpu_seconds=cpu,
+                    log_marginal=curve.log_marginal, se=curve.se, bf=bf,
+                    flag=flags, cpu_seconds=cpu,
                     log_fitted_a=curve.log_fitted_a, rel_se_a=curve.rel_se_a,
                     recommended_h=rec_h, speedup=speedup)
 

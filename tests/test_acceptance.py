@@ -96,9 +96,8 @@ def test_c2_evidence_matches_conjugate_closed_form():
     for seed in range(20):
         th = case.posterior_draws(4000, seed)
         draws, energies = th[:, None], case.energies(th)
-        gd = gelfand_dey(energies,
-                         kde_fit(subsample_draws(draws, m=500, seed=seed)),
-                         draws)
+        alpha = kde_fit(subsample_draws(draws, m=500, seed=seed))
+        gd = gelfand_dey(energies, alpha.log_density(draws))
         zs.append((gd.log_marginal - log_true) / gd.mc_standard_error)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", InfiniteVarianceWarning)

@@ -91,6 +91,18 @@ def test_bad_spec_exits_one_without_run_dir(tmp_path, capsys):
     spec = write_spec(tmp_path)
     assert main(["evidence", "--spec", spec, "--h", "-0.1"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    missing = str(tmp_path / "missing.json")
+    assert main(["sweep", "--spec", missing, "--out", str(run_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not run_dir.exists()
+
+
+def test_report_without_run_record_exits_one(tmp_path, capsys):
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    (tmp_path / "record.json").write_text("{}")
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_console_script_help():

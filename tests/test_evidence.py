@@ -20,11 +20,9 @@ CASE = default_case()
 LOG_TRUE = CASE.log_evidence()
 
 
-class _FixedAlpha:
-    """Weighting density equal to the exact posterior."""
-
-    def log_density(self, pts):
-        return CASE.posterior_logpdf(np.asarray(pts)[:, 0])
+def exact_log_alpha(draws):
+    """Weighting log-density equal to the exact posterior, at the draws."""
+    return CASE.posterior_logpdf(np.asarray(draws)[:, 0])
 
 
 class _FakeChain:
@@ -45,7 +43,7 @@ def make_inputs(n_draws=4000, seed=0):
 def test_exact_alpha_gives_zero_variance():
     # with alpha = posterior every term equals 1/P: exact value, se ~ 0
     draws, U = make_inputs()
-    est = gelfand_dey(U, _FixedAlpha(), draws)
+    est = gelfand_dey(U, exact_log_alpha(draws))
     assert est.log_marginal == pytest.approx(LOG_TRUE, abs=1e-10)
     assert est.mc_standard_error < 1e-12
     assert est.n_used == 4000
@@ -56,8 +54,8 @@ def test_energy_shift_moves_log_marginal_exactly():
     # P -> P * e^{-C} when every energy gains C; survives C huge enough to
     # park the marginal near 1e-400 on the linear scale
     draws, U = make_inputs()
-    base = gelfand_dey(U, _FixedAlpha(), draws)
-    shifted = gelfand_dey(U + 900.0, _FixedAlpha(), draws)
+    base = gelfand_dey(U, exact_log_alpha(draws))
+    shifted = gelfand_dey(U + 900.0, exact_log_alpha(draws))
     assert math.isfinite(shifted.log_marginal)
     assert shifted.log_marginal == pytest.approx(base.log_marginal - 900.0,
                                                  abs=1e-9)
@@ -67,16 +65,16 @@ def test_energy_shift_moves_log_marginal_exactly():
 def test_kde_alpha_matches_truth_within_mc_error():
     draws, U = make_inputs(seed=3)
     alpha = kde_fit(subsample_draws(draws, m=500, seed=3))
-    est = gelfand_dey(U, alpha, draws)
+    est = gelfand_dey(U, alpha.log_density(draws))
     assert abs(est.log_marginal - LOG_TRUE) <= 3.0 * est.mc_standard_error
 
 
 def test_alpha_choice_shifts_estimate_within_noise():
     draws, U = make_inputs(seed=7)
     e1 = gelfand_dey(U, kde_fit(subsample_draws(draws, m=500, seed=1),
-                                shrink=0.5), draws)
+                                shrink=0.5).log_density(draws))
     e2 = gelfand_dey(U, kde_fit(subsample_draws(draws, m=300, seed=2),
-                                shrink=0.8), draws)
+                                shrink=0.8).log_density(draws))
     comb = math.hypot(e1.mc_standard_error, e2.mc_standard_error)
     assert abs(e1.log_marginal - e2.log_marginal) <= 3.0 * comb
 
@@ -87,8 +85,8 @@ def test_reciprocal_scale_unbiased_with_independent_alpha():
     for r in range(60):
         th = CASE.posterior_draws(2000, 1000 + r)
         th_alpha = CASE.posterior_draws(600, 5000 + r)
-        est = gelfand_dey(CASE.energies(th), kde_fit(th_alpha[:, None]),
-                          th[:, None])
+        est = gelfand_dey(CASE.energies(th),
+                          kde_fit(th_alpha[:, None]).log_density(th[:, None]))
         rels.append(math.exp(LOG_TRUE - est.log_marginal) - 1.0)
         ses.append(est.mc_standard_error)
     mean_rel = float(np.mean(rels))
@@ -113,7 +111,8 @@ def test_cross_fit_pipeline_unbiased_on_same_draws():
 
 def test_harmonic_mean_reports_larger_error():
     draws, U = make_inputs(seed=5)
-    gd = gelfand_dey(U, kde_fit(subsample_draws(draws, m=500, seed=5)), draws)
+    gd = gelfand_dey(U, kde_fit(subsample_draws(draws, m=500, seed=5))
+                     .log_density(draws))
 
     def log_prior_fn(row):
         return float(CASE.log_prior(np.asarray([float(row[0])]))[0])
@@ -130,24 +129,23 @@ def test_dominant_term_warns():
     U = U.copy()
     U[0] += 60.0   # one draw carries essentially all the weight
     with pytest.warns(InfiniteVarianceWarning):
-        gelfand_dey(U, _FixedAlpha(), draws)
+        gelfand_dey(U, exact_log_alpha(draws))
 
 
 def test_gelfand_dey_input_validation():
     draws, U = make_inputs(n_draws=100)
+    log_alpha = exact_log_alpha(draws)
     with pytest.raises(ValueError):
-        gelfand_dey(U[:50], _FixedAlpha(), draws)
+        gelfand_dey(U[:50], log_alpha)
     with pytest.raises(ValueError):
-        gelfand_dey(U[:2], _FixedAlpha(), draws[:2])
-    with pytest.raises(TypeError):
-        gelfand_dey(U, object(), draws)
+        gelfand_dey(U[:2], log_alpha[:2])
     with pytest.raises(StepSelectError):
-        gelfand_dey(np.full(100, -np.inf), _FixedAlpha(), draws)
+        gelfand_dey(np.full(100, -np.inf), log_alpha)
 
 
 def test_evidence_estimate_fields():
     draws, U = make_inputs(n_draws=200)
-    est = gelfand_dey(U, _FixedAlpha(), draws, h=0.1, solver="rk4")
+    est = gelfand_dey(U, exact_log_alpha(draws), h=0.1, solver="rk4")
     assert est.h == 0.1 and est.solver == "rk4"
     rec = est.as_record()
     assert rec["h"] == 0.1 and rec["method"] == "gelfand_dey_kde"

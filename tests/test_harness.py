@@ -8,7 +8,8 @@ import pytest
 from stepselect import Dataset
 from stepselect.bayes import ParamVector, make_log_posterior, make_solver_forward
 from stepselect.errors import ParseError
-from stepselect.harness import (ExperimentSpec, McmcSettings, TimesSpec,
+from stepselect.harness import (ExperimentSpec, McmcSettings,
+                                RegressionSettings, TimesSpec,
                                 build_system, generate_synthetic,
                                 load_observations, load_or_generate, report,
                                 run_single, run_sweep, save_observations)
@@ -60,12 +61,20 @@ def test_spec_validation():
         ExperimentSpec(h_grid=())
     with pytest.raises(ParseError):
         ExperimentSpec.from_dict({"model": "logistic", "bogus": 1})
+    with pytest.raises(ParseError):
+        ExperimentSpec.from_dict("abc")
     base = small_spec().to_dict()
     for bad in ({"sigma": -1}, {"solver": "rk3"}, {"h_grid": [-0.2, 0.1]},
                 {"mcmc": {"step_scale": 0}}, {"evidence": {"shrink": 2}},
                 {"prior": {"shape": 2.0, "rate": -1}},
                 {"mcmc": {"n_iter": 30}},        # 24 draws left for the KDE
-                {"mcmc": {"n_iter": "abc"}}):
+                {"mcmc": {"n_iter": "abc"}},
+                {"seed": -1}, {"times": {"n": "x"}}, {"times": 5},
+                {"regression": {"mask_smallest": 0}},
+                {"regression": {"mask_smallest": 3.5}},
+                {"regression": {"mask_h": [0.2, 0.1]}},
+                {"regression": {"mask_h": [0.4, 0.2, 0.05]}},   # 0.05 not in h_grid
+                {"jeffreys_threshold": 0}, {"jeffreys_threshold": 1.5}):
         with pytest.raises(ParseError):
             ExperimentSpec.from_dict({**base, **bad})
 
@@ -193,14 +202,19 @@ def test_run_sweep_serial_and_parallel_agree(tmp_path):
     rec_a = run_sweep(spec, tmp_path / "a", jobs=1)
     rec_b = run_sweep(spec, tmp_path / "b", jobs=2)
 
-    for name in ("observations.csv", "evidence.json",
-                 "chain_0.csv", "chain_1.csv", "chain_2.csv"):
+    for name in ("observations.csv", "chain_0.csv", "chain_1.csv",
+                 "chain_2.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes()
     for ra, rb in zip(rec_a["runs"], rec_b["runs"]):
         assert (ra["h"], ra["seed"], ra["log_marginal"], ra["se"]) == \
                (rb["h"], rb["seed"], rb["log_marginal"], rb["se"])
     assert rec_a["curve"] == rec_b["curve"]
+
+    def untimed_steps(rec):
+        return [{k: v for k, v in step.items() if k != "cpu_seconds"}
+                for step in rec["recommendation"]["steps"]]
+    assert untimed_steps(rec_a) == untimed_steps(rec_b)
 
     report(tmp_path / "a")
     report(tmp_path / "b")
@@ -219,8 +233,8 @@ def test_run_sweep_records_failed_step(tmp_path):
     assert by_h[0.3]["log_marginal"] is None
     assert all(by_h[h]["status"] == "ok" for h in (0.4, 0.2, 0.1))
     assert rec["curve"] is not None
-    assert len(json.loads((tmp_path / "evidence.json").read_text())) == 3
-    assert len((tmp_path / "timings.csv").read_text().splitlines()) == 4
+    assert sum(r["status"] == "ok" for r in rec["runs"]) == 3
+    assert len(rec["recommendation"]["steps"]) == 3
 
     report(tmp_path)
     summary = (tmp_path / "summary.txt").read_text()
@@ -228,11 +242,36 @@ def test_run_sweep_records_failed_step(tmp_path):
     assert not (tmp_path / "posterior_hist_1.csv").exists()
 
 
+@pytest.mark.parametrize("h_grid,mask_h", [
+    ((0.4, 0.3, 0.2), None),                 # two steps survive
+    ((0.4, 0.3, 0.2, 0.1), (0.3, 0.2, 0.1)),  # the mask loses its 0.3
+])
+def test_run_sweep_without_curve(tmp_path, h_grid, mask_h):
+    # 0.3 fails against the 0.4 observation gap, leaving too few points
+    # for the regression; the run directory must still explain itself
+    spec = small_spec(h_grid=h_grid,
+                      regression=RegressionSettings(mask_h=mask_h))
+    run_sweep(spec, tmp_path, jobs=1)
+    rec = json.loads((tmp_path / "record.json").read_text())
+    assert rec["curve"] is None and rec["recommendation"] is None
+    assert "at least three" in rec["curve_error"]
+
+    report(tmp_path)
+    rows = (tmp_path / "curve.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(h_grid) - 1
+    assert all(row.endswith(",,") for row in rows)
+    assert rec["curve_error"] in (tmp_path / "summary.txt").read_text()
+
+
 def test_report_files(tmp_path):
     spec = small_spec()
     run_sweep(spec, tmp_path, jobs=1)
     rec = report(tmp_path)
     assert rec["spec_hash"] == spec.spec_hash()
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "observations.csv", "record.json", "table.csv", "curve.csv",
+        "summary.txt", *(f"chain_{k}.csv" for k in range(3)),
+        *(f"posterior_hist_{k}.csv" for k in range(3))}
 
     table = (tmp_path / "table.csv").read_text().splitlines()
     assert table[0].startswith("sigma,log_exact_marginal")
@@ -245,8 +284,12 @@ def test_report_files(tmp_path):
     hs = [float(line.split(",")[0]) for line in curve[1:]]
     assert hs == sorted(hs) and len(hs) == 3
 
-    payload = json.loads((tmp_path / "bf_report.json").read_text())
-    assert payload["solver"] == "rk4" and len(payload["steps"]) == 3
-    for k in range(3):
-        assert (tmp_path / f"posterior_hist_{k}.csv").exists()
+    payload = json.loads((tmp_path / "record.json").read_text())["recommendation"]
+    assert payload["solver"] == "rk4"
+    steps = payload["steps"]
+    assert [s["h"] for s in steps] == hs
+    for s, line in zip(steps, curve[1:]):
+        assert line == "%.17g,%.17g,%.17g,%.17g,%d" % (
+            s["h"], s["log_marginal"], s["se"], s["bf"], s["flag"])
+        assert s["cpu_seconds"] > 0.0
     assert "recommended step" in (tmp_path / "summary.txt").read_text()

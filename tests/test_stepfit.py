@@ -31,7 +31,6 @@ def test_fit_recovers_exact_intercept():
     assert curve.log_fitted_a == pytest.approx(math.log(a), abs=1e-12)
     assert curve.by == pytest.approx(-b / a, rel=1e-9)
     assert curve.r2 == pytest.approx(1.0, abs=1e-12)
-    assert curve.fitted_b == pytest.approx(b, rel=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,7 +91,7 @@ def test_fit_mask_h_explicit():
     curve = fit_curve(pts, p=1, mask_h=(0.4, 0.2, 0.1))
     assert curve.mask.sum() == 3
     assert set(curve.h[curve.mask]) == {0.4, 0.2, 0.1}
-    with pytest.raises(ValueError):
+    with pytest.raises(IllConditionedFit):
         fit_curve(pts, p=1, mask_h=(0.4, 0.2))
 
 
@@ -118,8 +117,10 @@ def test_fit_rejects_weight_collapse():
 
 
 def test_fit_input_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(IllConditionedFit):
         fit_curve(synthetic_points(1.0, 0.0, 1, hs=(0.1, 0.05)), p=1)
+    with pytest.raises(IllConditionedFit):
+        fit_curve([], p=1)
     with pytest.raises(ValueError):
         fit_curve(synthetic_points(1.0, 0.0, 1, hs=(0.1, 0.1, 0.05)), p=1)
 
@@ -182,6 +183,9 @@ def test_build_report_serializes_and_survives_failure():
     rep = build_report(curve, np.array([4.0, 3.0, 2.0, 1.0]), solver="euler")
     assert rep.recommended_h is None and rep.speedup is None
     assert not rep.flag.any()
+    # the scalar libm exp, bit for bit: curve.csv prints all 17 digits
+    assert rep.bf.tolist() == [math.exp(lm - math.log(1e-19))
+                               for lm in curve.log_marginal]
     payload = json.dumps(rep.as_dict())
     assert "euler" in payload
     rows = list(rep.rows())
