@@ -79,9 +79,11 @@ class ParamVector:
         vec = np.atleast_1d(np.asarray(vec, dtype=float))
         if vec.size != self.dim:
             raise ValueError(f"expected a vector of length {self.dim}")
+        # built directly: dataclasses.replace costs as much again, and the
+        # samplers call this once per posterior evaluation
         if self.sigma_fixed:
-            return replace(self, theta=vec)
-        return replace(self, theta=vec[:-1], sigma=float(vec[-1]))
+            return ParamVector(vec, self.sigma)
+        return ParamVector(vec[:-1], float(vec[-1]), False)
 
 
 @dataclass(frozen=True)
@@ -144,12 +146,13 @@ def log_likelihood(dataset: Dataset, phi: ParamVector, forward: Callable) -> flo
     except NonFiniteState:
         return -math.inf
     resid = dataset.values - pred
-    if not np.all(np.isfinite(resid)):
+    ss = float(resid @ resid)
+    if not math.isfinite(ss):   # a non-finite residual, or one too large to square
         return -math.inf
     n = dataset.n
     sigma = phi.sigma
     return (-n * math.log(sigma) - 0.5 * n * LOG_2PI
-            - 0.5 * float(resid @ resid) / (sigma * sigma))
+            - 0.5 * ss / (sigma * sigma))
 
 
 def log_posterior_unnorm(dataset: Dataset, prior: Prior, phi: ParamVector,
@@ -183,18 +186,18 @@ def make_solver_forward(system, config: SolverConfig, times) -> Callable:
 
     Grid admissibility (h divides every observation gap) is checked here,
     once, at build time, and the observation node indices are frozen with
-    it; each call then pays for one solve plus an index lookup.
+    it; each call then solves only as far as it must and keeps the states at
+    those nodes.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     check_grid(config.h, times)
     t0 = float(times[0])
-    idx = np.rint((times - t0) / config.h).astype(int)
-    n_steps = int(idx[-1])
+    idx = tuple(int(i) for i in np.rint((times - t0) / config.h))
+    n_steps = idx[-1]
     obs = system.obs
 
     def forward(theta):
-        states = integrate_states(system, theta, config, t0, n_steps)
-        return obs(states[idx])
+        return obs(integrate_states(system, theta, config, t0, n_steps, idx))
     return forward
 
 

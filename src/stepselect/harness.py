@@ -23,11 +23,10 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .evidence import (GridSpec, bracket_bounds, evidence_from_chain,
 from .mcmc import ProposalConfig, load_chain_csv, mh_run, save_chain_csv
 from .models import (GlucoseParams, LogisticParams, logistic_exact,
                      make_glucose_system, make_logistic_system)
-from .ode import METHOD_ORDERS, SolverConfig, check_grid, integrate
+from .ode import METHOD_ORDERS, SolverConfig, check_grid
 from .stepfit import build_report, fit_curve
 
 MODELS = ("logistic", "glucose")
@@ -275,11 +274,9 @@ def generate_synthetic(spec: ExperimentSpec) -> Dataset:
                            theta2=p["theta2"], a=p["a"], b=p["b"], Gb=p["Gb"])
         system = make_glucose_system(gp, d0=p["d0"], D0=p["D0"])
         gap = float(times[1] - times[0]) if times.size > 1 else 1.0
-        href = gap / 2048.0
-        traj = integrate(system, np.array([p["theta0"]]),
-                         SolverConfig("rk4", href), float(times[0]),
-                         float(times[-1]))
-        truth = system.obs(traj.values_at(times))
+        forward = make_solver_forward(system, SolverConfig("rk4", gap / 2048.0),
+                                      times)
+        truth = forward(np.array([p["theta0"]]))
     rng = np.random.default_rng(spec.data_seed())
     values = truth + spec.sigma * rng.standard_normal(times.size)
     return Dataset(times=times, values=values, sigma_fixed=spec.sigma)
@@ -367,13 +364,16 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
 
 
 def _sweep_worker(spec_dict: dict, k: int, out_dir: str, obs_csv: str) -> dict:
+    """One step of a sweep; any exception from its run becomes a failed run."""
     spec = ExperimentSpec.from_dict(spec_dict)
     dataset = load_observations(obs_csv, sigma=spec.sigma)
     try:
         return run_single(spec, dataset, k, Path(out_dir))
-    except StepSelectError as exc:
+    except Exception as exc:
+        reason = str(exc) if isinstance(exc, StepSelectError) \
+            else f"{type(exc).__name__}: {exc}"
         return {"h": float(spec.h_grid[k]), "k": k, "seed": spec.chain_seed(k),
-                "status": f"failed: {exc}", "log_marginal": None, "se": None,
+                "status": f"failed: {reason}", "log_marginal": None, "se": None,
                 "method": None, "solver": spec.solver, "cpu_seconds": None,
                 "accept_rate": None, "chain_csv": None}
 

@@ -112,20 +112,46 @@ def _n_steps(t0: float, t_end: float, h: float) -> int:
 
 
 def integrate_states(system, theta, config: SolverConfig, t0: float,
-                     n_steps: int) -> np.ndarray:
-    """Raw state array over ``n_steps`` solver steps from t0, one row per node.
+                     n_steps: int, nodes=None) -> np.ndarray:
+    """States of an ``n_steps``-step solve from t0 at the step indices ``nodes``.
 
-    The allocation-light core of :func:`integrate`: no grid array, no
-    Trajectory wrapper.  Samplers hit this once per posterior evaluation, so
-    they precompute ``n_steps`` and their observation node indices and call
-    it directly.
+    ``nodes`` are non-decreasing step indices that end at ``n_steps``; row j
+    of the result is the state after ``nodes[j]`` steps (a repeated index
+    gives a repeated row).  Left out, every node 0..n_steps is returned.
+    Samplers hit this once per posterior evaluation, so they precompute
+    ``n_steps`` and their observation node indices and call it directly.
+
+    The solve keeps only the states at the nodes and checks none of the
+    others.  Every step adds an increment to the state, so a NaN or infinity
+    never leaves it again: a solve whose last state is non-finite, or whose
+    right-hand side raises ArithmeticError or ValueError, is replayed step
+    by step to raise NonFiniteState at the first non-finite step, exactly as
+    a per-step check would.
     """
-    theta_f = tuple(float(v) for v in np.atleast_1d(theta))
+    if nodes is None:
+        nodes = range(n_steps + 1)
+    if not len(nodes) or nodes[-1] != n_steps:
+        raise ValueError(f"nodes must end at n_steps={n_steps}")
+    theta_f = tuple(np.asarray(theta, dtype=float).ravel().tolist())
     if system.dim_p == 1:
-        return _integrate_scalar(system.rhs, float(system.x0[0]), theta_f,
-                                 config.method, t0, config.h, n_steps)
-    return _integrate_tuple(system.rhs, tuple(float(v) for v in system.x0),
-                            theta_f, config.method, t0, config.h, n_steps)
+        x0, step, finite = (float(system.x0[0]), _SCALAR_STEPS[config.method],
+                            math.isfinite)
+    else:
+        x0, step, finite = (tuple(float(v) for v in system.x0),
+                            _TUPLE_STEPS[config.method], _all_finite)
+    rhs, h = system.rhs, config.h
+    out = []
+    try:
+        x, m = step(rhs, x0, theta_f, t0, h, 0, n_steps, nodes, out)
+    except (ArithmeticError, ValueError):
+        _replay(step, finite, rhs, x0, theta_f, t0, h, n_steps)
+        raise
+    if not finite(x):
+        _replay(step, finite, rhs, x0, theta_f, t0, h, n_steps)
+    if m is not None:
+        raise ValueError(f"nodes must be non-decreasing step indices in "
+                         f"[0, {n_steps}]; {m} was never reached")
+    return np.array(out).reshape(len(out), system.dim_p)
 
 
 def integrate(system, theta, config: SolverConfig, t0: float, t_end: float) -> Trajectory:
@@ -141,9 +167,9 @@ def integrate(system, theta, config: SolverConfig, t0: float, t_end: float) -> T
 
     Raises
     ------
-    GridMismatch if h does not divide the interval, NonFiniteState as soon
-    as a step produces a NaN or infinity (reported with its time, step index
-    and theta).
+    GridMismatch if h does not divide the interval, NonFiniteState when a
+    step produces a NaN or infinity (reported with the first such step's
+    time, step index and theta).
     """
     h = config.h
     n_steps = _n_steps(t0, t_end, h)
@@ -152,88 +178,144 @@ def integrate(system, theta, config: SolverConfig, t0: float, t_end: float) -> T
     return Trajectory(grid=grid, states=states)
 
 
-def _integrate_scalar(rhs_s, x0, theta, method, t0, h, n_steps):
-    # Plain Python floats, not numpy arrays, keep the per-step overhead low,
-    # which matters because the samplers call this millions of times.
-    out = np.empty((n_steps + 1, 1))
-    x = x0
-    out[0, 0] = x
-    half = 0.5 * h
-    sixth = h / 6.0
-    isfinite = math.isfinite
-    if method == "euler":
-        for n in range(n_steps):
-            t = t0 + n * h
-            x = x + h * rhs_s(x, t, theta)
-            if not isfinite(x):
-                raise NonFiniteState(t0 + (n + 1) * h, n, theta)
-            out[n + 1, 0] = x
-    elif method == "rk2":
-        for n in range(n_steps):
-            t = t0 + n * h
-            k1 = rhs_s(x, t, theta)
-            k2 = rhs_s(x + half * k1, t + half, theta)
-            x = x + h * k2
-            if not isfinite(x):
-                raise NonFiniteState(t0 + (n + 1) * h, n, theta)
-            out[n + 1, 0] = x
-    else:
-        for n in range(n_steps):
-            t = t0 + n * h
-            k1 = rhs_s(x, t, theta)
-            k2 = rhs_s(x + half * k1, t + half, theta)
-            k3 = rhs_s(x + half * k2, t + half, theta)
-            k4 = rhs_s(x + h * k3, t + h, theta)
-            x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-            if not isfinite(x):
-                raise NonFiniteState(t0 + (n + 1) * h, n, theta)
-            out[n + 1, 0] = x
-    return out
+def _all_finite(x) -> bool:
+    return all(map(math.isfinite, x))
 
 
-def _integrate_tuple(rhs_t, x0, theta, method, t0, h, n_steps):
-    # The scalar loop's stages, componentwise on float tuples.
-    dim = len(x0)
-    out = np.empty((n_steps + 1, dim))
-    x = x0
-    out[0] = x
+def _replay(step, finite, rhs, x, theta, t0, h, n_steps):
+    """Redo a solve one step at a time; raise at the first non-finite state."""
+    for i in range(n_steps):
+        x, _ = step(rhs, x, theta, t0, h, i, i + 1, (i + 1,), [])
+        if not finite(x):
+            raise NonFiniteState(t0 + (i + 1) * h, i, theta)
+
+
+# Each stepper advances the state x from step n to step ``end`` and appends
+# to ``out`` the state at each of the step indices ``nodes`` as it passes
+# them.  It returns the final state and the first node it never reached
+# (None when it reached them all: a node below n, or one that comes after a
+# larger one, is never reached).  One loop over all the steps, comparing
+# the step index with the next node, costs less than a loop per pair of
+# nodes, whose set-up outweighs a two-step stretch.  Plain Python floats,
+# not numpy arrays, keep the per-step overhead low, which matters because
+# the samplers call these millions of times.
+
+def _euler_scalar(rhs, x, theta, t0, h, n, end, nodes, out):
+    stops = iter(nodes)
+    m = next(stops)
+    for i in range(n, end):
+        while i == m:
+            out.append(x)
+            m = next(stops, None)
+        x = x + h * rhs(x, t0 + i * h, theta)
+    while m == end:
+        out.append(x)
+        m = next(stops, None)
+    return x, m
+
+
+def _rk2_scalar(rhs, x, theta, t0, h, n, end, nodes, out):
+    half = 0.5 * h
+    stops = iter(nodes)
+    m = next(stops)
+    for i in range(n, end):
+        while i == m:
+            out.append(x)
+            m = next(stops, None)
+        t = t0 + i * h
+        k1 = rhs(x, t, theta)
+        k2 = rhs(x + half * k1, t + half, theta)
+        x = x + h * k2
+    while m == end:
+        out.append(x)
+        m = next(stops, None)
+    return x, m
+
+
+def _rk4_scalar(rhs, x, theta, t0, h, n, end, nodes, out):
     half = 0.5 * h
     sixth = h / 6.0
-    isfinite = math.isfinite
-    if method == "euler":
-        for n in range(n_steps):
-            t = t0 + n * h
-            k1 = rhs_t(x, t, theta)
-            x = tuple(xi + h * ki for xi, ki in zip(x, k1))
-            if not all(map(isfinite, x)):
-                raise NonFiniteState(t0 + (n + 1) * h, n, theta)
-            out[n + 1] = x
-    elif method == "rk2":
-        for n in range(n_steps):
-            t = t0 + n * h
-            k1 = rhs_t(x, t, theta)
-            k2 = rhs_t(tuple(xi + half * ki for xi, ki in zip(x, k1)),
-                       t + half, theta)
-            x = tuple(xi + h * ki for xi, ki in zip(x, k2))
-            if not all(map(isfinite, x)):
-                raise NonFiniteState(t0 + (n + 1) * h, n, theta)
-            out[n + 1] = x
-    else:
-        for n in range(n_steps):
-            t = t0 + n * h
-            k1 = rhs_t(x, t, theta)
-            k2 = rhs_t(tuple(xi + half * ki for xi, ki in zip(x, k1)),
-                       t + half, theta)
-            k3 = rhs_t(tuple(xi + half * ki for xi, ki in zip(x, k2)),
-                       t + half, theta)
-            k4 = rhs_t(tuple(xi + h * ki for xi, ki in zip(x, k3)),
-                       t + h, theta)
-            x = tuple(xi + sixth * (a + 2.0 * (b + c) + dd)
-                      for xi, a, b, c, dd in zip(x, k1, k2, k3, k4))
-            if not all(map(isfinite, x)):
-                raise NonFiniteState(t0 + (n + 1) * h, n, theta)
-            out[n + 1] = x
-    return out
+    stops = iter(nodes)
+    m = next(stops)
+    for i in range(n, end):
+        while i == m:
+            out.append(x)
+            m = next(stops, None)
+        t = t0 + i * h
+        k1 = rhs(x, t, theta)
+        k2 = rhs(x + half * k1, t + half, theta)
+        k3 = rhs(x + half * k2, t + half, theta)
+        k4 = rhs(x + h * k3, t + h, theta)
+        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+    while m == end:
+        out.append(x)
+        m = next(stops, None)
+    return x, m
+
+
+# The scalar steppers' stages, componentwise on float tuples.
+
+def _euler_tuple(rhs, x, theta, t0, h, n, end, nodes, out):
+    stops = iter(nodes)
+    m = next(stops)
+    for i in range(n, end):
+        while i == m:
+            out.append(x)
+            m = next(stops, None)
+        k1 = rhs(x, t0 + i * h, theta)
+        x = tuple(xi + h * ki for xi, ki in zip(x, k1))
+    while m == end:
+        out.append(x)
+        m = next(stops, None)
+    return x, m
+
+
+def _rk2_tuple(rhs, x, theta, t0, h, n, end, nodes, out):
+    half = 0.5 * h
+    stops = iter(nodes)
+    m = next(stops)
+    for i in range(n, end):
+        while i == m:
+            out.append(x)
+            m = next(stops, None)
+        t = t0 + i * h
+        k1 = rhs(x, t, theta)
+        k2 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k1)),
+                 t + half, theta)
+        x = tuple(xi + h * ki for xi, ki in zip(x, k2))
+    while m == end:
+        out.append(x)
+        m = next(stops, None)
+    return x, m
+
+
+def _rk4_tuple(rhs, x, theta, t0, h, n, end, nodes, out):
+    half = 0.5 * h
+    sixth = h / 6.0
+    stops = iter(nodes)
+    m = next(stops)
+    for i in range(n, end):
+        while i == m:
+            out.append(x)
+            m = next(stops, None)
+        t = t0 + i * h
+        k1 = rhs(x, t, theta)
+        k2 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k1)),
+                 t + half, theta)
+        k3 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k2)),
+                 t + half, theta)
+        k4 = rhs(tuple(xi + h * ki for xi, ki in zip(x, k3)),
+                 t + h, theta)
+        x = tuple(xi + sixth * (a + 2.0 * (b + c) + dd)
+                  for xi, a, b, c, dd in zip(x, k1, k2, k3, k4))
+    while m == end:
+        out.append(x)
+        m = next(stops, None)
+    return x, m
+
+
+_SCALAR_STEPS = {"euler": _euler_scalar, "rk2": _rk2_scalar, "rk4": _rk4_scalar}
+_TUPLE_STEPS = {"euler": _euler_tuple, "rk2": _rk2_tuple, "rk4": _rk4_tuple}
 
 
 def estimate_order(system, theta, method: str, h_list, t0: float,
@@ -254,8 +336,10 @@ def estimate_order(system, theta, method: str, h_list, t0: float,
     ref = np.asarray(oracle(t_check), dtype=float).ravel()
     errs = []
     for h in h_list:
-        traj = integrate(system, theta, SolverConfig(method, h), t0, t_check)
-        errs.append(float(np.linalg.norm(traj.states[-1] - ref)))
+        n_steps = _n_steps(t0, t_check, h)
+        final = integrate_states(system, theta, SolverConfig(method, h), t0,
+                                 n_steps, nodes=(n_steps,))
+        errs.append(float(np.linalg.norm(final[0] - ref)))
     errs = np.asarray(errs)
     if np.all(errs < 1e-13):
         raise DegenerateFit(

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from stepselect import Dataset
+from stepselect import Dataset, harness
 from stepselect.bayes import ParamVector, make_log_posterior, make_solver_forward
 from stepselect.errors import ParseError
 from stepselect.harness import (ExperimentSpec, McmcSettings,
@@ -240,6 +240,26 @@ def test_run_sweep_records_failed_step(tmp_path):
     summary = (tmp_path / "summary.txt").read_text()
     assert "failed:" in summary
     assert not (tmp_path / "posterior_hist_1.csv").exists()
+
+
+def test_run_sweep_records_any_step_exception(tmp_path, monkeypatch):
+    # an exception from outside the package's own error types (here a
+    # ValueError, as kde_fit raises on too few draws) fails only its step
+    real_run_single = harness.run_single
+
+    def run_single(spec, dataset, k, out_dir=None):
+        if k == 1:
+            raise ValueError("too few draws")
+        return real_run_single(spec, dataset, k, out_dir)
+    monkeypatch.setattr(harness, "run_single", run_single)
+
+    spec = small_spec(h_grid=(0.4, 0.2, 0.1, 0.05))
+    rec = run_sweep(spec, tmp_path, jobs=1)
+    assert [r["status"] for r in rec["runs"]] == [
+        "ok", "failed: ValueError: too few draws", "ok", "ok"]
+    assert rec["runs"][1]["h"] == 0.2 and rec["runs"][1]["log_marginal"] is None
+    assert (tmp_path / "record.json").exists()
+    assert len(rec["recommendation"]["steps"]) == 3
 
 
 @pytest.mark.parametrize("h_grid,mask_h", [

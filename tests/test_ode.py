@@ -116,6 +116,43 @@ def test_integrate_states_matches_integrate():
     assert np.array_equal(traj.states, states)
 
 
+@pytest.mark.parametrize("method", sorted(METHOD_ORDERS))
+@pytest.mark.parametrize("model", ["logistic", "glucose"])
+def test_integrate_states_at_nodes_matches_every_node_solve(model, method):
+    # node 0, adjacent nodes, a repeated node and long stretches between them
+    if model == "logistic":
+        system = make_logistic_system(LogisticParams())
+        theta, h, n_steps = 1.1, 0.1, 30
+        nodes = [0, 1, 2, 2, 9, 30]
+    else:
+        system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
+        theta, h, n_steps = 9.3, 0.0625, 32
+        nodes = [0, 0, 5, 6, 6, 7, 31, 32]
+    cfg = SolverConfig(method, h)
+    every = integrate_states(system, np.array([theta]), cfg, 0.0, n_steps)
+    picked = integrate_states(system, np.array([theta]), cfg, 0.0, n_steps,
+                              nodes)
+    assert picked.shape == (len(nodes), system.dim_p)
+    assert [v.hex() for v in picked.ravel().tolist()] \
+        == [v.hex() for v in every[nodes].ravel().tolist()]
+    last = integrate_states(system, np.array([theta]), cfg, 0.0, n_steps,
+                            (n_steps,))
+    assert np.array_equal(last, every[-1:])
+
+
+@pytest.mark.parametrize("nodes", [
+    [0, 5, 3, 10],     # descending
+    [0, 5],            # stops short of n_steps
+    [0, 5, 10, 12],    # runs past n_steps
+    [-1, 10],          # before the start
+    [],                # no node at all
+])
+def test_integrate_states_rejects_bad_nodes(nodes):
+    with pytest.raises(ValueError):
+        integrate_states(exp_system(), np.array([1.0]),
+                         SolverConfig("rk4", 0.1), 0.0, 10, nodes)
+
+
 # ---------------------------------------------------------------------------
 # grid logic
 # ---------------------------------------------------------------------------
@@ -180,22 +217,51 @@ def test_solver_config_validation():
 # blow-up detection
 # ---------------------------------------------------------------------------
 
-def quadratic_blowup_system(dim_p: int) -> OdeSystem:
-    """dx/dt = x^2 from 10 in every component (a scalar when dim_p == 1)."""
+def quadratic_blowup_system(dim_p: int, guarded: bool = False) -> OdeSystem:
+    """dx/dt = x^2 from 10 in every component (a scalar when dim_p == 1).
+
+    ``guarded`` makes the right-hand side raise ValueError on a non-finite
+    state, as math.sin does.
+    """
+    def sq(xi):
+        if guarded and not math.isfinite(xi):
+            raise ValueError("math domain error")
+        return xi * xi
+
     def rhs(x, t, theta):
-        return x * x if dim_p == 1 else tuple(xi * xi for xi in x)
+        return sq(x) if dim_p == 1 else tuple(sq(xi) for xi in x)
 
     return OdeSystem(dim_p=dim_p, dim_d=1, rhs=rhs, obs=lambda s: s[..., 0],
                      x0=np.full(dim_p, 10.0))
 
 
 def test_nonfinite_state_raised_with_context():
+    # Euler h=10 on dx/dt = x^2 from 10: x_7 ~ 1e255 is the last finite
+    # state, so step 7 (ending at t=80) is the first bad one, whether the
+    # nodes ask for every state or the blow-up falls between two nodes.  The
+    # guarded right-hand side raises ValueError on the infinite state (as
+    # math.sin(inf) does), which must not hide the earlier non-finite step.
     for dim_p in (1, 2):   # scalar and tuple loops
-        with pytest.raises(NonFiniteState) as exc:
-            integrate(quadratic_blowup_system(dim_p), np.array([1.0]),
-                      SolverConfig("euler", 10.0), 0.0, 200.0)
-        assert exc.value.step_index >= 0
-        assert math.isfinite(exc.value.t)
+        for nodes in (None, (0, 3, 20), (20,)):
+            for guarded in (False, True):
+                with pytest.raises(NonFiniteState) as exc:
+                    integrate_states(quadratic_blowup_system(dim_p, guarded),
+                                     np.array([1.5]),
+                                     SolverConfig("euler", 10.0), 0.0, 20,
+                                     nodes)
+                assert (exc.value.t, exc.value.step_index) == (80.0, 7)
+                assert exc.value.theta == (1.5,)
+
+
+@pytest.mark.parametrize("nodes", [None, (0, 3, 20)])
+def test_rhs_error_on_finite_state_propagates(nodes):
+    # x ** 2 raises OverflowError at x_7 ~ 1e255, before any state is
+    # non-finite: the solve reports the right-hand side's own error
+    system = OdeSystem(dim_p=1, dim_d=1, rhs=lambda x, t, theta: x ** 2,
+                       obs=lambda s: s[..., 0], x0=np.array([10.0]))
+    with pytest.raises(OverflowError):
+        integrate_states(system, np.array([1.0]), SolverConfig("euler", 10.0),
+                         0.0, 20, nodes)
 
 
 # ---------------------------------------------------------------------------
