@@ -12,9 +12,9 @@ bandwidths and centers truncated to the central 5-95 percentile box.
 Setting alpha to the prior recovers the classical harmonic-mean estimator,
 kept around purely as the unstable comparator.
 
-``quadrature_marginal`` integrates the unnormalised posterior directly on a
-refined Simpson grid (dimension 1 or 2) and serves as the deterministic
-oracle the sampling estimators are judged against.
+``quadrature_marginal`` integrates the unnormalised posterior of the one
+parameter, at fixed sigma, directly on a refined Simpson grid and serves as
+the deterministic oracle the sampling estimators are judged against.
 
 Everything runs in log space throughout; marginals of order exp(-180) and
 below stay finite.
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import simpson
@@ -106,8 +106,8 @@ def subsample_draws(draws: np.ndarray, m: int = 500, seed: int = 0) -> np.ndarra
     return draws[idx]
 
 
-def kde_fit(draws: np.ndarray, bandwidth_rule: str = "silverman",
-            shrink: float = 0.5, trunc_pct: Tuple[float, float] = (5.0, 95.0)) -> KdeDensity:
+def kde_fit(draws: np.ndarray, shrink: float = 0.5,
+            trunc_pct: Tuple[float, float] = (5.0, 95.0)) -> KdeDensity:
     """Fit the weighting density from a (sub)sample of posterior draws.
 
     Centers outside the per-coordinate ``trunc_pct`` percentile box are
@@ -121,8 +121,6 @@ def kde_fit(draws: np.ndarray, bandwidth_rule: str = "silverman",
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     if draws.ndim != 2 or draws.shape[0] < 30:
         raise ValueError("need at least 30 draws to fit a weighting density")
-    if bandwidth_rule != "silverman":
-        raise ValueError(f"unknown bandwidth rule {bandwidth_rule!r}")
     if not 0.0 < shrink <= 1.0:
         raise ValueError("shrink must be in (0, 1]")
 
@@ -204,21 +202,22 @@ def harmonic_mean(energies: np.ndarray, log_prior_fn: Callable,
 
 def evidence_from_chain(chain, subsample: int = 500, shrink: float = 0.5,
                         seed: int = 0, h: Optional[float] = None,
-                        solver: Optional[str] = None, split: bool = True,
+                        solver: Optional[str] = None,
                         trunc_pct: Tuple[float, float] = (5.0, 95.0)) -> EvidenceEstimate:
     """Subsample -> KDE -> Gelfand-Dey, the default pipeline for one chain.
 
-    With ``split`` (the default) the chain is cut in half and each half is
-    averaged under a weighting density fitted on the other half, the two
-    reciprocal-scale estimates combined at the end.  Fitting alpha on the
-    very draws it reweights inflates alpha wherever the chain happened to
-    oversample, which biases the log marginal low by a few thousandths at
-    typical chain lengths; cross-fitting removes the bias without giving up
-    half the draws.
+    The chain is cut in half and each half is averaged under a weighting
+    density fitted on the other half, the two reciprocal-scale estimates
+    combined at the end.  Fitting alpha on the very draws it reweights
+    inflates alpha wherever the chain happened to oversample, which biases
+    the log marginal low by a few thousandths at typical chain lengths;
+    cross-fitting removes the bias without giving up half the draws.  A
+    chain under 120 draws is too short to halve and gets one fit on all of
+    its draws.
     """
     draws = np.atleast_2d(np.asarray(chain.draws, dtype=float))
     energies = np.asarray(chain.energies, dtype=float)
-    if not (split and draws.shape[0] >= 120):
+    if draws.shape[0] < 120:
         sub = subsample_draws(draws, m=subsample, seed=seed)
         alpha = kde_fit(sub, shrink=shrink, trunc_pct=trunc_pct)
         return gelfand_dey(energies, alpha.log_density(draws), h=h,
@@ -240,33 +239,67 @@ def evidence_from_chain(chain, subsample: int = 500, shrink: float = 0.5,
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Integration window and refinement policy for quadrature.
-
-    ``bounds`` holds one (lo, hi) pair per parameter dimension (1 or 2).
-    Refinement doubles the grid until successive log integrals differ by
-    less than ``rel_tol``; the integrand must be below ``boundary_ratio``
-    times its peak on the window boundary or BoundsTooTight is raised.
-    """
+    """Integration window for quadrature: ``bounds`` holds the one (lo, hi)
+    pair of the one parameter."""
 
     bounds: Tuple[Tuple[float, float], ...]
-    n0: int = 129
-    rel_tol: float = 1e-6
-    boundary_ratio: float = 1e-12
-    max_refines: int = 10
 
     def __post_init__(self):
-        if len(self.bounds) not in (1, 2):
-            raise ValueError("quadrature supports 1 or 2 parameter dimensions")
-        for lo, hi in self.bounds:
-            if not lo < hi:
-                raise ValueError("each bound must satisfy lo < hi")
+        if len(self.bounds) != 1:
+            raise ValueError("quadrature covers one parameter: bounds must "
+                             "hold exactly one (lo, hi) pair")
+        (lo, hi), = self.bounds
+        if not lo < hi:
+            raise ValueError("the bound must satisfy lo < hi")
 
 
-def _pow2_points(n0: int) -> int:
-    k = 1
-    while (1 << k) + 1 < n0:
-        k += 1
-    return (1 << k) + 1
+GRID_POINTS = 129        # the first Simpson grid, 2^7 + 1 points
+MAX_DOUBLINGS = 10
+BOUNDARY_RATIO = 1e-12   # integrand on the window boundary, relative to its peak
+
+
+def fixed_sigma_log_posterior(dataset: Dataset, prior: Prior,
+                              forward: Callable) -> Callable:
+    """x -> unnormalised log posterior of the one parameter theta = [x], with
+    the noise scale fixed at ``dataset.sigma_fixed`` (the only case the
+    quadrature oracles cover)."""
+    if dataset.sigma_fixed is None:
+        raise ValueError("quadrature needs dataset.sigma_fixed")
+    sigma = dataset.sigma_fixed
+
+    def logf(x: float) -> float:
+        phi = ParamVector(theta=np.array([x]), sigma=sigma)
+        return log_posterior_unnorm(dataset, prior, phi, forward)
+    return logf
+
+
+def doubling_grids(logfs: Sequence[Callable], lo: float, hi: float):
+    """Yield ``(xs, vals)``: the GRID_POINTS-point grid over [lo, hi], then
+    the grid after each of MAX_DOUBLINGS midpoint doublings, with ``vals[i]``
+    the values of ``logfs[i]`` on ``xs``.  Each point is evaluated once.
+
+    Raises BoundsTooTight when an integrand on the first grid's end points
+    exceeds BOUNDARY_RATIO of its peak.  The caller decides when to stop.
+    """
+    xs = np.linspace(lo, hi, GRID_POINTS)
+    vals = [np.array([f(x) for x in xs]) for f in logfs]
+    for v in vals:
+        if max(v[0], v[-1]) > float(np.max(v)) + math.log(BOUNDARY_RATIO):
+            raise BoundsTooTight(
+                f"integrand at the window boundary exceeds {BOUNDARY_RATIO:g} "
+                "of its peak; widen the bounds")
+    yield xs, vals
+    for _ in range(MAX_DOUBLINGS):
+        mids = 0.5 * (xs[:-1] + xs[1:])
+        xs2 = np.empty(2 * xs.size - 1)
+        xs2[::2], xs2[1::2] = xs, mids
+        vals2 = []
+        for f, v in zip(logfs, vals):
+            v2 = np.empty_like(xs2)
+            v2[::2], v2[1::2] = v, np.array([f(x) for x in mids])
+            vals2.append(v2)
+        xs, vals = xs2, vals2
+        yield xs, vals
 
 
 def _log_simpson(logv: np.ndarray, xs: np.ndarray) -> float:
@@ -279,101 +312,24 @@ def _log_simpson(logv: np.ndarray, xs: np.ndarray) -> float:
     return shift + math.log(val)
 
 
-def _refine_1d(logf: Callable, lo: float, hi: float, spec: GridSpec):
-    n = _pow2_points(spec.n0)
-    xs = np.linspace(lo, hi, n)
-    vals = np.array([logf(x) for x in xs])
-    peak = float(np.max(vals))
-    if max(vals[0], vals[-1]) > peak + math.log(spec.boundary_ratio):
-        raise BoundsTooTight(
-            f"integrand at the window boundary exceeds {spec.boundary_ratio:g} "
-            "of its peak; widen the bounds")
-    log_i = _log_simpson(vals, xs)
-    for _ in range(spec.max_refines):
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        mid_vals = np.array([logf(x) for x in mids])
-        xs2 = np.empty(2 * xs.size - 1)
-        vals2 = np.empty_like(xs2)
-        xs2[::2], xs2[1::2] = xs, mids
-        vals2[::2], vals2[1::2] = vals, mid_vals
-        xs, vals = xs2, vals2
-        log_i_new = _log_simpson(vals, xs)
-        done = abs(log_i_new - log_i) < spec.rel_tol
-        log_i = log_i_new
-        if done:
-            return log_i, xs, vals
-    raise StepSelectError(f"quadrature did not converge within "
-                          f"{spec.max_refines} refinements")
-
-
-def _log_simpson_2d(logv: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:
-    shift = float(np.max(logv))
-    if not math.isfinite(shift):
-        return -math.inf
-    inner = simpson(np.exp(logv - shift), x=ys, axis=1)
-    val = float(simpson(inner, x=xs))
-    if val <= 0.0:
-        return -math.inf
-    return shift + math.log(val)
-
-
-def _refine_2d(logf: Callable, bounds, spec: GridSpec):
-    n = _pow2_points(spec.n0)
-    (lx, hx), (ly, hy) = bounds
-    xs = np.linspace(lx, hx, n)
-    ys = np.linspace(ly, hy, n)
-    vals = np.array([[logf(np.array([x, y])) for y in ys] for x in xs])
-    peak = float(np.max(vals))
-    border = max(vals[0].max(), vals[-1].max(), vals[:, 0].max(), vals[:, -1].max())
-    if border > peak + math.log(spec.boundary_ratio):
-        raise BoundsTooTight("integrand on the window border is not negligible")
-    log_i = _log_simpson_2d(vals, xs, ys)
-    for _ in range(spec.max_refines):
-        xs2 = np.empty(2 * xs.size - 1)
-        xs2[::2], xs2[1::2] = xs, 0.5 * (xs[:-1] + xs[1:])
-        ys2 = np.empty(2 * ys.size - 1)
-        ys2[::2], ys2[1::2] = ys, 0.5 * (ys[:-1] + ys[1:])
-        vals2 = np.empty((xs2.size, ys2.size))
-        vals2[::2, ::2] = vals
-        for i, x in enumerate(xs2):
-            for j, y in enumerate(ys2):
-                if i % 2 == 1 or j % 2 == 1:
-                    vals2[i, j] = logf(np.array([x, y]))
-        xs, ys, vals = xs2, ys2, vals2
-        log_i_new = _log_simpson_2d(vals, xs, ys)
-        done = abs(log_i_new - log_i) < spec.rel_tol
-        log_i = log_i_new
-        if done:
-            return log_i, xs, ys, vals
-    raise StepSelectError(f"quadrature did not converge within "
-                          f"{spec.max_refines} refinements")
-
-
 def quadrature_marginal(dataset: Dataset, prior: Prior, forward: Callable,
                         grid_spec: GridSpec) -> EvidenceEstimate:
     """Integrate exp(log posterior) over the grid window.
 
-    The noise scale is taken from ``dataset.sigma_fixed`` (quadrature is
-    only offered for the fixed-sigma case, matching both shipped models).
+    The grid doubles until successive log integrals differ by less than
+    1e-6; StepSelectError after MAX_DOUBLINGS doublings.
     """
-    if dataset.sigma_fixed is None:
-        raise ValueError("quadrature_marginal needs dataset.sigma_fixed")
-    sigma = dataset.sigma_fixed
-
-    if len(grid_spec.bounds) == 1:
-        def logf(x: float) -> float:
-            phi = ParamVector(theta=np.array([x]), sigma=sigma)
-            return log_posterior_unnorm(dataset, prior, phi, forward)
-        (lo, hi), = grid_spec.bounds
-        log_i, _, _ = _refine_1d(logf, lo, hi, grid_spec)
-    else:
-        def logf(vec) -> float:
-            phi = ParamVector(theta=vec, sigma=sigma)
-            return log_posterior_unnorm(dataset, prior, phi, forward)
-        log_i, _, _, _ = _refine_2d(logf, grid_spec.bounds, grid_spec)
-
-    return EvidenceEstimate(log_marginal=log_i, mc_standard_error=0.0,
-                            method="quadrature")
+    logf = fixed_sigma_log_posterior(dataset, prior, forward)
+    (lo, hi), = grid_spec.bounds
+    log_i = None
+    for xs, (vals,) in doubling_grids([logf], lo, hi):
+        log_i_new = _log_simpson(vals, xs)
+        if log_i is not None and abs(log_i_new - log_i) < 1e-6:
+            return EvidenceEstimate(log_marginal=log_i_new,
+                                    mc_standard_error=0.0, method="quadrature")
+        log_i = log_i_new
+    raise StepSelectError(f"quadrature did not converge within "
+                          f"{MAX_DOUBLINGS} grid doublings")
 
 
 def bracket_bounds(logf: Callable, lo: float, hi: float, n: int = 513,

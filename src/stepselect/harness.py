@@ -36,7 +36,7 @@ from .bayes import (Dataset, GammaPrior, ParamVector, Prior,
                     make_solver_forward)
 from .errors import ParseError, StepSelectError
 from .evidence import (GridSpec, bracket_bounds, evidence_from_chain,
-                       quadrature_marginal)
+                       fixed_sigma_log_posterior, quadrature_marginal)
 from .mcmc import ProposalConfig, load_chain_csv, mh_run, save_chain_csv
 from .models import (GlucoseParams, LogisticParams, logistic_exact,
                      make_glucose_system, make_logistic_system)
@@ -422,7 +422,7 @@ def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1,
             "mask_h": curve.h[curve.mask].tolist(),
         }
         record["recommendation"] = build_report(
-            curve, [r["cpu_seconds"] for r in ok], spec.solver,
+            curve, [r["cpu_seconds"] for r in ok],
             threshold=spec.jeffreys_threshold).as_dict()
     except StepSelectError as exc:
         record["curve_error"] = str(exc)
@@ -443,15 +443,8 @@ def _quadrature_exact(spec: ExperimentSpec, dataset: Dataset):
         return None
     prior = spec.build_prior()
     comp = prior.theta[0]
-    sigma = dataset.sigma_fixed
-
-    def logf(x: float) -> float:
-        from .bayes import log_posterior_unnorm
-        phi = ParamVector(theta=np.array([x]), sigma=sigma)
-        return log_posterior_unnorm(dataset, prior, phi, fwd)
-
-    hi0 = comp.mean + 12.0 * comp.sd
-    lo, hi = bracket_bounds(logf, 1e-8, hi0)
+    logf = fixed_sigma_log_posterior(dataset, prior, fwd)
+    lo, hi = bracket_bounds(logf, 1e-8, comp.mean + 12.0 * comp.sd)
     return quadrature_marginal(dataset, prior, fwd,
                                GridSpec(bounds=((lo, hi),)))
 

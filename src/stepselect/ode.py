@@ -55,30 +55,6 @@ class Trajectory:
     def h(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
-    def values_at(self, times) -> np.ndarray:
-        """States at the requested times, which must be grid nodes.
-
-        Raises GridMismatch if any time is not a node of the trajectory grid
-        (relative tolerance GRID_RTOL, measured in units of h).
-        """
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        t0 = float(self.grid[0])
-        if len(self.grid) == 1:
-            if np.any(np.abs(times - t0) > GRID_RTOL * max(1.0, abs(t0))):
-                raise GridMismatch("single-node trajectory only covers its start time")
-            return np.repeat(self.states, len(times), axis=0)
-        h = self.h
-        pos = (times - t0) / h
-        idx = np.rint(pos).astype(int)
-        off = np.abs(pos - idx)
-        bad = (off > GRID_RTOL * np.maximum(1.0, np.abs(pos))) \
-            | (idx < 0) | (idx >= len(self.grid))
-        if np.any(bad):
-            t_bad = times[bad][0]
-            raise GridMismatch(f"time {t_bad:.12g} is not a node of the "
-                               f"solver grid (h={h:.12g})")
-        return self.states[idx]
-
 
 def divides(h: float, span: float, rtol: float = GRID_RTOL) -> bool:
     """True if span is an integer (>= 1) multiple of h up to rtol."""

@@ -20,8 +20,9 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import simpson
 
-from .bayes import Dataset, ParamVector, Prior, log_posterior_unnorm
-from .errors import BoundsTooTight, IllConditionedFit, NoAdmissibleStep
+from .bayes import Dataset, Prior
+from .errors import IllConditionedFit, NoAdmissibleStep
+from .evidence import doubling_grids, fixed_sigma_log_posterior
 
 DEFAULT_THRESHOLD = 0.99    # Jeffreys: BF in [0.99, 1/0.99] is "no evidence"
 
@@ -176,7 +177,7 @@ def recommend_step(curve: EvidenceCurve, cpu_seconds,
     window — the signature of a solver order too low to ever flatten out on
     this grid.
     """
-    rep = build_report(curve, cpu_seconds, solver="", threshold=threshold)
+    rep = build_report(curve, cpu_seconds, threshold=threshold)
     if rep.recommended_h is None:
         raise NoAdmissibleStep(
             f"no step in {curve.h.tolist()} has a Bayes factor within "
@@ -188,17 +189,12 @@ def recommend_step(curve: EvidenceCurve, cpu_seconds,
 class BfReport:
     """Flat per-step table plus the recommendation, ready to serialize."""
 
-    solver: str
-    p: int
-    threshold: float
     h: np.ndarray
     log_marginal: np.ndarray
     se: np.ndarray
     bf: np.ndarray
     flag: np.ndarray
     cpu_seconds: np.ndarray
-    log_fitted_a: float
-    rel_se_a: float
     recommended_h: Optional[float]
     speedup: Optional[float]
 
@@ -211,13 +207,11 @@ class BfReport:
                    "cpu_seconds": float(self.cpu_seconds[i])}
 
     def as_dict(self) -> dict:
-        return {"solver": self.solver, "p": self.p, "threshold": self.threshold,
-                "log_fitted_a": self.log_fitted_a, "rel_se_a": self.rel_se_a,
-                "recommended_h": self.recommended_h, "speedup": self.speedup,
+        return {"recommended_h": self.recommended_h, "speedup": self.speedup,
                 "steps": list(self.rows())}
 
 
-def build_report(curve: EvidenceCurve, cpu_seconds, solver: str,
+def build_report(curve: EvidenceCurve, cpu_seconds,
                  threshold: float = DEFAULT_THRESHOLD) -> BfReport:
     """Per-step Bayes factors against the extrapolated exact marginal, their
     Jeffreys flags, and the recommendation.
@@ -240,11 +234,9 @@ def build_report(curve: EvidenceCurve, cpu_seconds, solver: str,
     # math.exp, not np.exp: numpy's SIMD exp can differ from libm's in the
     # last bit, and curve.csv prints all 17 digits of the libm value
     bf = np.array([math.exp(x) for x in log_bf])
-    return BfReport(solver=solver, p=curve.p, threshold=threshold, h=curve.h,
-                    log_marginal=curve.log_marginal, se=curve.se, bf=bf,
-                    flag=flags, cpu_seconds=cpu,
-                    log_fitted_a=curve.log_fitted_a, rel_se_a=curve.rel_se_a,
-                    recommended_h=rec_h, speedup=speedup)
+    return BfReport(h=curve.h, log_marginal=curve.log_marginal, se=curve.se,
+                    bf=bf, flag=flags, cpu_seconds=cpu, recommended_h=rec_h,
+                    speedup=speedup)
 
 
 # ---------------------------------------------------------------------------
@@ -253,64 +245,35 @@ def build_report(curve: EvidenceCurve, cpu_seconds, solver: str,
 
 def posterior_discrepancy(dataset: Dataset, prior: Prior, forward1: Callable,
                           forward2: Callable, bounds: Tuple[float, float],
-                          statistic: str = "mean", n0: int = 129,
-                          rel_tol: float = 1e-3, max_refines: int = 10,
-                          boundary_ratio: float = 1e-12) -> float:
+                          statistic: str = "mean") -> float:
     """Quadrature distance between the posteriors under two forward maps.
 
-    Both posteriors are normalised on the same refined grid over ``bounds``;
-    ``statistic`` selects |mean1 - mean2| ("mean") or the total-variation
-    distance 0.5 * int |p1 - p2| ("tv").  Only one-dimensional parameter
-    spaces are supported.  Refinement stops when the statistic is stable to
-    ``rel_tol`` relatively (1e-12 absolutely).
+    Both posteriors of the one parameter, at fixed sigma, are normalised on
+    the same doubling Simpson grid over ``bounds``; ``statistic`` selects
+    |mean1 - mean2| ("mean") or the total-variation distance
+    0.5 * int |p1 - p2| ("tv").  Refinement stops when the statistic is
+    stable to 1e-3 relatively (1e-12 absolutely); after the last doubling
+    the last value is returned.
     """
     if statistic not in ("mean", "tv"):
         raise ValueError("statistic must be 'mean' or 'tv'")
-    if dataset.sigma_fixed is None:
-        raise ValueError("posterior_discrepancy needs dataset.sigma_fixed")
-    sigma = dataset.sigma_fixed
-    lo, hi = float(bounds[0]), float(bounds[1])
+    logfs = [fixed_sigma_log_posterior(dataset, prior, f)
+             for f in (forward1, forward2)]
 
-    def logp(forward, x):
-        phi = ParamVector(theta=np.array([x]), sigma=sigma)
-        return log_posterior_unnorm(dataset, prior, phi, forward)
-
-    n = 129
-    while n < n0:
-        n = 2 * n - 1
-    xs = np.linspace(lo, hi, n)
-    v1 = np.array([logp(forward1, x) for x in xs])
-    v2 = np.array([logp(forward2, x) for x in xs])
-    for v in (v1, v2):
-        peak = float(np.max(v))
-        if max(v[0], v[-1]) > peak + math.log(boundary_ratio):
-            raise BoundsTooTight("posterior mass reaches the window boundary")
-
-    def stat(xs, v1, v2) -> float:
+    def stat(xs, vals) -> float:
         dens = []
-        for v in (v1, v2):
-            shift = float(np.max(v))
-            d = np.exp(v - shift)
-            z = float(simpson(d, x=xs))
-            dens.append(d / z)
+        for v in vals:
+            d = np.exp(v - float(np.max(v)))
+            dens.append(d / float(simpson(d, x=xs)))
         p1, p2 = dens
         if statistic == "mean":
             return abs(float(simpson(xs * p1, x=xs)) - float(simpson(xs * p2, x=xs)))
         return 0.5 * float(simpson(np.abs(p1 - p2), x=xs))
 
-    s = stat(xs, v1, v2)
-    for _ in range(max_refines):
-        mids = 0.5 * (xs[:-1] + xs[1:])
-        m1 = np.array([logp(forward1, x) for x in mids])
-        m2 = np.array([logp(forward2, x) for x in mids])
-        xs2 = np.empty(2 * xs.size - 1)
-        xs2[::2], xs2[1::2] = xs, mids
-        w1 = np.empty_like(xs2); w1[::2], w1[1::2] = v1, m1
-        w2 = np.empty_like(xs2); w2[::2], w2[1::2] = v2, m2
-        xs, v1, v2 = xs2, w1, w2
-        s_new = stat(xs, v1, v2)
-        done = abs(s_new - s) <= max(1e-12, rel_tol * abs(s_new))
+    s = None
+    for xs, vals in doubling_grids(logfs, bounds[0], bounds[1]):
+        s_new = stat(xs, vals)
+        if s is not None and abs(s_new - s) <= max(1e-12, 1e-3 * abs(s_new)):
+            return s_new
         s = s_new
-        if done:
-            return s
     return s

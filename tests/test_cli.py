@@ -1,12 +1,15 @@
 """CLI verbs, exit codes, and stream behavior (exercised in-process)."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stepselect
 from stepselect.cli import main
 from stepselect.harness import load_observations
 
@@ -106,10 +109,14 @@ def test_report_without_run_record_exits_one(tmp_path, capsys):
 
 
 def test_console_script_help():
+    # the child imports the package these tests import, installed or not
+    src = str(Path(stepselect.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c",
                            "import sys; from stepselect.cli import main; "
                            "sys.exit(main(['--help']))"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     for verb in ("gen", "sweep", "evidence", "report"):
         assert verb in proc.stdout

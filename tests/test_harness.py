@@ -304,8 +304,10 @@ def test_report_files(tmp_path):
     hs = [float(line.split(",")[0]) for line in curve[1:]]
     assert hs == sorted(hs) and len(hs) == 3
 
-    payload = json.loads((tmp_path / "record.json").read_text())["recommendation"]
-    assert payload["solver"] == "rk4"
+    record = json.loads((tmp_path / "record.json").read_text())
+    assert record["spec"]["solver"] == "rk4"
+    payload = record["recommendation"]
+    assert set(payload) == {"recommended_h", "speedup", "steps"}
     steps = payload["steps"]
     assert [s["h"] for s in steps] == hs
     for s, line in zip(steps, curve[1:]):

@@ -181,18 +181,6 @@ def test_check_grid_rejects_misaligned_step():
         check_grid(0.3, times)
 
 
-def test_values_at_nodes_and_mismatch():
-    system = exp_system()
-    traj = integrate(system, np.array([1.0]), SolverConfig("rk4", 0.25), 0.0, 2.0)
-    picked = traj.values_at([0.0, 0.5, 2.0])
-    assert np.array_equal(picked[:, 0],
-                          traj.states[[0, 2, 8], 0])
-    with pytest.raises(GridMismatch):
-        traj.values_at([0.3])
-    with pytest.raises(GridMismatch):
-        traj.values_at([2.25])   # past the end
-
-
 def test_trajectory_h_property():
     traj = Trajectory(grid=np.array([0.0, 0.5, 1.0]),
                       states=np.zeros((3, 1)))

@@ -180,14 +180,16 @@ def test_build_report_serializes_and_survives_failure():
     pts = [(h, math.log(1e-19) + 1.0 + h, 0.0) for h in GRID]
     curve = fit_curve(sorted(pts), p=1)
     object.__setattr__(curve, "log_fitted_a", math.log(1e-19))
-    rep = build_report(curve, np.array([4.0, 3.0, 2.0, 1.0]), solver="euler")
+    rep = build_report(curve, np.array([4.0, 3.0, 2.0, 1.0]))
     assert rep.recommended_h is None and rep.speedup is None
     assert not rep.flag.any()
     # the scalar libm exp, bit for bit: curve.csv prints all 17 digits
     assert rep.bf.tolist() == [math.exp(lm - math.log(1e-19))
                                for lm in curve.log_marginal]
-    payload = json.dumps(rep.as_dict())
-    assert "euler" in payload
+    payload = json.loads(json.dumps(rep.as_dict()))
+    assert set(payload) == {"recommended_h", "speedup", "steps"}
+    assert payload["recommended_h"] is None and payload["speedup"] is None
+    assert [step["bf"] for step in payload["steps"]] == rep.bf.tolist()
     rows = list(rep.rows())
     assert len(rows) == 4 and rows[0]["h"] == 0.025
 
@@ -234,6 +236,29 @@ def test_discrepancy_tv_matches_gaussian_formula():
                               statistic="tv")
     expected = 2.0 * (0.5 * (1.0 + math.erf(delta / (2.0 * s) / math.sqrt(2.0)))) - 1.0
     assert d == pytest.approx(expected, rel=5e-3)
+
+
+@pytest.mark.parametrize("statistic, bits, calls", [
+    ("mean", "0x1.47ae147ae14c0p-7", 257),
+    ("tv", "0x1.6a7296b4be12bp-3", 513),
+])
+def test_discrepancy_bits_and_evaluations_pinned(statistic, bits, calls):
+    # pinned bits and calls per forward map: any change to the grid points,
+    # their evaluation or the doubling that stops the refinement shows here
+    ds, prior, f1 = flat_prior_problem()
+    _, _, f2 = flat_prior_problem(0.01)
+    n = [0, 0]
+
+    def counted(i, forward):
+        def fwd(theta):
+            n[i] += 1
+            return forward(theta)
+        return fwd
+
+    d = posterior_discrepancy(ds, prior, counted(0, f1), counted(1, f2),
+                              bounds=(0.5, 1.5), statistic=statistic)
+    assert d.hex() == bits
+    assert n == [calls, calls]
 
 
 def test_discrepancy_validation():
