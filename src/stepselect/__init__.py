@@ -11,7 +11,7 @@ inside the Jeffreys window.
 from .bayes import (Dataset, GammaPrior, ParamVector, Prior, likelihood_ratio,
                     log_likelihood, log_posterior_unnorm, log_prior,
                     make_log_posterior, make_logistic_exact_forward,
-                    make_solver_forward, max_observable_deviation)
+                    make_solver_forward)
 from .errors import (BoundsTooTight, DegenerateFit, DegenerateSampleWarning,
                      GridMismatch, IllConditionedFit, InfiniteVarianceWarning,
                      InitializationError, NoAdmissibleStep, NonFiniteState,
@@ -19,7 +19,8 @@ from .errors import (BoundsTooTight, DegenerateFit, DegenerateSampleWarning,
                      StuckChainWarning)
 from .evidence import (EvidenceEstimate, GridSpec, KdeDensity, bracket_bounds,
                        evidence_from_chain, gelfand_dey, harmonic_mean,
-                       kde_fit, quadrature_marginal, subsample_draws)
+                       kde_fit, posterior_window, quadrature_marginal,
+                       subsample_draws)
 from .mcmc import (Chain, ProposalConfig, effective_sample_size,
                    load_chain_csv, mh_run, save_chain_csv)
 from .models import (GlucoseParams, LogisticParams, OdeSystem, logistic_exact,

@@ -224,9 +224,3 @@ def likelihood_ratio(dataset: Dataset, phi: ParamVector, forward_h: Callable,
     """
     return math.exp(log_likelihood(dataset, phi, forward_h)
                     - log_likelihood(dataset, phi, forward_exact))
-
-
-def max_observable_deviation(forward_h: Callable, forward_exact: Callable,
-                             theta) -> float:
-    """Largest |f(X_h(t_i)) - f(X(t_i))| over the observation times."""
-    return float(np.max(np.abs(forward_h(theta) - forward_exact(theta))))

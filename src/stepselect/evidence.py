@@ -57,10 +57,6 @@ class EvidenceEstimate:
     def marginal(self) -> float:
         return math.exp(self.log_marginal)
 
-    def as_record(self) -> dict:
-        return {"log_marginal": self.log_marginal, "se": self.mc_standard_error,
-                "method": self.method, "h": self.h, "solver": self.solver}
-
 
 # ---------------------------------------------------------------------------
 # Gaussian-mixture KDE
@@ -72,10 +68,6 @@ class KdeDensity:
 
     centers: np.ndarray     # (m, d)
     bandwidths: np.ndarray  # (d,)
-
-    @property
-    def bandwidth_matrix(self) -> np.ndarray:
-        return np.diag(self.bandwidths ** 2)
 
     def log_density(self, points) -> np.ndarray:
         """Log density at ``points`` of shape (n, d) or (d,); fixed summation
@@ -257,6 +249,11 @@ GRID_POINTS = 129        # the first Simpson grid, 2^7 + 1 points
 MAX_DOUBLINGS = 10
 BOUNDARY_RATIO = 1e-12   # integrand on the window boundary, relative to its peak
 
+SCAN_POINTS = 65         # points per bracket scan, 2^6 + 1
+MAX_ZOOMS = 10           # most scans per bracket
+SCAN_DROP = 45.0         # log units below the scan maximum kept in the window
+SCAN_PAD = 0.5           # padding on each side of the window, in its widths
+
 
 def fixed_sigma_log_posterior(dataset: Dataset, prior: Prior,
                               forward: Callable) -> Callable:
@@ -332,25 +329,25 @@ def quadrature_marginal(dataset: Dataset, prior: Prior, forward: Callable,
                           f"{MAX_DOUBLINGS} grid doublings")
 
 
-def bracket_bounds(logf: Callable, lo: float, hi: float, n: int = 513,
-                   drop: float = 45.0, max_iter: int = 6,
-                   pad: float = 0.5) -> Tuple[float, float]:
+def bracket_bounds(logf: Callable, lo: float, hi: float) -> Tuple[float, float]:
     """Shrink a wide scan window to where the integrand actually lives.
 
-    Repeatedly scans ``logf``, keeps the region within ``drop`` log units of
-    the maximum, and zooms until the window stabilises.  The returned window
-    is padded by ``pad`` times its width on each side (clipped to the
-    original scan range), which leaves the boundary integrand far below the
-    quadrature threshold for any peaked posterior.
+    Scans ``logf`` at SCAN_POINTS points, keeps the region within SCAN_DROP
+    log units of the maximum (plus one scan cell on each side), and zooms
+    into it until the window stops shrinking by half, at most MAX_ZOOMS
+    scans.  The returned window is padded by SCAN_PAD times its width on
+    each side (clipped to the original scan range), which leaves the
+    boundary integrand far below the quadrature threshold for any peaked
+    posterior.
     """
     lo0, hi0 = float(lo), float(hi)
-    for _ in range(max_iter):
-        xs = np.linspace(lo, hi, n)
+    for _ in range(MAX_ZOOMS):
+        xs = np.linspace(lo, hi, SCAN_POINTS)
         vals = np.array([logf(x) for x in xs])
         vmax = float(np.max(vals))
         if not math.isfinite(vmax):
             raise StepSelectError("log integrand is -inf on the whole scan window")
-        above = np.where(vals >= vmax - drop)[0]
+        above = np.where(vals >= vmax - SCAN_DROP)[0]
         cell = xs[1] - xs[0]
         new_lo = max(lo0, xs[above[0]] - cell)
         new_hi = min(hi0, xs[above[-1]] + cell)
@@ -359,4 +356,13 @@ def bracket_bounds(logf: Callable, lo: float, hi: float, n: int = 513,
             break
         lo, hi = new_lo, new_hi
     w = hi - lo
-    return max(lo0, lo - pad * w), min(hi0, hi + pad * w)
+    return max(lo0, lo - SCAN_PAD * w), min(hi0, hi + SCAN_PAD * w)
+
+
+def posterior_window(dataset: Dataset, prior: Prior,
+                     forward: Callable) -> Tuple[float, float]:
+    """The quadrature window of the fixed-sigma posterior: ``bracket_bounds``
+    over (1e-8, prior mean + 12 prior sd) of the one parameter."""
+    comp = prior.theta[0]
+    return bracket_bounds(fixed_sigma_log_posterior(dataset, prior, forward),
+                          1e-8, comp.mean + 12.0 * comp.sd)

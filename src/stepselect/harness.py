@@ -35,8 +35,8 @@ from .bayes import (Dataset, GammaPrior, ParamVector, Prior,
                     make_log_posterior, make_logistic_exact_forward,
                     make_solver_forward)
 from .errors import ParseError, StepSelectError
-from .evidence import (GridSpec, bracket_bounds, evidence_from_chain,
-                       fixed_sigma_log_posterior, quadrature_marginal)
+from .evidence import (GridSpec, evidence_from_chain, posterior_window,
+                       quadrature_marginal)
 from .mcmc import ProposalConfig, load_chain_csv, mh_run, save_chain_csv
 from .models import (GlucoseParams, LogisticParams, logistic_exact,
                      make_glucose_system, make_logistic_system)
@@ -442,11 +442,8 @@ def _quadrature_exact(spec: ExperimentSpec, dataset: Dataset):
     if fwd is None:
         return None
     prior = spec.build_prior()
-    comp = prior.theta[0]
-    logf = fixed_sigma_log_posterior(dataset, prior, fwd)
-    lo, hi = bracket_bounds(logf, 1e-8, comp.mean + 12.0 * comp.sd)
-    return quadrature_marginal(dataset, prior, fwd,
-                               GridSpec(bounds=((lo, hi),)))
+    window = posterior_window(dataset, prior, fwd)
+    return quadrature_marginal(dataset, prior, fwd, GridSpec(bounds=(window,)))
 
 
 def report(out_dir) -> dict:
@@ -454,7 +451,9 @@ def report(out_dir) -> dict:
 
     Emits table.csv (exact vs extrapolated marginal), curve.csv (h, log
     marginal, se, Bayes factor, Jeffreys flag), a posterior histogram per
-    step, and summary.txt.  The Bayes factors and flags are the ones
+    step, and summary.txt.  The exact cells of table.csv stay empty when
+    the model has no closed form or its quadrature fails; the summary then
+    gives the failure.  The Bayes factors and flags are the ones
     ``run_sweep`` stored in ``record["recommendation"]["steps"]``; without
     a fitted curve their cells stay empty.  Everything except the summary's
     timing figures is byte-deterministic given the spec.
@@ -475,7 +474,11 @@ def report(out_dir) -> dict:
         raise ParseError(f"{path} is not a run record "
                          f"({type(exc).__name__}: {exc})") from exc
     dataset = load_observations(obs_csv, sigma=spec.sigma)
-    exact = _quadrature_exact(spec, dataset)
+    exact_error = None
+    try:
+        exact = _quadrature_exact(spec, dataset)
+    except StepSelectError as exc:
+        exact, exact_error = None, str(exc)
 
     with open(out_dir / "table.csv", "w") as fh:
         fh.write("sigma,log_exact_marginal,exact_marginal,"
@@ -514,6 +517,8 @@ def report(out_dir) -> dict:
     if exact is not None:
         lines.append(f"exact marginal (quadrature): {exact.marginal:.6g} "
                      f"(log {exact.log_marginal:.6f})")
+    elif exact_error is not None:
+        lines.append(f"exact marginal: unavailable: {exact_error}")
     if curve is not None:
         lines.append(f"extrapolated marginal: {math.exp(curve['log_fitted_a']):.6g} "
                      f"(log {curve['log_fitted_a']:.6f}, rel se {curve['rel_se_a']:.3g}, "

@@ -15,10 +15,10 @@ import numpy as np
 
 from _oracles import default_case
 from conftest import ACCEPT_GRID, logistic_spec
-from stepselect import (GridSpec, ParamVector, bracket_bounds, gelfand_dey,
-                        harmonic_mean, kde_fit, posterior_discrepancy,
+from stepselect import (GridSpec, gelfand_dey, harmonic_mean, kde_fit,
+                        posterior_discrepancy, posterior_window,
                         quadrature_marginal, subsample_draws)
-from stepselect.bayes import log_posterior_unnorm, make_solver_forward
+from stepselect.bayes import make_solver_forward
 from stepselect.errors import InfiniteVarianceWarning
 from stepselect.harness import (_quadrature_exact, build_system, exact_forward,
                                 load_observations, report, run_sweep)
@@ -38,28 +38,14 @@ def _note(cid, msg):
 def _solver_marginal(spec, ds, solver, h):
     """Quadrature marginal under a solver forward, bracketed per forward."""
     prior = spec.build_prior()
-    comp = prior.theta[0]
     fwd = make_solver_forward(build_system(spec, ds), SolverConfig(solver, h),
                               ds.times)
-
-    def logf(x):
-        phi = ParamVector(theta=np.array([x]), sigma=ds.sigma_fixed)
-        return log_posterior_unnorm(ds, prior, phi, fwd)
-
-    lo, hi = bracket_bounds(logf, 1e-8, comp.mean + 12.0 * comp.sd)
-    return quadrature_marginal(ds, prior, fwd, GridSpec(bounds=((lo, hi),)))
+    window = posterior_window(ds, prior, fwd)
+    return quadrature_marginal(ds, prior, fwd, GridSpec(bounds=(window,)))
 
 
 def _exact_posterior_bounds(spec, ds):
-    prior = spec.build_prior()
-    comp = prior.theta[0]
-    fwd = exact_forward(spec, ds)
-
-    def logf(x):
-        phi = ParamVector(theta=np.array([x]), sigma=ds.sigma_fixed)
-        return log_posterior_unnorm(ds, prior, phi, fwd)
-
-    return bracket_bounds(logf, 1e-8, comp.mean + 12.0 * comp.sd)
+    return posterior_window(ds, spec.build_prior(), exact_forward(spec, ds))
 
 
 def test_c1_recovers_solver_orders():

@@ -147,8 +147,6 @@ def test_evidence_estimate_fields():
     draws, U = make_inputs(n_draws=200)
     est = gelfand_dey(U, exact_log_alpha(draws), h=0.1, solver="rk4")
     assert est.h == 0.1 and est.solver == "rk4"
-    rec = est.as_record()
-    assert rec["h"] == 0.1 and rec["method"] == "gelfand_dey_kde"
     with pytest.raises(ValueError):
         type(est)(log_marginal=0.0, mc_standard_error=-1.0, method="x")
 
@@ -217,15 +215,6 @@ def test_kde_truncation_thins_tails():
     assert kde.centers.shape[0] < 1000
 
 
-def test_kde_bandwidth_matrix_is_diagonal_square():
-    rng = np.random.default_rng(5)
-    kde = kde_fit(rng.standard_normal((80, 2)))
-    bm = kde.bandwidth_matrix
-    assert bm.shape == (2, 2)
-    assert bm[0, 1] == 0.0
-    assert bm[0, 0] == pytest.approx(kde.bandwidths[0] ** 2)
-
-
 def test_kde_degenerate_sample_warns():
     with pytest.warns(DegenerateSampleWarning):
         kde = kde_fit(np.ones((50, 1)))
@@ -256,12 +245,14 @@ def test_subsample_draws_behavior():
 # quadrature
 # ---------------------------------------------------------------------------
 
-def linear_problem():
-    c = np.array([1.0, 2.0, 3.0])
+LINEAR_C = np.array([1.0, 2.0, 3.0])
+
+
+def linear_problem(sigma=0.4):
     ds = Dataset(times=[0.0, 1.0, 2.0], values=[1.1, 1.9, 3.2],
-                 sigma_fixed=0.4)
+                 sigma_fixed=sigma)
     prior = Prior((GammaPrior(2.0, 2.0),))
-    return ds, prior, (lambda th: th[0] * c)
+    return ds, prior, (lambda th: th[0] * LINEAR_C)
 
 
 def test_quadrature_matches_scipy_quad():
@@ -304,19 +295,35 @@ def test_quadrature_bounds_too_tight():
         quadrature_marginal(ds, prior, fwd, GridSpec(bounds=((0.8, 1.4),)))
 
 
-def test_bracket_bounds_finds_the_peak():
-    ds, prior, fwd = linear_problem()
+@pytest.mark.parametrize("sigma", [1e-7, 1e-5, 1e-3, 0.1, 0.4])
+def test_bracket_bounds_finds_the_peak(sigma):
+    # posterior widths from 2.7e-8 to 0.11: the bracketed window must hold
+    # all of the mass that theta_hat +- 10 posterior sd holds
+    ds, prior, fwd = linear_problem(sigma)
+    calls = [0]
 
     def logf(x):
-        phi = ParamVector(theta=np.array([x]), sigma=0.4)
+        calls[0] += 1
+        phi = ParamVector(theta=np.array([x]), sigma=sigma)
         return log_posterior_unnorm(ds, prior, phi, fwd)
 
     lo, hi = bracket_bounds(logf, 1e-8, 50.0)
-    assert lo < 1.0 < hi < 10.0   # the posterior peaks near theta = 1
-    direct = quadrature_marginal(ds, prior, fwd, GridSpec(bounds=((1e-6, 6.0),)))
+    c = LINEAR_C
+    theta_hat = float(c @ ds.values) / float(c @ c)
+    sd = sigma / math.sqrt(float(c @ c))
+    assert lo < theta_hat < hi < 10.0   # the posterior peaks near theta = 1
+    direct = quadrature_marginal(
+        ds, prior, fwd, GridSpec(bounds=((theta_hat - 10.0 * sd,
+                                          theta_hat + 10.0 * sd),)))
     bracketed = quadrature_marginal(ds, prior, fwd, GridSpec(bounds=((lo, hi),)))
+    # log Z reaches -2.1e12 at sigma = 1e-7, hence the relative term
     assert bracketed.log_marginal == pytest.approx(direct.log_marginal,
-                                                   abs=1e-8)
+                                                   rel=1e-12, abs=1e-8)
+    if sigma == 0.4:
+        # pinned window and scan cost: two 65-point scans
+        assert (lo.hex(), hi.hex()) == ("0x1.5798ee2308c3ap-27",
+                                        "0x1.876800142957bp+1")
+        assert calls[0] == 130
 
 
 def test_bracket_bounds_all_minus_inf():

@@ -1,6 +1,7 @@
 """Spec serialization, synthetic data, sweep reproducibility, reports."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from stepselect.harness import (ExperimentSpec, McmcSettings,
 from stepselect.mcmc import load_chain_csv
 from stepselect.models import LogisticParams, logistic_exact
 from stepselect.ode import SolverConfig
+
+SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 
 
 def small_spec(**kw) -> ExperimentSpec:
@@ -281,6 +284,23 @@ def test_run_sweep_without_curve(tmp_path, h_grid, mask_h):
     assert len(rows) == len(h_grid) - 1
     assert all(row.endswith(",,") for row in rows)
     assert rec["curve_error"] in (tmp_path / "summary.txt").read_text()
+
+
+def test_report_survives_failed_exact_quadrature(tmp_path):
+    # at sigma = 1e5 the posterior is the Gamma prior, whose tail at the
+    # scan range's end still exceeds the quadrature's boundary threshold
+    spec = ExperimentSpec.from_json_file(SPECS / "logistic_sigma1.json")
+    spec.sigma, spec.mcmc.n_iter = 1e5, 600
+    run_sweep(spec, tmp_path, jobs=1)
+    report(tmp_path)
+    assert (tmp_path / "table.csv").read_text().splitlines()[1] \
+        .split(",")[1:3] == ["", ""]
+    assert (tmp_path / "curve.csv").is_file()
+    assert all((tmp_path / f"posterior_hist_{k}.csv").is_file()
+               for k in range(4))
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "exact marginal: unavailable: integrand at the window boundary" \
+        in summary
 
 
 def test_report_files(tmp_path):
