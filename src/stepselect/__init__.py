@@ -14,9 +14,8 @@ from .bayes import (Dataset, GammaPrior, ParamVector, Prior, likelihood_ratio,
                     make_solver_forward)
 from .errors import (BoundsTooTight, DegenerateFit, DegenerateSampleWarning,
                      GridMismatch, IllConditionedFit, InfiniteVarianceWarning,
-                     InitializationError, NoAdmissibleStep, NonFiniteState,
-                     NonMonotoneTimes, ParseError, StepSelectError,
-                     StuckChainWarning)
+                     InitializationError, NonFiniteState, NonMonotoneTimes,
+                     ParseError, StepSelectError, StuckChainWarning)
 from .evidence import (EvidenceEstimate, GridSpec, KdeDensity, bracket_bounds,
                        evidence_from_chain, gelfand_dey, harmonic_mean,
                        kde_fit, posterior_window, quadrature_marginal,
@@ -27,8 +26,7 @@ from .models import (GlucoseParams, LogisticParams, OdeSystem, logistic_exact,
                      make_glucose_system, make_logistic_system)
 from .ode import (METHOD_ORDERS, SolverConfig, Trajectory, check_grid,
                   divides, estimate_order, integrate, integrate_states)
-from .stepfit import (BfReport, EvidenceCurve, bayes_factor, build_report,
-                      fit_curve, posterior_discrepancy, recommend_step,
-                      within_jeffreys)
+from .stepfit import (BfReport, EvidenceCurve, build_report, fit_curve,
+                      posterior_discrepancy)
 
 __version__ = "0.1.0"

@@ -50,40 +50,16 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Inferred ODE parameters plus the noise scale.
-
-    Both shipped models fix sigma, so the free vector is just theta; set
-    ``sigma_fixed=False`` to append sigma as the last sampled coordinate.
-    """
+    """Inferred ODE parameters plus the (fixed) noise scale."""
 
     theta: np.ndarray
     sigma: float
-    sigma_fixed: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "theta",
                            np.atleast_1d(np.asarray(self.theta, dtype=float)))
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.theta.size + (0 if self.sigma_fixed else 1)
-
-    def free_vector(self) -> np.ndarray:
-        if self.sigma_fixed:
-            return self.theta.copy()
-        return np.append(self.theta, self.sigma)
-
-    def with_free_vector(self, vec) -> "ParamVector":
-        vec = np.atleast_1d(np.asarray(vec, dtype=float))
-        if vec.size != self.dim:
-            raise ValueError(f"expected a vector of length {self.dim}")
-        # built directly: dataclasses.replace costs as much again, and the
-        # samplers call this once per posterior evaluation
-        if self.sigma_fixed:
-            return ParamVector(vec, self.sigma)
-        return ParamVector(vec[:-1], float(vec[-1]), False)
 
 
 @dataclass(frozen=True)
@@ -114,10 +90,9 @@ class GammaPrior:
 
 @dataclass(frozen=True)
 class Prior:
-    """Independent Gamma components per theta coordinate (plus sigma's, if sampled)."""
+    """Independent Gamma components, one per theta coordinate."""
 
     theta: Tuple[GammaPrior, ...]
-    sigma: Optional[GammaPrior] = None
 
 
 def log_prior(prior: Prior, phi: ParamVector) -> float:
@@ -128,10 +103,6 @@ def log_prior(prior: Prior, phi: ParamVector) -> float:
         total += comp.logpdf(float(value))
         if total == -math.inf:
             return -math.inf
-    if not phi.sigma_fixed:
-        if prior.sigma is None:
-            raise ValueError("sigma is sampled but the prior has no sigma component")
-        total += prior.sigma.logpdf(phi.sigma)
     return total
 
 
@@ -164,16 +135,22 @@ def log_posterior_unnorm(dataset: Dataset, prior: Prior, phi: ParamVector,
     return lp + log_likelihood(dataset, phi, forward)
 
 
-def make_log_posterior(dataset: Dataset, prior: Prior, forward: Callable,
-                       base_phi: ParamVector) -> Callable:
-    """Bind everything into a callable on free parameter vectors.
+def make_log_posterior(dataset: Dataset, prior: Prior,
+                       forward: Callable) -> Callable:
+    """x -> unnormalised log posterior at theta = x, with the noise scale
+    fixed at ``dataset.sigma_fixed``; x is a float or a length-1 array.
 
-    The returned function is pure and deterministic, which is what lets
-    stored chain energies be recomputed bit for bit.
+    The one closure behind both the chains and the quadrature oracles.  It
+    is pure and deterministic, which is what lets stored chain energies be
+    recomputed bit for bit.
     """
-    def logpost(vec) -> float:
-        return log_posterior_unnorm(dataset, prior,
-                                    base_phi.with_free_vector(vec), forward)
+    if dataset.sigma_fixed is None:
+        raise ValueError("the log posterior needs dataset.sigma_fixed")
+    sigma = dataset.sigma_fixed
+
+    def logpost(x) -> float:
+        return log_posterior_unnorm(dataset, prior, ParamVector(x, sigma),
+                                    forward)
     return logpost
 
 

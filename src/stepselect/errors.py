@@ -40,10 +40,6 @@ class IllConditionedFit(StepSelectError):
     """Evidence-curve regression grid spans too narrow an h^p range."""
 
 
-class NoAdmissibleStep(StepSelectError):
-    """No step size in the sweep meets the Bayes-factor tolerance."""
-
-
 class ParseError(StepSelectError):
     """Malformed observation file or experiment spec."""
 

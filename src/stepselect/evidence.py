@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import simpson
 from scipy.special import logsumexp
 
-from .bayes import Dataset, ParamVector, Prior, log_posterior_unnorm
+from .bayes import Dataset, Prior, make_log_posterior
 from .errors import (BoundsTooTight, DegenerateSampleWarning,
                      InfiniteVarianceWarning, StepSelectError)
 
@@ -40,14 +40,12 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass
 class EvidenceEstimate:
-    """A marginal-likelihood value with its uncertainty and provenance."""
+    """A marginal-likelihood value with its uncertainty and the method that
+    produced it."""
 
     log_marginal: float
     mc_standard_error: float
     method: str
-    h: Optional[float] = None
-    solver: Optional[str] = None
-    n_used: Optional[int] = None
 
     def __post_init__(self):
         if not self.mc_standard_error >= 0.0:
@@ -139,8 +137,8 @@ def kde_fit(draws: np.ndarray, shrink: float = 0.5,
 # ---------------------------------------------------------------------------
 
 def gelfand_dey(energies: np.ndarray, log_alpha: np.ndarray,
-                method: str = "gelfand_dey_kde", h: Optional[float] = None,
-                solver: Optional[str] = None, n_batches: int = 32) -> EvidenceEstimate:
+                method: str = "gelfand_dey_kde",
+                n_batches: int = 32) -> EvidenceEstimate:
     """Reciprocal-importance marginal likelihood from the chain energies and
     the weighting log-density at the same draws, ``log_alpha[l] = -A_l``.
 
@@ -179,22 +177,19 @@ def gelfand_dey(energies: np.ndarray, log_alpha: np.ndarray,
                       InfiniteVarianceWarning)
 
     return EvidenceEstimate(log_marginal=log_marginal, mc_standard_error=se_log,
-                            method=method, h=h, solver=solver, n_used=L)
+                            method=method)
 
 
 def harmonic_mean(energies: np.ndarray, log_prior_fn: Callable,
-                  draws: np.ndarray, h: Optional[float] = None,
-                  solver: Optional[str] = None) -> EvidenceEstimate:
+                  draws: np.ndarray) -> EvidenceEstimate:
     """Gelfand-Dey with alpha = prior: the harmonic mean of the likelihoods."""
     draws = np.atleast_2d(np.asarray(draws, dtype=float))
     log_alpha = np.array([float(log_prior_fn(row)) for row in draws])
-    return gelfand_dey(energies, log_alpha, method="harmonic_mean", h=h,
-                       solver=solver)
+    return gelfand_dey(energies, log_alpha, method="harmonic_mean")
 
 
 def evidence_from_chain(chain, subsample: int = 500, shrink: float = 0.5,
-                        seed: int = 0, h: Optional[float] = None,
-                        solver: Optional[str] = None,
+                        seed: int = 0,
                         trunc_pct: Tuple[float, float] = (5.0, 95.0)) -> EvidenceEstimate:
     """Subsample -> KDE -> Gelfand-Dey, the default pipeline for one chain.
 
@@ -212,8 +207,7 @@ def evidence_from_chain(chain, subsample: int = 500, shrink: float = 0.5,
     if draws.shape[0] < 120:
         sub = subsample_draws(draws, m=subsample, seed=seed)
         alpha = kde_fit(sub, shrink=shrink, trunc_pct=trunc_pct)
-        return gelfand_dey(energies, alpha.log_density(draws), h=h,
-                           solver=solver)
+        return gelfand_dey(energies, alpha.log_density(draws))
 
     cut = draws.shape[0] // 2
     alphas = [kde_fit(subsample_draws(draws[:cut], m=subsample, seed=seed),
@@ -222,7 +216,7 @@ def evidence_from_chain(chain, subsample: int = 500, shrink: float = 0.5,
                       shrink=shrink, trunc_pct=trunc_pct)]
     log_alpha = np.concatenate([alphas[1].log_density(draws[:cut]),
                                 alphas[0].log_density(draws[cut:])])
-    return gelfand_dey(energies, log_alpha, h=h, solver=solver)
+    return gelfand_dey(energies, log_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -253,21 +247,6 @@ SCAN_POINTS = 65         # points per bracket scan, 2^6 + 1
 MAX_ZOOMS = 10           # most scans per bracket
 SCAN_DROP = 45.0         # log units below the scan maximum kept in the window
 SCAN_PAD = 0.5           # padding on each side of the window, in its widths
-
-
-def fixed_sigma_log_posterior(dataset: Dataset, prior: Prior,
-                              forward: Callable) -> Callable:
-    """x -> unnormalised log posterior of the one parameter theta = [x], with
-    the noise scale fixed at ``dataset.sigma_fixed`` (the only case the
-    quadrature oracles cover)."""
-    if dataset.sigma_fixed is None:
-        raise ValueError("quadrature needs dataset.sigma_fixed")
-    sigma = dataset.sigma_fixed
-
-    def logf(x: float) -> float:
-        phi = ParamVector(theta=np.array([x]), sigma=sigma)
-        return log_posterior_unnorm(dataset, prior, phi, forward)
-    return logf
 
 
 def doubling_grids(logfs: Sequence[Callable], lo: float, hi: float):
@@ -316,7 +295,7 @@ def quadrature_marginal(dataset: Dataset, prior: Prior, forward: Callable,
     The grid doubles until successive log integrals differ by less than
     1e-6; StepSelectError after MAX_DOUBLINGS doublings.
     """
-    logf = fixed_sigma_log_posterior(dataset, prior, forward)
+    logf = make_log_posterior(dataset, prior, forward)
     (lo, hi), = grid_spec.bounds
     log_i = None
     for xs, (vals,) in doubling_grids([logf], lo, hi):
@@ -364,5 +343,5 @@ def posterior_window(dataset: Dataset, prior: Prior,
     """The quadrature window of the fixed-sigma posterior: ``bracket_bounds``
     over (1e-8, prior mean + 12 prior sd) of the one parameter."""
     comp = prior.theta[0]
-    return bracket_bounds(fixed_sigma_log_posterior(dataset, prior, forward),
+    return bracket_bounds(make_log_posterior(dataset, prior, forward),
                           1e-8, comp.mean + 12.0 * comp.sd)

@@ -31,9 +31,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .bayes import (Dataset, GammaPrior, ParamVector, Prior,
-                    make_log_posterior, make_logistic_exact_forward,
-                    make_solver_forward)
+from .bayes import (Dataset, GammaPrior, Prior, make_log_posterior,
+                    make_logistic_exact_forward, make_solver_forward)
 from .errors import ParseError, StepSelectError
 from .evidence import (GridSpec, evidence_from_chain, posterior_window,
                        quadrature_marginal)
@@ -120,7 +119,7 @@ class ExperimentSpec:
         self.params = merged
         try:
             self._validate()
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError, KeyError, OverflowError) as exc:
             raise ParseError(f"bad experiment spec: {exc}") from exc
 
     def _validate(self) -> None:
@@ -129,11 +128,12 @@ class ExperimentSpec:
             SolverConfig(self.solver, h)
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        self.build_prior()
+        prior = self.build_prior()
         self.build_proposal()
         for name, value in (("seed", self.seed), ("times.n", self.times.n),
                             ("mcmc.n_iter", self.mcmc.n_iter),
                             ("mcmc.burn_in", self.mcmc.burn_in or 0),
+                            ("mcmc.adapt_window", self.mcmc.adapt_window),
                             ("evidence.subsample", self.evidence.subsample),
                             ("regression.mask_smallest",
                              self.regression.mask_smallest)):
@@ -146,6 +146,12 @@ class ExperimentSpec:
         n_iter, burn_in = self.mcmc.n_iter, self.mcmc.resolved_burn_in()
         if not 0 <= burn_in < n_iter:
             raise ValueError("mcmc needs n_iter > burn_in >= 0")
+        init = self.mcmc.init
+        if init is not None and not (
+                isinstance(init, (int, float)) and math.isfinite(init)
+                and math.isfinite(prior.theta[0].logpdf(init))):
+            raise ValueError(f"mcmc.init must be null or a finite number "
+                             f"inside the prior's support, got {init!r}")
         kept = n_iter - burn_in
         if min(kept, self.evidence.subsample) < 30:
             raise ValueError(
@@ -154,6 +160,9 @@ class ExperimentSpec:
                 f"{self.evidence.subsample}")
         if not 0.0 < self.evidence.shrink <= 1.0:
             raise ValueError("evidence.shrink must be in (0, 1]")
+        if not 0.0 <= self.evidence.trunc_lo < self.evidence.trunc_hi <= 100.0:
+            raise ValueError("evidence truncation percentiles need "
+                             "0 <= trunc_lo < trunc_hi <= 100")
         reg = self.regression
         if reg.mask_smallest < 3:
             raise ValueError("regression.mask_smallest must be at least 3")
@@ -337,18 +346,14 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
     check_grid(h, dataset.times)
     system = build_system(spec, dataset)
     forward = make_solver_forward(system, config, dataset.times)
-    prior = spec.build_prior()
-    base_phi = ParamVector(theta=np.array([spec.init_value()]),
-                           sigma=spec.sigma)
-    logpost = make_log_posterior(dataset, prior, forward, base_phi)
+    logpost = make_log_posterior(dataset, spec.build_prior(), forward)
 
     seed = spec.chain_seed(k)
-    chain = mh_run(logpost, base_phi, spec.build_proposal(),
-                   n_iter=spec.mcmc.n_iter,
+    chain = mh_run(logpost, np.array([spec.init_value()]),
+                   spec.build_proposal(), n_iter=spec.mcmc.n_iter,
                    burn_in=spec.mcmc.resolved_burn_in(), seed=seed)
     est = evidence_from_chain(chain, subsample=spec.evidence.subsample,
                               shrink=spec.evidence.shrink, seed=seed,
-                              h=h, solver=spec.solver,
                               trunc_pct=(spec.evidence.trunc_lo,
                                          spec.evidence.trunc_hi))
     run = {"h": h, "k": k, "seed": seed, "status": "ok",

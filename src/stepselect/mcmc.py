@@ -71,15 +71,13 @@ def mh_run(log_posterior: Callable, init, proposal: ProposalConfig,
 
     Parameters
     ----------
-    log_posterior : callable on free parameter vectors, returning a float
+    log_posterior : callable on parameter vectors, returning a float
         (-inf allowed for zero-mass points).
-    init : starting free vector, or anything with a ``free_vector()`` method.
+    init : starting parameter vector.
     n_iter : total iterations; ``burn_in`` of them (default 20%) are
         discarded and are the only ones during which adaptation runs.
     seed : integer seed; identical seeds give bit-identical chains.
     """
-    if hasattr(init, "free_vector"):
-        init = init.free_vector()
     x = np.atleast_1d(np.asarray(init, dtype=float)).copy()
     d = x.size
     if burn_in is None:

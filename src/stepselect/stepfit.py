@@ -20,9 +20,9 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 from scipy.integrate import simpson
 
-from .bayes import Dataset, Prior
-from .errors import IllConditionedFit, NoAdmissibleStep
-from .evidence import doubling_grids, fixed_sigma_log_posterior
+from .bayes import Dataset, Prior, make_log_posterior
+from .errors import IllConditionedFit
+from .evidence import doubling_grids
 
 DEFAULT_THRESHOLD = 0.99    # Jeffreys: BF in [0.99, 1/0.99] is "no evidence"
 
@@ -47,37 +47,23 @@ class EvidenceCurve:
     r2: float
 
 
-def _as_points(points) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    hs, logs, ses = [], [], []
-    for pt in points:
-        if hasattr(pt, "log_marginal"):
-            if pt.h is None:
-                raise ValueError("evidence estimate lacks its step size h")
-            hs.append(float(pt.h))
-            logs.append(float(pt.log_marginal))
-            ses.append(float(pt.mc_standard_error))
-        else:
-            h, lm, se = pt
-            hs.append(float(h)); logs.append(float(lm)); ses.append(float(se))
-    return np.asarray(hs), np.asarray(logs), np.asarray(ses)
-
-
 def fit_curve(points: Sequence, p: int, mask_h: Optional[Sequence[float]] = None,
               mask_smallest: int = 4) -> EvidenceCurve:
     """Weighted least squares of the marginal (linear scale) on h^p.
 
-    ``points`` is a sequence of EvidenceEstimates (carrying h) or
-    (h, log_marginal, se) triples.  The fit runs on the ``mask_smallest``
-    smallest steps unless ``mask_h`` names the steps explicitly — the model
-    P_h = a + b h^p only holds in the asymptotic regime, so coarse points
-    should stay out of the regression even when they belong on the plot.
+    ``points`` is a sequence of (h, log_marginal, se) triples.  The fit
+    runs on the ``mask_smallest`` smallest steps unless ``mask_h`` names the
+    steps explicitly — the model P_h = a + b h^p only holds in the
+    asymptotic regime, so coarse points should stay out of the regression
+    even when they belong on the plot.
 
     Weights are 1/se^2 on the linear scale (uniform when every se is zero,
     e.g. quadrature input).  Raises IllConditionedFit when the mask holds
     fewer than three points, the masked grid spans less than a factor 2 in
     h^p or the intercept comes out non-positive.
     """
-    hs, logs, ses = _as_points(points)
+    pts = np.array(points, dtype=float).reshape(len(points), 3)
+    hs, logs, ses = pts[:, 0], pts[:, 1], pts[:, 2]
     if np.unique(hs).size != hs.size:
         raise ValueError("duplicate step sizes in the evidence curve")
     order = np.argsort(hs)
@@ -139,50 +125,6 @@ def fit_curve(points: Sequence, p: int, mask_h: Optional[Sequence[float]] = None
     return EvidenceCurve(p=int(p), h=hs, log_marginal=logs, se=ses, mask=mask,
                          log_fitted_a=shift + math.log(a_s),
                          rel_se_a=rel_se_a, by=-b_s / a_s, r2=r2)
-
-
-def _as_log_marginal(ev) -> float:
-    if hasattr(ev, "log_marginal") and not hasattr(ev, "log_fitted_a"):
-        return float(ev.log_marginal)
-    if hasattr(ev, "log_fitted_a"):
-        return float(ev.log_fitted_a)
-    ev = float(ev)
-    if ev <= 0.0:
-        raise ValueError("a plain-number marginal must be positive")
-    return math.log(ev)
-
-
-def bayes_factor(ev1, ev2) -> float:
-    """Ratio of two marginals, computed through their logs.
-
-    Accepts EvidenceEstimates, fitted EvidenceCurves (whose intercept stands
-    in for the exact model) or plain positive numbers, in any mix — so
-    comparing two extrapolated models needs no extra machinery.
-    """
-    return math.exp(_as_log_marginal(ev1) - _as_log_marginal(ev2))
-
-
-def within_jeffreys(bf: float, threshold: float = DEFAULT_THRESHOLD) -> bool:
-    """True when the Bayes factor is inside [threshold, 1/threshold]."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must be in (0, 1)")
-    return abs(math.log(bf)) <= -math.log(threshold)
-
-
-def recommend_step(curve: EvidenceCurve, cpu_seconds,
-                   threshold: float = DEFAULT_THRESHOLD) -> Tuple[float, float]:
-    """The recommendation of :func:`build_report`, as (h, speedup).
-
-    Raises NoAdmissibleStep when even the finest step falls outside the
-    window — the signature of a solver order too low to ever flatten out on
-    this grid.
-    """
-    rep = build_report(curve, cpu_seconds, threshold=threshold)
-    if rep.recommended_h is None:
-        raise NoAdmissibleStep(
-            f"no step in {curve.h.tolist()} has a Bayes factor within "
-            f"[{threshold}, {1 / threshold:.6g}] of the extrapolated marginal")
-    return rep.recommended_h, rep.speedup
 
 
 @dataclass
@@ -257,7 +199,7 @@ def posterior_discrepancy(dataset: Dataset, prior: Prior, forward1: Callable,
     """
     if statistic not in ("mean", "tv"):
         raise ValueError("statistic must be 'mean' or 'tv'")
-    logfs = [fixed_sigma_log_posterior(dataset, prior, f)
+    logfs = [make_log_posterior(dataset, prior, f)
              for f in (forward1, forward2)]
 
     def stat(xs, vals) -> float:

@@ -94,6 +94,9 @@ def test_bad_spec_exits_one_without_run_dir(tmp_path, capsys):
     spec = write_spec(tmp_path)
     assert main(["evidence", "--spec", spec, "--h", "-0.1"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    spec = write_spec(tmp_path, mcmc={"n_iter": 400, "init": "abc"})
+    assert main(["evidence", "--spec", spec, "--h", "0.2"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
     missing = str(tmp_path / "missing.json")
     assert main(["sweep", "--spec", missing, "--out", str(run_dir)]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stepselect import Dataset, harness
-from stepselect.bayes import ParamVector, make_log_posterior, make_solver_forward
+from stepselect.bayes import make_log_posterior, make_solver_forward
 from stepselect.errors import ParseError
 from stepselect.harness import (ExperimentSpec, McmcSettings,
                                 RegressionSettings, TimesSpec,
@@ -72,6 +72,12 @@ def test_spec_validation():
                 {"prior": {"shape": 2.0, "rate": -1}},
                 {"mcmc": {"n_iter": 30}},        # 24 draws left for the KDE
                 {"mcmc": {"n_iter": "abc"}},
+                {"mcmc": {"adapt_window": 2.5}},
+                {"mcmc": {"init": "abc"}}, {"mcmc": {"init": -0.5}},
+                {"mcmc": {"init": float("nan")}}, {"mcmc": {"init": 10 ** 400}},
+                {"evidence": {"trunc_lo": -5}},
+                {"evidence": {"trunc_lo": 95, "trunc_hi": 5}},
+                {"evidence": {"trunc_hi": 100.5}},
                 {"seed": -1}, {"times": {"n": "x"}}, {"times": 5},
                 {"regression": {"mask_smallest": 0}},
                 {"regression": {"mask_smallest": 3.5}},
@@ -194,8 +200,7 @@ def test_run_single_record_and_energy_replay(tmp_path):
     draws, energies = load_chain_csv(tmp_path / rec["chain_csv"])
     forward = make_solver_forward(build_system(spec, ds),
                                   SolverConfig(spec.solver, 0.1), ds.times)
-    base = ParamVector(theta=np.array([spec.init_value()]), sigma=spec.sigma)
-    logpost = make_log_posterior(ds, spec.build_prior(), forward, base)
+    logpost = make_log_posterior(ds, spec.build_prior(), forward)
     replayed = np.array([-logpost(row) for row in draws])
     assert np.array_equal(replayed, energies)
 

@@ -74,14 +74,10 @@ def test_initialization_off_support_raises():
         mh_run(lambda x: -math.inf, np.array([0.0]), cfg, n_iter=100)
 
 
-def test_init_accepts_param_like_objects():
-    class Fake:
-        def free_vector(self):
-            return np.array([0.25])
-    chain = run_normal(n_iter=200)
+def test_default_burn_in_is_a_fifth():
     cfg = ProposalConfig(step_scales=np.array([1.0]))
-    chain2 = mh_run(std_normal_logpdf, Fake(), cfg, n_iter=200, seed=chain.seed)
-    assert chain2.n_draws == 160   # default burn-in is 20%
+    chain = mh_run(std_normal_logpdf, np.array([0.25]), cfg, n_iter=200)
+    assert chain.n_draws == 160
 
 
 def test_burn_in_validation():

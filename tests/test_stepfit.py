@@ -1,4 +1,4 @@
-"""Evidence-curve regression, Bayes factors, recommendation, discrepancies."""
+"""Evidence-curve regression, the Bayes-factor report, discrepancies."""
 
 import json
 import math
@@ -8,11 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepselect import (Dataset, GammaPrior, Prior, bayes_factor, build_report,
-                        fit_curve, posterior_discrepancy, recommend_step,
-                        within_jeffreys)
-from stepselect.errors import BoundsTooTight, IllConditionedFit, NoAdmissibleStep
-from stepselect.evidence import EvidenceEstimate
+from stepselect import (Dataset, GammaPrior, Prior, build_report, fit_curve,
+                        posterior_discrepancy)
+from stepselect.errors import BoundsTooTight, IllConditionedFit
 
 GRID = (0.2, 0.1, 0.05, 0.025)
 
@@ -43,17 +41,6 @@ def test_fit_exact_recovery_property(log_a, rel_b, p):
     b = rel_b * a / max(GRID) ** p
     curve = fit_curve(synthetic_points(a, b, p), p=p)
     assert curve.log_fitted_a == pytest.approx(log_a, abs=1e-8)
-
-
-def test_fit_accepts_evidence_estimates():
-    pts = [EvidenceEstimate(log_marginal=math.log(1.0 + 0.5 * h), h=h,
-                            mc_standard_error=0.0, method="quadrature")
-           for h in GRID]
-    curve = fit_curve(pts, p=1)
-    assert curve.log_fitted_a == pytest.approx(0.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        fit_curve([EvidenceEstimate(log_marginal=0.0, mc_standard_error=0.0,
-                                    method="quadrature")], p=1)
 
 
 def test_fit_shift_invariance():
@@ -126,32 +113,23 @@ def test_fit_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# bayes factors and the jeffreys window
+# build_report: bayes factors, the jeffreys window, the recommendation
 # ---------------------------------------------------------------------------
 
-def test_bayes_factor_mixed_inputs():
-    e1 = EvidenceEstimate(log_marginal=-10.0, mc_standard_error=0.0, method="q")
-    e2 = EvidenceEstimate(log_marginal=-11.0, mc_standard_error=0.0, method="q")
-    assert bayes_factor(e1, e2) == pytest.approx(math.e)
-    assert bayes_factor(e1, math.exp(-10.0)) == pytest.approx(1.0)
-    curve = fit_curve(synthetic_points(math.exp(-10.0), 0.0, 1), p=1)
-    assert bayes_factor(e1, curve) == pytest.approx(1.0, rel=1e-9)
-    with pytest.raises(ValueError):
-        bayes_factor(e1, -2.0)
-
-
 def test_jeffreys_window_boundaries():
-    assert within_jeffreys(1.0)
-    assert within_jeffreys(0.99)          # lower edge is inclusive
-    assert within_jeffreys(1.0100)        # just inside the upper edge
-    assert not within_jeffreys(1.0102)
-    assert not within_jeffreys(0.9899)
-    assert not within_jeffreys(1.0 / 0.9899)
-    with pytest.raises(ValueError):
-        within_jeffreys(1.0, threshold=1.5)
+    # the intercept overwritten with 0.0, so each Bayes factor is exp of its
+    # log marginal; the window is [0.99, 1/0.99], lower edge inclusive
+    bfs = (0.99, 1.0100, 1.0102, 0.9899, 1.0 / 0.9899)
+    pts = [(h, math.log(bf), 0.0)
+           for h, bf in zip((0.025, 0.05, 0.1, 0.2, 0.4), bfs)]
+    curve = fit_curve(pts, p=1)
+    object.__setattr__(curve, "log_fitted_a", 0.0)
+    rep = build_report(curve, np.ones(5))
+    assert rep.flag.tolist() == [True, True, False, False, False]
+    assert rep.recommended_h == 0.05
 
 
-def test_recommend_step_picks_coarsest_admissible():
+def test_build_report_picks_coarsest_admissible():
     a = 1e-19
     pts = [(0.025, math.log(a) + 0.001, 0.0),
            (0.05, math.log(a) + 0.004, 0.0),
@@ -161,19 +139,11 @@ def test_recommend_step_picks_coarsest_admissible():
     # overwrite the intercept so the flags are exactly the offsets above
     object.__setattr__(curve, "log_fitted_a", math.log(a))
     cpu = np.array([8.0, 4.0, 2.0, 1.0])
-    h, speedup = recommend_step(curve, cpu)
-    assert h == 0.1           # 0.2 is outside the window, 0.1 inside
-    assert speedup == 4.0     # cpu(h_min) / cpu(h_rec)
-
-
-def test_recommend_step_none_admissible():
-    pts = [(h, math.log(1e-19) + 1.0 + h, 0.0) for h in GRID]
-    curve = fit_curve(sorted(pts), p=1)
-    object.__setattr__(curve, "log_fitted_a", math.log(1e-19))
-    with pytest.raises(NoAdmissibleStep):
-        recommend_step(curve, np.ones(4))
+    rep = build_report(curve, cpu)
+    assert rep.recommended_h == 0.1   # 0.2 is outside the window, 0.1 inside
+    assert rep.speedup == 4.0         # cpu(h_min) / cpu(h_rec)
     with pytest.raises(ValueError):
-        recommend_step(curve, np.ones(3))
+        build_report(curve, cpu[:3])
 
 
 def test_build_report_serializes_and_survives_failure():
