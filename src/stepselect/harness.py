@@ -141,6 +141,12 @@ class ExperimentSpec:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not isinstance(self.mcmc.adapt, bool):
+            raise TypeError(f"mcmc.adapt must be true or false, "
+                            f"got {self.mcmc.adapt!r}")
+        if not isinstance(self.observations_csv, (str, type(None))):
+            raise TypeError(f"observations_csv must be null or a path, "
+                            f"got {self.observations_csv!r}")
         times = self.obs_times()
         Dataset(times=times, values=np.zeros(times.size))
         n_iter, burn_in = self.mcmc.n_iter, self.mcmc.resolved_burn_in()
@@ -403,10 +409,13 @@ def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1,
 
     ks = list(range(len(spec.h_grid)))
     if jobs > 1:
+        # finest step first: its chain costs the most, so queued last it
+        # would run alone after the others and set the makespan
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_sweep_worker, spec.to_dict(), k,
-                                   str(out_dir), str(obs_csv)) for k in ks]
-            runs = [f.result() for f in futures]
+            futures = {k: pool.submit(_sweep_worker, spec.to_dict(), k,
+                                      str(out_dir), str(obs_csv))
+                       for k in sorted(ks, key=lambda k: spec.h_grid[k])}
+            runs = [futures[k].result() for k in ks]
     else:
         runs = [_sweep_worker(spec.to_dict(), k, str(out_dir), str(obs_csv))
                 for k in ks]

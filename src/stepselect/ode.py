@@ -8,7 +8,9 @@ hit by landing on grid nodes, never by interpolation.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,11 +112,10 @@ def integrate_states(system, theta, config: SolverConfig, t0: float,
         raise ValueError(f"nodes must end at n_steps={n_steps}")
     theta_f = tuple(np.asarray(theta, dtype=float).ravel().tolist())
     if system.dim_p == 1:
-        x0, step, finite = (float(system.x0[0]), _SCALAR_STEPS[config.method],
-                            math.isfinite)
+        x0, finite = float(system.x0[0]), math.isfinite
     else:
-        x0, step, finite = (tuple(float(v) for v in system.x0),
-                            _TUPLE_STEPS[config.method], _all_finite)
+        x0, finite = tuple(float(v) for v in system.x0), _all_finite
+    step = _stepper(config.method, system.dim_p)
     rhs, h = system.rhs, config.h
     out = []
     try:
@@ -166,132 +167,84 @@ def _replay(step, finite, rhs, x, theta, t0, h, n_steps):
             raise NonFiniteState(t0 + (i + 1) * h, i, theta)
 
 
-# Each stepper advances the state x from step n to step ``end`` and appends
-# to ``out`` the state at each of the step indices ``nodes`` as it passes
-# them.  It returns the final state and the first node it never reached
-# (None when it reached them all: a node below n, or one that comes after a
-# larger one, is never reached).  One loop over all the steps, comparing
-# the step index with the next node, costs less than a loop per pair of
-# nodes, whose set-up outweighs a two-step stretch.  Plain Python floats,
-# not numpy arrays, keep the per-step overhead low, which matters because
-# the samplers call these millions of times.
-
-def _euler_scalar(rhs, x, theta, t0, h, n, end, nodes, out):
-    stops = iter(nodes)
-    m = next(stops)
-    for i in range(n, end):
-        while i == m:
-            out.append(x)
-            m = next(stops, None)
-        x = x + h * rhs(x, t0 + i * h, theta)
-    while m == end:
-        out.append(x)
-        m = next(stops, None)
-    return x, m
-
-
-def _rk2_scalar(rhs, x, theta, t0, h, n, end, nodes, out):
-    half = 0.5 * h
-    stops = iter(nodes)
-    m = next(stops)
-    for i in range(n, end):
-        while i == m:
-            out.append(x)
-            m = next(stops, None)
-        t = t0 + i * h
-        k1 = rhs(x, t, theta)
-        k2 = rhs(x + half * k1, t + half, theta)
-        x = x + h * k2
-    while m == end:
-        out.append(x)
-        m = next(stops, None)
-    return x, m
+# A stepper advances the state x from step n to step ``end`` and appends to
+# ``out`` the state at each of the step indices ``nodes`` as it passes them.
+# It returns the final state and the first node it never reached (None when
+# it reached them all: a node below n, or one that comes after a larger one,
+# is never reached).  One loop over all the steps, comparing the step index
+# with the next node, costs less than a loop per pair of nodes, whose set-up
+# outweighs a two-step stretch.  The state is a float for dim_p == 1 and a
+# tuple of dim_p floats otherwise.
+#
+# Each method is written once, per state component: its set-up lines, the
+# lines that start a step, its stages as (argument, time) with stage j
+# k_j = rhs(argument, time, theta), and the update of x.  ``_stepper``
+# generates the loop for one state dimension from them, keeping every
+# component in a local float: a per-component tuple built with a generator
+# costs several times the right-hand side of a four-state model, and the
+# samplers take millions of steps.
+_METHODS = {
+    "euler": ((), (), (("x", "t0 + i * h"),), "x + h * k1"),
+    "rk2": (("half = 0.5 * h",), ("t = t0 + i * h",),
+            (("x", "t"), ("x + half * k1", "t + half")), "x + h * k2"),
+    "rk4": (("half = 0.5 * h", "sixth = h / 6.0"), ("t = t0 + i * h",),
+            (("x", "t"), ("x + half * k1", "t + half"),
+             ("x + half * k2", "t + half"), ("x + h * k3", "t + h")),
+            "x + sixth * (k1 + 2.0 * (k2 + k3) + k4)"),
+}
 
 
-def _rk4_scalar(rhs, x, theta, t0, h, n, end, nodes, out):
-    half = 0.5 * h
-    sixth = h / 6.0
-    stops = iter(nodes)
-    m = next(stops)
-    for i in range(n, end):
-        while i == m:
-            out.append(x)
-            m = next(stops, None)
-        t = t0 + i * h
-        k1 = rhs(x, t, theta)
-        k2 = rhs(x + half * k1, t + half, theta)
-        k3 = rhs(x + half * k2, t + half, theta)
-        k4 = rhs(x + h * k3, t + h, theta)
-        x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-    while m == end:
-        out.append(x)
-        m = next(stops, None)
-    return x, m
+@functools.lru_cache(maxsize=None)
+def _stepper(method: str, dim_p: int):
+    """The stepper of ``method`` for states of ``dim_p`` components.
 
+    Compiled on first use.  For dim_p == 1 it is the plain scalar loop;
+    otherwise each component j of x and of every stage is a local
+    (``x_0``, ``k1_0``, ...), the state is unpacked on entry and every stage
+    argument is passed as one tuple display.  Every component runs the same
+    float operations in the same order either way.
+    """
+    setup, per_step, stages, update = _METHODS[method]
+    if not (isinstance(dim_p, int) and dim_p >= 1):
+        raise ValueError(f"dim_p must be a positive integer, got {dim_p!r}")
 
-# The scalar steppers' stages, componentwise on float tuples.
+    def parts(expr):
+        """``expr`` for each component, its names suffixed by the index."""
+        if dim_p == 1:
+            return [expr]
+        return [re.sub(r"\b(x|k\d)\b", rf"\1_{j}", expr) for j in range(dim_p)]
 
-def _euler_tuple(rhs, x, theta, t0, h, n, end, nodes, out):
-    stops = iter(nodes)
-    m = next(stops)
-    for i in range(n, end):
-        while i == m:
-            out.append(x)
-            m = next(stops, None)
-        k1 = rhs(x, t0 + i * h, theta)
-        x = tuple(xi + h * ki for xi, ki in zip(x, k1))
-    while m == end:
-        out.append(x)
-        m = next(stops, None)
-    return x, m
+    def pack(expr):
+        return parts(expr)[0] if dim_p == 1 else f"({', '.join(parts(expr))})"
 
-
-def _rk2_tuple(rhs, x, theta, t0, h, n, end, nodes, out):
-    half = 0.5 * h
-    stops = iter(nodes)
-    m = next(stops)
-    for i in range(n, end):
-        while i == m:
-            out.append(x)
-            m = next(stops, None)
-        t = t0 + i * h
-        k1 = rhs(x, t, theta)
-        k2 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k1)),
-                 t + half, theta)
-        x = tuple(xi + h * ki for xi, ki in zip(x, k2))
-    while m == end:
-        out.append(x)
-        m = next(stops, None)
-    return x, m
-
-
-def _rk4_tuple(rhs, x, theta, t0, h, n, end, nodes, out):
-    half = 0.5 * h
-    sixth = h / 6.0
-    stops = iter(nodes)
-    m = next(stops)
-    for i in range(n, end):
-        while i == m:
-            out.append(x)
-            m = next(stops, None)
-        t = t0 + i * h
-        k1 = rhs(x, t, theta)
-        k2 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k1)),
-                 t + half, theta)
-        k3 = rhs(tuple(xi + half * ki for xi, ki in zip(x, k2)),
-                 t + half, theta)
-        k4 = rhs(tuple(xi + h * ki for xi, ki in zip(x, k3)),
-                 t + h, theta)
-        x = tuple(xi + sixth * (a + 2.0 * (b + c) + dd)
-                  for xi, a, b, c, dd in zip(x, k1, k2, k3, k4))
-    while m == end:
-        out.append(x)
-        m = next(stops, None)
-    return x, m
-
-
-_SCALAR_STEPS = {"euler": _euler_scalar, "rk2": _rk2_scalar, "rk4": _rk4_scalar}
-_TUPLE_STEPS = {"euler": _euler_tuple, "rk2": _rk2_tuple, "rk4": _rk4_tuple}
+    calls = [f"rhs({pack(arg)}, {time}, theta)" for arg, time in stages]
+    if dim_p == 1 and len(calls) == 1:
+        # a lone scalar stage goes inline into the update
+        body = [f"x = {update.replace('k1', calls[0])}"]
+    else:
+        body = [f"{', '.join(parts(f'k{j}'))} = {call}"
+                for j, call in enumerate(calls, start=1)]
+        body += [f"{x} = {u}" for x, u in zip(parts("x"), parts(update))]
+    lines = [
+        "def step(rhs, x, theta, t0, h, n, end, nodes, out):",
+        *([] if dim_p == 1 else [f"    {', '.join(parts('x'))} = x"]),
+        *(f"    {line}" for line in setup),
+        "    stops = iter(nodes)",
+        "    m = next(stops)",
+        "    for i in range(n, end):",
+        "        while i == m:",
+        f"            out.append({pack('x')})",
+        "            m = next(stops, None)",
+        *(f"        {line}" for line in (*per_step, *body)),
+        "    while m == end:",
+        f"        out.append({pack('x')})",
+        "        m = next(stops, None)",
+        f"    return {pack('x')}, m",
+    ]
+    namespace = {}
+    exec(compile("\n".join(lines) + "\n", f"<{method} stepper, dim {dim_p}>",
+                 "exec"), namespace)
+    return namespace["step"]
 
 
 def estimate_order(system, theta, method: str, h_list, t0: float,

@@ -97,6 +97,10 @@ def test_bad_spec_exits_one_without_run_dir(tmp_path, capsys):
     spec = write_spec(tmp_path, mcmc={"n_iter": 400, "init": "abc"})
     assert main(["evidence", "--spec", spec, "--h", "0.2"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    spec = write_spec(tmp_path, observations_csv=5)
+    assert main(["sweep", "--spec", spec, "--out", str(run_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not run_dir.exists()
     missing = str(tmp_path / "missing.json")
     assert main(["sweep", "--spec", missing, "--out", str(run_dir)]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -1,6 +1,7 @@
 """Spec serialization, synthetic data, sweep reproducibility, reports."""
 
 import json
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +84,9 @@ def test_spec_validation():
                 {"regression": {"mask_smallest": 3.5}},
                 {"regression": {"mask_h": [0.2, 0.1]}},
                 {"regression": {"mask_h": [0.4, 0.2, 0.05]}},   # 0.05 not in h_grid
-                {"jeffreys_threshold": 0}, {"jeffreys_threshold": 1.5}):
+                {"jeffreys_threshold": 0}, {"jeffreys_threshold": 1.5},
+                {"mcmc": {"adapt": "false"}}, {"mcmc": {"adapt": 0}},
+                {"observations_csv": 5}, {"observations_csv": ["obs.csv"]}):
         with pytest.raises(ParseError):
             ExperimentSpec.from_dict({**base, **bad})
 
@@ -229,6 +232,35 @@ def test_run_sweep_serial_and_parallel_agree(tmp_path):
     for name in ("table.csv", "curve.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes()
+
+
+def test_run_sweep_submits_finest_step_first(tmp_path, monkeypatch):
+    # the finest chain costs the most, so the pool gets it first; the
+    # record still lists the steps in h_grid order
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submitted.append(args[1])
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+
+    rec = run_sweep(small_spec(h_grid=(0.2, 0.4, 0.1)), tmp_path, jobs=2)
+    assert submitted == [2, 0, 1]
+    assert [(r["k"], r["h"]) for r in rec["runs"]] == [(0, 0.2), (1, 0.4),
+                                                        (2, 0.1)]
+    assert all(r["status"] == "ok" for r in rec["runs"])
 
 
 def test_run_sweep_records_failed_step(tmp_path):

@@ -19,6 +19,7 @@ from stepselect import (METHOD_ORDERS, GlucoseParams, LogisticParams,
                         make_glucose_system, make_logistic_system)
 from stepselect.errors import DegenerateFit, GridMismatch, NonFiniteState
 from stepselect.models import OdeSystem, logistic_exact
+from stepselect.ode import _stepper
 
 
 def exp_system() -> OdeSystem:
@@ -154,6 +155,75 @@ def test_integrate_states_rejects_bad_nodes(nodes):
 
 
 # ---------------------------------------------------------------------------
+# generated steppers against a plain loop
+# ---------------------------------------------------------------------------
+
+def reference_states(rhs, x, theta, t0, h, n_steps, method):
+    """Every state of a solve, one step at a time on float tuples of any size."""
+    def shift(x, c, k):
+        return tuple(xi + c * ki for xi, ki in zip(x, k))
+
+    half, sixth = 0.5 * h, h / 6.0
+    states = [x]
+    for i in range(n_steps):
+        t = t0 + i * h
+        k1 = rhs(x, t, theta)
+        if method == "euler":
+            x = shift(x, h, k1)
+        elif method == "rk2":
+            x = shift(x, h, rhs(shift(x, half, k1), t + half, theta))
+        else:
+            k2 = rhs(shift(x, half, k1), t + half, theta)
+            k3 = rhs(shift(x, half, k2), t + half, theta)
+            k4 = rhs(shift(x, h, k3), t + h, theta)
+            x = tuple(xi + sixth * (a + 2.0 * (b + c) + d)
+                      for xi, a, b, c, d in zip(x, k1, k2, k3, k4))
+        states.append(x)
+    return states
+
+
+def forced_oscillator(x, t, theta):
+    """A two-state right-hand side that depends on t, so stage times count."""
+    return (x[1], -theta[0] * x[0] + math.cos(t))
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_ORDERS))
+@pytest.mark.parametrize("dim_p", [1, 2, 4])
+def test_generated_stepper_matches_plain_loop(method, dim_p):
+    theta, t0, h, n_steps = (1.3,), 0.5, 0.0625, 64
+    if dim_p == 1:
+        system = make_logistic_system(LogisticParams())
+        rhs = system.rhs
+        x0, ref_rhs = 100.0, lambda x, t, th: (rhs(x[0], t, th),)
+    elif dim_p == 2:
+        rhs = ref_rhs = forced_oscillator
+        x0 = (1.0, 0.0)
+    else:
+        system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
+        rhs = ref_rhs = system.rhs
+        x0, theta = tuple(system.x0.tolist()), (9.3,)
+    ref = reference_states(ref_rhs, x0 if dim_p > 1 else (x0,), theta, t0, h,
+                           n_steps, method)
+    step = _stepper(method, dim_p)
+
+    def hexes(states):
+        return [[v.hex() for v in (s if dim_p > 1 else (s,))] for s in states]
+
+    # node 0, repeated nodes, adjacent nodes and long stretches between them
+    for nodes in ([0, 0, 1, 2, 2, 9, 40, 63, 64], [64], [0, 64, 64]):
+        out = []
+        x, missed = step(rhs, x0, theta, t0, h, 0, n_steps, nodes, out)
+        assert missed is None
+        assert hexes(out) == [[v.hex() for v in ref[n]] for n in nodes]
+        assert hexes([x]) == hexes(out[-1:])
+    # a solve resumed part-way, as the blow-up replay steps it
+    x, _ = step(rhs, x0, theta, t0, h, 0, 23, (23,), [])
+    out = []
+    step(rhs, x, theta, t0, h, 23, n_steps, (23, 50, 64), out)
+    assert hexes(out) == [[v.hex() for v in ref[n]] for n in (23, 50, 64)]
+
+
+# ---------------------------------------------------------------------------
 # grid logic
 # ---------------------------------------------------------------------------
 
@@ -229,7 +299,7 @@ def test_nonfinite_state_raised_with_context():
     # nodes ask for every state or the blow-up falls between two nodes.  The
     # guarded right-hand side raises ValueError on the infinite state (as
     # math.sin(inf) does), which must not hide the earlier non-finite step.
-    for dim_p in (1, 2):   # scalar and tuple loops
+    for dim_p in (1, 2):   # scalar and two-component steppers
         for nodes in (None, (0, 3, 20), (20,)):
             for guarded in (False, True):
                 with pytest.raises(NonFiniteState) as exc:
