@@ -8,6 +8,12 @@ largest step whose Bayes factor against the extrapolated exact model stays
 inside the Jeffreys window.
 """
 
+# numpy loads these on first use (np.random.default_rng, np.percentile).
+# Loading them with the package lets the forked pool workers of a parallel
+# sweep inherit them, instead of each importing them inside its first step.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .bayes import (Dataset, GammaPrior, ParamVector, Prior, likelihood_ratio,
                     log_likelihood, log_posterior_unnorm, log_prior,
                     make_log_posterior, make_logistic_exact_forward,

@@ -28,14 +28,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.special import logsumexp
 
 from .bayes import Dataset, Prior, make_log_posterior
 from .errors import (BoundsTooTight, DegenerateSampleWarning,
                      InfiniteVarianceWarning, StepSelectError)
 
 LOG_2PI = math.log(2.0 * math.pi)
+KDE_BLOCK_ROWS = 256     # points per block in KdeDensity.log_density
 
 
 @dataclass
@@ -68,8 +67,12 @@ class KdeDensity:
     bandwidths: np.ndarray  # (d,)
 
     def log_density(self, points) -> np.ndarray:
-        """Log density at ``points`` of shape (n, d) or (d,); fixed summation
-        order, so repeated evaluation is bit-reproducible."""
+        """Log density at ``points`` of shape (n, d) or (d,).
+
+        Points go through in blocks of KDE_BLOCK_ROWS; each point's value is
+        a reduction along its own row, so it depends neither on the block
+        size nor on the other points, and repeated evaluation is
+        bit-reproducible."""
         points = np.asarray(points, dtype=float)
         single = points.ndim == 1
         pts = np.atleast_2d(points)
@@ -77,13 +80,35 @@ class KdeDensity:
         const = -0.5 * d * LOG_2PI - float(np.sum(np.log(self.bandwidths))) \
             - math.log(m)
         out = np.empty(pts.shape[0])
-        chunk = max(1, 2_000_000 // max(m, 1))
-        for start in range(0, pts.shape[0], chunk):
-            block = pts[start:start + chunk]
+        for start in range(0, pts.shape[0], KDE_BLOCK_ROWS):
+            block = pts[start:start + KDE_BLOCK_ROWS]
             z = (block[:, None, :] - self.centers[None, :, :]) / self.bandwidths
             expo = -0.5 * np.sum(z * z, axis=2)
-            out[start:start + chunk] = logsumexp(expo, axis=1) + const
+            out[start:start + KDE_BLOCK_ROWS] = logsumexp_rows(expo) + const
         return float(out[0]) if single else out
+
+
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a 2-D float array without overflow.
+
+    The same operations in the same order as scipy 1.17's
+    ``scipy.special.logsumexp(a, axis=1)`` on real input, so the results
+    agree bit for bit: every entry tied at the row maximum is taken out of
+    the shifted sum and counted instead, and a row whose result is not
+    finite (all -inf, a +inf or a NaN entry) gets log(sum(exp(row))).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_max = np.max(a, axis=1, keepdims=True)
+        tied = a == a_max
+        m = np.sum(tied, axis=1, dtype=float)
+        s = np.sum(np.exp(np.where(tied, -np.inf, a) - a_max), axis=1)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max[:, 0]
+    bad = ~np.isfinite(out)
+    if bad.any():
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    return out
 
 
 def subsample_draws(draws: np.ndarray, m: int = 500, seed: int = 0) -> np.ndarray:
@@ -278,11 +303,33 @@ def doubling_grids(logfs: Sequence[Callable], lo: float, hi: float):
         yield xs, vals
 
 
+def simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson integral of samples ``y`` at increasing points ``x``.
+
+    The spacing may vary from panel to panel.  The same operations in the
+    same order as ``scipy.integrate.simpson(y, x=x)`` on an odd number of
+    points, so the results agree bit for bit.  ValueError on an even count
+    or fewer than three points.
+    """
+    y, x = np.asarray(y, dtype=float), np.asarray(x, dtype=float)
+    if y.ndim != 1 or y.shape != x.shape or y.size < 3 or y.size % 2 == 0:
+        raise ValueError("simpson needs matching 1-D y and x with an odd "
+                         "number of at least 3 points")
+    h = np.diff(x)
+    h0, h1 = h[:-1:2], h[1::2]
+    hsum, hprod = h0 + h1, h0 * h1
+    h0divh1 = h0 / h1
+    terms = hsum / 6.0 * (y[:-2:2] * (2.0 - 1.0 / h0divh1)
+                          + y[1::2] * (hsum * (hsum / hprod))
+                          + y[2::2] * (2.0 - h0divh1))
+    return float(np.sum(terms))
+
+
 def _log_simpson(logv: np.ndarray, xs: np.ndarray) -> float:
     shift = float(np.max(logv))
     if not math.isfinite(shift):
         return -math.inf
-    val = float(simpson(np.exp(logv - shift), x=xs))
+    val = simpson(np.exp(logv - shift), xs)
     if val <= 0.0:
         return -math.inf
     return shift + math.log(val)

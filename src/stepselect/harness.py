@@ -47,6 +47,7 @@ MODELS = ("logistic", "glucose")
 LOGISTIC_DEFAULTS = {"lam": 1.0, "K": 1000.0, "X0": 100.0}
 GLUCOSE_DEFAULTS = {"theta0": 10.0, "theta1": 26.6, "theta2": 0.2,
                     "a": 1.0, "b": 2.0, "Gb": 80.0, "d0": 90.0, "D0": 200.0}
+PARAM_DEFAULTS = {"logistic": LOGISTIC_DEFAULTS, "glucose": GLUCOSE_DEFAULTS}
 
 
 @dataclass
@@ -113,8 +114,7 @@ class ExperimentSpec:
             raise ParseError(f"unknown model {self.model!r}")
         if len(self.h_grid) < 1 or len(set(self.h_grid)) != len(self.h_grid):
             raise ParseError("h_grid must be non-empty without duplicates")
-        defaults = LOGISTIC_DEFAULTS if self.model == "logistic" else GLUCOSE_DEFAULTS
-        merged = dict(defaults)
+        merged = dict(PARAM_DEFAULTS[self.model])
         merged.update(self.params)
         self.params = merged
         try:
@@ -122,8 +122,28 @@ class ExperimentSpec:
         except (ValueError, TypeError, KeyError, OverflowError) as exc:
             raise ParseError(f"bad experiment spec: {exc}") from exc
 
+    def model_params(self):
+        """The model's constants: LogisticParams or GlucoseParams (the
+        glucose spec's d0 and D0 stay in ``params``)."""
+        p = self.params
+        if self.model == "logistic":
+            return LogisticParams(lam=p["lam"], K=p["K"], X0=p["X0"])
+        return GlucoseParams(theta0=p["theta0"], theta1=p["theta1"],
+                             theta2=p["theta2"], a=p["a"], b=p["b"], Gb=p["Gb"])
+
     def _validate(self) -> None:
         """Reject values the sweep would only trip over after it started."""
+        for name, value in self.params.items():
+            if name not in PARAM_DEFAULTS[self.model]:
+                raise ValueError(f"unknown {self.model} parameter {name!r}")
+            if isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and math.isfinite(value)):
+                raise ValueError(f"params.{name} must be a finite number, "
+                                 f"got {value!r}")
+        constants = self.model_params()
+        if self.model == "glucose":
+            make_glucose_system(constants, d0=self.params["d0"],
+                                D0=self.params["D0"])
         for h in self.h_grid:
             SolverConfig(self.solver, h)
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
@@ -249,22 +269,17 @@ class ExperimentSpec:
 
 
 def build_system(spec: ExperimentSpec, dataset: Dataset):
-    p = spec.params
     if spec.model == "logistic":
-        return make_logistic_system(LogisticParams(lam=p["lam"], K=p["K"],
-                                                   X0=p["X0"]))
-    gp = GlucoseParams(theta0=p["theta0"], theta1=p["theta1"], theta2=p["theta2"],
-                       a=p["a"], b=p["b"], Gb=p["Gb"])
-    return make_glucose_system(gp, d0=float(dataset.values[0]), D0=p["D0"])
+        return make_logistic_system(spec.model_params())
+    return make_glucose_system(spec.model_params(), d0=float(dataset.values[0]),
+                               D0=spec.params["D0"])
 
 
 def exact_forward(spec: ExperimentSpec, dataset: Dataset):
     """Closed-form forward map, or None when the model has none."""
     if spec.model != "logistic":
         return None
-    p = spec.params
-    return make_logistic_exact_forward(
-        LogisticParams(lam=p["lam"], K=p["K"], X0=p["X0"]), dataset.times)
+    return make_logistic_exact_forward(spec.model_params(), dataset.times)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +297,9 @@ def generate_synthetic(spec: ExperimentSpec) -> Dataset:
     times = spec.obs_times()
     p = spec.params
     if spec.model == "logistic":
-        truth = logistic_exact(times, LogisticParams(lam=p["lam"], K=p["K"],
-                                                     X0=p["X0"]))
+        truth = logistic_exact(times, spec.model_params())
     else:
-        gp = GlucoseParams(theta0=p["theta0"], theta1=p["theta1"],
-                           theta2=p["theta2"], a=p["a"], b=p["b"], Gb=p["Gb"])
-        system = make_glucose_system(gp, d0=p["d0"], D0=p["D0"])
+        system = make_glucose_system(spec.model_params(), d0=p["d0"], D0=p["D0"])
         gap = float(times[1] - times[0]) if times.size > 1 else 1.0
         forward = make_solver_forward(system, SolverConfig("rk4", gap / 2048.0),
                                       times)

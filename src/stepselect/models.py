@@ -8,6 +8,7 @@ inferred coordinates; everything else is frozen into the system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,8 +52,8 @@ class LogisticParams:
     X0: float = 100.0
 
     def __post_init__(self):
-        if not (self.lam > 0.0 and self.K > 0.0 and self.X0 > 0.0):
-            raise ValueError("lam, K and X0 must all be positive")
+        if not all(0.0 < v < math.inf for v in (self.lam, self.K, self.X0)):
+            raise ValueError("lam, K and X0 must all be finite and positive")
 
 
 def logistic_exact(t, params: LogisticParams):
@@ -99,8 +100,8 @@ class GlucoseParams:
 
     def __post_init__(self):
         for name in ("theta0", "theta1", "theta2", "a", "b", "Gb"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 def make_glucose_system(params: GlucoseParams, d0: float,

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .bayes import Dataset, Prior, make_log_posterior
 from .errors import IllConditionedFit
-from .evidence import doubling_grids
+from .evidence import doubling_grids, simpson
 
 DEFAULT_THRESHOLD = 0.99    # Jeffreys: BF in [0.99, 1/0.99] is "no evidence"
 
@@ -206,11 +205,11 @@ def posterior_discrepancy(dataset: Dataset, prior: Prior, forward1: Callable,
         dens = []
         for v in vals:
             d = np.exp(v - float(np.max(v)))
-            dens.append(d / float(simpson(d, x=xs)))
+            dens.append(d / simpson(d, xs))
         p1, p2 = dens
         if statistic == "mean":
-            return abs(float(simpson(xs * p1, x=xs)) - float(simpson(xs * p2, x=xs)))
-        return 0.5 * float(simpson(np.abs(p1 - p2), x=xs))
+            return abs(simpson(xs * p1, xs) - simpson(xs * p2, xs))
+        return 0.5 * simpson(np.abs(p1 - p2), xs)
 
     s = None
     for xs, vals in doubling_grids(logfs, bounds[0], bounds[1]):

@@ -101,6 +101,10 @@ def test_bad_spec_exits_one_without_run_dir(tmp_path, capsys):
     assert main(["sweep", "--spec", spec, "--out", str(run_dir)]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not run_dir.exists()
+    spec = write_spec(tmp_path, params={"K": -5})
+    assert main(["sweep", "--spec", spec, "--out", str(run_dir)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not run_dir.exists()
     missing = str(tmp_path / "missing.json")
     assert main(["sweep", "--spec", missing, "--out", str(run_dir)]) == 1
     assert capsys.readouterr().err.startswith("error:")

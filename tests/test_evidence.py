@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.special import logsumexp
 
 from _oracles import default_case
 from stepselect import (Dataset, GammaPrior, GridSpec, KdeDensity, ParamVector,
                         Prior, bracket_bounds, evidence_from_chain, gelfand_dey,
                         harmonic_mean, kde_fit, quadrature_marginal,
                         subsample_draws)
+from stepselect import evidence
 from stepselect.bayes import log_posterior_unnorm
 from stepselect.errors import (BoundsTooTight, DegenerateSampleWarning,
                                InfiniteVarianceWarning, StepSelectError)
@@ -203,6 +205,61 @@ def test_kde_log_density_is_the_mixture():
               - 0.5 * 2 * math.log(2 * math.pi)
               - float(np.sum(np.log(kde.bandwidths))))
     assert kde.log_density(x) == pytest.approx(manual, rel=1e-12)
+
+
+def test_kde_log_density_does_not_depend_on_the_block_size(monkeypatch):
+    rng = np.random.default_rng(23)
+    kde = kde_fit(rng.standard_normal((450, 1)))
+    pts = rng.standard_normal((4000, 1)) * 3.0
+    blocked = kde.log_density(pts)
+    monkeypatch.setattr(evidence, "KDE_BLOCK_ROWS", pts.shape[0])
+    whole = kde.log_density(pts)
+    assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_logsumexp_rows_matches_scipy_bits():
+    rng = np.random.default_rng(5)
+    for k in range(60):
+        a = rng.standard_normal((17, 40)) * [1.0, 30.0, 1e3][k % 3]
+        a[1, :7] = a[1, 0]                  # ties at the row maximum
+        a[2] = np.repeat(a[2, :8], 5)       # every value drawn five times
+        a[3] = -np.inf                      # a row that vanishes
+        a[4, 5] = np.inf                    # an infinite entry
+        a[5] = 1e308
+        a[5, 3] = -1e308                    # shifting it overflows to -inf
+        a[6, :3] = -np.inf
+        with warnings.catch_warnings(record=True) as ref_warned:
+            warnings.simplefilter("always")
+            ref = logsumexp(a, axis=1)
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            got = evidence.logsumexp_rows(a)
+        assert np.array_equal(bits(got), bits(ref))
+        assert ([str(w.message) for w in warned]
+                == [str(w.message) for w in ref_warned])
+
+
+def test_simpson_matches_scipy_bits():
+    rng = np.random.default_rng(9)
+    for n in range(3, 1026, 2):
+        uniform = np.linspace(-1.0, 2.0, n)
+        uneven = np.cumsum(rng.uniform(0.01, 1.0, n))
+        for x in (uniform, uneven):
+            y = np.exp(-x * x) + rng.standard_normal(n)
+            assert evidence.simpson(y, x).hex() == float(simpson(y, x=x)).hex()
+
+
+def test_simpson_rejects_even_or_short_grids():
+    for n in (0, 1, 2, 4, 128):
+        xs = np.linspace(0.0, 1.0, n)
+        with pytest.raises(ValueError):
+            evidence.simpson(np.ones(n), xs)
+    with pytest.raises(ValueError):
+        evidence.simpson(np.ones(5), np.linspace(0.0, 1.0, 7))
 
 
 def test_kde_truncation_thins_tails():

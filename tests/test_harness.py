@@ -86,7 +86,12 @@ def test_spec_validation():
                 {"regression": {"mask_h": [0.4, 0.2, 0.05]}},   # 0.05 not in h_grid
                 {"jeffreys_threshold": 0}, {"jeffreys_threshold": 1.5},
                 {"mcmc": {"adapt": "false"}}, {"mcmc": {"adapt": 0}},
-                {"observations_csv": 5}, {"observations_csv": ["obs.csv"]}):
+                {"observations_csv": 5}, {"observations_csv": ["obs.csv"]},
+                {"params": {"K": -5}}, {"params": {"K": "abc"}},
+                {"params": {"K": float("inf")}}, {"params": {"bogus": 1.0}},
+                {"params": {"K": True}},
+                {"model": "glucose", "params": {"d0": -1.0}},
+                {"model": "glucose", "params": {"Gb": float("nan")}}):
         with pytest.raises(ParseError):
             ExperimentSpec.from_dict({**base, **bad})
 

@@ -40,6 +40,9 @@ def test_logistic_params_validation():
         LogisticParams(lam=-1.0)
     with pytest.raises(ValueError):
         LogisticParams(K=0.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            LogisticParams(K=bad)
 
 
 @given(st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
@@ -83,6 +86,9 @@ def test_glucose_clamps_switch_at_basal():
 def test_glucose_params_validation():
     with pytest.raises(ValueError):
         GlucoseParams(theta2=0.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            GlucoseParams(Gb=bad)
     with pytest.raises(ValueError):
         make_glucose_system(GlucoseParams(), d0=-1.0)
     with pytest.raises(ValueError):
