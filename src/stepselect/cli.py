@@ -97,7 +97,8 @@ def main(argv=None) -> int:
     add_common(p_sweep)
     p_sweep.add_argument("--out", required=True, help="run directory")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel worker processes")
+                         help="parallel worker processes (at least 1; no "
+                              "more are started than the grid has steps)")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_ev = sub.add_parser("evidence", help="single-step evidence estimate")

@@ -36,7 +36,8 @@ from .bayes import (Dataset, GammaPrior, Prior, make_log_posterior,
 from .errors import ParseError, StepSelectError
 from .evidence import (GridSpec, evidence_from_chain, posterior_window,
                        quadrature_marginal)
-from .mcmc import ProposalConfig, load_chain_csv, mh_run, save_chain_csv
+from .mcmc import (ProposalConfig, effective_sample_size, load_chain_csv,
+                   mh_run, save_chain_csv)
 from .models import (GlucoseParams, LogisticParams, logistic_exact,
                      make_glucose_system, make_logistic_system)
 from .ode import METHOD_ORDERS, SolverConfig, check_grid
@@ -357,7 +358,10 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
     """One MCMC chain plus evidence estimate at h = spec.h_grid[k].
 
     The reported cpu_seconds is the sampler wall clock only: posterior
-    evaluations included, data generation and file writing excluded.
+    evaluations included, data generation and file writing excluded;
+    process_seconds is this process's CPU time over the same loop.  ess is
+    the chain's effective sample size and step_scale the proposal scale
+    adapted during burn-in.
     """
     h = float(spec.h_grid[k])
     config = SolverConfig(spec.solver, h)
@@ -378,7 +382,10 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
            "log_marginal": est.log_marginal, "se": est.mc_standard_error,
            "method": est.method, "solver": spec.solver,
            "cpu_seconds": chain.wall_clock_seconds,
-           "accept_rate": chain.accept_rate, "chain_csv": None}
+           "process_seconds": chain.process_seconds,
+           "accept_rate": chain.accept_rate,
+           "ess": effective_sample_size(chain),
+           "step_scale": float(chain.step_scales[0]), "chain_csv": None}
     if out_dir is not None:
         chain_name = f"chain_{k}.csv"
         save_chain_csv(chain, Path(out_dir) / chain_name)
@@ -398,18 +405,22 @@ def _sweep_worker(spec_dict: dict, k: int, out_dir: str, obs_csv: str) -> dict:
         return {"h": float(spec.h_grid[k]), "k": k, "seed": spec.chain_seed(k),
                 "status": f"failed: {reason}", "log_marginal": None, "se": None,
                 "method": None, "solver": spec.solver, "cpu_seconds": None,
-                "accept_rate": None, "chain_csv": None}
+                "process_seconds": None, "accept_rate": None, "ess": None,
+                "step_scale": None, "chain_csv": None}
 
 
 def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1,
               dataset: Optional[Dataset] = None) -> dict:
     """Run the whole step-size sweep and leave a run directory behind.
 
-    Steps run independently (parallel when jobs > 1) against the same saved
-    observation file; a step that fails (misaligned grid, divergent solve)
-    is recorded and skipped, never fatal.  Returns the run record, also
-    written to ``record.json``.
+    Steps run independently (in min(jobs, steps) worker processes when
+    that is more than one) against the same saved observation file; a step
+    that fails (misaligned grid, divergent solve) is recorded and skipped,
+    never fatal.  Returns the run record, also written to ``record.json``.
+    StepSelectError, before anything is written, when jobs is below 1.
     """
+    if jobs < 1:
+        raise StepSelectError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if dataset is None:
@@ -420,10 +431,11 @@ def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1,
     dataset = load_observations(obs_csv, sigma=spec.sigma)
 
     ks = list(range(len(spec.h_grid)))
-    if jobs > 1:
+    workers = min(jobs, len(ks))   # a pool starts all of its workers at once
+    if workers > 1:
         # finest step first: its chain costs the most, so queued last it
         # would run alone after the others and set the makespan
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {k: pool.submit(_sweep_worker, spec.to_dict(), k,
                                       str(out_dir), str(obs_csv))
                        for k in sorted(ks, key=lambda k: spec.h_grid[k])}
@@ -551,9 +563,13 @@ def report(out_dir) -> dict:
                      f"fit mask h={curve['mask_h']})")
     for s, r in zip(steps, ok):
         bf_s = "" if s["bf"] is None else f"  BF={s['bf']:.6f}"
+        # records written before these fields existed still render
+        chain_s = "" if r.get("ess") is None else (
+            f" process={r['process_seconds']:.2f}s ess={r['ess']:.0f} "
+            f"scale={r['step_scale']:.4g}")
         lines.append(f"h={s['h']:<8g} log P = {s['log_marginal']:.6f} "
                      f"+- {s['se']:.4f}{bf_s}  cpu={s['cpu_seconds']:.2f}s "
-                     f"accept={r['accept_rate']:.3f}")
+                     f"accept={r['accept_rate']:.3f}{chain_s}")
     failed = [r for r in record["runs"] if r["status"] != "ok"]
     for r in failed:
         lines.append(f"h={r['h']:<8g} {r['status']}")

@@ -55,6 +55,7 @@ class Chain:
     wall_clock_seconds: float
     seed: int
     step_scales: np.ndarray = field(default=None)  # scales in force after burn-in
+    process_seconds: float = 0.0   # CPU time of this process over the loop
 
     @property
     def n_draws(self) -> int:
@@ -105,7 +106,7 @@ def mh_run(log_posterior: Callable, init, proposal: ProposalConfig,
     window_count = 0
     n_windows = 0
 
-    t_start = time.perf_counter()
+    t_start, cpu_start = time.perf_counter(), time.process_time()
     for i in range(n_iter):
         prop = x + scales * noise[i]
         lp_prop = float(log_posterior(prop))
@@ -135,13 +136,15 @@ def mh_run(log_posterior: Callable, init, proposal: ProposalConfig,
             if accepted:
                 n_accept_kept += 1
     wall = time.perf_counter() - t_start
+    cpu = time.process_time() - cpu_start
 
     accept_rate = n_accept_kept / kept
     if accept_rate < 0.01:
         warnings.warn(f"post burn-in acceptance rate {accept_rate:.4f} < 1%; "
                       "the chain is stuck", StuckChainWarning)
     return Chain(draws=draws, energies=energies, accept_rate=accept_rate,
-                 wall_clock_seconds=wall, seed=int(seed), step_scales=scales)
+                 wall_clock_seconds=wall, seed=int(seed), step_scales=scales,
+                 process_seconds=cpu)
 
 
 def effective_sample_size(chain, coordinate: int = 0) -> float:

@@ -178,7 +178,12 @@ def test_c6_recommendation_speedup_and_indistinguishability(sweep_s1,
     runs = {r["h"]: r for r in record["runs"] if r["status"] == "ok"}
     log_a = record["curve"]["log_fitted_a"]
     assert abs(runs[h_rec]["log_marginal"] - log_a) <= JEFFREYS
-    assert rec["speedup"] >= 5.0, rec["speedup"]
+    # wall and process time of both chains: a chain whose wall time runs
+    # well past its process time shared a busy host
+    chains = {h: "cpu={:.2f}s process={:.2f}s".format(
+        runs[h]["cpu_seconds"], runs[h]["process_seconds"])
+        for h in (min(ACCEPT_GRID), h_rec)}
+    assert rec["speedup"] >= 5.0, (rec["speedup"], chains)
 
     spec = logistic_spec(1.0)
     ds = load_observations(out / "observations.csv", sigma=1.0)
@@ -203,8 +208,8 @@ def test_c6_recommendation_speedup_and_indistinguishability(sweep_s1,
     else:
         assert rec_e["recommended_h"] in (None, min(ACCEPT_GRID))
         euler_note = f"euler: recommended_h={rec_e['recommended_h']}"
-    _note("c6", f"h_rec={h_rec} speedup={rec['speedup']:.2f}x tv={tv:.5f}; "
-                + euler_note)
+    _note("c6", f"h_rec={h_rec} speedup={rec['speedup']:.2f}x {chains} "
+                f"tv={tv:.5f}; " + euler_note)
 
 
 def test_c7_noisier_data_admits_equal_or_coarser_step(sweep_s1, sweep_s30):

@@ -13,6 +13,7 @@ from stepselect import (Dataset, GammaPrior, LogisticParams, ParamVector,
                         log_posterior_unnorm, log_prior,
                         make_log_posterior, make_logistic_exact_forward,
                         make_logistic_system, make_solver_forward)
+from stepselect import bayes, evidence
 from stepselect.bayes import LOG_2PI
 from stepselect.errors import GridMismatch, NonFiniteState, NonMonotoneTimes
 from stepselect.models import logistic_exact
@@ -204,3 +205,68 @@ def test_make_log_posterior_is_deterministic():
     with pytest.raises(ValueError):
         make_log_posterior(Dataset(times=times, values=ds.values), prior,
                            forward)
+
+
+# ---------------------------------------------------------------------------
+# trace points: the benchmark counts solves by wrapping
+# bayes.integrate_states and posterior evaluations by wrapping
+# bayes.log_posterior_unnorm, so every caller must reach them by those names
+# ---------------------------------------------------------------------------
+
+def counting(monkeypatch, name):
+    """Replace ``bayes.<name>`` by a wrapper that records its arguments."""
+    calls = []
+    real = getattr(bayes, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(bayes, name, wrapper)
+    return calls
+
+
+def logistic_case():
+    params = LogisticParams()
+    times = np.linspace(0.0, 10.0, 26)
+    ds = Dataset(times=times, values=logistic_exact(times, params),
+                 sigma_fixed=1.0)
+    forward = make_solver_forward(make_logistic_system(params),
+                                  SolverConfig("rk4", 0.1), times)
+    return ds, Prior((GammaPrior(2.0, 2.0),)), forward
+
+
+def test_one_log_posterior_evaluation_is_one_traced_call(monkeypatch):
+    ds, prior, forward = logistic_case()
+    calls = counting(monkeypatch, "log_posterior_unnorm")
+    make_log_posterior(ds, prior, forward)(1.1)
+    assert len(calls) == 1
+
+
+def test_one_forward_call_is_one_traced_solve(monkeypatch):
+    system = make_logistic_system(LogisticParams())
+    config = SolverConfig("rk4", 0.1)
+    forward = make_solver_forward(system, config, np.linspace(0.0, 10.0, 26))
+    calls = counting(monkeypatch, "integrate_states")
+    theta = np.array([1.1])
+    forward(theta)
+    assert len(calls) == 1
+    (args, kwargs), = calls
+    assert kwargs == {} and len(args) == 6
+    assert args[0] is system and args[1] is theta and args[2] is config
+    assert args[3] == 0.0 and args[4] == 100
+    assert args[5] == tuple(range(0, 101, 4))
+
+
+def test_quadrature_oracles_evaluate_through_the_traced_posterior(monkeypatch):
+    ds, prior, forward = logistic_case()
+    solves = [0]
+
+    def counted(theta):
+        solves[0] += 1
+        return forward(theta)
+    calls = counting(monkeypatch, "log_posterior_unnorm")
+    window = evidence.posterior_window(ds, prior, counted)
+    assert len(calls) == solves[0] > 0
+    evidence.quadrature_marginal(ds, prior, counted,
+                                 evidence.GridSpec(bounds=(window,)))
+    assert len(calls) == solves[0] > evidence.GRID_POINTS

@@ -111,6 +111,15 @@ def test_bad_spec_exits_one_without_run_dir(tmp_path, capsys):
     assert not run_dir.exists()
 
 
+def test_sweep_rejects_jobs_below_one(tmp_path, capsys):
+    spec = write_spec(tmp_path)
+    run_dir = tmp_path / "run"
+    assert main(["sweep", "--spec", spec, "--out", str(run_dir),
+                 "--jobs", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error: jobs must be at least 1")
+    assert not run_dir.exists()
+
+
 def test_report_without_run_record_exits_one(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -334,10 +334,39 @@ def counted(forward):
     return fwd, calls
 
 
+def test_quadrature_stops_on_the_first_grid_when_nested_grids_agree():
+    # a window of theta_hat +- 10 sd: the 65-point and 129-point estimates
+    # on the first grid already agree, so no doubling is paid for
+    ds, prior, fwd = linear_problem(0.1)
+    c = LINEAR_C
+    theta_hat = float(c @ ds.values) / float(c @ c)
+    sd = 0.1 / math.sqrt(float(c @ c))
+    lo, hi = theta_hat - 10.0 * sd, theta_hat + 10.0 * sd
+    fwd, calls = counted(fwd)
+    est = quadrature_marginal(ds, prior, fwd, GridSpec(bounds=((lo, hi),)))
+    assert calls[0] == 129
+
+    xs = np.linspace(lo, hi, 1025)
+    logv = np.array([log_posterior_unnorm(ds, prior, ParamVector(np.array([x]), 0.1),
+                                          fwd) for x in xs])
+    ref = logv.max() + math.log(simpson(np.exp(logv - logv.max()), x=xs))
+    assert est.log_marginal == pytest.approx(ref, abs=1e-10)
+
+
 def test_quadrature_bits_and_evaluations_pinned():
     # pinned bits and forward calls: any change to the grid points, their
-    # evaluation or the doubling that stops the refinement shows here
+    # evaluation or the doubling that stops the refinement shows here.
+    # Over (1e-6, 6) the first grid's nested 65-point estimate misses by
+    # more than the tolerance, so the grid doubles once: 257 calls
     ds, prior, fwd = linear_problem()
+    xs = np.linspace(1e-6, 6.0, 129)
+    logv = np.array([log_posterior_unnorm(ds, prior, ParamVector(np.array([x]), 0.4),
+                                          fwd) for x in xs])
+    shift = logv.max()
+    s65 = math.log(simpson(np.exp(logv[::2] - shift), x=xs[::2]))
+    s129 = math.log(simpson(np.exp(logv - shift), x=xs))
+    assert abs(s129 - s65) > 1e-6
+
     fwd, calls = counted(fwd)
     est = quadrature_marginal(ds, prior, fwd, GridSpec(bounds=((1e-6, 6.0),)))
     assert est.log_marginal.hex() == "-0x1.0d9225cbb1f54p+1"
@@ -350,9 +379,9 @@ def test_quadrature_bounds_too_tight():
         quadrature_marginal(ds, prior, fwd, GridSpec(bounds=((0.8, 1.4),)))
 
 
-@pytest.mark.parametrize("sigma", [1e-7, 1e-5, 1e-3, 0.1, 0.4])
+@pytest.mark.parametrize("sigma", [1e-9, 1e-7, 1e-5, 1e-3, 0.1, 0.4])
 def test_bracket_bounds_finds_the_peak(sigma):
-    # posterior widths from 2.7e-8 to 0.11: the bracketed window must hold
+    # posterior widths from 2.7e-10 to 0.11: the bracketed window must hold
     # all of the mass that theta_hat +- 10 posterior sd holds
     ds, prior, fwd = linear_problem(sigma)
     calls = [0]
@@ -371,14 +400,14 @@ def test_bracket_bounds_finds_the_peak(sigma):
         ds, prior, fwd, GridSpec(bounds=((theta_hat - 10.0 * sd,
                                           theta_hat + 10.0 * sd),)))
     bracketed = quadrature_marginal(ds, prior, fwd, GridSpec(bounds=((lo, hi),)))
-    # log Z reaches -2.1e12 at sigma = 1e-7, hence the relative term
+    # log Z reaches -2.1e16 at sigma = 1e-9, hence the relative term
     assert bracketed.log_marginal == pytest.approx(direct.log_marginal,
                                                    rel=1e-12, abs=1e-8)
     if sigma == 0.4:
-        # pinned window and scan cost: two 65-point scans
+        # pinned window and scan cost: two 33-point scans
         assert (lo.hex(), hi.hex()) == ("0x1.5798ee2308c3ap-27",
-                                        "0x1.876800142957bp+1")
-        assert calls[0] == 130
+                                        "0x1.89c0001427545p+1")
+        assert calls[0] == 66
 
 
 def test_bracket_bounds_all_minus_inf():

@@ -9,7 +9,7 @@ import pytest
 
 from stepselect import Dataset, harness
 from stepselect.bayes import make_log_posterior, make_solver_forward
-from stepselect.errors import ParseError
+from stepselect.errors import ParseError, StepSelectError
 from stepselect.harness import (ExperimentSpec, McmcSettings,
                                 RegressionSettings, TimesSpec,
                                 build_system, generate_synthetic,
@@ -201,7 +201,9 @@ def test_run_single_record_and_energy_replay(tmp_path):
     assert rec["seed"] == spec.chain_seed(2)
     assert rec["status"] == "ok" and rec["method"] == "gelfand_dey_kde"
     assert np.isfinite(rec["log_marginal"]) and rec["se"] > 0.0
-    assert rec["cpu_seconds"] > 0.0
+    assert rec["cpu_seconds"] > 0.0 and rec["process_seconds"] > 0.0
+    assert 0.0 < rec["ess"] <= 320
+    assert rec["step_scale"] > 0.0 and rec["step_scale"] != 0.02  # adapted
 
     # the stored energies (negated log posterior) must replay exactly
     # through a rebuilt posterior
@@ -222,9 +224,10 @@ def test_run_sweep_serial_and_parallel_agree(tmp_path):
                  "chain_2.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes()
+    timed = ("cpu_seconds", "process_seconds")
     for ra, rb in zip(rec_a["runs"], rec_b["runs"]):
-        assert (ra["h"], ra["seed"], ra["log_marginal"], ra["se"]) == \
-               (rb["h"], rb["seed"], rb["log_marginal"], rb["se"])
+        assert {k: v for k, v in ra.items() if k not in timed} == \
+               {k: v for k, v in rb.items() if k not in timed}
     assert rec_a["curve"] == rec_b["curve"]
 
     def untimed_steps(rec):
@@ -242,11 +245,11 @@ def test_run_sweep_serial_and_parallel_agree(tmp_path):
 def test_run_sweep_submits_finest_step_first(tmp_path, monkeypatch):
     # the finest chain costs the most, so the pool gets it first; the
     # record still lists the steps in h_grid order
-    submitted = []
+    submitted, pools = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
-            pass
+            pools.append(max_workers)
 
         def __enter__(self):
             return self
@@ -262,10 +265,25 @@ def test_run_sweep_submits_finest_step_first(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
 
     rec = run_sweep(small_spec(h_grid=(0.2, 0.4, 0.1)), tmp_path, jobs=2)
-    assert submitted == [2, 0, 1]
+    assert submitted == [2, 0, 1] and pools == [2]
     assert [(r["k"], r["h"]) for r in rec["runs"]] == [(0, 0.2), (1, 0.4),
                                                         (2, 0.1)]
     assert all(r["status"] == "ok" for r in rec["runs"])
+
+    # a pool starts all of its workers on the first submit, so it gets no
+    # more than the grid has steps; one step runs in this process
+    submitted.clear()
+    run_sweep(small_spec(h_grid=(0.2, 0.4, 0.1)), tmp_path / "wide", jobs=64)
+    assert submitted == [2, 0, 1] and pools == [2, 3]
+    run_sweep(small_spec(h_grid=(0.2,)), tmp_path / "one", jobs=64)
+    assert pools == [2, 3]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_sweep_rejects_jobs_below_one(tmp_path, jobs):
+    with pytest.raises(StepSelectError, match="jobs must be at least 1"):
+        run_sweep(small_spec(), tmp_path / "run", jobs=jobs)
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_sweep_records_failed_step(tmp_path):
@@ -376,4 +394,16 @@ def test_report_files(tmp_path):
         assert line == "%.17g,%.17g,%.17g,%.17g,%d" % (
             s["h"], s["log_marginal"], s["se"], s["bf"], s["flag"])
         assert s["cpu_seconds"] > 0.0
-    assert "recommended step" in (tmp_path / "summary.txt").read_text()
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "recommended step" in summary
+    for r in record["runs"]:
+        assert (f"process={r['process_seconds']:.2f}s ess={r['ess']:.0f} "
+                f"scale={r['step_scale']:.4g}") in summary
+
+    # a record written before process_seconds, ess and step_scale still renders
+    for r in record["runs"]:
+        del r["process_seconds"], r["ess"], r["step_scale"]
+    (tmp_path / "record.json").write_text(json.dumps(record))
+    report(tmp_path)
+    summary = (tmp_path / "summary.txt").read_text()
+    assert "recommended step" in summary and " ess=" not in summary
