@@ -30,9 +30,9 @@ from .mcmc import (Chain, ProposalConfig, effective_sample_size,
                    load_chain_csv, mh_run, save_chain_csv)
 from .models import (GlucoseParams, LogisticParams, OdeSystem, logistic_exact,
                      make_glucose_system, make_logistic_system)
-from .ode import (METHOD_ORDERS, SolverConfig, Trajectory, check_grid,
-                  divides, estimate_order, integrate, integrate_states)
-from .stepfit import (BfReport, EvidenceCurve, build_report, fit_curve,
+from .ode import (METHOD_ORDERS, SolverConfig, check_grid, divides,
+                  estimate_order, integrate_states)
+from .stepfit import (EvidenceCurve, build_report, fit_curve,
                       posterior_discrepancy)
 
 __version__ = "0.1.0"

@@ -70,8 +70,8 @@ class GammaPrior:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0.0 and self.rate > 0.0):
-            raise ValueError("shape and rate must be positive")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.rate < math.inf):
+            raise ValueError("shape and rate must be finite and positive")
 
     @property
     def mean(self) -> float:

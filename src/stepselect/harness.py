@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,7 +41,7 @@ from .mcmc import (ProposalConfig, effective_sample_size, load_chain_csv,
                    mh_run, save_chain_csv)
 from .models import (GlucoseParams, LogisticParams, logistic_exact,
                      make_glucose_system, make_logistic_system)
-from .ode import METHOD_ORDERS, SolverConfig, check_grid
+from .ode import METHOD_ORDERS, SolverConfig
 from .stepfit import build_report, fit_curve
 
 MODELS = ("logistic", "glucose")
@@ -49,6 +50,11 @@ LOGISTIC_DEFAULTS = {"lam": 1.0, "K": 1000.0, "X0": 100.0}
 GLUCOSE_DEFAULTS = {"theta0": 10.0, "theta1": 26.6, "theta2": 0.2,
                     "a": 1.0, "b": 2.0, "Gb": 80.0, "d0": 90.0, "D0": 200.0}
 PARAM_DEFAULTS = {"logistic": LOGISTIC_DEFAULTS, "glucose": GLUCOSE_DEFAULTS}
+
+# the keys of every run in record.json, ok or failed, in this order
+RUN_FIELDS = ("h", "k", "seed", "status", "log_marginal", "se", "method",
+              "solver", "cpu_seconds", "process_seconds", "accept_rate", "ess",
+              "step_scale", "chain_csv", "warnings")
 
 
 @dataclass
@@ -94,6 +100,13 @@ def _read_json(path):
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _check_number(name: str, value) -> None:
+    """Reject anything but a finite int or float (bool and str included)."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class ExperimentSpec:
     model: str = "logistic"
@@ -120,7 +133,8 @@ class ExperimentSpec:
         self.params = merged
         try:
             self._validate()
-        except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        except (ValueError, TypeError, KeyError, AttributeError,
+                OverflowError) as exc:
             raise ParseError(f"bad experiment spec: {exc}") from exc
 
     def model_params(self):
@@ -137,17 +151,20 @@ class ExperimentSpec:
         for name, value in self.params.items():
             if name not in PARAM_DEFAULTS[self.model]:
                 raise ValueError(f"unknown {self.model} parameter {name!r}")
-            if isinstance(value, bool) or not (
-                    isinstance(value, (int, float)) and math.isfinite(value)):
-                raise ValueError(f"params.{name} must be a finite number, "
-                                 f"got {value!r}")
+            _check_number(f"params.{name}", value)
+        for name, value in self.prior.items():
+            if name not in ("shape", "rate"):
+                raise ValueError(f"unknown prior key {name!r}")
+            _check_number(f"prior.{name}", value)
+        _check_number("sigma", self.sigma)
+        _check_number("mcmc.step_scale", self.mcmc.step_scale)
         constants = self.model_params()
         if self.model == "glucose":
             make_glucose_system(constants, d0=self.params["d0"],
                                 D0=self.params["D0"])
         for h in self.h_grid:
             SolverConfig(self.solver, h)
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+        if not self.sigma > 0.0:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         prior = self.build_prior()
         self.build_proposal()
@@ -361,11 +378,10 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
     evaluations included, data generation and file writing excluded;
     process_seconds is this process's CPU time over the same loop.  ess is
     the chain's effective sample size and step_scale the proposal scale
-    adapted during burn-in.
+    adapted during burn-in.  The record holds every RUN_FIELDS key;
+    ``warnings`` stays None here and the sweep fills it.
     """
-    h = float(spec.h_grid[k])
-    config = SolverConfig(spec.solver, h)
-    check_grid(h, dataset.times)
+    config = SolverConfig(spec.solver, float(spec.h_grid[k]))
     system = build_system(spec, dataset)
     forward = make_solver_forward(system, config, dataset.times)
     logpost = make_log_posterior(dataset, spec.build_prior(), forward)
@@ -378,14 +394,13 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
                               shrink=spec.evidence.shrink, seed=seed,
                               trunc_pct=(spec.evidence.trunc_lo,
                                          spec.evidence.trunc_hi))
-    run = {"h": h, "k": k, "seed": seed, "status": "ok",
-           "log_marginal": est.log_marginal, "se": est.mc_standard_error,
-           "method": est.method, "solver": spec.solver,
-           "cpu_seconds": chain.wall_clock_seconds,
-           "process_seconds": chain.process_seconds,
-           "accept_rate": chain.accept_rate,
-           "ess": effective_sample_size(chain),
-           "step_scale": float(chain.step_scales[0]), "chain_csv": None}
+    run = _run_record(spec, k, "ok", log_marginal=est.log_marginal,
+                      se=est.mc_standard_error, method=est.method,
+                      cpu_seconds=chain.wall_clock_seconds,
+                      process_seconds=chain.process_seconds,
+                      accept_rate=chain.accept_rate,
+                      ess=effective_sample_size(chain),
+                      step_scale=float(chain.step_scales[0]))
     if out_dir is not None:
         chain_name = f"chain_{k}.csv"
         save_chain_csv(chain, Path(out_dir) / chain_name)
@@ -393,20 +408,33 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
     return run
 
 
+def _run_record(spec: ExperimentSpec, k: int, status: str, **fields) -> dict:
+    """A run of step k with every RUN_FIELDS key; None where ``fields``
+    gives no value."""
+    run = dict.fromkeys(RUN_FIELDS)
+    run.update(h=float(spec.h_grid[k]), k=k, seed=spec.chain_seed(k),
+               status=status, solver=spec.solver, **fields)
+    return run
+
+
 def _sweep_worker(spec_dict: dict, k: int, out_dir: str, obs_csv: str) -> dict:
-    """One step of a sweep; any exception from its run becomes a failed run."""
+    """One step of a sweep; any exception from its run becomes a failed run.
+
+    Every warning the step raises is recorded in the run's ``warnings`` as
+    "Category: message", in this process or in a pool worker alike.
+    """
     spec = ExperimentSpec.from_dict(spec_dict)
     dataset = load_observations(obs_csv, sigma=spec.sigma)
-    try:
-        return run_single(spec, dataset, k, Path(out_dir))
-    except Exception as exc:
-        reason = str(exc) if isinstance(exc, StepSelectError) \
-            else f"{type(exc).__name__}: {exc}"
-        return {"h": float(spec.h_grid[k]), "k": k, "seed": spec.chain_seed(k),
-                "status": f"failed: {reason}", "log_marginal": None, "se": None,
-                "method": None, "solver": spec.solver, "cpu_seconds": None,
-                "process_seconds": None, "accept_rate": None, "ess": None,
-                "step_scale": None, "chain_csv": None}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            run = run_single(spec, dataset, k, Path(out_dir))
+        except Exception as exc:
+            reason = str(exc) if isinstance(exc, StepSelectError) \
+                else f"{type(exc).__name__}: {exc}"
+            run = _run_record(spec, k, f"failed: {reason}")
+    run["warnings"] = [f"{w.category.__name__}: {w.message}" for w in caught]
+    return run
 
 
 def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1,
@@ -461,7 +489,7 @@ def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1,
         }
         record["recommendation"] = build_report(
             curve, [r["cpu_seconds"] for r in ok],
-            threshold=spec.jeffreys_threshold).as_dict()
+            threshold=spec.jeffreys_threshold)
     except StepSelectError as exc:
         record["curve_error"] = str(exc)
 
@@ -570,9 +598,11 @@ def report(out_dir) -> dict:
         lines.append(f"h={s['h']:<8g} log P = {s['log_marginal']:.6f} "
                      f"+- {s['se']:.4f}{bf_s}  cpu={s['cpu_seconds']:.2f}s "
                      f"accept={r['accept_rate']:.3f}{chain_s}")
+        lines.extend(f"  warning: {w}" for w in r.get("warnings") or ())
     failed = [r for r in record["runs"] if r["status"] != "ok"]
     for r in failed:
         lines.append(f"h={r['h']:<8g} {r['status']}")
+        lines.extend(f"  warning: {w}" for w in r.get("warnings") or ())
     if "curve_error" in record:
         lines.append(f"no evidence curve: {record['curve_error']}")
     if rec is not None and rec["recommended_h"] is not None:

@@ -37,8 +37,8 @@ class ProposalConfig:
 
     def __post_init__(self):
         self.step_scales = np.atleast_1d(np.asarray(self.step_scales, dtype=float))
-        if not np.all(self.step_scales > 0.0):
-            raise ValueError("step scales must be positive")
+        if not all(0.0 < v < math.inf for v in self.step_scales):
+            raise ValueError("step scales must be finite and positive")
         if not 0.0 < self.target_accept < 1.0:
             raise ValueError("target_accept must be in (0, 1)")
         if self.adapt_window < 1:

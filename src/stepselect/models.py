@@ -22,7 +22,6 @@ class OdeSystem:
     Attributes
     ----------
     dim_p : state dimension.
-    dim_d : number of inferred parameters (length of theta).
     rhs : callable (x, t, theta) -> dx/dt, with theta a tuple of floats.  For
         dim_p == 1 the state x and the result are floats; otherwise both are
         tuples of dim_p floats.
@@ -33,7 +32,6 @@ class OdeSystem:
     """
 
     dim_p: int
-    dim_d: int
     rhs: Callable
     obs: Callable
     x0: np.ndarray
@@ -74,7 +72,7 @@ def make_logistic_system(params: LogisticParams) -> OdeSystem:
     def rhs(x, t, theta):
         return theta[0] * x * (1.0 - x / K)
 
-    return OdeSystem(dim_p=1, dim_d=1, rhs=rhs, obs=lambda s: s[..., 0],
+    return OdeSystem(dim_p=1, rhs=rhs, obs=lambda s: s[..., 0],
                      x0=np.array([params.X0]))
 
 
@@ -133,5 +131,5 @@ def make_glucose_system(params: GlucoseParams, d0: float,
                 theta1 * (-over if over < 0.0 else 0.0) - l / b,
                 -d / theta2)
 
-    return OdeSystem(dim_p=4, dim_d=1, rhs=rhs, obs=lambda s: s[..., 0],
+    return OdeSystem(dim_p=4, rhs=rhs, obs=lambda s: s[..., 0],
                      x0=np.array([d0, 0.0, 0.0, float(D0)]))

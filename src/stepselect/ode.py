@@ -41,22 +41,6 @@ class SolverConfig:
         if not (self.h > 0.0 and math.isfinite(self.h)):
             raise ValueError(f"step size must be finite and positive, got {self.h}")
 
-    @property
-    def order_p(self) -> int:
-        return METHOD_ORDERS[self.method]
-
-
-@dataclass
-class Trajectory:
-    """Solution values on a uniform time grid."""
-
-    grid: np.ndarray    # (n_nodes,)
-    states: np.ndarray  # (n_nodes, dim_p)
-
-    @property
-    def h(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
 
 def divides(h: float, span: float, rtol: float = GRID_RTOL) -> bool:
     """True if span is an integer (>= 1) multiple of h up to rtol."""
@@ -80,24 +64,15 @@ def check_grid(h: float, times) -> None:
                 f"t={times[i]:.12g} and t={times[i + 1]:.12g}")
 
 
-def _n_steps(t0: float, t_end: float, h: float) -> int:
-    span = t_end - t0
-    if span == 0.0:
-        return 0
-    if not divides(h, span):
-        raise GridMismatch(f"h={h:.12g} does not divide [{t0:.12g}, {t_end:.12g}]")
-    return round(span / h)
-
-
 def integrate_states(system, theta, config: SolverConfig, t0: float,
-                     n_steps: int, nodes=None) -> np.ndarray:
+                     n_steps: int, nodes) -> np.ndarray:
     """States of an ``n_steps``-step solve from t0 at the step indices ``nodes``.
 
     ``nodes`` are non-decreasing step indices that end at ``n_steps``; row j
     of the result is the state after ``nodes[j]`` steps (a repeated index
-    gives a repeated row).  Left out, every node 0..n_steps is returned.
-    Samplers hit this once per posterior evaluation, so they precompute
-    ``n_steps`` and their observation node indices and call it directly.
+    gives a repeated row).  Samplers hit this once per posterior evaluation,
+    so they precompute ``n_steps`` and their observation node indices and
+    call it directly.
 
     The solve keeps only the states at the nodes and checks none of the
     others.  Every step adds an increment to the state, so a NaN or infinity
@@ -106,8 +81,6 @@ def integrate_states(system, theta, config: SolverConfig, t0: float,
     by step to raise NonFiniteState at the first non-finite step, exactly as
     a per-step check would.
     """
-    if nodes is None:
-        nodes = range(n_steps + 1)
     if not len(nodes) or nodes[-1] != n_steps:
         raise ValueError(f"nodes must end at n_steps={n_steps}")
     theta_f = tuple(np.asarray(theta, dtype=float).ravel().tolist())
@@ -129,30 +102,6 @@ def integrate_states(system, theta, config: SolverConfig, t0: float,
         raise ValueError(f"nodes must be non-decreasing step indices in "
                          f"[0, {n_steps}]; {m} was never reached")
     return np.array(out).reshape(len(out), system.dim_p)
-
-
-def integrate(system, theta, config: SolverConfig, t0: float, t_end: float) -> Trajectory:
-    """Integrate ``system`` from t0 to t_end on the uniform grid of ``config``.
-
-    Parameters
-    ----------
-    system : object with ``rhs(x, t, theta)``, ``dim_p`` and ``x0`` attributes.
-        For ``dim_p == 1`` the right-hand side takes and returns a float;
-        otherwise it takes and returns a tuple of ``dim_p`` floats.
-    theta : parameter vector, handed to the right-hand side as a tuple of
-        floats.
-
-    Raises
-    ------
-    GridMismatch if h does not divide the interval, NonFiniteState when a
-    step produces a NaN or infinity (reported with the first such step's
-    time, step index and theta).
-    """
-    h = config.h
-    n_steps = _n_steps(t0, t_end, h)
-    states = integrate_states(system, theta, config, t0, n_steps)
-    grid = t0 + h * np.arange(n_steps + 1)
-    return Trajectory(grid=grid, states=states)
 
 
 def _all_finite(x) -> bool:
@@ -256,8 +205,9 @@ def estimate_order(system, theta, method: str, h_list, t0: float,
     with the error measured as the Euclidean norm of the state deviation
     from ``oracle(t_check)``.
 
-    Raises DegenerateFit when every error sits at floating-point noise
-    (below 1e-13): a slope fitted through noise means nothing.
+    Raises GridMismatch when an h does not divide [t0, t_check], and
+    DegenerateFit when every error sits at floating-point noise (below
+    1e-13): a slope fitted through noise means nothing.
     """
     h_list = [float(h) for h in h_list]
     if len(h_list) < 3:
@@ -265,7 +215,8 @@ def estimate_order(system, theta, method: str, h_list, t0: float,
     ref = np.asarray(oracle(t_check), dtype=float).ravel()
     errs = []
     for h in h_list:
-        n_steps = _n_steps(t0, t_check, h)
+        check_grid(h, (t0, t_check))
+        n_steps = round((t_check - t0) / h)
         final = integrate_states(system, theta, SolverConfig(method, h), t0,
                                  n_steps, nodes=(n_steps,))
         errs.append(float(np.linalg.norm(final[0] - ref)))

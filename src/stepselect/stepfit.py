@@ -126,37 +126,13 @@ def fit_curve(points: Sequence, p: int, mask_h: Optional[Sequence[float]] = None
                          rel_se_a=rel_se_a, by=-b_s / a_s, r2=r2)
 
 
-@dataclass
-class BfReport:
-    """Flat per-step table plus the recommendation, ready to serialize."""
-
-    h: np.ndarray
-    log_marginal: np.ndarray
-    se: np.ndarray
-    bf: np.ndarray
-    flag: np.ndarray
-    cpu_seconds: np.ndarray
-    recommended_h: Optional[float]
-    speedup: Optional[float]
-
-    def rows(self):
-        for i in range(self.h.size):
-            yield {"h": float(self.h[i]),
-                   "log_marginal": float(self.log_marginal[i]),
-                   "se": float(self.se[i]), "bf": float(self.bf[i]),
-                   "flag": bool(self.flag[i]),
-                   "cpu_seconds": float(self.cpu_seconds[i])}
-
-    def as_dict(self) -> dict:
-        return {"recommended_h": self.recommended_h, "speedup": self.speedup,
-                "steps": list(self.rows())}
-
-
 def build_report(curve: EvidenceCurve, cpu_seconds,
-                 threshold: float = DEFAULT_THRESHOLD) -> BfReport:
+                 threshold: float = DEFAULT_THRESHOLD) -> dict:
     """Per-step Bayes factors against the extrapolated exact marginal, their
-    Jeffreys flags, and the recommendation.
+    Jeffreys flags, and the recommendation, as a JSON-ready dict.
 
+    The dict holds ``recommended_h``, ``speedup`` and ``steps``: one row per
+    step with its h, log marginal, se, bf, flag and cpu_seconds.
     ``cpu_seconds`` aligns with ``curve.h`` (ascending).  The recommended
     step is the largest one inside the Jeffreys window; its speedup is
     cpu(h_min) / cpu(h_recommended), the time bought relative to the finest
@@ -174,10 +150,11 @@ def build_report(curve: EvidenceCurve, cpu_seconds,
         rec_h, speedup = float(curve.h[idx]), float(cpu[0] / cpu[idx])
     # math.exp, not np.exp: numpy's SIMD exp can differ from libm's in the
     # last bit, and curve.csv prints all 17 digits of the libm value
-    bf = np.array([math.exp(x) for x in log_bf])
-    return BfReport(h=curve.h, log_marginal=curve.log_marginal, se=curve.se,
-                    bf=bf, flag=flags, cpu_seconds=cpu, recommended_h=rec_h,
-                    speedup=speedup)
+    steps = [{"h": float(h), "log_marginal": float(lm), "se": float(se),
+              "bf": math.exp(x), "flag": bool(flag), "cpu_seconds": float(c)}
+             for h, lm, se, x, flag, c in zip(curve.h, curve.log_marginal,
+                                              curve.se, log_bf, flags, cpu)]
+    return {"recommended_h": rec_h, "speedup": speedup, "steps": steps}
 
 
 # ---------------------------------------------------------------------------

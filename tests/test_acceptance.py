@@ -24,7 +24,7 @@ from stepselect.harness import (_quadrature_exact, build_system, exact_forward,
                                 load_observations, report, run_sweep)
 from stepselect.models import (GlucoseParams, LogisticParams, logistic_exact,
                                make_glucose_system, make_logistic_system)
-from stepselect.ode import SolverConfig, estimate_order, integrate
+from stepselect.ode import SolverConfig, estimate_order, integrate_states
 
 BAND_16 = (16.0 / 1.5, 16.0 * 1.5)      # fourth-order halving ratio band
 BAND_2 = (2.0 / 1.5, 2.0 * 1.5)         # first-order band
@@ -240,10 +240,11 @@ def test_c9_glucose_decay_and_evidence_plateau(sweep_glucose):
     system = make_glucose_system(gp, d0=90.0, D0=200.0)
     errs = {}
     for h in (0.125, 0.0625, 0.03125):
-        traj = integrate(system, np.array([gp.theta0]),
-                         SolverConfig("rk4", h), 0.0, 2.0)
-        exact = 200.0 * np.exp(-traj.grid / gp.theta2)
-        errs[h] = float(np.max(np.abs(traj.states[:, 3] - exact)))
+        n = round(2.0 / h)
+        states = integrate_states(system, np.array([gp.theta0]),
+                                  SolverConfig("rk4", h), 0.0, n, range(n + 1))
+        exact = 200.0 * np.exp(-h * np.arange(n + 1) / gp.theta2)
+        errs[h] = float(np.max(np.abs(states[:, 3] - exact)))
     r_coarse = errs[0.125] / errs[0.0625]
     r_fine = errs[0.0625] / errs[0.03125]
     assert BAND_16[0] <= r_coarse <= BAND_16[1], r_coarse

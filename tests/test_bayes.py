@@ -63,8 +63,10 @@ def test_gamma_moments_and_support():
     assert g.sd == pytest.approx(math.sqrt(2.0) / 2.0)
     assert g.logpdf(0.0) == -math.inf
     assert g.logpdf(-1.0) == -math.inf
-    with pytest.raises(ValueError):
-        GammaPrior(0.0, 1.0)
+    for shape, rate in ((0.0, 1.0), (math.inf, 1.0), (2.0, math.inf),
+                        (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            GammaPrior(shape, rate)
 
 
 def test_gamma_mode_of_glucose_prior():

@@ -105,6 +105,15 @@ def test_bad_spec_exits_one_without_run_dir(tmp_path, capsys):
     assert main(["sweep", "--spec", spec, "--out", str(run_dir)]) == 1
     assert capsys.readouterr().err.startswith("error:")
     assert not run_dir.exists()
+    # JSON's Infinity: a stuck chain that still got a recommendation, and a
+    # traceback from the report
+    for bad in ({"mcmc": {"n_iter": 400, "step_scale": float("inf")}},
+                {"prior": {"shape": float("inf"), "rate": 2.0}}):
+        spec = write_spec(tmp_path, **bad)
+        assert "Infinity" in Path(spec).read_text()
+        assert main(["sweep", "--spec", spec, "--out", str(run_dir)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad experiment spec")
+        assert not run_dir.exists()
     missing = str(tmp_path / "missing.json")
     assert main(["sweep", "--spec", missing, "--out", str(run_dir)]) == 1
     assert capsys.readouterr().err.startswith("error:")

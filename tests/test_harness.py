@@ -68,9 +68,17 @@ def test_spec_validation():
     with pytest.raises(ParseError):
         ExperimentSpec.from_dict("abc")
     base = small_spec().to_dict()
-    for bad in ({"sigma": -1}, {"solver": "rk3"}, {"h_grid": [-0.2, 0.1]},
+    for bad in ({"sigma": -1}, {"sigma": True}, {"solver": "rk3"}, {"h_grid": [-0.2, 0.1]},
                 {"mcmc": {"step_scale": 0}}, {"evidence": {"shrink": 2}},
+                {"mcmc": {"step_scale": float("inf")}},
+                {"mcmc": {"step_scale": "0.1"}},
                 {"prior": {"shape": 2.0, "rate": -1}},
+                {"prior": {"shape": float("inf"), "rate": 2.0}},
+                {"prior": {"shape": 2.0, "rate": float("inf")}},
+                {"prior": {"shape": "2", "rate": 2.0}},
+                {"prior": {"shape": True, "rate": 2.0}},
+                {"prior": {"shape": 2.0, "rate": 2.0, "scale": 1.0}},
+                {"prior": {"shape": 2.0}}, {"prior": 5},
                 {"mcmc": {"n_iter": 30}},        # 24 draws left for the KDE
                 {"mcmc": {"n_iter": "abc"}},
                 {"mcmc": {"adapt_window": 2.5}},
@@ -400,10 +408,39 @@ def test_report_files(tmp_path):
         assert (f"process={r['process_seconds']:.2f}s ess={r['ess']:.0f} "
                 f"scale={r['step_scale']:.4g}") in summary
 
-    # a record written before process_seconds, ess and step_scale still renders
+    # a record written before process_seconds, ess, step_scale and warnings
+    # still renders
     for r in record["runs"]:
-        del r["process_seconds"], r["ess"], r["step_scale"]
+        del r["process_seconds"], r["ess"], r["step_scale"], r["warnings"]
     (tmp_path / "record.json").write_text(json.dumps(record))
     report(tmp_path)
     summary = (tmp_path / "summary.txt").read_text()
     assert "recommended step" in summary and " ess=" not in summary
+
+
+def test_run_sweep_records_each_steps_warnings(tmp_path):
+    # a proposal a thousand times wider than the posterior sticks every
+    # chain; each step records the warning, in this process or in a pool
+    # worker alike, and the summary shows it under the step's line
+    spec = small_spec(h_grid=(0.4, 0.3, 0.2),
+                      mcmc=McmcSettings(n_iter=600, step_scale=1e3,
+                                        adapt=False))
+    recs = [run_sweep(spec, tmp_path / f"jobs{jobs}", jobs=jobs)
+            for jobs in (1, 2)]
+    for rec in recs:
+        ok, failed, ok_too = rec["runs"]   # 0.3 misses the 0.4 gap
+        assert ok["status"] == ok_too["status"] == "ok"
+        assert failed["status"].startswith("failed:")
+        assert list(ok) == list(failed) == list(harness.RUN_FIELDS)
+        for run in (ok, ok_too):
+            assert any(w.startswith("StuckChainWarning: post burn-in "
+                                    "acceptance rate 0.0000")
+                       for w in run["warnings"])
+        assert failed["warnings"] == []
+    assert [r["warnings"] for r in recs[0]["runs"]] == \
+        [r["warnings"] for r in recs[1]["runs"]]
+
+    report(tmp_path / "jobs2")
+    lines = (tmp_path / "jobs2" / "summary.txt").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("h=0.2 "))
+    assert lines[at + 1].startswith("  warning: StuckChainWarning: ")

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and the
-package runs on numpy alone."""
+"""Every name a package module imports is used in that module, every private
+module-level name is used in the package, and the package runs on numpy
+alone."""
 
 import ast
 import os
@@ -11,8 +12,8 @@ import pytest
 
 import stepselect
 
-MODULES = sorted(p for p in Path(stepselect.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(stepselect.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def imported_names(tree):
@@ -31,6 +32,39 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def private_definitions(tree):
+    """Module-level functions, classes and assigned names that start with
+    a single underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from (n for n in names
+                    if n.startswith("_") and not n.startswith("__"))
+
+
+def test_no_dead_private_helpers():
+    # a private helper that only its own definition names is left over from
+    # a deletion; tests do not count as a use
+    defined, used = {}, set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for name in private_definitions(tree):
+            defined[name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    dead = sorted(f"{defined[n]}:{n}" for n in set(defined) - used)
+    assert not dead, f"private names nothing in the package uses: {dead}"
 
 
 RUN_WITHOUT_SCIPY = """

@@ -112,8 +112,9 @@ def test_stuck_chain_warns():
 
 
 def test_proposal_config_validation():
-    with pytest.raises(ValueError):
-        ProposalConfig(step_scales=np.array([-1.0]))
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ProposalConfig(step_scales=np.array([bad]))
     with pytest.raises(ValueError):
         ProposalConfig(step_scales=np.array([1.0]), target_accept=1.5)
     with pytest.raises(ValueError):

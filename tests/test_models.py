@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stepselect import (GlucoseParams, LogisticParams, SolverConfig, integrate,
-                        make_glucose_system, make_logistic_system)
+from stepselect import (GlucoseParams, LogisticParams, SolverConfig,
+                        integrate_states, make_glucose_system,
+                        make_logistic_system)
 from stepselect.models import logistic_exact
 
 
@@ -58,7 +59,7 @@ def test_logistic_system_rhs_uses_theta():
     system = make_logistic_system(LogisticParams(lam=1.0, K=1000.0, X0=100.0))
     # the system infers lam through theta, not through params.lam
     assert system.rhs(100.0, 0.0, (2.0,)) == pytest.approx(2.0 * 100.0 * 0.9)
-    assert system.dim_p == 1 and system.dim_d == 1
+    assert system.dim_p == 1
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +100,11 @@ def test_glucose_deposit_decays_exponentially():
     # dD = -D/theta2 decouples: D(t) = D0 exp(-t/theta2)
     p = GlucoseParams()
     system = make_glucose_system(p, d0=90.0, D0=200.0)
-    traj = integrate(system, np.array([10.0]), SolverConfig("rk4", 1.0 / 512),
-                     0.0, 2.0)
+    final = integrate_states(system, np.array([10.0]),
+                             SolverConfig("rk4", 1.0 / 512), 0.0, 1024, (1024,))
     t = 2.0
     exact = 200.0 * math.exp(-t / p.theta2)
-    assert abs(float(traj.states[-1, 3]) - exact) / exact < 1e-9
+    assert abs(float(final[0, 3]) - exact) / exact < 1e-9
 
 
 def test_glucose_observation_is_first_component():

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stepselect import (METHOD_ORDERS, GlucoseParams, LogisticParams,
-                        SolverConfig, Trajectory, check_grid, divides,
-                        estimate_order, integrate, integrate_states,
-                        make_glucose_system, make_logistic_system)
+                        SolverConfig, check_grid, divides, estimate_order,
+                        integrate_states, make_glucose_system,
+                        make_logistic_system)
 from stepselect.errors import DegenerateFit, GridMismatch, NonFiniteState
 from stepselect.models import OdeSystem, logistic_exact
 from stepselect.ode import _stepper
@@ -27,7 +27,7 @@ def exp_system() -> OdeSystem:
     def rhs(x, t, theta):
         return theta[0] * x
 
-    return OdeSystem(dim_p=1, dim_d=1, rhs=rhs, obs=lambda s: s[..., 0],
+    return OdeSystem(dim_p=1, rhs=rhs, obs=lambda s: s[..., 0],
                      x0=np.array([1.0]))
 
 
@@ -36,7 +36,7 @@ def rotation_system() -> OdeSystem:
     def rhs(x, t, theta):
         return (x[1], -x[0])
 
-    return OdeSystem(dim_p=2, dim_d=1, rhs=rhs, obs=lambda s: s[..., 0],
+    return OdeSystem(dim_p=2, rhs=rhs, obs=lambda s: s[..., 0],
                      x0=np.array([1.0, 0.0]))
 
 
@@ -44,9 +44,15 @@ def rotation_system() -> OdeSystem:
 # single-step oracles
 # ---------------------------------------------------------------------------
 
+def final_state(system, theta, method, h, t_end):
+    """The state after the solve from t=0 to t_end, as a list of floats."""
+    n_steps = round(t_end / h)
+    return integrate_states(system, np.asarray(theta), SolverConfig(method, h),
+                            0.0, n_steps, (n_steps,))[0].tolist()
+
+
 def one_step(system, method, h, theta=(1.0,)):
-    traj = integrate(system, np.asarray(theta), SolverConfig(method, h), 0.0, h)
-    return traj.states[-1].tolist()
+    return final_state(system, theta, method, h, h)
 
 
 def test_euler_single_step_exp():
@@ -103,18 +109,8 @@ def test_final_state_bits_pinned(model, method):
     else:
         system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
         theta, h, t_end = 9.3, 0.0625, 2.0
-    traj = integrate(system, np.array([theta]), SolverConfig(method, h),
-                     0.0, t_end)
-    assert [v.hex() for v in traj.states[-1].tolist()] \
+    assert [v.hex() for v in final_state(system, [theta], method, h, t_end)] \
         == PINNED_FINAL_STATES[model, method]
-
-
-def test_integrate_states_matches_integrate():
-    system = make_logistic_system(LogisticParams())
-    cfg = SolverConfig("rk4", 0.1)
-    traj = integrate(system, np.array([1.1]), cfg, 0.0, 3.0)
-    states = integrate_states(system, np.array([1.1]), cfg, 0.0, 30)
-    assert np.array_equal(traj.states, states)
 
 
 @pytest.mark.parametrize("method", sorted(METHOD_ORDERS))
@@ -130,7 +126,8 @@ def test_integrate_states_at_nodes_matches_every_node_solve(model, method):
         theta, h, n_steps = 9.3, 0.0625, 32
         nodes = [0, 0, 5, 6, 6, 7, 31, 32]
     cfg = SolverConfig(method, h)
-    every = integrate_states(system, np.array([theta]), cfg, 0.0, n_steps)
+    every = integrate_states(system, np.array([theta]), cfg, 0.0, n_steps,
+                             range(n_steps + 1))
     picked = integrate_states(system, np.array([theta]), cfg, 0.0, n_steps,
                               nodes)
     assert picked.shape == (len(nodes), system.dim_p)
@@ -251,16 +248,11 @@ def test_check_grid_rejects_misaligned_step():
         check_grid(0.3, times)
 
 
-def test_trajectory_h_property():
-    traj = Trajectory(grid=np.array([0.0, 0.5, 1.0]),
-                      states=np.zeros((3, 1)))
-    assert traj.h == 0.5
-
-
 def test_mismatched_interval_raises():
+    # 0.3 does not divide [0, 1]
     with pytest.raises(GridMismatch):
-        integrate(exp_system(), np.array([1.0]), SolverConfig("euler", 0.3),
-                  0.0, 1.0)
+        estimate_order(exp_system(), np.array([1.0]), "euler",
+                       (0.3, 0.1, 0.05), 0.0, 1.0, oracle=np.exp)
 
 
 def test_solver_config_validation():
@@ -268,7 +260,6 @@ def test_solver_config_validation():
         SolverConfig("rk3", 0.1)
     with pytest.raises(ValueError):
         SolverConfig("rk4", -0.1)
-    assert SolverConfig("rk2", 0.1).order_p == 2
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +280,7 @@ def quadratic_blowup_system(dim_p: int, guarded: bool = False) -> OdeSystem:
     def rhs(x, t, theta):
         return sq(x) if dim_p == 1 else tuple(sq(xi) for xi in x)
 
-    return OdeSystem(dim_p=dim_p, dim_d=1, rhs=rhs, obs=lambda s: s[..., 0],
+    return OdeSystem(dim_p=dim_p, rhs=rhs, obs=lambda s: s[..., 0],
                      x0=np.full(dim_p, 10.0))
 
 
@@ -300,7 +291,7 @@ def test_nonfinite_state_raised_with_context():
     # guarded right-hand side raises ValueError on the infinite state (as
     # math.sin(inf) does), which must not hide the earlier non-finite step.
     for dim_p in (1, 2):   # scalar and two-component steppers
-        for nodes in (None, (0, 3, 20), (20,)):
+        for nodes in (range(21), (0, 3, 20), (20,)):
             for guarded in (False, True):
                 with pytest.raises(NonFiniteState) as exc:
                     integrate_states(quadratic_blowup_system(dim_p, guarded),
@@ -311,11 +302,11 @@ def test_nonfinite_state_raised_with_context():
                 assert exc.value.theta == (1.5,)
 
 
-@pytest.mark.parametrize("nodes", [None, (0, 3, 20)])
+@pytest.mark.parametrize("nodes", [range(21), (0, 3, 20)])
 def test_rhs_error_on_finite_state_propagates(nodes):
     # x ** 2 raises OverflowError at x_7 ~ 1e255, before any state is
     # non-finite: the solve reports the right-hand side's own error
-    system = OdeSystem(dim_p=1, dim_d=1, rhs=lambda x, t, theta: x ** 2,
+    system = OdeSystem(dim_p=1, rhs=lambda x, t, theta: x ** 2,
                        obs=lambda s: s[..., 0], x0=np.array([10.0]))
     with pytest.raises(OverflowError):
         integrate_states(system, np.array([1.0]), SolverConfig("euler", 10.0),
@@ -342,7 +333,7 @@ def test_estimate_order_logistic(method, band):
 
 def test_estimate_order_rejects_degenerate_errors():
     # a constant rhs integrated exactly by every method: all errors ~ 0
-    system = OdeSystem(dim_p=1, dim_d=1, rhs=lambda x, t, theta: 0.0,
+    system = OdeSystem(dim_p=1, rhs=lambda x, t, theta: 0.0,
                        obs=lambda s: s[..., 0], x0=np.array([3.0]))
     with pytest.raises(DegenerateFit):
         estimate_order(system, np.array([1.0]), "rk4", H_LIST, 0.0, 1.0,
@@ -366,8 +357,6 @@ def test_rk4_error_halving_near_sixteen(lam):
     ref = float(logistic_exact(np.array([4.0]), params)[0])
     errs = []
     for h in (0.1, 0.05):
-        traj = integrate(system, np.array([lam]), SolverConfig("rk4", h),
-                         0.0, 4.0)
-        errs.append(abs(float(traj.states[-1, 0]) - ref))
+        errs.append(abs(final_state(system, [lam], "rk4", h, 4.0)[0] - ref))
     assert errs[1] > 0.0
     assert 8.0 <= errs[0] / errs[1] <= 32.0

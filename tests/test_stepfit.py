@@ -125,8 +125,9 @@ def test_jeffreys_window_boundaries():
     curve = fit_curve(pts, p=1)
     object.__setattr__(curve, "log_fitted_a", 0.0)
     rep = build_report(curve, np.ones(5))
-    assert rep.flag.tolist() == [True, True, False, False, False]
-    assert rep.recommended_h == 0.05
+    assert [s["flag"] for s in rep["steps"]] == [True, True, False, False,
+                                                 False]
+    assert rep["recommended_h"] == 0.05
 
 
 def test_build_report_picks_coarsest_admissible():
@@ -140,8 +141,8 @@ def test_build_report_picks_coarsest_admissible():
     object.__setattr__(curve, "log_fitted_a", math.log(a))
     cpu = np.array([8.0, 4.0, 2.0, 1.0])
     rep = build_report(curve, cpu)
-    assert rep.recommended_h == 0.1   # 0.2 is outside the window, 0.1 inside
-    assert rep.speedup == 4.0         # cpu(h_min) / cpu(h_rec)
+    assert rep["recommended_h"] == 0.1   # 0.2 is outside the window, 0.1 inside
+    assert rep["speedup"] == 4.0         # cpu(h_min) / cpu(h_rec)
     with pytest.raises(ValueError):
         build_report(curve, cpu[:3])
 
@@ -151,16 +152,16 @@ def test_build_report_serializes_and_survives_failure():
     curve = fit_curve(sorted(pts), p=1)
     object.__setattr__(curve, "log_fitted_a", math.log(1e-19))
     rep = build_report(curve, np.array([4.0, 3.0, 2.0, 1.0]))
-    assert rep.recommended_h is None and rep.speedup is None
-    assert not rep.flag.any()
+    assert rep["recommended_h"] is None and rep["speedup"] is None
+    assert not any(step["flag"] for step in rep["steps"])
     # the scalar libm exp, bit for bit: curve.csv prints all 17 digits
-    assert rep.bf.tolist() == [math.exp(lm - math.log(1e-19))
-                               for lm in curve.log_marginal]
-    payload = json.loads(json.dumps(rep.as_dict()))
+    bf = [step["bf"] for step in rep["steps"]]
+    assert bf == [math.exp(lm - math.log(1e-19)) for lm in curve.log_marginal]
+    payload = json.loads(json.dumps(rep))
     assert set(payload) == {"recommended_h", "speedup", "steps"}
     assert payload["recommended_h"] is None and payload["speedup"] is None
-    assert [step["bf"] for step in payload["steps"]] == rep.bf.tolist()
-    rows = list(rep.rows())
+    assert [step["bf"] for step in payload["steps"]] == bf
+    rows = rep["steps"]
     assert len(rows) == 4 and rows[0]["h"] == 0.025
 
 
