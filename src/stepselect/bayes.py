@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonFiniteState, NonMonotoneTimes
 from .models import LogisticParams, logistic_exact
-from .ode import SolverConfig, check_grid, integrate_states
+from .ode import METHOD_STAGES, SolverConfig, check_grid, integrate_states
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -142,15 +142,59 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
 
     The one closure behind both the chains and the quadrature oracles.  It
     is pure and deterministic, which is what lets stored chain energies be
-    recomputed bit for bit.
+    recomputed bit for bit.  On a forward map from ``make_solver_forward``
+    and a one-parameter prior it is one fused function: the Gamma log
+    density with its constant precomputed, one ``integrate_states`` call and
+    the residual sum of squares, the same float operations as
+    ``log_posterior_unnorm``.  Its ``rhs_evals()`` gives the right-hand-side
+    evaluations of the solves it has run, n_steps times the method's stages
+    each.  Any other forward map or prior goes through
+    ``log_posterior_unnorm``.
     """
     if dataset.sigma_fixed is None:
         raise ValueError("the log posterior needs dataset.sigma_fixed")
     sigma = dataset.sigma_fixed
+    solve = getattr(forward, "solve", None)
+    if solve is None or len(prior.theta) != 1:
+        def logpost(x) -> float:
+            return log_posterior_unnorm(dataset, prior, ParamVector(x, sigma),
+                                        forward)
+        return logpost
+
+    system, config, t0, n_steps, nodes = solve
+    obs, values = system.obs, dataset.values
+    # logpdf is ((k log r - lgamma k) + (k - 1) log x) - r x
+    gamma, = prior.theta
+    c = gamma.shape * math.log(gamma.rate) - math.lgamma(gamma.shape)
+    k1, r = gamma.shape - 1.0, gamma.rate
+    n = dataset.n
+    ll0 = -n * math.log(sigma) - 0.5 * n * LOG_2PI
+    var = sigma * sigma
+    n_solves = 0
 
     def logpost(x) -> float:
-        return log_posterior_unnorm(dataset, prior, ParamVector(x, sigma),
-                                    forward)
+        nonlocal n_solves
+        # a chain passes a 1-D array: skip the conversion that floats need
+        if type(x) is not np.ndarray or x.ndim != 1:
+            x = np.atleast_1d(np.asarray(x, dtype=float))
+        v, = x.tolist()   # ValueError on a wrong length, as log_prior
+        if v <= 0.0:
+            return -math.inf
+        lp = c + k1 * math.log(v) - r * v
+        if lp == -math.inf:
+            return lp
+        n_solves += 1
+        try:
+            pred = obs(integrate_states(system, x, config, t0, n_steps, nodes))
+        except NonFiniteState:
+            return lp - math.inf
+        resid = values - pred
+        ss = float(resid.dot(resid))   # the BLAS dot that ``@`` runs
+        if not math.isfinite(ss):
+            return lp - math.inf
+        return lp + (ll0 - 0.5 * ss / var)
+    stages = METHOD_STAGES[config.method]
+    logpost.rhs_evals = lambda: n_solves * n_steps * stages
     return logpost
 
 
@@ -175,6 +219,7 @@ def make_solver_forward(system, config: SolverConfig, times) -> Callable:
 
     def forward(theta):
         return obs(integrate_states(system, theta, config, t0, n_steps, idx))
+    forward.solve = (system, config, t0, n_steps, idx)
     return forward
 
 

@@ -53,8 +53,8 @@ PARAM_DEFAULTS = {"logistic": LOGISTIC_DEFAULTS, "glucose": GLUCOSE_DEFAULTS}
 
 # the keys of every run in record.json, ok or failed, in this order
 RUN_FIELDS = ("h", "k", "seed", "status", "log_marginal", "se", "method",
-              "solver", "cpu_seconds", "process_seconds", "accept_rate", "ess",
-              "step_scale", "chain_csv", "warnings")
+              "solver", "cpu_seconds", "process_seconds", "rhs_evals",
+              "accept_rate", "ess", "step_scale", "chain_csv", "warnings")
 
 
 @dataclass
@@ -162,20 +162,28 @@ class ExperimentSpec:
         if self.model == "glucose":
             make_glucose_system(constants, d0=self.params["d0"],
                                 D0=self.params["D0"])
-        for h in self.h_grid:
+        for i, h in enumerate(self.h_grid):
+            _check_number(f"h_grid[{i}]", h)
             SolverConfig(self.solver, h)
+        for name, value in (("times.start", self.times.start),
+                            ("times.stop", self.times.stop),
+                            ("evidence.shrink", self.evidence.shrink),
+                            ("evidence.trunc_lo", self.evidence.trunc_lo),
+                            ("evidence.trunc_hi", self.evidence.trunc_hi)):
+            _check_number(name, value)
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         prior = self.build_prior()
         self.build_proposal()
+        burn_in = self.mcmc.burn_in
         for name, value in (("seed", self.seed), ("times.n", self.times.n),
                             ("mcmc.n_iter", self.mcmc.n_iter),
-                            ("mcmc.burn_in", self.mcmc.burn_in or 0),
+                            ("mcmc.burn_in", 0 if burn_in is None else burn_in),
                             ("mcmc.adapt_window", self.mcmc.adapt_window),
                             ("evidence.subsample", self.evidence.subsample),
                             ("regression.mask_smallest",
                              self.regression.mask_smallest)):
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
@@ -191,11 +199,11 @@ class ExperimentSpec:
         if not 0 <= burn_in < n_iter:
             raise ValueError("mcmc needs n_iter > burn_in >= 0")
         init = self.mcmc.init
-        if init is not None and not (
-                isinstance(init, (int, float)) and math.isfinite(init)
-                and math.isfinite(prior.theta[0].logpdf(init))):
-            raise ValueError(f"mcmc.init must be null or a finite number "
-                             f"inside the prior's support, got {init!r}")
+        if init is not None:
+            _check_number("mcmc.init", init)
+            if not math.isfinite(prior.theta[0].logpdf(init)):
+                raise ValueError(f"mcmc.init must be null or inside the "
+                                 f"prior's support, got {init!r}")
         kept = n_iter - burn_in
         if min(kept, self.evidence.subsample) < 30:
             raise ValueError(
@@ -376,10 +384,12 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
 
     The reported cpu_seconds is the sampler wall clock only: posterior
     evaluations included, data generation and file writing excluded;
-    process_seconds is this process's CPU time over the same loop.  ess is
-    the chain's effective sample size and step_scale the proposal scale
-    adapted during burn-in.  The record holds every RUN_FIELDS key;
-    ``warnings`` stays None here and the sweep fills it.
+    process_seconds is this process's CPU time over the same loop, and
+    rhs_evals the right-hand-side evaluations of its solves, a cost that
+    does not depend on the host.  ess is the chain's effective sample size
+    and step_scale the proposal scale adapted during burn-in.  The record
+    holds every RUN_FIELDS key; ``warnings`` stays None here and the sweep
+    fills it.
     """
     config = SolverConfig(spec.solver, float(spec.h_grid[k]))
     system = build_system(spec, dataset)
@@ -398,6 +408,7 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
                       se=est.mc_standard_error, method=est.method,
                       cpu_seconds=chain.wall_clock_seconds,
                       process_seconds=chain.process_seconds,
+                      rhs_evals=logpost.rhs_evals(),
                       accept_rate=chain.accept_rate,
                       ess=effective_sample_size(chain),
                       step_scale=float(chain.step_scales[0]))
@@ -489,7 +500,7 @@ def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1,
         }
         record["recommendation"] = build_report(
             curve, [r["cpu_seconds"] for r in ok],
-            threshold=spec.jeffreys_threshold)
+            [r["rhs_evals"] for r in ok], threshold=spec.jeffreys_threshold)
     except StepSelectError as exc:
         record["curve_error"] = str(exc)
 
@@ -595,9 +606,10 @@ def report(out_dir) -> dict:
         chain_s = "" if r.get("ess") is None else (
             f" process={r['process_seconds']:.2f}s ess={r['ess']:.0f} "
             f"scale={r['step_scale']:.4g}")
+        rhs_s = "" if r.get("rhs_evals") is None else f" rhs={r['rhs_evals']}"
         lines.append(f"h={s['h']:<8g} log P = {s['log_marginal']:.6f} "
                      f"+- {s['se']:.4f}{bf_s}  cpu={s['cpu_seconds']:.2f}s "
-                     f"accept={r['accept_rate']:.3f}{chain_s}")
+                     f"accept={r['accept_rate']:.3f}{chain_s}{rhs_s}")
         lines.extend(f"  warning: {w}" for w in r.get("warnings") or ())
     failed = [r for r in record["runs"] if r["status"] != "ok"]
     for r in failed:
@@ -606,8 +618,11 @@ def report(out_dir) -> dict:
     if "curve_error" in record:
         lines.append(f"no evidence curve: {record['curve_error']}")
     if rec is not None and rec["recommended_h"] is not None:
+        rhs_s = "" if rec.get("rhs_ratio") is None else (
+            f", {rec['rhs_ratio']:.2f}x fewer RHS evaluations")
         lines.append(f"recommended step: h={rec['recommended_h']:g} "
-                     f"(speedup {rec['speedup']:.2f}x over the finest step)")
+                     f"(speedup {rec['speedup']:.2f}x over the finest step"
+                     f"{rhs_s})")
     elif rec is not None:
         lines.append("recommended step: none admissible at this threshold")
     with open(out_dir / "summary.txt", "w") as fh:

@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import InitializationError, ParseError, StuckChainWarning
 
+# kept iterations whose draws are collected in lists before one array write
+_BLOCK = 256
+
 
 @dataclass
 class ProposalConfig:
@@ -98,43 +101,51 @@ def mh_run(log_posterior: Callable, init, proposal: ProposalConfig,
     scales = proposal.step_scales.astype(float).copy()
     if scales.size == 1 and d > 1:
         scales = np.full(d, float(scales[0]))
-    kept = n_iter - burn_in
-    draws = np.empty((kept, d))
-    energies = np.empty(kept)
-    n_accept_kept = 0
     window_prob = 0.0
     window_count = 0
     n_windows = 0
 
     t_start, cpu_start = time.perf_counter(), time.process_time()
-    for i in range(n_iter):
+    for i in range(burn_in):
         prop = x + scales * noise[i]
         lp_prop = float(log_posterior(prop))
         delta = lp_prop - lp
         if delta >= 0.0 or log_u[i] < delta:
             x = prop
             lp = lp_prop
-            accepted = True
-        else:
-            accepted = False
+        if proposal.adapt:
+            window_prob += math.exp(min(0.0, delta))
+            window_count += 1
+            if window_count == proposal.adapt_window:
+                n_windows += 1
+                mean_prob = window_prob / window_count
+                scales *= math.exp((mean_prob - proposal.target_accept)
+                                   / math.sqrt(n_windows))
+                window_prob = 0.0
+                window_count = 0
 
-        if i < burn_in:
-            if proposal.adapt:
-                window_prob += math.exp(min(0.0, delta))
-                window_count += 1
-                if window_count == proposal.adapt_window:
-                    n_windows += 1
-                    mean_prob = window_prob / window_count
-                    scales *= math.exp((mean_prob - proposal.target_accept)
-                                       / math.sqrt(n_windows))
-                    window_prob = 0.0
-                    window_count = 0
-        else:
-            j = i - burn_in
-            draws[j] = x
-            energies[j] = -lp
-            if accepted:
+    # The scales are frozen from here on, so a block's steps are computed
+    # at once.  Its draws go to lists and then to the arrays in one write,
+    # which bounds the objects alive at once.
+    kept = n_iter - burn_in
+    draws = np.empty((kept, d))
+    energies = np.empty(kept)
+    n_accept_kept = 0
+    for a in range(0, kept, _BLOCK):
+        rows = slice(burn_in + a, burn_in + a + _BLOCK)
+        xs, es = [], []
+        for step, lu in zip(scales * noise[rows], log_u[rows].tolist()):
+            prop = x + step
+            lp_prop = float(log_posterior(prop))
+            delta = lp_prop - lp
+            if delta >= 0.0 or lu < delta:
+                x = prop
+                lp = lp_prop
                 n_accept_kept += 1
+            xs.append(x)
+            es.append(-lp)
+        draws[a:a + len(xs)] = xs
+        energies[a:a + len(es)] = es
     wall = time.perf_counter() - t_start
     cpu = time.process_time() - cpu_start
 

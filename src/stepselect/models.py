@@ -2,29 +2,39 @@
 
 Each model ships as an :class:`OdeSystem` bundling the right-hand side, the
 observation map (what the data actually measures) and the initial state.
-The parameter vector ``theta`` passed to the right-hand side holds only the
-inferred coordinates; everything else is frozen into the system.
+The right-hand side is written once, as source lines that the integrator
+pastes into its generated step loop (see ``ode._stepper``).  The parameter
+``theta`` it reads holds only the inferred coordinates; everything else is
+frozen into the system as named constants.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OdeSystem:
     """An autonomous-in-shape ODE with an observation map.
+
+    A system is fixed once built: the integrator reads its right-hand side,
+    constants and initial state once per method and keeps them (systems
+    compare and hash by identity).
 
     Attributes
     ----------
     dim_p : state dimension.
-    rhs : callable (x, t, theta) -> dx/dt, with theta a tuple of floats.  For
-        dim_p == 1 the state x and the result are floats; otherwise both are
-        tuples of dim_p floats.
+    rhs : dx/dt as Python source lines.  They read the state as ``x`` (for
+        dim_p > 1 its components ``x_0``, ``x_1``, ...), the inferred
+        parameters as ``theta_0``, ``theta_1``, ..., the time as ``t`` and the
+        names in ``consts``, and assign the derivative to ``dx`` (``dx_0``,
+        ``dx_1``, ...).  They may assign temporaries of their own.
+    consts : the constants the lines read, name -> value; a value may be any
+        object, a helper function included.
     obs : observation map; takes states with the state on the last axis and
         returns the observed scalar(s), so it works on single states and on
         whole trajectories alike.
@@ -32,7 +42,8 @@ class OdeSystem:
     """
 
     dim_p: int
-    rhs: Callable
+    rhs: Tuple[str, ...]
+    consts: dict
     obs: Callable
     x0: np.ndarray
 
@@ -67,12 +78,8 @@ def logistic_exact(t, params: LogisticParams):
 
 def make_logistic_system(params: LogisticParams) -> OdeSystem:
     """Logistic system with theta = [lam] inferred; K and X0 fixed."""
-    K = params.K
-
-    def rhs(x, t, theta):
-        return theta[0] * x * (1.0 - x / K)
-
-    return OdeSystem(dim_p=1, rhs=rhs, obs=lambda s: s[..., 0],
+    return OdeSystem(dim_p=1, rhs=("dx = theta_0 * x * (1.0 - x / K)",),
+                     consts={"K": params.K}, obs=lambda s: s[..., 0],
                      x0=np.array([params.X0]))
 
 
@@ -114,22 +121,17 @@ def make_glucose_system(params: GlucoseParams, d0: float,
         raise ValueError("initial glucose d0 must be positive")
     if D0 < 0.0:
         raise ValueError("initial deposit D0 must be non-negative")
-    theta1, theta2, a, b, Gb = (params.theta1, params.theta2, params.a,
-                                params.b, params.Gb)
-
-    def rhs(x, t, theta):
-        """dG = (L - I) G + D/theta2; insulin and liver terms switch at G = Gb.
-
-        The positive parts are exact clamps, not smooth approximations: below
-        basal glucose the insulin response is off, above it the liver release
-        is off.
-        """
-        g, i, l, d = x
-        over = g / Gb - 1.0
-        return ((l - i) * g + d / theta2,
-                theta[0] * (over if over > 0.0 else 0.0) - i / a,
-                theta1 * (-over if over < 0.0 else 0.0) - l / b,
-                -d / theta2)
-
-    return OdeSystem(dim_p=4, rhs=rhs, obs=lambda s: s[..., 0],
+    # The state (G, I, L, D) is (x_0, x_1, x_2, x_3).
+    # dG = (L - I) G + D/theta2; the insulin and liver terms switch at
+    # G = Gb.  The positive parts are exact clamps, not smooth
+    # approximations: below basal glucose the insulin response is off, above
+    # it the liver release is off.
+    rhs = ("over = x_0 / Gb - 1.0",
+           "dx_0 = (x_2 - x_1) * x_0 + x_3 / theta2",
+           "dx_1 = theta_0 * (over if over > 0.0 else 0.0) - x_1 / a",
+           "dx_2 = theta1 * (-over if over < 0.0 else 0.0) - x_2 / b",
+           "dx_3 = -x_3 / theta2")
+    consts = {name: getattr(params, name)
+              for name in ("theta1", "theta2", "a", "b", "Gb")}
+    return OdeSystem(dim_p=4, rhs=rhs, consts=consts, obs=lambda s: s[..., 0],
                      x0=np.array([d0, 0.0, 0.0, float(D0)]))

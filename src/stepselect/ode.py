@@ -84,20 +84,16 @@ def integrate_states(system, theta, config: SolverConfig, t0: float,
     if not len(nodes) or nodes[-1] != n_steps:
         raise ValueError(f"nodes must end at n_steps={n_steps}")
     theta_f = tuple(np.asarray(theta, dtype=float).ravel().tolist())
-    if system.dim_p == 1:
-        x0, finite = float(system.x0[0]), math.isfinite
-    else:
-        x0, finite = tuple(float(v) for v in system.x0), _all_finite
-    step = _stepper(config.method, system.dim_p)
-    rhs, h = system.rhs, config.h
+    step, consts, x0, finite = _solver(config.method, system)
+    h = config.h
     out = []
     try:
-        x, m = step(rhs, x0, theta_f, t0, h, 0, n_steps, nodes, out)
+        x, m = step(consts, x0, theta_f, t0, h, 0, n_steps, nodes, out)
     except (ArithmeticError, ValueError):
-        _replay(step, finite, rhs, x0, theta_f, t0, h, n_steps)
+        _replay(step, finite, consts, x0, theta_f, t0, h, n_steps)
         raise
     if not finite(x):
-        _replay(step, finite, rhs, x0, theta_f, t0, h, n_steps)
+        _replay(step, finite, consts, x0, theta_f, t0, h, n_steps)
     if m is not None:
         raise ValueError(f"nodes must be non-decreasing step indices in "
                          f"[0, {n_steps}]; {m} was never reached")
@@ -108,10 +104,23 @@ def _all_finite(x) -> bool:
     return all(map(math.isfinite, x))
 
 
-def _replay(step, finite, rhs, x, theta, t0, h, n_steps):
+@functools.lru_cache(maxsize=64)
+def _solver(method: str, system):
+    """The stepper of ``method`` for ``system``, the values of its constants,
+    its initial state and the finiteness check for that state, looked up once
+    per system and method instead of once per solve."""
+    consts = system.consts
+    step = _stepper(method, system.dim_p, system.rhs, tuple(consts))
+    if system.dim_p == 1:
+        return step, tuple(consts.values()), float(system.x0[0]), math.isfinite
+    return (step, tuple(consts.values()), tuple(float(v) for v in system.x0),
+            _all_finite)
+
+
+def _replay(step, finite, consts, x, theta, t0, h, n_steps):
     """Redo a solve one step at a time; raise at the first non-finite state."""
     for i in range(n_steps):
-        x, _ = step(rhs, x, theta, t0, h, i, i + 1, (i + 1,), [])
+        x, _ = step(consts, x, theta, t0, h, i, i + 1, (i + 1,), [])
         if not finite(x):
             raise NonFiniteState(t0 + (i + 1) * h, i, theta)
 
@@ -125,70 +134,119 @@ def _replay(step, finite, rhs, x, theta, t0, h, n_steps):
 # outweighs a two-step stretch.  The state is a float for dim_p == 1 and a
 # tuple of dim_p floats otherwise.
 #
-# Each method is written once, per state component: its set-up lines, the
-# lines that start a step, its stages as (argument, time) with stage j
-# k_j = rhs(argument, time, theta), and the update of x.  ``_stepper``
-# generates the loop for one state dimension from them, keeping every
-# component in a local float: a per-component tuple built with a generator
-# costs several times the right-hand side of a four-state model, and the
-# samplers take millions of steps.
+# Each method is written once, per state component: its set-up lines, its
+# stages as (argument, time) with stage j k_j = f(argument, time), where t is
+# the step's start time t0 + i * h, and the update of x.  ``_stepper`` pastes
+# the model's right-hand side into every stage of one loop per state
+# dimension, keeping every component in a local float: a call per stage, and
+# on a four-state model the tuples it passes, cost more than the arithmetic
+# of the right-hand side itself, and the samplers take millions of steps.
 _METHODS = {
-    "euler": ((), (), (("x", "t0 + i * h"),), "x + h * k1"),
-    "rk2": (("half = 0.5 * h",), ("t = t0 + i * h",),
+    "euler": ((), (("x", "t"),), "x + h * k1"),
+    "rk2": (("half = 0.5 * h",),
             (("x", "t"), ("x + half * k1", "t + half")), "x + h * k2"),
-    "rk4": (("half = 0.5 * h", "sixth = h / 6.0"), ("t = t0 + i * h",),
+    "rk4": (("half = 0.5 * h", "sixth = h / 6.0"),
             (("x", "t"), ("x + half * k1", "t + half"),
              ("x + half * k2", "t + half"), ("x + h * k3", "t + h")),
             "x + sixth * (k1 + 2.0 * (k2 + k3) + k4)"),
 }
 
+# right-hand-side evaluations per step of each method
+METHOD_STAGES = {method: len(stages)
+                 for method, (_, stages, _) in _METHODS.items()}
+
+# the state, its derivative and the time in right-hand-side source lines
+_RHS_NAMES = re.compile(r"\b(?:(d?x)(_\d+)?|t)\b")
+_ASSIGNED = re.compile(r"^\s*([A-Za-z_]\w*)\s*=[^=]")
+_IDENTIFIER = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
+
 
 @functools.lru_cache(maxsize=None)
-def _stepper(method: str, dim_p: int):
-    """The stepper of ``method`` for states of ``dim_p`` components.
+def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
+    """The stepper of ``method`` for states of ``dim_p`` components whose
+    derivative the source lines ``rhs`` compute.
 
-    Compiled on first use.  For dim_p == 1 it is the plain scalar loop;
-    otherwise each component j of x and of every stage is a local
-    (``x_0``, ``k1_0``, ...), the state is unpacked on entry and every stage
-    argument is passed as one tuple display.  Every component runs the same
-    float operations in the same order either way.
+    ``rhs`` reads the state as ``x`` (``x_0``, ``x_1``, ... when dim_p > 1),
+    the parameter as ``theta_0``, ``theta_1``, ..., the time as ``t`` and the
+    constants ``const_names``, and assigns the derivative to ``dx`` (``dx_0``,
+    ...); it may assign temporaries of its own.  The stepper is called as
+    ``step(consts, x, theta, t0, h, n, end, nodes, out)``, with ``consts``
+    the constants' values in the order of ``const_names``.  Compiled on first
+    use; the constants and the parameter are unpacked once on entry, and the
+    stage times are computed only when ``rhs`` reads ``t``.  Every component
+    runs the same float operations in the same order as a call of the
+    right-hand side per stage would.
     """
-    setup, per_step, stages, update = _METHODS[method]
+    setup, stages, update = _METHODS[method]
     if not (isinstance(dim_p, int) and dim_p >= 1):
         raise ValueError(f"dim_p must be a positive integer, got {dim_p!r}")
+    source = "\n".join(rhs)
+    reads_t = any(m.group(1) is None for m in _RHS_NAMES.finditer(source))
 
     def parts(expr):
         """``expr`` for each component, its names suffixed by the index."""
         if dim_p == 1:
             return [expr]
-        return [re.sub(r"\b(x|k\d)\b", rf"\1_{j}", expr) for j in range(dim_p)]
+        return [re.sub(r"\b(xs?|k\d)\b", rf"\1_{j}", expr)
+                for j in range(dim_p)]
 
     def pack(expr):
         return parts(expr)[0] if dim_p == 1 else f"({', '.join(parts(expr))})"
 
-    calls = [f"rhs({pack(arg)}, {time}, theta)" for arg, time in stages]
-    if dim_p == 1 and len(calls) == 1:
-        # a lone scalar stage goes inline into the update
-        body = [f"x = {update.replace('k1', calls[0])}"]
-    else:
-        body = [f"{', '.join(parts(f'k{j}'))} = {call}"
-                for j, call in enumerate(calls, start=1)]
+    def bind(line, x, k, t):
+        """``line`` with the state read from ``x``, the derivative written
+        to ``k`` and the time read from ``t``."""
+        def name(mo):
+            if mo.group(1) is None:
+                return t
+            return (k if mo.group(1) == "dx" else x) + (mo.group(2) or "")
+        return _RHS_NAMES.sub(name, line)
+
+    def loop(rhs):
+        """The step loop, ``rhs`` pasted into each stage."""
+        body = ["t = t0 + i * h"] if reads_t else []
+        for j, (arg, time) in enumerate(stages, start=1):
+            x, t = "x", "t"
+            if arg != "x":
+                x = "xs"
+                body += [f"{xs} = {a}" for xs, a in zip(parts(x), parts(arg))]
+            if reads_t and time != "t":
+                t = "ts"
+                body.append(f"ts = {time}")
+            body += [bind(line, x, f"k{j}", t) for line in rhs]
         body += [f"{x} = {u}" for x, u in zip(parts("x"), parts(update))]
+        return [
+            "def step(consts, x, theta, t0, h, n, end, nodes, out):",
+            *(f"    {line}" for line in setup),
+            "    stops = iter(nodes)",
+            "    m = next(stops)",
+            "    for i in range(n, end):",
+            "        while i == m:",
+            f"            out.append({pack('x')})",
+            "            m = next(stops, None)",
+            *(f"        {line}" for line in body),
+            "    while m == end:",
+            f"        out.append({pack('x')})",
+            "        m = next(stops, None)",
+            f"    return {pack('x')}, m",
+        ]
+
+    # a temporary or constant named like one of the loop's own variables
+    # would silently change what the loop computes
+    own = set(_IDENTIFIER.findall("\n".join(loop(()))))
+    temps = {m.group(1) for m in map(_ASSIGNED.match, rhs) if m}
+    clash = (temps | set(const_names)) & own
+    if clash:
+        raise ValueError(f"right-hand side names {sorted(clash)} are the "
+                         f"stepper's own")
+    thetas = sorted(set(re.findall(r"\btheta_(\d+)\b", source)), key=int)
+    head, *rest = loop(rhs)
     lines = [
-        "def step(rhs, x, theta, t0, h, n, end, nodes, out):",
+        head,
+        *([f"    {', '.join(const_names)}, = consts"] if const_names else []),
+        *(f"    theta_{j} = theta[{j}]" for j in thetas),
         *([] if dim_p == 1 else [f"    {', '.join(parts('x'))} = x"]),
-        *(f"    {line}" for line in setup),
-        "    stops = iter(nodes)",
-        "    m = next(stops)",
-        "    for i in range(n, end):",
-        "        while i == m:",
-        f"            out.append({pack('x')})",
-        "            m = next(stops, None)",
-        *(f"        {line}" for line in (*per_step, *body)),
-        "    while m == end:",
-        f"        out.append({pack('x')})",
-        "        m = next(stops, None)",
-        f"    return {pack('x')}, m",
+        *rest,
     ]
     namespace = {}
     exec(compile("\n".join(lines) + "\n", f"<{method} stepper, dim {dim_p}>",

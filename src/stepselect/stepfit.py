@@ -126,35 +126,40 @@ def fit_curve(points: Sequence, p: int, mask_h: Optional[Sequence[float]] = None
                          rel_se_a=rel_se_a, by=-b_s / a_s, r2=r2)
 
 
-def build_report(curve: EvidenceCurve, cpu_seconds,
+def build_report(curve: EvidenceCurve, cpu_seconds, rhs_evals,
                  threshold: float = DEFAULT_THRESHOLD) -> dict:
     """Per-step Bayes factors against the extrapolated exact marginal, their
     Jeffreys flags, and the recommendation, as a JSON-ready dict.
 
-    The dict holds ``recommended_h``, ``speedup`` and ``steps``: one row per
-    step with its h, log marginal, se, bf, flag and cpu_seconds.
-    ``cpu_seconds`` aligns with ``curve.h`` (ascending).  The recommended
-    step is the largest one inside the Jeffreys window; its speedup is
-    cpu(h_min) / cpu(h_recommended), the time bought relative to the finest
-    sweep member.  A hopeless sweep leaves both fields empty instead of
-    raising, because a report of the failure is still a report.
+    The dict holds ``recommended_h``, ``speedup``, ``rhs_ratio`` and
+    ``steps``: one row per step with its h, log marginal, se, bf, flag and
+    cpu_seconds.  ``cpu_seconds`` and ``rhs_evals`` align with ``curve.h``
+    (ascending).  The recommended step is the largest one inside the
+    Jeffreys window; its speedup is cpu(h_min) / cpu(h_recommended), the
+    time bought relative to the finest sweep member, and its rhs_ratio the
+    same ratio of right-hand-side evaluations, which does not depend on the
+    host.  A hopeless sweep leaves those fields empty instead of raising,
+    because a report of the failure is still a report.
     """
     cpu = np.asarray(cpu_seconds, dtype=float)
-    if cpu.shape != curve.h.shape:
-        raise ValueError("cpu_seconds must align with curve.h")
+    rhs = np.asarray(rhs_evals, dtype=float)
+    if cpu.shape != curve.h.shape or rhs.shape != curve.h.shape:
+        raise ValueError("cpu_seconds and rhs_evals must align with curve.h")
     log_bf = curve.log_marginal - curve.log_fitted_a
     flags = np.abs(log_bf) <= -math.log(threshold)
-    rec_h = speedup = None
+    rec_h = speedup = rhs_ratio = None
     if flags.any():
         idx = int(np.max(np.where(flags)[0]))
         rec_h, speedup = float(curve.h[idx]), float(cpu[0] / cpu[idx])
+        rhs_ratio = float(rhs[0] / rhs[idx])
     # math.exp, not np.exp: numpy's SIMD exp can differ from libm's in the
     # last bit, and curve.csv prints all 17 digits of the libm value
     steps = [{"h": float(h), "log_marginal": float(lm), "se": float(se),
               "bf": math.exp(x), "flag": bool(flag), "cpu_seconds": float(c)}
              for h, lm, se, x, flag, c in zip(curve.h, curve.log_marginal,
                                               curve.se, log_bf, flags, cpu)]
-    return {"recommended_h": rec_h, "speedup": speedup, "steps": steps}
+    return {"recommended_h": rec_h, "speedup": speedup,
+            "rhs_ratio": rhs_ratio, "steps": steps}
 
 
 # ---------------------------------------------------------------------------

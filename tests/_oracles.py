@@ -6,6 +6,9 @@ in closed form: the posterior is N(mu_n, s_n^2) and the evidence is the
 multivariate normal density of y under mean m0*1 and covariance
 sigma^2 I + s0^2 11'.  Evidence estimators can therefore be fed exact iid
 posterior draws, isolating estimator error from sampler error.
+
+``rhs_function`` turns a system's source-form right-hand side into a plain
+function, the reference the generated steppers are compared against.
 """
 
 import math
@@ -70,3 +73,23 @@ def default_case() -> ConjugateNormal:
     m0, s0, sigma, n = 2.0, 3.0, 1.5, 8
     y = m0 + s0 * 0.7 + sigma * rng.standard_normal(n)
     return ConjugateNormal(m0=m0, s0=s0, sigma=sigma, y=y)
+
+
+def rhs_function(system):
+    """(x, t, theta) -> dx/dt of ``system``, with x and dx tuples of dim_p
+    floats, by running its right-hand-side lines with exec on every call."""
+    code = compile("\n".join(system.rhs), "<rhs>", "exec")
+    p = system.dim_p
+
+    def rhs(x, t, theta):
+        names = dict(system.consts, t=t)
+        names.update((f"theta_{j}", v) for j, v in enumerate(theta))
+        if p == 1:
+            names["x"] = x[0]
+        else:
+            names.update((f"x_{j}", v) for j, v in enumerate(x))
+        exec(code, {}, names)
+        if p == 1:
+            return (names["dx"],)
+        return tuple(names[f"dx_{j}"] for j in range(p))
+    return rhs

@@ -183,7 +183,9 @@ def test_c6_recommendation_speedup_and_indistinguishability(sweep_s1,
     chains = {h: "cpu={:.2f}s process={:.2f}s".format(
         runs[h]["cpu_seconds"], runs[h]["process_seconds"])
         for h in (min(ACCEPT_GRID), h_rec)}
-    assert rec["speedup"] >= 5.0, (rec["speedup"], chains)
+    # rhs_ratio, the same ratio in right-hand-side evaluations, does not
+    # move with the host: a speedup far below it points at the host
+    assert rec["speedup"] >= 5.0, (rec["speedup"], rec["rhs_ratio"], chains)
 
     spec = logistic_spec(1.0)
     ds = load_observations(out / "observations.csv", sigma=1.0)
@@ -208,7 +210,8 @@ def test_c6_recommendation_speedup_and_indistinguishability(sweep_s1,
     else:
         assert rec_e["recommended_h"] in (None, min(ACCEPT_GRID))
         euler_note = f"euler: recommended_h={rec_e['recommended_h']}"
-    _note("c6", f"h_rec={h_rec} speedup={rec['speedup']:.2f}x {chains} "
+    _note("c6", f"h_rec={h_rec} speedup={rec['speedup']:.2f}x "
+                f"rhs_ratio={rec['rhs_ratio']:.2f}x {chains} "
                 f"tv={tv:.5f}; " + euler_note)
 
 

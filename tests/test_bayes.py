@@ -1,11 +1,12 @@
 """Likelihood, prior, and posterior-assembly tests."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stepselect import (Dataset, GammaPrior, LogisticParams, ParamVector,
@@ -16,6 +17,8 @@ from stepselect import (Dataset, GammaPrior, LogisticParams, ParamVector,
 from stepselect import bayes, evidence
 from stepselect.bayes import LOG_2PI
 from stepselect.errors import GridMismatch, NonFiniteState, NonMonotoneTimes
+from stepselect.harness import (ExperimentSpec, TimesSpec, build_system,
+                                generate_synthetic)
 from stepselect.models import logistic_exact
 
 
@@ -238,10 +241,25 @@ def logistic_case():
 
 
 def test_one_log_posterior_evaluation_is_one_traced_call(monkeypatch):
+    # any forward map but a solver's goes through log_posterior_unnorm
     ds, prior, forward = logistic_case()
     calls = counting(monkeypatch, "log_posterior_unnorm")
-    make_log_posterior(ds, prior, forward)(1.1)
+    make_log_posterior(ds, prior, lambda theta: forward(theta))(1.1)
     assert len(calls) == 1
+
+
+def test_one_fused_log_posterior_evaluation_is_one_traced_solve(monkeypatch):
+    ds, prior, forward = logistic_case()
+    solves = counting(monkeypatch, "integrate_states")
+    lp = make_log_posterior(ds, prior, forward)
+    lp(1.1)
+    assert len(solves) == 1
+    (args, kwargs), = solves
+    assert kwargs == {} and len(args) == 6
+    assert args[2] is forward.solve[1] and args[4] == 100
+    lp(-1.1)   # off the prior's support: no solve
+    assert len(solves) == 1
+    assert lp.rhs_evals() == 100 * 4
 
 
 def test_one_forward_call_is_one_traced_solve(monkeypatch):
@@ -257,6 +275,40 @@ def test_one_forward_call_is_one_traced_solve(monkeypatch):
     assert args[0] is system and args[1] is theta and args[2] is config
     assert args[3] == 0.0 and args[4] == 100
     assert args[5] == tuple(range(0, 101, 4))
+
+
+@functools.lru_cache(maxsize=None)
+def model_case(model):
+    """(dataset, prior, solver forward) of each model at a coarse step."""
+    if model == "logistic":
+        spec = ExperimentSpec(seed=7, h_grid=(0.2,))
+    else:
+        spec = ExperimentSpec(model="glucose", h_grid=(0.25,), seed=7,
+                              sigma=5.0, times=TimesSpec(0.0, 2.0, 5),
+                              prior={"shape": 5.0, "rate": 0.4})
+    ds = generate_synthetic(spec)
+    forward = make_solver_forward(build_system(spec, ds),
+                                  SolverConfig("rk4", spec.h_grid[0]),
+                                  ds.times)
+    return ds, spec.build_prior(), forward
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["logistic", "glucose"]),
+       st.floats(min_value=-5.0, max_value=2000.0, allow_nan=False))
+@example("logistic", 0.0)       # the edge of the prior's support
+@example("logistic", -0.5)
+@example("glucose", -3.0)
+@example("logistic", 40.0)      # the solve blows up
+@example("glucose", 300.0)
+def test_fused_log_posterior_matches_general_bit_for_bit(model, x):
+    ds, prior, forward = model_case(model)
+    fused = make_log_posterior(ds, prior, forward)(np.array([x]))
+    general = log_posterior_unnorm(ds, prior,
+                                   ParamVector(x, ds.sigma_fixed), forward)
+    assert fused.hex() == general.hex()
+    if x <= 0.0 or (model, x) in (("logistic", 40.0), ("glucose", 300.0)):
+        assert fused == -math.inf
 
 
 def test_quadrature_oracles_evaluate_through_the_traced_posterior(monkeypatch):

@@ -1,6 +1,7 @@
 """Spec serialization, synthetic data, sweep reproducibility, reports."""
 
 import json
+import re
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -102,6 +103,28 @@ def test_spec_validation():
                 {"model": "glucose", "params": {"Gb": float("nan")}}):
         with pytest.raises(ParseError):
             ExperimentSpec.from_dict({**base, **bad})
+
+
+# True is an int to isinstance, so each of these parsed as 1 or 0 until the
+# spec checked for booleans in its number fields
+BOOLEAN_NUMBERS = [
+    ("h_grid", [0.4, True]), ("times.start", False), ("times.stop", True),
+    ("times.n", True), ("evidence.shrink", True),
+    ("evidence.trunc_lo", False), ("evidence.trunc_hi", True),
+    ("mcmc.init", True), ("seed", True), ("mcmc.n_iter", True),
+    ("mcmc.burn_in", True), ("mcmc.adapt_window", True),
+    ("evidence.subsample", True), ("regression.mask_smallest", True),
+]
+
+
+@pytest.mark.parametrize("field,value", BOOLEAN_NUMBERS,
+                         ids=[f for f, _ in BOOLEAN_NUMBERS])
+def test_spec_rejects_boolean_in_number_field(field, value):
+    spec = small_spec().to_dict()
+    *section, key = field.split(".")
+    (spec[section[0]] if section else spec)[key] = value
+    with pytest.raises(ParseError, match=re.escape(field)):
+        ExperimentSpec.from_dict(spec)
 
 
 def test_spec_params_merge_with_defaults():
@@ -212,6 +235,10 @@ def test_run_single_record_and_energy_replay(tmp_path):
     assert rec["cpu_seconds"] > 0.0 and rec["process_seconds"] > 0.0
     assert 0.0 < rec["ess"] <= 320
     assert rec["step_scale"] > 0.0 and rec["step_scale"] != 0.02  # adapted
+    # one solve of 100 RK4 steps per evaluation inside the prior's support:
+    # the initial point and each of the 400 proposals
+    assert rec["rhs_evals"] == 401 * 100 * 4
+    assert run_single(spec, ds, k=2)["rhs_evals"] == rec["rhs_evals"]
 
     # the stored energies (negated log posterior) must replay exactly
     # through a rebuilt posterior
@@ -395,7 +422,7 @@ def test_report_files(tmp_path):
     record = json.loads((tmp_path / "record.json").read_text())
     assert record["spec"]["solver"] == "rk4"
     payload = record["recommendation"]
-    assert set(payload) == {"recommended_h", "speedup", "steps"}
+    assert set(payload) == {"recommended_h", "speedup", "rhs_ratio", "steps"}
     steps = payload["steps"]
     assert [s["h"] for s in steps] == hs
     for s, line in zip(steps, curve[1:]):
@@ -406,7 +433,7 @@ def test_report_files(tmp_path):
     assert "recommended step" in summary
     for r in record["runs"]:
         assert (f"process={r['process_seconds']:.2f}s ess={r['ess']:.0f} "
-                f"scale={r['step_scale']:.4g}") in summary
+                f"scale={r['step_scale']:.4g} rhs={r['rhs_evals']}") in summary
 
     # a record written before process_seconds, ess, step_scale and warnings
     # still renders

@@ -12,6 +12,8 @@ from stepselect import (GlucoseParams, LogisticParams, SolverConfig,
                         make_logistic_system)
 from stepselect.models import logistic_exact
 
+from _oracles import rhs_function
+
 
 # ---------------------------------------------------------------------------
 # logistic
@@ -27,13 +29,13 @@ def test_logistic_exact_endpoints():
 def test_logistic_exact_solves_the_ode():
     # central finite difference of the closed form against the rhs
     params = LogisticParams(lam=1.3, K=1000.0, X0=100.0)
-    rhs = make_logistic_system(params).rhs
+    rhs = rhs_function(make_logistic_system(params))
     eps = 1e-6
     for t in (0.0, 0.7, 3.0, 9.5):
         x = float(logistic_exact(t, params))
         dx = (float(logistic_exact(t + eps, params))
               - float(logistic_exact(t - eps, params))) / (2 * eps)
-        assert abs(dx - rhs(x, t, (params.lam,))) < 1e-4
+        assert abs(dx - rhs((x,), t, (params.lam,))[0]) < 1e-4
 
 
 def test_logistic_params_validation():
@@ -58,7 +60,8 @@ def test_logistic_exact_bounded_and_monotone(lam, t):
 def test_logistic_system_rhs_uses_theta():
     system = make_logistic_system(LogisticParams(lam=1.0, K=1000.0, X0=100.0))
     # the system infers lam through theta, not through params.lam
-    assert system.rhs(100.0, 0.0, (2.0,)) == pytest.approx(2.0 * 100.0 * 0.9)
+    dx, = rhs_function(system)((100.0,), 0.0, (2.0,))
+    assert dx == pytest.approx(2.0 * 100.0 * 0.9)
     assert system.dim_p == 1
 
 
@@ -68,7 +71,7 @@ def test_logistic_system_rhs_uses_theta():
 
 def test_glucose_clamps_switch_at_basal():
     p = GlucoseParams()
-    rhs = make_glucose_system(p, d0=90.0).rhs
+    rhs = rhs_function(make_glucose_system(p, d0=90.0))
     theta = (p.theta0,)
     # above basal: insulin response active, liver release off
     d = rhs((100.0, 0.0, 0.0, 0.0), 0.0, theta)

@@ -21,23 +21,29 @@ from stepselect.errors import DegenerateFit, GridMismatch, NonFiniteState
 from stepselect.models import OdeSystem, logistic_exact
 from stepselect.ode import _stepper
 
+from _oracles import rhs_function
+
+
+def make_system(rhs, x0, **consts) -> OdeSystem:
+    """A test system with right-hand-side lines ``rhs`` from ``x0``."""
+    return OdeSystem(dim_p=len(x0), rhs=rhs, consts=consts,
+                     obs=lambda s: s[..., 0], x0=np.array(x0, dtype=float))
+
 
 def exp_system() -> OdeSystem:
     """dx/dt = theta0 * x, exact solution exp(theta0 * t)."""
-    def rhs(x, t, theta):
-        return theta[0] * x
-
-    return OdeSystem(dim_p=1, rhs=rhs, obs=lambda s: s[..., 0],
-                     x0=np.array([1.0]))
+    return make_system(("dx = theta_0 * x",), [1.0])
 
 
 def rotation_system() -> OdeSystem:
-    """dx/dt = y, dy/dt = -x from (1, 0): the two-state tuple path."""
-    def rhs(x, t, theta):
-        return (x[1], -x[0])
+    """dx/dt = y, dy/dt = -x from (1, 0): the two-state path."""
+    return make_system(("dx_0 = x_1", "dx_1 = -x_0"), [1.0, 0.0])
 
-    return OdeSystem(dim_p=2, rhs=rhs, obs=lambda s: s[..., 0],
-                     x0=np.array([1.0, 0.0]))
+
+def forced_oscillator() -> OdeSystem:
+    """A two-state right-hand side that depends on t, so stage times count."""
+    return make_system(("dx_0 = x_1", "dx_1 = -theta_0 * x_0 + cos(t)"),
+                  [1.0, 0.0], cos=math.cos)
 
 
 # ---------------------------------------------------------------------------
@@ -179,29 +185,24 @@ def reference_states(rhs, x, theta, t0, h, n_steps, method):
     return states
 
 
-def forced_oscillator(x, t, theta):
-    """A two-state right-hand side that depends on t, so stage times count."""
-    return (x[1], -theta[0] * x[0] + math.cos(t))
-
-
 @pytest.mark.parametrize("method", sorted(METHOD_ORDERS))
 @pytest.mark.parametrize("dim_p", [1, 2, 4])
 def test_generated_stepper_matches_plain_loop(method, dim_p):
     theta, t0, h, n_steps = (1.3,), 0.5, 0.0625, 64
     if dim_p == 1:
-        system = make_logistic_system(LogisticParams())
-        rhs = system.rhs
-        x0, ref_rhs = 100.0, lambda x, t, th: (rhs(x[0], t, th),)
+        model = make_logistic_system(LogisticParams())
     elif dim_p == 2:
-        rhs = ref_rhs = forced_oscillator
-        x0 = (1.0, 0.0)
+        model = forced_oscillator()
     else:
-        system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
-        rhs = ref_rhs = system.rhs
-        x0, theta = tuple(system.x0.tolist()), (9.3,)
-    ref = reference_states(ref_rhs, x0 if dim_p > 1 else (x0,), theta, t0, h,
-                           n_steps, method)
-    step = _stepper(method, dim_p)
+        model = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
+        theta = (9.3,)
+    x0 = tuple(model.x0.tolist())
+    ref = reference_states(rhs_function(model), x0, theta, t0, h, n_steps,
+                           method)
+    step = _stepper(method, dim_p, model.rhs, tuple(model.consts))
+    consts = tuple(model.consts.values())
+    if dim_p == 1:
+        x0, = x0
 
     def hexes(states):
         return [[v.hex() for v in (s if dim_p > 1 else (s,))] for s in states]
@@ -209,15 +210,26 @@ def test_generated_stepper_matches_plain_loop(method, dim_p):
     # node 0, repeated nodes, adjacent nodes and long stretches between them
     for nodes in ([0, 0, 1, 2, 2, 9, 40, 63, 64], [64], [0, 64, 64]):
         out = []
-        x, missed = step(rhs, x0, theta, t0, h, 0, n_steps, nodes, out)
+        x, missed = step(consts, x0, theta, t0, h, 0, n_steps, nodes, out)
         assert missed is None
         assert hexes(out) == [[v.hex() for v in ref[n]] for n in nodes]
         assert hexes([x]) == hexes(out[-1:])
     # a solve resumed part-way, as the blow-up replay steps it
-    x, _ = step(rhs, x0, theta, t0, h, 0, 23, (23,), [])
+    x, _ = step(consts, x0, theta, t0, h, 0, 23, (23,), [])
     out = []
-    step(rhs, x, theta, t0, h, 23, n_steps, (23, 50, 64), out)
+    step(consts, x, theta, t0, h, 23, n_steps, (23, 50, 64), out)
     assert hexes(out) == [[v.hex() for v in ref[n]] for n in (23, 50, 64)]
+
+
+@pytest.mark.parametrize("dim_p,rhs,consts", [
+    (1, ("h = 2.0 * x", "dx = h"), ()),    # a temporary named like the step
+    (1, ("dx = half * x",), ("half",)),    # a constant named like a stage
+    (2, ("dx_0 = x_1", "i = x_0", "dx_1 = -i"), ()),
+])
+def test_stepper_rejects_rhs_names_of_its_own(dim_p, rhs, consts):
+    # pasted into the loop, they would silently change what it computes
+    with pytest.raises(ValueError, match="stepper's own"):
+        _stepper("rk4", dim_p, rhs, consts)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +289,9 @@ def quadratic_blowup_system(dim_p: int, guarded: bool = False) -> OdeSystem:
             raise ValueError("math domain error")
         return xi * xi
 
-    def rhs(x, t, theta):
-        return sq(x) if dim_p == 1 else tuple(sq(xi) for xi in x)
-
-    return OdeSystem(dim_p=dim_p, rhs=rhs, obs=lambda s: s[..., 0],
-                     x0=np.full(dim_p, 10.0))
+    rhs = (("dx = sq(x)",) if dim_p == 1
+           else tuple(f"dx_{j} = sq(x_{j})" for j in range(dim_p)))
+    return make_system(rhs, [10.0] * dim_p, sq=sq)
 
 
 def test_nonfinite_state_raised_with_context():
@@ -306,11 +316,10 @@ def test_nonfinite_state_raised_with_context():
 def test_rhs_error_on_finite_state_propagates(nodes):
     # x ** 2 raises OverflowError at x_7 ~ 1e255, before any state is
     # non-finite: the solve reports the right-hand side's own error
-    system = OdeSystem(dim_p=1, rhs=lambda x, t, theta: x ** 2,
-                       obs=lambda s: s[..., 0], x0=np.array([10.0]))
     with pytest.raises(OverflowError):
-        integrate_states(system, np.array([1.0]), SolverConfig("euler", 10.0),
-                         0.0, 20, nodes)
+        integrate_states(make_system(("dx = x ** 2",), [10.0]),
+                         np.array([1.0]), SolverConfig("euler", 10.0), 0.0,
+                         20, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +342,9 @@ def test_estimate_order_logistic(method, band):
 
 def test_estimate_order_rejects_degenerate_errors():
     # a constant rhs integrated exactly by every method: all errors ~ 0
-    system = OdeSystem(dim_p=1, rhs=lambda x, t, theta: 0.0,
-                       obs=lambda s: s[..., 0], x0=np.array([3.0]))
     with pytest.raises(DegenerateFit):
-        estimate_order(system, np.array([1.0]), "rk4", H_LIST, 0.0, 1.0,
+        estimate_order(make_system(("dx = 0.0",), [3.0]), np.array([1.0]),
+                       "rk4", H_LIST, 0.0, 1.0,
                        oracle=lambda t: np.array([3.0]))
 
 

@@ -124,7 +124,7 @@ def test_jeffreys_window_boundaries():
            for h, bf in zip((0.025, 0.05, 0.1, 0.2, 0.4), bfs)]
     curve = fit_curve(pts, p=1)
     object.__setattr__(curve, "log_fitted_a", 0.0)
-    rep = build_report(curve, np.ones(5))
+    rep = build_report(curve, np.ones(5), np.ones(5))
     assert [s["flag"] for s in rep["steps"]] == [True, True, False, False,
                                                  False]
     assert rep["recommended_h"] == 0.05
@@ -140,25 +140,30 @@ def test_build_report_picks_coarsest_admissible():
     # overwrite the intercept so the flags are exactly the offsets above
     object.__setattr__(curve, "log_fitted_a", math.log(a))
     cpu = np.array([8.0, 4.0, 2.0, 1.0])
-    rep = build_report(curve, cpu)
+    rhs = [3200, 1600, 800, 400]
+    rep = build_report(curve, cpu, rhs)
     assert rep["recommended_h"] == 0.1   # 0.2 is outside the window, 0.1 inside
     assert rep["speedup"] == 4.0         # cpu(h_min) / cpu(h_rec)
+    assert rep["rhs_ratio"] == 4.0       # rhs(h_min) / rhs(h_rec)
     with pytest.raises(ValueError):
-        build_report(curve, cpu[:3])
+        build_report(curve, cpu[:3], rhs)
+    with pytest.raises(ValueError):
+        build_report(curve, cpu, rhs[:3])
 
 
 def test_build_report_serializes_and_survives_failure():
     pts = [(h, math.log(1e-19) + 1.0 + h, 0.0) for h in GRID]
     curve = fit_curve(sorted(pts), p=1)
     object.__setattr__(curve, "log_fitted_a", math.log(1e-19))
-    rep = build_report(curve, np.array([4.0, 3.0, 2.0, 1.0]))
+    rep = build_report(curve, np.array([4.0, 3.0, 2.0, 1.0]), [8, 4, 2, 1])
     assert rep["recommended_h"] is None and rep["speedup"] is None
+    assert rep["rhs_ratio"] is None
     assert not any(step["flag"] for step in rep["steps"])
     # the scalar libm exp, bit for bit: curve.csv prints all 17 digits
     bf = [step["bf"] for step in rep["steps"]]
     assert bf == [math.exp(lm - math.log(1e-19)) for lm in curve.log_marginal]
     payload = json.loads(json.dumps(rep))
-    assert set(payload) == {"recommended_h", "speedup", "steps"}
+    assert set(payload) == {"recommended_h", "speedup", "rhs_ratio", "steps"}
     assert payload["recommended_h"] is None and payload["speedup"] is None
     assert [step["bf"] for step in payload["steps"]] == bf
     rows = rep["steps"]
