@@ -15,8 +15,9 @@ import sys
 from pathlib import Path
 
 from .errors import StepSelectError
-from .harness import (ExperimentSpec, generate_synthetic, report, run_single,
-                      run_sweep, save_observations, load_or_generate)
+from .harness import (MODELS, ExperimentSpec, generate_synthetic, report,
+                      run_single, run_sweep, save_observations, load_or_generate)
+from .ode import METHOD_ORDERS
 
 
 def _load_spec(args) -> ExperimentSpec:
@@ -43,11 +44,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = _load_spec(args)
-    run_sweep(spec, args.out, jobs=args.jobs)
-    report(args.out)
-    print((Path(args.out) / "summary.txt").read_text(), end="")
-    return 0
+    run_sweep(_load_spec(args), args.out, jobs=args.jobs)
+    return cmd_report(args)
 
 
 def cmd_evidence(args) -> int:
@@ -84,12 +82,12 @@ def main(argv=None) -> int:
                        help="experiment spec JSON file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the spec seed")
-        p.add_argument("--solver", choices=("euler", "rk2", "rk4"),
+        p.add_argument("--solver", choices=METHOD_ORDERS,
                        default=None, help="override the spec solver")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic observation CSV")
     add_common(p_gen)
-    p_gen.add_argument("--model", choices=("logistic", "glucose"), default=None)
+    p_gen.add_argument("--model", choices=MODELS, default=None)
     p_gen.add_argument("--out", required=True, help="output CSV path")
     p_gen.set_defaults(fn=cmd_gen)
 

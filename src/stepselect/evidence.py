@@ -35,6 +35,7 @@ from .errors import (BoundsTooTight, DegenerateSampleWarning,
 
 LOG_2PI = math.log(2.0 * math.pi)
 KDE_BLOCK_ROWS = 256     # points per block in KdeDensity.log_density
+GD_BATCHES = 32          # batch means behind gelfand_dey's standard error
 
 
 @dataclass
@@ -67,15 +68,13 @@ class KdeDensity:
     bandwidths: np.ndarray  # (d,)
 
     def log_density(self, points) -> np.ndarray:
-        """Log density at ``points`` of shape (n, d) or (d,).
+        """Log density at ``points`` of shape (n, d), as shape (n,).
 
         Points go through in blocks of KDE_BLOCK_ROWS; each point's value is
         a reduction along its own row, so it depends neither on the block
         size nor on the other points, and repeated evaluation is
         bit-reproducible."""
-        points = np.asarray(points, dtype=float)
-        single = points.ndim == 1
-        pts = np.atleast_2d(points)
+        pts = np.asarray(points, dtype=float)
         m, d = self.centers.shape
         const = -0.5 * d * LOG_2PI - float(np.sum(np.log(self.bandwidths))) \
             - math.log(m)
@@ -85,7 +84,7 @@ class KdeDensity:
             z = (block[:, None, :] - self.centers[None, :, :]) / self.bandwidths
             expo = -0.5 * np.sum(z * z, axis=2)
             out[start:start + KDE_BLOCK_ROWS] = logsumexp_rows(expo) + const
-        return float(out[0]) if single else out
+        return out
 
 
 def logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -162,8 +161,7 @@ def kde_fit(draws: np.ndarray, shrink: float = 0.5,
 # ---------------------------------------------------------------------------
 
 def gelfand_dey(energies: np.ndarray, log_alpha: np.ndarray,
-                method: str = "gelfand_dey_kde",
-                n_batches: int = 32) -> EvidenceEstimate:
+                method: str = "gelfand_dey_kde") -> EvidenceEstimate:
     """Reciprocal-importance marginal likelihood from the chain energies and
     the weighting log-density at the same draws, ``log_alpha[l] = -A_l``.
 
@@ -188,7 +186,7 @@ def gelfand_dey(energies: np.ndarray, log_alpha: np.ndarray,
     mean_v = float(v.mean())
     log_marginal = -(shift + math.log(mean_v))
 
-    b = min(n_batches, L)
+    b = min(GD_BATCHES, L)
     size = L // b
     bm = v[:b * size].reshape(b, size).mean(axis=1)
     se_mean = float(bm.std(ddof=1)) / math.sqrt(b)

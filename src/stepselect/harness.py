@@ -20,9 +20,11 @@ is reproducible run-by-run no matter how work is distributed over workers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -42,14 +44,14 @@ from .mcmc import (ProposalConfig, effective_sample_size, load_chain_csv,
 from .models import (GlucoseParams, LogisticParams, logistic_exact,
                      make_glucose_system, make_logistic_system)
 from .ode import METHOD_ORDERS, SolverConfig
-from .stepfit import build_report, fit_curve
+from .stepfit import DEFAULT_THRESHOLD, build_report, fit_curve
 
-MODELS = ("logistic", "glucose")
-
-LOGISTIC_DEFAULTS = {"lam": 1.0, "K": 1000.0, "X0": 100.0}
-GLUCOSE_DEFAULTS = {"theta0": 10.0, "theta1": 26.6, "theta2": 0.2,
-                    "a": 1.0, "b": 2.0, "Gb": 80.0, "d0": 90.0, "D0": 200.0}
-PARAM_DEFAULTS = {"logistic": LOGISTIC_DEFAULTS, "glucose": GLUCOSE_DEFAULTS}
+# each model's constants class; its fields and defaults are the spec's params
+MODELS = {"logistic": LogisticParams, "glucose": GlucoseParams}
+PARAM_DEFAULTS = {name: {f.name: f.default for f in dataclasses.fields(cls)}
+                  for name, cls in MODELS.items()}
+# the glucose spec also sets the initial glucose d0 and the gut deposit D0
+PARAM_DEFAULTS["glucose"].update(d0=90.0, D0=200.0)
 
 # the keys of every run in record.json, ok or failed, in this order
 RUN_FIELDS = ("h", "k", "seed", "status", "log_marginal", "se", "method",
@@ -91,6 +93,10 @@ class RegressionSettings:
     mask_smallest: int = 4
     mask_h: Optional[Tuple[float, ...]] = None
 
+    def __post_init__(self):
+        if isinstance(self.mask_h, list):     # a JSON array
+            self.mask_h = tuple(self.mask_h)
+
 
 def _read_json(path):
     with open(path) as fh:
@@ -100,11 +106,40 @@ def _read_json(path):
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _check_number(name: str, value) -> None:
-    """Reject anything but a finite int or float (bool and str included)."""
-    if isinstance(value, bool) or not (
-            isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+@functools.lru_cache(maxsize=None)
+def _fields(cls) -> tuple:
+    """(name, declared type) of each field of the dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
+
+
+def _check(name: str, value, declared) -> None:
+    """Reject ``value`` unless it is of the type ``declared``: a float is a
+    finite int or float and an int an int, never a bool; Optional allows
+    None, a tuple is checked entry by entry and a group field by field."""
+    if declared is float:
+        if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+    elif declared is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+    elif isinstance(declared, type):          # bool, str, dict or a group
+        if not isinstance(value, declared):
+            raise TypeError(f"{name} must be a {declared.__name__}, "
+                            f"got {value!r}")
+        if dataclasses.is_dataclass(declared):
+            for key, kind in _fields(declared):
+                _check(f"{name}.{key}" if name else key, getattr(value, key),
+                       kind)
+    elif typing.get_origin(declared) is typing.Union:    # Optional[X]
+        if value is not None:
+            _check(name, value, typing.get_args(declared)[0])
+    elif not isinstance(value, tuple):                   # Tuple[X, ...]
+        raise TypeError(f"{name} must be a list, got {value!r}")
+    else:
+        for i, v in enumerate(value):
+            _check(f"{name}[{i}]", v, typing.get_args(declared)[0])
 
 
 @dataclass
@@ -121,17 +156,18 @@ class ExperimentSpec:
     mcmc: McmcSettings = field(default_factory=McmcSettings)
     evidence: EvidenceSettings = field(default_factory=EvidenceSettings)
     regression: RegressionSettings = field(default_factory=RegressionSettings)
-    jeffreys_threshold: float = 0.99
+    jeffreys_threshold: float = DEFAULT_THRESHOLD
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ParseError(f"unknown model {self.model!r}")
-        if len(self.h_grid) < 1 or len(set(self.h_grid)) != len(self.h_grid):
-            raise ParseError("h_grid must be non-empty without duplicates")
-        merged = dict(PARAM_DEFAULTS[self.model])
-        merged.update(self.params)
-        self.params = merged
+        if isinstance(self.h_grid, list):     # a JSON array
+            self.h_grid = tuple(self.h_grid)
         try:
+            _check("", self, ExperimentSpec)
+            if self.model not in MODELS:
+                raise ValueError(f"unknown model {self.model!r}")
+            if len(self.h_grid) < 1 or len(set(self.h_grid)) != len(self.h_grid):
+                raise ValueError("h_grid must be non-empty without duplicates")
+            self.params = {**PARAM_DEFAULTS[self.model], **self.params}
             self._validate()
         except (ValueError, TypeError, KeyError, AttributeError,
                 OverflowError) as exc:
@@ -140,70 +176,41 @@ class ExperimentSpec:
     def model_params(self):
         """The model's constants: LogisticParams or GlucoseParams (the
         glucose spec's d0 and D0 stay in ``params``)."""
-        p = self.params
-        if self.model == "logistic":
-            return LogisticParams(lam=p["lam"], K=p["K"], X0=p["X0"])
-        return GlucoseParams(theta0=p["theta0"], theta1=p["theta1"],
-                             theta2=p["theta2"], a=p["a"], b=p["b"], Gb=p["Gb"])
+        cls = MODELS[self.model]
+        return cls(**{f.name: self.params[f.name]
+                      for f in dataclasses.fields(cls)})
 
     def _validate(self) -> None:
-        """Reject values the sweep would only trip over after it started."""
-        for name, value in self.params.items():
-            if name not in PARAM_DEFAULTS[self.model]:
-                raise ValueError(f"unknown {self.model} parameter {name!r}")
-            _check_number(f"params.{name}", value)
-        for name, value in self.prior.items():
-            if name not in ("shape", "rate"):
-                raise ValueError(f"unknown prior key {name!r}")
-            _check_number(f"prior.{name}", value)
-        _check_number("sigma", self.sigma)
-        _check_number("mcmc.step_scale", self.mcmc.step_scale)
+        """Reject values the sweep would only trip over after it started;
+        every field already has its declared type."""
+        for group, values, known in (
+                ("params", self.params, PARAM_DEFAULTS[self.model]),
+                ("prior", self.prior, ("shape", "rate"))):
+            for name, value in values.items():
+                if name not in known:
+                    raise ValueError(f"unknown {group} key {name!r}")
+                _check(f"{group}.{name}", value, float)
         constants = self.model_params()
         if self.model == "glucose":
             make_glucose_system(constants, d0=self.params["d0"],
                                 D0=self.params["D0"])
-        for i, h in enumerate(self.h_grid):
-            _check_number(f"h_grid[{i}]", h)
+        for h in self.h_grid:
             SolverConfig(self.solver, h)
-        for name, value in (("times.start", self.times.start),
-                            ("times.stop", self.times.stop),
-                            ("evidence.shrink", self.evidence.shrink),
-                            ("evidence.trunc_lo", self.evidence.trunc_lo),
-                            ("evidence.trunc_hi", self.evidence.trunc_hi)):
-            _check_number(name, value)
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         prior = self.build_prior()
         self.build_proposal()
-        burn_in = self.mcmc.burn_in
-        for name, value in (("seed", self.seed), ("times.n", self.times.n),
-                            ("mcmc.n_iter", self.mcmc.n_iter),
-                            ("mcmc.burn_in", 0 if burn_in is None else burn_in),
-                            ("mcmc.adapt_window", self.mcmc.adapt_window),
-                            ("evidence.subsample", self.evidence.subsample),
-                            ("regression.mask_smallest",
-                             self.regression.mask_smallest)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not isinstance(self.mcmc.adapt, bool):
-            raise TypeError(f"mcmc.adapt must be true or false, "
-                            f"got {self.mcmc.adapt!r}")
-        if not isinstance(self.observations_csv, (str, type(None))):
-            raise TypeError(f"observations_csv must be null or a path, "
-                            f"got {self.observations_csv!r}")
         times = self.obs_times()
         Dataset(times=times, values=np.zeros(times.size))
         n_iter, burn_in = self.mcmc.n_iter, self.mcmc.resolved_burn_in()
         if not 0 <= burn_in < n_iter:
             raise ValueError("mcmc needs n_iter > burn_in >= 0")
         init = self.mcmc.init
-        if init is not None:
-            _check_number("mcmc.init", init)
-            if not math.isfinite(prior.theta[0].logpdf(init)):
-                raise ValueError(f"mcmc.init must be null or inside the "
-                                 f"prior's support, got {init!r}")
+        if init is not None and not math.isfinite(prior.theta[0].logpdf(init)):
+            raise ValueError(f"mcmc.init must be null or inside the "
+                             f"prior's support, got {init!r}")
         kept = n_iter - burn_in
         if min(kept, self.evidence.subsample) < 30:
             raise ValueError(
@@ -228,30 +235,17 @@ class ExperimentSpec:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["h_grid"] = list(self.h_grid)
-        if self.regression.mask_h is not None:
-            d["regression"]["mask_h"] = list(self.regression.mask_h)
-        return d
+        """The spec as a dict; its tuples go to JSON as arrays."""
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentSpec":
         try:
-            d = dict(d)
-            if "times" in d and isinstance(d["times"], dict):
-                d["times"] = TimesSpec(**d["times"])
-            if "mcmc" in d and isinstance(d["mcmc"], dict):
-                d["mcmc"] = McmcSettings(**d["mcmc"])
-            if "evidence" in d and isinstance(d["evidence"], dict):
-                d["evidence"] = EvidenceSettings(**d["evidence"])
-            if "regression" in d and isinstance(d["regression"], dict):
-                reg = dict(d["regression"])
-                if reg.get("mask_h") is not None:
-                    reg["mask_h"] = tuple(reg["mask_h"])
-                d["regression"] = RegressionSettings(**reg)
-            if "h_grid" in d:
-                d["h_grid"] = tuple(d["h_grid"])
-            return cls(**d)
+            groups = dict(_fields(cls))
+            return cls(**{key: groups[key](**value)
+                          if isinstance(value, dict)
+                          and dataclasses.is_dataclass(groups.get(key))
+                          else value for key, value in d.items()})
         except (TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"bad experiment spec: {exc}") from exc
 
@@ -290,8 +284,7 @@ class ExperimentSpec:
     def init_value(self) -> float:
         if self.mcmc.init is not None:
             return float(self.mcmc.init)
-        comp = self.build_prior().theta[0]
-        return comp.mean
+        return self.build_prior().theta[0].mean
 
 
 def build_system(spec: ExperimentSpec, dataset: Dataset):
@@ -410,7 +403,7 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
                       process_seconds=chain.process_seconds,
                       rhs_evals=logpost.rhs_evals(),
                       accept_rate=chain.accept_rate,
-                      ess=effective_sample_size(chain),
+                      ess=effective_sample_size(chain.draws[:, 0]),
                       step_scale=float(chain.step_scales[0]))
     if out_dir is not None:
         chain_name = f"chain_{k}.csv"
@@ -533,7 +526,9 @@ def report(out_dir) -> dict:
     gives the failure.  The Bayes factors and flags are the ones
     ``run_sweep`` stored in ``record["recommendation"]["steps"]``; without
     a fitted curve their cells stay empty.  Everything except the summary's
-    timing figures is byte-deterministic given the spec.
+    timing figures is byte-deterministic given the spec.  A record whose
+    steps and ok runs name different h, or that lacks a field the tables
+    read, is a ParseError before any file is written.
     """
     out_dir = Path(out_dir)
     path = out_dir / "record.json"
@@ -547,7 +542,48 @@ def report(out_dir) -> dict:
         rec = record.get("recommendation")
         steps = (rec["steps"] if rec is not None
                  else [dict(r, bf=None, flag=None) for r in ok])
-    except (KeyError, TypeError, ValueError) as exc:
+        if [s["h"] for s in steps] != [r["h"] for r in ok]:
+            raise ValueError("its steps and its ok runs name different h")
+        fit_cells, curve_rows, lines = ",", [], []
+        if curve is not None:
+            log_a = curve["log_fitted_a"]
+            fit_cells = "%.17g,%.17g" % (log_a, math.exp(log_a))
+            lines.append(f"extrapolated marginal: {math.exp(log_a):.6g} "
+                         f"(log {log_a:.6f}, rel se {curve['rel_se_a']:.3g}, "
+                         f"fit mask h={curve['mask_h']})")
+        for s, r in zip(steps, ok):
+            bf_flag = ",," if s["bf"] is None else ",%.17g,%d" % (s["bf"],
+                                                                s["flag"])
+            curve_rows.append("%.17g,%.17g,%.17g%s\n" % (
+                s["h"], s["log_marginal"], s["se"], bf_flag))
+            bf_s = "" if s["bf"] is None else f"  BF={s['bf']:.6f}"
+            # records written before these fields existed still render
+            chain_s = "" if r.get("ess") is None else (
+                f" process={r['process_seconds']:.2f}s ess={r['ess']:.0f} "
+                f"scale={r['step_scale']:.4g}")
+            rhs_s = "" if r.get("rhs_evals") is None else f" rhs={r['rhs_evals']}"
+            lines.append(f"h={s['h']:<8g} log P = {s['log_marginal']:.6f} "
+                         f"+- {s['se']:.4f}{bf_s}  cpu={s['cpu_seconds']:.2f}s "
+                         f"accept={r['accept_rate']:.3f}{chain_s}{rhs_s}")
+            lines.extend(f"  warning: {w}" for w in r.get("warnings") or ())
+        hists = [(r["k"], out_dir / r["chain_csv"]) for r in ok
+                 if r["chain_csv"] is not None]
+        for r in record["runs"]:
+            if r["status"] != "ok":
+                lines.append(f"h={r['h']:<8g} {r['status']}")
+                lines.extend(f"  warning: {w}" for w in r.get("warnings") or ())
+        if "curve_error" in record:
+            lines.append(f"no evidence curve: {record['curve_error']}")
+        if rec is not None and rec["recommended_h"] is not None:
+            rhs_s = "" if rec.get("rhs_ratio") is None else (
+                f", {rec['rhs_ratio']:.2f}x fewer RHS evaluations")
+            lines.append(f"recommended step: h={rec['recommended_h']:g} "
+                         f"(speedup {rec['speedup']:.2f}x over the finest step"
+                         f"{rhs_s})")
+        elif rec is not None:
+            lines.append("recommended step: none admissible at this threshold")
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         raise ParseError(f"{path} is not a run record "
                          f"({type(exc).__name__}: {exc})") from exc
     dataset = load_observations(obs_csv, sigma=spec.sigma)
@@ -560,71 +596,30 @@ def report(out_dir) -> dict:
     with open(out_dir / "table.csv", "w") as fh:
         fh.write("sigma,log_exact_marginal,exact_marginal,"
                  "log_extrapolated,extrapolated_marginal\n")
-        ex_log = "%.17g" % exact.log_marginal if exact is not None else ""
-        ex_lin = "%.17g" % exact.marginal if exact is not None else ""
-        if curve is not None:
-            fit_log = "%.17g" % curve["log_fitted_a"]
-            fit_lin = "%.17g" % math.exp(curve["log_fitted_a"])
-        else:
-            fit_log = fit_lin = ""
-        fh.write("%.17g,%s,%s,%s,%s\n" % (spec.sigma, ex_log, ex_lin,
-                                          fit_log, fit_lin))
+        exact_cells = "," if exact is None else "%.17g,%.17g" % (
+            exact.log_marginal, exact.marginal)
+        fh.write("%.17g,%s,%s\n" % (spec.sigma, exact_cells, fit_cells))
 
     with open(out_dir / "curve.csv", "w") as fh:
         fh.write("h,log_marginal,se,bf,flag\n")
-        for s in steps:
-            bf_flag = ",," if s["bf"] is None else ",%.17g,%d" % (s["bf"],
-                                                                s["flag"])
-            fh.write("%.17g,%.17g,%.17g%s\n" % (s["h"], s["log_marginal"],
-                                                s["se"], bf_flag))
+        fh.writelines(curve_rows)
 
-    for r in ok:
-        if r["chain_csv"] is None:
-            continue
-        draws, _ = load_chain_csv(out_dir / r["chain_csv"])
+    for k, chain_csv in hists:
+        draws, _ = load_chain_csv(chain_csv)
         counts, edges = np.histogram(draws[:, 0], bins=60, density=True)
-        with open(out_dir / f"posterior_hist_{r['k']}.csv", "w") as fh:
+        with open(out_dir / f"posterior_hist_{k}.csv", "w") as fh:
             fh.write("bin_lo,bin_hi,density\n")
             for i in range(counts.size):
                 fh.write("%.17g,%.17g,%.17g\n" % (edges[i], edges[i + 1],
                                                   counts[i]))
 
-    lines = [f"model={spec.model} solver={spec.solver} sigma={spec.sigma:g} "
-             f"n_obs={dataset.n} seed={spec.seed}"]
+    head = [f"model={spec.model} solver={spec.solver} sigma={spec.sigma:g} "
+            f"n_obs={dataset.n} seed={spec.seed}"]
     if exact is not None:
-        lines.append(f"exact marginal (quadrature): {exact.marginal:.6g} "
-                     f"(log {exact.log_marginal:.6f})")
+        head.append(f"exact marginal (quadrature): {exact.marginal:.6g} "
+                    f"(log {exact.log_marginal:.6f})")
     elif exact_error is not None:
-        lines.append(f"exact marginal: unavailable: {exact_error}")
-    if curve is not None:
-        lines.append(f"extrapolated marginal: {math.exp(curve['log_fitted_a']):.6g} "
-                     f"(log {curve['log_fitted_a']:.6f}, rel se {curve['rel_se_a']:.3g}, "
-                     f"fit mask h={curve['mask_h']})")
-    for s, r in zip(steps, ok):
-        bf_s = "" if s["bf"] is None else f"  BF={s['bf']:.6f}"
-        # records written before these fields existed still render
-        chain_s = "" if r.get("ess") is None else (
-            f" process={r['process_seconds']:.2f}s ess={r['ess']:.0f} "
-            f"scale={r['step_scale']:.4g}")
-        rhs_s = "" if r.get("rhs_evals") is None else f" rhs={r['rhs_evals']}"
-        lines.append(f"h={s['h']:<8g} log P = {s['log_marginal']:.6f} "
-                     f"+- {s['se']:.4f}{bf_s}  cpu={s['cpu_seconds']:.2f}s "
-                     f"accept={r['accept_rate']:.3f}{chain_s}{rhs_s}")
-        lines.extend(f"  warning: {w}" for w in r.get("warnings") or ())
-    failed = [r for r in record["runs"] if r["status"] != "ok"]
-    for r in failed:
-        lines.append(f"h={r['h']:<8g} {r['status']}")
-        lines.extend(f"  warning: {w}" for w in r.get("warnings") or ())
-    if "curve_error" in record:
-        lines.append(f"no evidence curve: {record['curve_error']}")
-    if rec is not None and rec["recommended_h"] is not None:
-        rhs_s = "" if rec.get("rhs_ratio") is None else (
-            f", {rec['rhs_ratio']:.2f}x fewer RHS evaluations")
-        lines.append(f"recommended step: h={rec['recommended_h']:g} "
-                     f"(speedup {rec['speedup']:.2f}x over the finest step"
-                     f"{rhs_s})")
-    elif rec is not None:
-        lines.append("recommended step: none admissible at this threshold")
+        head.append(f"exact marginal: unavailable: {exact_error}")
     with open(out_dir / "summary.txt", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(head + lines) + "\n")
     return record

@@ -101,51 +101,43 @@ def mh_run(log_posterior: Callable, init, proposal: ProposalConfig,
     scales = proposal.step_scales.astype(float).copy()
     if scales.size == 1 and d > 1:
         scales = np.full(d, float(scales[0]))
-    window_prob = 0.0
-    window_count = 0
     n_windows = 0
-
-    t_start, cpu_start = time.perf_counter(), time.process_time()
-    for i in range(burn_in):
-        prop = x + scales * noise[i]
-        lp_prop = float(log_posterior(prop))
-        delta = lp_prop - lp
-        if delta >= 0.0 or log_u[i] < delta:
-            x = prop
-            lp = lp_prop
-        if proposal.adapt:
-            window_prob += math.exp(min(0.0, delta))
-            window_count += 1
-            if window_count == proposal.adapt_window:
-                n_windows += 1
-                mean_prob = window_prob / window_count
-                scales *= math.exp((mean_prob - proposal.target_accept)
-                                   / math.sqrt(n_windows))
-                window_prob = 0.0
-                window_count = 0
-
-    # The scales are frozen from here on, so a block's steps are computed
-    # at once.  Its draws go to lists and then to the arrays in one write,
-    # which bounds the objects alive at once.
     kept = n_iter - burn_in
     draws = np.empty((kept, d))
     energies = np.empty(kept)
     n_accept_kept = 0
-    for a in range(0, kept, _BLOCK):
-        rows = slice(burn_in + a, burn_in + a + _BLOCK)
+    window = proposal.adapt_window if proposal.adapt else _BLOCK
+
+    # Scales stay fixed within a block, so its steps are computed at once:
+    # adaptation windows (capped at the end of burn-in) during burn-in,
+    # _BLOCK iterations after it.  A kept block's draws go to lists and
+    # then to the arrays in one write, which bounds the objects alive.
+    edges = [*range(0, burn_in, window), *range(burn_in, n_iter, _BLOCK), n_iter]
+    t_start, cpu_start = time.perf_counter(), time.process_time()
+    for start, stop in zip(edges, edges[1:]):
         xs, es = [], []
-        for step, lu in zip(scales * noise[rows], log_u[rows].tolist()):
+        n_accept, prob = 0, 0.0
+        for step, lu in zip(scales * noise[start:stop],
+                            log_u[start:stop].tolist()):
             prop = x + step
             lp_prop = float(log_posterior(prop))
             delta = lp_prop - lp
+            prob += math.exp(min(0.0, delta))
             if delta >= 0.0 or lu < delta:
                 x = prop
                 lp = lp_prop
-                n_accept_kept += 1
+                n_accept += 1
             xs.append(x)
             es.append(-lp)
-        draws[a:a + len(xs)] = xs
-        energies[a:a + len(es)] = es
+        if start >= burn_in:
+            draws[start - burn_in:stop - burn_in] = xs
+            energies[start - burn_in:stop - burn_in] = es
+            n_accept_kept += n_accept
+        elif proposal.adapt and stop - start == window:
+            # Robbins-Monro on each full window; a partial last one is dropped
+            n_windows += 1
+            scales *= math.exp((prob / window - proposal.target_accept)
+                               / math.sqrt(n_windows))
     wall = time.perf_counter() - t_start
     cpu = time.process_time() - cpu_start
 
@@ -158,14 +150,14 @@ def mh_run(log_posterior: Callable, init, proposal: ProposalConfig,
                  process_seconds=cpu)
 
 
-def effective_sample_size(chain, coordinate: int = 0) -> float:
-    """ESS by the initial-positive-sequence truncation of the autocorrelation.
+def effective_sample_size(x) -> float:
+    """ESS of a 1-D sample by the initial-positive-sequence truncation.
 
     Sums consecutive autocorrelation pairs while they stay positive, which
     is the standard conservative truncation for reversible chains.  Returns
     a value in (0, n]; a constant chain counts as a single sample.
     """
-    x = chain.draws[:, coordinate] if hasattr(chain, "draws") else np.asarray(chain, float)
+    x = np.asarray(x, dtype=float)
     n = x.size
     if n < 2:
         return float(n)

@@ -42,12 +42,12 @@ class SolverConfig:
             raise ValueError(f"step size must be finite and positive, got {self.h}")
 
 
-def divides(h: float, span: float, rtol: float = GRID_RTOL) -> bool:
-    """True if span is an integer (>= 1) multiple of h up to rtol."""
+def divides(h: float, span: float) -> bool:
+    """True if span is an integer (>= 1) multiple of h up to GRID_RTOL."""
     if span <= 0.0:
         return False
     n = round(span / h)
-    return n >= 1 and abs(span - n * h) <= rtol * max(span, h)
+    return n >= 1 and abs(span - n * h) <= GRID_RTOL * max(span, h)
 
 
 def check_grid(h: float, times) -> None:

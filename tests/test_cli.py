@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +136,50 @@ def test_report_without_run_record_exits_one(tmp_path, capsys):
     (tmp_path / "record.json").write_text("{}")
     assert main(["report", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+# a record that run_sweep did not write this way: each must end in an error
+# line before report writes anything, never in a traceback or in a summary
+# line that pairs one step's marginal with another step's run
+BROKEN_RECORDS = {
+    "first_step_deleted":
+        lambda rec: rec["recommendation"]["steps"].pop(0),
+    "ok_run_without_accept_rate":
+        lambda rec: rec["runs"][0].pop("accept_rate"),
+    "log_marginal_is_a_string":
+        lambda rec: rec["recommendation"]["steps"][1].update(
+            log_marginal="-30.5"),
+}
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("finished")
+    run_dir = root / "run"
+    assert main(["sweep", "--spec", write_spec(root), "--out",
+                 str(run_dir)]) == 0
+    return run_dir
+
+
+@pytest.mark.parametrize("breakage", sorted(BROKEN_RECORDS))
+def test_report_rejects_a_record_its_sweep_did_not_write(
+        finished_run, tmp_path, capsys, breakage):
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished_run, run_dir)
+    rendered = [p for p in run_dir.iterdir()
+                if p.name in ("table.csv", "curve.csv", "summary.txt")
+                or p.name.startswith("posterior_hist_")]
+    for p in rendered:
+        p.unlink()
+    record = json.loads((run_dir / "record.json").read_text())
+    BROKEN_RECORDS[breakage](record)
+    (run_dir / "record.json").write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["report", "--out", str(run_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "is not a run record" in err
+    assert "Traceback" not in err
+    assert len(rendered) == 6 and not any(p.exists() for p in rendered)
 
 
 def test_console_script_help():

@@ -204,7 +204,7 @@ def test_kde_log_density_is_the_mixture():
     manual = (math.log(np.mean(np.exp(-0.5 * np.sum(z * z, axis=1))))
               - 0.5 * 2 * math.log(2 * math.pi)
               - float(np.sum(np.log(kde.bandwidths))))
-    assert kde.log_density(x) == pytest.approx(manual, rel=1e-12)
+    assert kde.log_density(x[None, :])[0] == pytest.approx(manual, rel=1e-12)
 
 
 def test_kde_log_density_does_not_depend_on_the_block_size(monkeypatch):

@@ -1,7 +1,9 @@
 """Spec serialization, synthetic data, sweep reproducibility, reports."""
 
+import dataclasses
 import json
 import re
+import typing
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -114,6 +116,9 @@ BOOLEAN_NUMBERS = [
     ("mcmc.init", True), ("seed", True), ("mcmc.n_iter", True),
     ("mcmc.burn_in", True), ("mcmc.adapt_window", True),
     ("evidence.subsample", True), ("regression.mask_smallest", True),
+    ("regression.mask_h", [True, 0.5, 0.25]), ("sigma", True),
+    ("mcmc.step_scale", True), ("mcmc.target_accept", True),
+    ("jeffreys_threshold", True),
 ]
 
 
@@ -121,10 +126,57 @@ BOOLEAN_NUMBERS = [
                          ids=[f for f, _ in BOOLEAN_NUMBERS])
 def test_spec_rejects_boolean_in_number_field(field, value):
     spec = small_spec().to_dict()
+    if field == "regression.mask_h":
+        # True == 1.0 is a step of this grid, so the subset check passes it
+        spec["h_grid"] = [1.0, 0.5, 0.25, 0.125]
     *section, key = field.split(".")
     (spec[section[0]] if section else spec)[key] = value
     with pytest.raises(ParseError, match=re.escape(field)):
         ExperimentSpec.from_dict(spec)
+
+
+def _number_fields(cls, prefix=""):
+    """Dotted names of the float and int fields the dataclass ``cls`` and
+    its settings groups declare, inside Optional and Tuple too."""
+    def leaves(kind):
+        return {kind}.union(*map(leaves, typing.get_args(kind)))
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _number_fields(hints[f.name], f"{prefix}{f.name}.")
+        elif leaves(hints[f.name]) & {float, int}:
+            yield prefix + f.name
+
+
+def test_boolean_cases_cover_every_declared_number_field():
+    # a number field added to the spec needs a case in BOOLEAN_NUMBERS
+    declared = set(_number_fields(ExperimentSpec))
+    assert {"sigma", "times.n", "mcmc.init", "regression.mask_h"} <= declared
+    assert declared - {f for f, _ in BOOLEAN_NUMBERS} == set()
+
+
+# sha256 of each bundled spec and of the default spec; a record's spec_hash
+# must not move when only the spec's code changes
+SPEC_HASHES = {
+    "glucose.json":
+        "79a642e452fcfae43e29b31de9f54c10d5f9e772677023855341208e8c10e29e",
+    "logistic_sigma1.json":
+        "ae82654e75a150592d4399dd8f7ea63386165b3a7292f131fe742721ad2d8b2d",
+    "logistic_sigma30.json":
+        "bd04d87944301e6219788a213284730dbf135824cc620042f9418adf671bc260",
+}
+DEFAULT_SPEC_HASH = \
+    "32f48024efdf6c336c7de9786f63969f9ab30f6d6249bbf40ae1695930d4e124"
+
+
+def test_bundled_specs_round_trip_with_pinned_hashes():
+    assert sorted(p.name for p in SPECS.glob("*.json")) == sorted(SPEC_HASHES)
+    for name, digest in SPEC_HASHES.items():
+        spec = ExperimentSpec.from_json_file(SPECS / name)
+        as_json = json.loads(json.dumps(spec.to_dict()))
+        assert as_json == json.loads((SPECS / name).read_text()), name
+        assert spec.spec_hash() == digest, name
+    assert ExperimentSpec().spec_hash() == DEFAULT_SPEC_HASH
 
 
 def test_spec_params_merge_with_defaults():

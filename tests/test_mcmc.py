@@ -28,7 +28,7 @@ def run_normal(n_iter=40000, seed=11, scale=1.0, adapt=True):
 def test_samples_standard_normal():
     chain = run_normal()
     x = chain.draws[:, 0]
-    n_eff = effective_sample_size(chain)
+    n_eff = effective_sample_size(x)
     assert n_eff > 500
     # mean and sd against their Monte Carlo uncertainty (3 sigma)
     assert abs(x.mean()) < 3.0 / math.sqrt(n_eff)
