@@ -24,6 +24,7 @@ import functools
 import hashlib
 import json
 import math
+import sys
 import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -39,8 +40,7 @@ from .bayes import (Dataset, GammaPrior, Prior, make_log_posterior,
 from .errors import ParseError, StepSelectError
 from .evidence import (GridSpec, evidence_from_chain, posterior_window,
                        quadrature_marginal)
-from .mcmc import (ProposalConfig, effective_sample_size, load_chain_csv,
-                   mh_run, save_chain_csv)
+from .mcmc import Chain, ProposalConfig, effective_sample_size, mh_run
 from .models import (GlucoseParams, LogisticParams, logistic_exact,
                      make_glucose_system, make_logistic_system)
 from .ode import METHOD_ORDERS, SolverConfig
@@ -102,7 +102,7 @@ def _read_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:    # bad JSON or UTF-8, or a too-long int
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -118,8 +118,8 @@ def _check(name: str, value, declared) -> None:
     finite int or float and an int an int, never a bool; Optional allows
     None, a tuple is checked entry by entry and a group field by field."""
     if declared is float:
-        if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and math.isfinite(value)):
+        if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                           and abs(value) <= sys.float_info.max):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
     elif declared is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -328,37 +328,65 @@ def generate_synthetic(spec: ExperimentSpec) -> Dataset:
     return Dataset(times=times, values=values, sigma_fixed=spec.sigma)
 
 
-def save_observations(dataset: Dataset, path) -> None:
+def _write_table(path, header: str, *columns) -> None:
+    """Write the columns under a header line as comma-separated %.17g
+    numbers, which read back bit for bit (an integral float prints as an
+    integer).  The file is opened here: given a path ending in .gz,
+    savetxt would compress it."""
     with open(path, "w") as fh:
-        fh.write("t,y\n")
-        for t, y in zip(dataset.times, dataset.values):
-            fh.write("%.17g,%.17g\n" % (t, y))
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
+                   header=header, comments="")
+
+
+def _read_table(path, header_ok) -> np.ndarray:
+    """The rows of a number table in ``_write_table``'s format, 2-D.
+
+    ParseError naming ``path`` unless ``header_ok`` accepts the header's
+    column names and at least one row follows, each a finite number per
+    column; blank lines, CRLF endings and spaces around numbers are accepted.
+    """
+    try:
+        with open(path) as fh:
+            header, lines = fh.readline().strip(), fh.readlines()
+        columns = header.replace(" ", "").split(",")
+        if not header_ok(columns):
+            raise ValueError(f"unexpected header {header!r}")
+        if not any(line.strip() for line in lines):   # loadtxt only warns
+            raise ValueError("no rows after the header")
+        rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        if rows.shape[1] != len(columns):
+            raise ValueError(f"the header names {len(columns)} columns, its "
+                             f"rows have {rows.shape[1]}")
+        if not np.isfinite(rows).all():
+            raise ValueError("a number is not finite")
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return rows
+
+
+def save_observations(dataset: Dataset, path) -> None:
+    _write_table(path, "t,y", dataset.times, dataset.values)
 
 
 def load_observations(path, sigma: Optional[float] = None) -> Dataset:
     """Read a t,y CSV (header required, '.' decimal separator)."""
-    times, values = [], []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header.replace(" ", "") != "t,y":
-            raise ParseError(f"expected header 't,y' in {path}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno} of {path}: expected 2 fields, "
-                                 f"got {len(parts)}")
-            try:
-                times.append(float(parts[0]))
-                values.append(float(parts[1]))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno} of {path}: {exc}") from exc
-    if not times:
-        raise ParseError(f"{path} holds no observations")
-    return Dataset(times=np.asarray(times), values=np.asarray(values),
-                   sigma_fixed=sigma)
+    rows = _read_table(path, lambda columns: columns == ["t", "y"])
+    return Dataset(times=rows[:, 0], values=rows[:, 1], sigma_fixed=sigma)
+
+
+def save_chain_csv(chain: Chain, path) -> None:
+    """Write index, theta_0.., energy per draw in full precision."""
+    header = ",".join(["index", *(f"theta_{j}" for j in range(chain.dim)),
+                       "energy"])
+    _write_table(path, header, np.arange(chain.n_draws), chain.draws,
+                 chain.energies)
+
+
+def load_chain_csv(path):
+    """Read a chain CSV back; returns (draws, energies)."""
+    rows = _read_table(path, lambda columns: len(columns) >= 3 and
+                       columns[0] == "index" and columns[-1] == "energy")
+    return rows[:, 1:-1], rows[:, -1]
 
 
 def load_or_generate(spec: ExperimentSpec) -> Dataset:
@@ -449,18 +477,16 @@ def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1,
     that is more than one) against the same saved observation file; a step
     that fails (misaligned grid, divergent solve) is recorded and skipped,
     never fatal.  Returns the run record, also written to ``record.json``.
-    StepSelectError, before anything is written, when jobs is below 1.
+    Nothing is written when jobs is below 1 or the data fail to load.
     """
     if jobs < 1:
         raise StepSelectError(f"jobs must be at least 1, got {jobs}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if dataset is None:
         dataset = load_or_generate(spec)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     obs_csv = out_dir / "observations.csv"
     save_observations(dataset, obs_csv)
-    # round-trip through the file so serial and parallel runs see identical bits
-    dataset = load_observations(obs_csv, sigma=spec.sigma)
 
     ks = list(range(len(spec.h_grid)))
     workers = min(jobs, len(ks))   # a pool starts all of its workers at once
@@ -607,11 +633,8 @@ def report(out_dir) -> dict:
     for k, chain_csv in hists:
         draws, _ = load_chain_csv(chain_csv)
         counts, edges = np.histogram(draws[:, 0], bins=60, density=True)
-        with open(out_dir / f"posterior_hist_{k}.csv", "w") as fh:
-            fh.write("bin_lo,bin_hi,density\n")
-            for i in range(counts.size):
-                fh.write("%.17g,%.17g,%.17g\n" % (edges[i], edges[i + 1],
-                                                  counts[i]))
+        _write_table(out_dir / f"posterior_hist_{k}.csv",
+                     "bin_lo,bin_hi,density", edges[:-1], edges[1:], counts)
 
     head = [f"model={spec.model} solver={spec.solver} sigma={spec.sigma:g} "
             f"n_obs={dataset.n} seed={spec.seed}"]

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InitializationError, ParseError, StuckChainWarning
+from .errors import InitializationError, StuckChainWarning
 
 # kept iterations whose draws are collected in lists before one array write
 _BLOCK = 256
@@ -179,44 +179,3 @@ def effective_sample_size(x) -> float:
     tau = max(tau, 1e-12)
     return float(min(n, n / tau))
 
-
-# ---------------------------------------------------------------------------
-# chain CSV serialization: index, theta coordinates, energy
-# ---------------------------------------------------------------------------
-
-def save_chain_csv(chain: Chain, path) -> None:
-    """Write draws and energies in full precision (%.17g round-trips float64)."""
-    d = chain.dim
-    header = "index," + ",".join(f"theta_{j}" for j in range(d)) + ",energy"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(chain.n_draws):
-            coords = ",".join("%.17g" % v for v in chain.draws[i])
-            fh.write(f"{i},{coords},{'%.17g' % chain.energies[i]}\n")
-
-
-def load_chain_csv(path):
-    """Read a chain CSV back; returns (draws, energies)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        if len(cols) < 3 or cols[0] != "index" or cols[-1] != "energy":
-            raise ParseError(f"unexpected chain header {header!r} in {path}")
-        d = len(cols) - 2
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != d + 2:
-                raise ParseError(f"line {lineno} of {path} has {len(parts)} fields, "
-                                 f"expected {d + 2}")
-            try:
-                rows.append([float(v) for v in parts[1:]])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno} of {path}: {exc}") from exc
-    if not rows:
-        raise ParseError(f"{path} holds no draws")
-    arr = np.asarray(rows)
-    return arr[:, :d], arr[:, d]

@@ -121,6 +121,50 @@ def test_bad_spec_exits_one_without_run_dir(tmp_path, capsys):
     assert not run_dir.exists()
 
 
+def write_bytes(path, data):
+    path.write_bytes(data)
+    return str(path)
+
+
+# a bad input file and the word its error line must contain: each ends in
+# exit 1 and an error line, never in a traceback, and a sweep leaves no run
+# directory behind; gen reads the spec but not observations_csv
+BAD_INPUTS = {
+    "spec_not_utf8": lambda tmp: (
+        write_bytes(tmp / "spec.json", b'{"model": "\xff"}'), "spec.json"),
+    "spec_int_too_long": lambda tmp: (
+        write_bytes(tmp / "spec.json", b'{"seed": ' + b"1" * 5000 + b"}"),
+        "spec.json"),
+    "init_too_large_for_float": lambda tmp: (
+        write_spec(tmp, mcmc={"n_iter": 400, "init": 10 ** 400}),
+        "mcmc.init"),
+    "observations_not_utf8": lambda tmp: (
+        write_spec(tmp, observations_csv=write_bytes(
+            tmp / "obs.csv", b"t,y\n0,\xff\n")), "obs.csv"),
+    "observations_missing": lambda tmp: (
+        write_spec(tmp, observations_csv=str(tmp / "obs.csv")), "obs.csv"),
+    "observations_malformed": lambda tmp: (
+        write_spec(tmp, observations_csv=write_bytes(
+            tmp / "obs.csv", b"t,y\n0,1\n0.4,abc\n")), "obs.csv"),
+    "observations_not_finite": lambda tmp: (
+        write_spec(tmp, observations_csv=write_bytes(
+            tmp / "obs.csv", b"t,y\n0,1\n0.4,nan\n")), "obs.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_file_exits_one_with_error_line(tmp_path, capsys, case):
+    spec, named = BAD_INPUTS[case](tmp_path)
+    verbs = ["sweep"] if case.startswith("observations") else ["gen", "sweep"]
+    for verb in verbs:
+        out = tmp_path / ("run" if verb == "sweep" else "out.csv")
+        assert main([verb, "--spec", spec, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def test_sweep_rejects_jobs_below_one(tmp_path, capsys):
     spec = write_spec(tmp_path)
     run_dir = tmp_path / "run"
@@ -136,6 +180,10 @@ def test_report_without_run_record_exits_one(tmp_path, capsys):
     (tmp_path / "record.json").write_text("{}")
     assert main(["report", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+    (tmp_path / "record.json").write_bytes(b'{"spec": "\xff"}')
+    assert main(["report", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "record.json" in err
 
 
 # a record that run_sweep did not write this way: each must end in an error

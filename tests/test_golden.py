@@ -1,13 +1,15 @@
-"""Golden bits of short fixed-seed chains and of three quadrature marginals.
+"""Golden bits of short fixed-seed chains, of three quadrature marginals
+and of one short sweep's run directory.
 
 c8 compares two runs of the same code with each other; these values were
 recorded once and pin the pipeline's output across changes to the solver,
-the log posterior and the sampler.  Every chain CSV and marginal below must
-stay bit-identical unless a change says why it moves them and re-verifies
-the acceptance bounds.
+the log posterior, the sampler and the run directory's writers.  Every file
+and marginal below must stay bit-identical unless a change says why it
+moves them and re-verifies the acceptance bounds.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,8 @@ from stepselect import SolverConfig, make_solver_forward
 from stepselect.evidence import GridSpec, posterior_window, quadrature_marginal
 from stepselect.harness import (ExperimentSpec, McmcSettings, TimesSpec,
                                 build_system, exact_forward,
-                                generate_synthetic, run_single)
+                                generate_synthetic, report, run_single,
+                                run_sweep)
 
 from conftest import logistic_spec
 
@@ -37,6 +40,22 @@ MARGINAL_HEX = {
     ("rk4", 0.2): "-0x1.561ea2db6bae2p+5",
     ("euler", 7.8125e-4): "-0x1.55f1f8fd7c7a6p+5",
 }
+
+# sha256 of the deterministic files of a run directory: run_sweep and report
+# of scripts/specs/logistic_sigma1.json at mcmc.n_iter = N_ITER
+RUN_DIR_SHA256 = {
+    "observations.csv":
+        "a5a1c6e705f3e3ab6c58cde9c8a8e33c07cd127de515f2ee6471acbe79f6b071",
+    "table.csv":
+        "5c649fa98666c6dd0c06dfcf05c1f01870cc24af289d8afac9ce8f49c811f9b4",
+    "curve.csv":
+        "cffe9bd78911e9ebd0d1530f88623836e531ea4f0bbeb93e7e63188c84904005",
+    "posterior_hist_0.csv":
+        "2f6602fd26916618994fa20d4e5dc6d81909dd834604d8ef1109c8a09122df13",
+}
+
+SPEC_SIGMA1 = (Path(__file__).resolve().parents[1] / "scripts" / "specs"
+               / "logistic_sigma1.json")
 
 
 def chain_spec(model, solver, h):
@@ -73,3 +92,13 @@ def test_quadrature_marginal_bits_pinned(key):
     est = quadrature_marginal(dataset, prior, forward,
                               GridSpec(bounds=(window,)))
     assert est.log_marginal.hex() == MARGINAL_HEX[key]
+
+
+def test_run_directory_bits_pinned(tmp_path):
+    spec = ExperimentSpec.from_json_file(SPEC_SIGMA1)
+    spec.mcmc.n_iter = N_ITER
+    run_sweep(spec, tmp_path)
+    report(tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in RUN_DIR_SHA256}
+    assert digests == RUN_DIR_SHA256

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import typing
+import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -16,9 +17,9 @@ from stepselect.errors import ParseError, StepSelectError
 from stepselect.harness import (ExperimentSpec, McmcSettings,
                                 RegressionSettings, TimesSpec,
                                 build_system, generate_synthetic,
-                                load_observations, load_or_generate, report,
-                                run_single, run_sweep, save_observations)
-from stepselect.mcmc import load_chain_csv
+                                load_chain_csv, load_observations,
+                                load_or_generate, report, run_single,
+                                run_sweep, save_observations)
 from stepselect.models import LogisticParams, logistic_exact
 from stepselect.ode import SolverConfig
 
@@ -245,6 +246,14 @@ def test_observations_roundtrip(tmp_path):
     assert np.array_equal(back.times, ds.times)
     assert np.array_equal(back.values, ds.values)
     assert back.sigma_fixed == 1.0
+    # blank lines, CRLF endings and spaces around numbers read the same
+    loose = tmp_path / "loose.csv"
+    lines = path.read_text().splitlines()
+    loose.write_bytes("\r\n\r\n".join(
+        line.replace(",", " , ") for line in lines).encode())
+    again = load_observations(loose)
+    assert np.array_equal(again.times, ds.times)
+    assert np.array_equal(again.values, ds.values)
 
 
 @pytest.mark.parametrize("body", [
@@ -252,12 +261,20 @@ def test_observations_roundtrip(tmp_path):
     "t,y\n0,1,2\n",             # too many fields
     "t,y\n0,abc\n",             # non-numeric
     "t,y\n",                    # empty
+    "t,y\n# note\n0,1\n",       # comment line
+    "t,y\n0,1,\n",              # trailing comma
+    "t,y\n0,1\n1,2,3\n",        # mixed field counts
+    "t,y\n0,\xff\n",            # not UTF-8
+    "t,y\n0,1\n0.4,nan\n",      # not finite
 ])
 def test_load_observations_errors(tmp_path, body):
     path = tmp_path / "obs.csv"
-    path.write_text(body)
-    with pytest.raises(ParseError):
-        load_observations(path)
+    path.write_bytes(body.encode("latin-1"))
+    # the empty table also raises, and lets no warning escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match=re.escape(str(path))):
+            load_observations(path)
 
 
 def test_load_or_generate_prefers_csv(tmp_path):

@@ -1,14 +1,15 @@
 """Sampler correctness, cost accounting, diagnostics, serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from stepselect import (Chain, ProposalConfig, effective_sample_size,
-                        load_chain_csv, mh_run, save_chain_csv)
+from stepselect import Chain, ProposalConfig, effective_sample_size, mh_run
 from stepselect.errors import InitializationError, ParseError, StuckChainWarning
+from stepselect.harness import load_chain_csv, save_chain_csv
 
 
 def std_normal_logpdf(x):
@@ -178,15 +179,18 @@ def test_chain_csv_roundtrip_bit_exact(tmp_path):
 
 def test_chain_csv_parse_errors(tmp_path):
     p = tmp_path / "bad.csv"
-    p.write_text("wrong,header\n")
-    with pytest.raises(ParseError):
-        load_chain_csv(p)
-    p.write_text("index,theta_0,energy\n0,1.0\n")
-    with pytest.raises(ParseError):
-        load_chain_csv(p)
-    p.write_text("index,theta_0,energy\n0,abc,1.0\n")
-    with pytest.raises(ParseError):
-        load_chain_csv(p)
-    p.write_text("index,theta_0,energy\n")
-    with pytest.raises(ParseError):
-        load_chain_csv(p)
+    for body in ("wrong,header\n",
+                 "index,theta_0,energy\n0,1.0\n",
+                 "index,theta_0,energy\n0,abc,1.0\n",
+                 "index,theta_0,energy\n",
+                 "index,theta_0,energy\n# note\n0,1.0,2.0\n",
+                 "index,theta_0,energy\n0,1.0,2.0,\n",
+                 "index,theta_0,energy\n0,1.0,2.0\n1,1.0\n",
+                 "index,theta_0,energy\n0,1.0,\xff\n",
+                 "index,theta_0,energy\n0,nan,2.0\n"):
+        p.write_bytes(body.encode("latin-1"))
+        # the empty table also raises, and lets no warning escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError):
+                load_chain_csv(p)
