@@ -34,7 +34,7 @@ from .errors import (BoundsTooTight, DegenerateSampleWarning,
                      InfiniteVarianceWarning, StepSelectError)
 
 LOG_2PI = math.log(2.0 * math.pi)
-KDE_BLOCK_ROWS = 256     # points per block in KdeDensity.log_density
+KDE_BLOCK_ROWS = 32      # points per block in KdeDensity.log_density
 GD_BATCHES = 32          # batch means behind gelfand_dey's standard error
 
 

@@ -328,14 +328,14 @@ def generate_synthetic(spec: ExperimentSpec) -> Dataset:
     return Dataset(times=times, values=values, sigma_fixed=spec.sigma)
 
 
-def _write_table(path, header: str, *columns) -> None:
-    """Write the columns under a header line as comma-separated %.17g
-    numbers, which read back bit for bit (an integral float prints as an
-    integer).  The file is opened here: given a path ending in .gz,
-    savetxt would compress it."""
+def _write_table(path, header: str, rows) -> None:
+    """Write the rows under a header line as comma-separated numbers to 17
+    significant digits, which read back bit for bit (an integral float
+    prints as an integer and a True flag as 1); a None cell stays empty."""
     with open(path, "w") as fh:
-        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",",
-                   header=header, comments="")
+        fh.write(header + "\n")
+        fh.writelines(",".join(["" if v is None else "%.17g" % v for v in row])
+                      + "\n" for row in rows)
 
 
 def _read_table(path, header_ok) -> np.ndarray:
@@ -365,7 +365,8 @@ def _read_table(path, header_ok) -> np.ndarray:
 
 
 def save_observations(dataset: Dataset, path) -> None:
-    _write_table(path, "t,y", dataset.times, dataset.values)
+    _write_table(path, "t,y",
+                 np.column_stack((dataset.times, dataset.values)).tolist())
 
 
 def load_observations(path, sigma: Optional[float] = None) -> Dataset:
@@ -378,8 +379,8 @@ def save_chain_csv(chain: Chain, path) -> None:
     """Write index, theta_0.., energy per draw in full precision."""
     header = ",".join(["index", *(f"theta_{j}" for j in range(chain.dim)),
                        "energy"])
-    _write_table(path, header, np.arange(chain.n_draws), chain.draws,
-                 chain.energies)
+    _write_table(path, header, np.column_stack(
+        (np.arange(chain.n_draws), chain.draws, chain.energies)).tolist())
 
 
 def load_chain_csv(path):
@@ -552,9 +553,11 @@ def report(out_dir) -> dict:
     gives the failure.  The Bayes factors and flags are the ones
     ``run_sweep`` stored in ``record["recommendation"]["steps"]``; without
     a fitted curve their cells stay empty.  Everything except the summary's
-    timing figures is byte-deterministic given the spec.  A record whose
-    steps and ok runs name different h, or that lacks a field the tables
-    read, is a ParseError before any file is written.
+    timing figures is byte-deterministic given the spec.  Every input (the
+    record, the observations, each ok step's chain) is read and every row
+    built before ``_write_table`` writes a table, so a bad record is a
+    ParseError and a missing or malformed file an error naming it, and
+    nothing is written.
     """
     out_dir = Path(out_dir)
     path = out_dir / "record.json"
@@ -570,18 +573,17 @@ def report(out_dir) -> dict:
                  else [dict(r, bf=None, flag=None) for r in ok])
         if [s["h"] for s in steps] != [r["h"] for r in ok]:
             raise ValueError("its steps and its ok runs name different h")
-        fit_cells, curve_rows, lines = ",", [], []
+        fit_cells, curve_rows, lines = (None, None), [], []
         if curve is not None:
             log_a = curve["log_fitted_a"]
-            fit_cells = "%.17g,%.17g" % (log_a, math.exp(log_a))
+            fit_cells = (log_a, math.exp(log_a))
             lines.append(f"extrapolated marginal: {math.exp(log_a):.6g} "
                          f"(log {log_a:.6f}, rel se {curve['rel_se_a']:.3g}, "
                          f"fit mask h={curve['mask_h']})")
         for s, r in zip(steps, ok):
-            bf_flag = ",," if s["bf"] is None else ",%.17g,%d" % (s["bf"],
-                                                                s["flag"])
-            curve_rows.append("%.17g,%.17g,%.17g%s\n" % (
-                s["h"], s["log_marginal"], s["se"], bf_flag))
+            bf_flag = (None, None) if s["bf"] is None else (
+                s["bf"], math.trunc(s["flag"]))    # a flag prints as 0 or 1
+            curve_rows.append((s["h"], s["log_marginal"], s["se"], *bf_flag))
             bf_s = "" if s["bf"] is None else f"  BF={s['bf']:.6f}"
             # records written before these fields existed still render
             chain_s = "" if r.get("ess") is None else (
@@ -592,8 +594,8 @@ def report(out_dir) -> dict:
                          f"+- {s['se']:.4f}{bf_s}  cpu={s['cpu_seconds']:.2f}s "
                          f"accept={r['accept_rate']:.3f}{chain_s}{rhs_s}")
             lines.extend(f"  warning: {w}" for w in r.get("warnings") or ())
-        hists = [(r["k"], out_dir / r["chain_csv"]) for r in ok
-                 if r["chain_csv"] is not None]
+        chains = [(r["k"], out_dir / r["chain_csv"]) for r in ok
+                  if r["chain_csv"] is not None]
         for r in record["runs"]:
             if r["status"] != "ok":
                 lines.append(f"h={r['h']:<8g} {r['status']}")
@@ -618,23 +620,8 @@ def report(out_dir) -> dict:
         exact = _quadrature_exact(spec, dataset)
     except StepSelectError as exc:
         exact, exact_error = None, str(exc)
-
-    with open(out_dir / "table.csv", "w") as fh:
-        fh.write("sigma,log_exact_marginal,exact_marginal,"
-                 "log_extrapolated,extrapolated_marginal\n")
-        exact_cells = "," if exact is None else "%.17g,%.17g" % (
-            exact.log_marginal, exact.marginal)
-        fh.write("%.17g,%s,%s\n" % (spec.sigma, exact_cells, fit_cells))
-
-    with open(out_dir / "curve.csv", "w") as fh:
-        fh.write("h,log_marginal,se,bf,flag\n")
-        fh.writelines(curve_rows)
-
-    for k, chain_csv in hists:
-        draws, _ = load_chain_csv(chain_csv)
-        counts, edges = np.histogram(draws[:, 0], bins=60, density=True)
-        _write_table(out_dir / f"posterior_hist_{k}.csv",
-                     "bin_lo,bin_hi,density", edges[:-1], edges[1:], counts)
+    hists = [(k, np.histogram(load_chain_csv(chain_csv)[0][:, 0], bins=60,
+                              density=True)) for k, chain_csv in chains]
 
     head = [f"model={spec.model} solver={spec.solver} sigma={spec.sigma:g} "
             f"n_obs={dataset.n} seed={spec.seed}"]
@@ -643,6 +630,18 @@ def report(out_dir) -> dict:
                     f"(log {exact.log_marginal:.6f})")
     elif exact_error is not None:
         head.append(f"exact marginal: unavailable: {exact_error}")
+
+    exact_cells = (None, None) if exact is None else (exact.log_marginal,
+                                                      exact.marginal)
+    _write_table(out_dir / "table.csv", "sigma,log_exact_marginal,"
+                 "exact_marginal,log_extrapolated,extrapolated_marginal",
+                 [(spec.sigma, *exact_cells, *fit_cells)])
+    _write_table(out_dir / "curve.csv", "h,log_marginal,se,bf,flag",
+                 curve_rows)
+    for k, (counts, edges) in hists:
+        _write_table(out_dir / f"posterior_hist_{k}.csv",
+                     "bin_lo,bin_hi,density",
+                     np.column_stack((edges[:-1], edges[1:], counts)).tolist())
     with open(out_dir / "summary.txt", "w") as fh:
         fh.write("\n".join(head + lines) + "\n")
     return record

@@ -209,25 +209,55 @@ def finished_run(tmp_path_factory):
     return run_dir
 
 
-@pytest.mark.parametrize("breakage", sorted(BROKEN_RECORDS))
-def test_report_rejects_a_record_its_sweep_did_not_write(
-        finished_run, tmp_path, capsys, breakage):
-    run_dir = tmp_path / "run"
+def report_on_broken_copy(finished_run, run_dir, capsys, breakage):
+    """report's error output on a copy of the finished run, without its
+    rendered files, that ``breakage`` changed; report must exit 1 with no
+    traceback and render nothing."""
     shutil.copytree(finished_run, run_dir)
     rendered = [p for p in run_dir.iterdir()
                 if p.name in ("table.csv", "curve.csv", "summary.txt")
                 or p.name.startswith("posterior_hist_")]
     for p in rendered:
         p.unlink()
-    record = json.loads((run_dir / "record.json").read_text())
-    BROKEN_RECORDS[breakage](record)
-    (run_dir / "record.json").write_text(json.dumps(record))
+    breakage(run_dir)
     capsys.readouterr()
     assert main(["report", "--out", str(run_dir)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "is not a run record" in err
-    assert "Traceback" not in err
+    assert err.startswith("error:") and "Traceback" not in err
     assert len(rendered) == 6 and not any(p.exists() for p in rendered)
+    return err
+
+
+@pytest.mark.parametrize("breakage", sorted(BROKEN_RECORDS))
+def test_report_rejects_a_record_its_sweep_did_not_write(
+        finished_run, tmp_path, capsys, breakage):
+    def break_record(run_dir):
+        record = json.loads((run_dir / "record.json").read_text())
+        BROKEN_RECORDS[breakage](record)
+        (run_dir / "record.json").write_text(json.dumps(record))
+
+    err = report_on_broken_copy(finished_run, tmp_path / "run", capsys,
+                                break_record)
+    assert "is not a run record" in err
+
+
+# a chain file that a finished run no longer holds intact: report must end
+# in an error line naming it before it writes any table or the summary
+BROKEN_CHAINS = {
+    "deleted": lambda path: path.unlink(),
+    "holds_no_header": lambda path: path.write_text("0,abc,1\n"),
+    "holds_a_word": lambda path: path.write_text(
+        "index,theta_0,energy\n0,abc,1\n"),
+}
+
+
+@pytest.mark.parametrize("breakage", sorted(BROKEN_CHAINS))
+def test_report_reads_every_chain_before_it_writes(
+        finished_run, tmp_path, capsys, breakage):
+    err = report_on_broken_copy(
+        finished_run, tmp_path / "run", capsys,
+        lambda run_dir: BROKEN_CHAINS[breakage](run_dir / "chain_2.csv"))
+    assert "chain_2.csv" in err
 
 
 def test_console_script_help():

@@ -1,5 +1,5 @@
-"""Golden bits of short fixed-seed chains, of three quadrature marginals
-and of one short sweep's run directory.
+"""Golden bits of short fixed-seed chains, of three quadrature marginals,
+of one short sweep's run directory and of report's tables with empty cells.
 
 c8 compares two runs of the same code with each other; these values were
 recorded once and pin the pipeline's output across changes to the solver,
@@ -57,6 +57,16 @@ RUN_DIR_SHA256 = {
 SPEC_SIGMA1 = (Path(__file__).resolve().parents[1] / "scripts" / "specs"
                / "logistic_sigma1.json")
 
+# sha256 of report's tables where cells stay empty: table.csv of the sigma=1
+# spec at sigma = 1e5, whose exact quadrature fails, and curve.csv of a sweep
+# whose failed 0.3 step leaves too few points for a curve
+EMPTY_CELL_SHA256 = {
+    ("sigma_1e5", "table.csv"):
+        "3a86305fb589e464f5d850463dbc99aaadcbdf4529c17a7f72792a92c7d5e139",
+    ("no_curve", "curve.csv"):
+        "96653b634f10a8879f9c36759fd8684063aa35b454cb581235344a3f4686706c",
+}
+
 
 def chain_spec(model, solver, h):
     if model == "logistic":
@@ -102,3 +112,21 @@ def test_run_directory_bits_pinned(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in RUN_DIR_SHA256}
     assert digests == RUN_DIR_SHA256
+
+
+def empty_cell_spec(case):
+    if case == "sigma_1e5":
+        spec = ExperimentSpec.from_json_file(SPEC_SIGMA1)
+        spec.sigma, spec.mcmc.n_iter = 1e5, N_ITER
+        return spec
+    return ExperimentSpec(model="logistic", h_grid=(0.4, 0.3, 0.2), seed=123,
+                          mcmc=McmcSettings(n_iter=600))
+
+
+@pytest.mark.parametrize("key", sorted(EMPTY_CELL_SHA256), ids=str)
+def test_empty_cells_bits_pinned(key, tmp_path):
+    case, name = key
+    run_sweep(empty_cell_spec(case), tmp_path)
+    report(tmp_path)
+    digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert digest == EMPTY_CELL_SHA256[key]

@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every private
-module-level name is used in the package, and the package runs on numpy
-alone."""
+module-level name is used in the package, one helper spells the number
+tables' format, and the package runs on numpy alone."""
 
 import ast
 import os
@@ -65,6 +65,20 @@ def test_no_dead_private_helpers():
                 used.add(node.attr)
     dead = sorted(f"{defined[n]}:{n}" for n in set(defined) - used)
     assert not dead, f"private names nothing in the package uses: {dead}"
+
+
+def test_one_writer_formats_the_number_tables():
+    # the number tables' %.17g format is spelled once in the package, inside
+    # _write_table, and numpy's savetxt, a second writer, is not used
+    texts = {path.name: path.read_text() for path in SOURCES}
+    assert [name for name, text in texts.items() if "savetxt" in text] == []
+    assert {name: text.count(".17g") for name, text in texts.items()
+            if ".17g" in text} == {"harness.py": 1}
+    text = texts["harness.py"]
+    writer = next(node for node in ast.parse(text).body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_write_table")
+    assert ".17g" in ast.get_source_segment(text, writer)
 
 
 RUN_WITHOUT_SCIPY = """
