@@ -26,7 +26,7 @@ from .evidence import (EvidenceEstimate, GridSpec, KdeDensity, bracket_bounds,
                        evidence_from_chain, gelfand_dey, harmonic_mean,
                        kde_fit, posterior_window, quadrature_marginal,
                        subsample_draws)
-from .mcmc import Chain, ProposalConfig, effective_sample_size, mh_run
+from .mcmc import Chain, McmcSettings, effective_sample_size, mh_run
 from .models import (GlucoseParams, LogisticParams, OdeSystem, logistic_exact,
                      make_glucose_system, make_logistic_system)
 from .ode import (METHOD_ORDERS, SolverConfig, check_grid, divides,

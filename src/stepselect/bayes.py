@@ -138,7 +138,7 @@ def log_posterior_unnorm(dataset: Dataset, prior: Prior, phi: ParamVector,
 def make_log_posterior(dataset: Dataset, prior: Prior,
                        forward: Callable) -> Callable:
     """x -> unnormalised log posterior at theta = x, with the noise scale
-    fixed at ``dataset.sigma_fixed``; x is a float or a length-1 array.
+    fixed at ``dataset.sigma_fixed``; x is a float.
 
     The one closure behind both the chains and the quadrature oracles.  It
     is pure and deterministic, which is what lets stored chain energies be
@@ -174,10 +174,7 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
 
     def logpost(x) -> float:
         nonlocal n_solves
-        # a chain passes a 1-D array: skip the conversion that floats need
-        if type(x) is not np.ndarray or x.ndim != 1:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-        v, = x.tolist()   # ValueError on a wrong length, as log_prior
+        v = float(x)
         if v <= 0.0:
             return -math.inf
         lp = c + k1 * math.log(v) - r * v
@@ -185,7 +182,7 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
             return lp
         n_solves += 1
         try:
-            pred = obs(integrate_states(system, x, config, t0, n_steps, nodes))
+            pred = obs(integrate_states(system, (v,), config, t0, n_steps, nodes))
         except NonFiniteState:
             return lp - math.inf
         resid = values - pred

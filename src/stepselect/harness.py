@@ -37,10 +37,10 @@ import numpy as np
 from . import __version__
 from .bayes import (Dataset, GammaPrior, Prior, make_log_posterior,
                     make_logistic_exact_forward, make_solver_forward)
-from .errors import ParseError, StepSelectError
+from .errors import NonMonotoneTimes, ParseError, StepSelectError
 from .evidence import (GridSpec, evidence_from_chain, posterior_window,
                        quadrature_marginal)
-from .mcmc import Chain, ProposalConfig, effective_sample_size, mh_run
+from .mcmc import Chain, McmcSettings, effective_sample_size, mh_run
 from .models import (GlucoseParams, LogisticParams, logistic_exact,
                      make_glucose_system, make_logistic_system)
 from .ode import METHOD_ORDERS, SolverConfig
@@ -64,20 +64,6 @@ class TimesSpec:
     start: float = 0.0
     stop: float = 10.0
     n: int = 26
-
-
-@dataclass
-class McmcSettings:
-    n_iter: int = 12000
-    burn_in: Optional[int] = None      # None -> 20% of n_iter
-    step_scale: float = 0.02
-    adapt: bool = True
-    adapt_window: int = 50
-    target_accept: float = 0.30
-    init: Optional[float] = None       # None -> prior mean
-
-    def resolved_burn_in(self) -> int:
-        return self.n_iter // 5 if self.burn_in is None else self.burn_in
 
 
 @dataclass
@@ -199,14 +185,22 @@ class ExperimentSpec:
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         prior = self.build_prior()
-        self.build_proposal()
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        times = self.obs_times()
-        Dataset(times=times, values=np.zeros(times.size))
+        try:
+            times = self.obs_times()
+            Dataset(times=times, values=np.zeros(times.size))
+        except (ValueError, NonMonotoneTimes) as exc:
+            raise ValueError(f"times: {exc}") from exc
         n_iter, burn_in = self.mcmc.n_iter, self.mcmc.resolved_burn_in()
         if not 0 <= burn_in < n_iter:
             raise ValueError("mcmc needs n_iter > burn_in >= 0")
+        if not self.mcmc.step_scale > 0.0:
+            raise ValueError("mcmc.step_scale must be positive")
+        if not 0.0 < self.mcmc.target_accept < 1.0:
+            raise ValueError("mcmc.target_accept must be in (0, 1)")
+        if self.mcmc.adapt_window < 1:
+            raise ValueError("mcmc.adapt_window must be at least 1")
         init = self.mcmc.init
         if init is not None and not math.isfinite(prior.theta[0].logpdf(init)):
             raise ValueError(f"mcmc.init must be null or inside the "
@@ -274,12 +268,6 @@ class ExperimentSpec:
     def build_prior(self) -> Prior:
         return Prior((GammaPrior(shape=float(self.prior["shape"]),
                                  rate=float(self.prior["rate"])),))
-
-    def build_proposal(self) -> ProposalConfig:
-        return ProposalConfig(step_scales=np.array([self.mcmc.step_scale]),
-                              adapt=self.mcmc.adapt,
-                              adapt_window=self.mcmc.adapt_window,
-                              target_accept=self.mcmc.target_accept)
 
     def init_value(self) -> float:
         if self.mcmc.init is not None:
@@ -372,22 +360,23 @@ def save_observations(dataset: Dataset, path) -> None:
 def load_observations(path, sigma: Optional[float] = None) -> Dataset:
     """Read a t,y CSV (header required, '.' decimal separator)."""
     rows = _read_table(path, lambda columns: columns == ["t", "y"])
-    return Dataset(times=rows[:, 0], values=rows[:, 1], sigma_fixed=sigma)
+    try:
+        return Dataset(times=rows[:, 0], values=rows[:, 1], sigma_fixed=sigma)
+    except (ValueError, NonMonotoneTimes) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def save_chain_csv(chain: Chain, path) -> None:
-    """Write index, theta_0.., energy per draw in full precision."""
-    header = ",".join(["index", *(f"theta_{j}" for j in range(chain.dim)),
-                       "energy"])
-    _write_table(path, header, np.column_stack(
+    """Write index, theta_0, energy per draw in full precision."""
+    _write_table(path, "index,theta_0,energy", np.column_stack(
         (np.arange(chain.n_draws), chain.draws, chain.energies)).tolist())
 
 
 def load_chain_csv(path):
-    """Read a chain CSV back; returns (draws, energies)."""
-    rows = _read_table(path, lambda columns: len(columns) >= 3 and
-                       columns[0] == "index" and columns[-1] == "energy")
-    return rows[:, 1:-1], rows[:, -1]
+    """Read a chain CSV back; returns (draws, energies), draws (L, 1)."""
+    rows = _read_table(path, lambda columns:
+                       columns == ["index", "theta_0", "energy"])
+    return rows[:, 1:2], rows[:, 2]
 
 
 def load_or_generate(spec: ExperimentSpec) -> Dataset:
@@ -419,8 +408,8 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
     logpost = make_log_posterior(dataset, spec.build_prior(), forward)
 
     seed = spec.chain_seed(k)
-    chain = mh_run(logpost, np.array([spec.init_value()]),
-                   spec.build_proposal(), n_iter=spec.mcmc.n_iter,
+    chain = mh_run(logpost, spec.init_value(), spec.mcmc,
+                   n_iter=spec.mcmc.n_iter,
                    burn_in=spec.mcmc.resolved_burn_in(), seed=seed)
     est = evidence_from_chain(chain, subsample=spec.evidence.subsample,
                               shrink=spec.evidence.shrink, seed=seed,
@@ -433,7 +422,7 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
                       rhs_evals=logpost.rhs_evals(),
                       accept_rate=chain.accept_rate,
                       ess=effective_sample_size(chain.draws[:, 0]),
-                      step_scale=float(chain.step_scales[0]))
+                      step_scale=chain.step_scale)
     if out_dir is not None:
         chain_name = f"chain_{k}.csv"
         save_chain_csv(chain, Path(out_dir) / chain_name)

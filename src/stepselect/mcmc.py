@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,68 +24,60 @@ _BLOCK = 256
 
 
 @dataclass
-class ProposalConfig:
-    """Symmetric Gaussian random-walk proposal.
+class McmcSettings:
+    """The sampler's settings: the spec's ``mcmc`` group.
 
-    When ``adapt`` is set the per-coordinate scales follow a Robbins-Monro
+    The proposal is a symmetric Gaussian random walk of scale
+    ``step_scale``.  When ``adapt`` is set the scale follows a Robbins-Monro
     recursion toward ``target_accept`` during burn-in (frozen afterwards):
-    every ``adapt_window`` iterations the scales are multiplied by
+    every ``adapt_window`` iterations it is multiplied by
     ``exp((mean acceptance - target)/sqrt(k))`` for window counter k.
     """
 
-    step_scales: np.ndarray
+    n_iter: int = 12000
+    burn_in: Optional[int] = None      # None -> 20% of n_iter
+    step_scale: float = 0.02
     adapt: bool = True
     adapt_window: int = 50
     target_accept: float = 0.30
+    init: Optional[float] = None       # None -> prior mean
 
-    def __post_init__(self):
-        self.step_scales = np.atleast_1d(np.asarray(self.step_scales, dtype=float))
-        if not all(0.0 < v < math.inf for v in self.step_scales):
-            raise ValueError("step scales must be finite and positive")
-        if not 0.0 < self.target_accept < 1.0:
-            raise ValueError("target_accept must be in (0, 1)")
-        if self.adapt_window < 1:
-            raise ValueError("adapt_window must be at least 1")
+    def resolved_burn_in(self) -> int:
+        return self.n_iter // 5 if self.burn_in is None else self.burn_in
 
 
 @dataclass
 class Chain:
     """Post burn-in draws with their energies U = -log posterior."""
 
-    draws: np.ndarray      # (L, d)
+    draws: np.ndarray      # (L, 1)
     energies: np.ndarray   # (L,)
     accept_rate: float
     wall_clock_seconds: float
-    seed: int
-    step_scales: np.ndarray = field(default=None)  # scales in force after burn-in
-    process_seconds: float = 0.0   # CPU time of this process over the loop
+    step_scale: float      # the proposal scale in force after burn-in
+    process_seconds: float  # CPU time of this process over the loop
 
     @property
     def n_draws(self) -> int:
         return self.draws.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.draws.shape[1]
 
-
-def mh_run(log_posterior: Callable, init, proposal: ProposalConfig,
-           n_iter: int, burn_in: Optional[int] = None, seed: int = 0) -> Chain:
-    """Run a random-walk Metropolis chain.
+def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
+           n_iter: int, burn_in: int, seed: int = 0) -> Chain:
+    """Run a random-walk Metropolis chain on one parameter.
 
     Parameters
     ----------
-    log_posterior : callable on parameter vectors, returning a float
-        (-inf allowed for zero-mass points).
-    init : starting parameter vector.
-    n_iter : total iterations; ``burn_in`` of them (default 20%) are
-        discarded and are the only ones during which adaptation runs.
+    log_posterior : callable on a float, returning a float (-inf allowed
+        for zero-mass points); every call gets a Python float.
+    init : starting point.
+    settings : read for ``step_scale``, ``adapt``, ``adapt_window`` and
+        ``target_accept`` only.
+    n_iter : total iterations; the first ``burn_in`` of them are discarded
+        and are the only ones during which adaptation runs.
     seed : integer seed; identical seeds give bit-identical chains.
     """
-    x = np.atleast_1d(np.asarray(init, dtype=float)).copy()
-    d = x.size
-    if burn_in is None:
-        burn_in = n_iter // 5
+    x = float(init)
     if not 0 <= burn_in < n_iter:
         raise ValueError("need n_iter > burn_in >= 0")
 
@@ -95,37 +87,31 @@ def mh_run(log_posterior: Callable, init, proposal: ProposalConfig,
             f"log posterior at the initial point is {lp}; start inside the support")
 
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((n_iter, d))
+    noise = rng.standard_normal(n_iter)
     log_u = np.log(rng.random(n_iter))
 
-    scales = proposal.step_scales.astype(float).copy()
-    if scales.size == 1 and d > 1:
-        scales = np.full(d, float(scales[0]))
-    n_windows = 0
+    scale = float(settings.step_scale)
+    n_windows = n_accept_kept = 0
     kept = n_iter - burn_in
-    draws = np.empty((kept, d))
-    energies = np.empty(kept)
-    n_accept_kept = 0
-    window = proposal.adapt_window if proposal.adapt else _BLOCK
+    draws, energies = np.empty(kept), np.empty(kept)
+    window = settings.adapt_window if settings.adapt else _BLOCK
 
-    # Scales stay fixed within a block, so its steps are computed at once:
-    # adaptation windows (capped at the end of burn-in) during burn-in,
-    # _BLOCK iterations after it.  A kept block's draws go to lists and
-    # then to the arrays in one write, which bounds the objects alive.
+    # The scale stays fixed within a block: an adaptation window (capped at
+    # the end of burn-in) during burn-in, _BLOCK iterations after it.  A
+    # kept block's draws go to lists and then to the arrays in one write,
+    # which bounds the objects alive.
     edges = [*range(0, burn_in, window), *range(burn_in, n_iter, _BLOCK), n_iter]
     t_start, cpu_start = time.perf_counter(), time.process_time()
     for start, stop in zip(edges, edges[1:]):
         xs, es = [], []
         n_accept, prob = 0, 0.0
-        for step, lu in zip(scales * noise[start:stop],
-                            log_u[start:stop].tolist()):
-            prop = x + step
+        for z, lu in zip(noise[start:stop].tolist(), log_u[start:stop].tolist()):
+            prop = x + scale * z
             lp_prop = float(log_posterior(prop))
             delta = lp_prop - lp
-            prob += math.exp(min(0.0, delta))
+            prob += math.exp(delta) if delta < 0.0 else 1.0
             if delta >= 0.0 or lu < delta:
-                x = prop
-                lp = lp_prop
+                x, lp = prop, lp_prop
                 n_accept += 1
             xs.append(x)
             es.append(-lp)
@@ -133,21 +119,20 @@ def mh_run(log_posterior: Callable, init, proposal: ProposalConfig,
             draws[start - burn_in:stop - burn_in] = xs
             energies[start - burn_in:stop - burn_in] = es
             n_accept_kept += n_accept
-        elif proposal.adapt and stop - start == window:
+        elif settings.adapt and stop - start == window:
             # Robbins-Monro on each full window; a partial last one is dropped
             n_windows += 1
-            scales *= math.exp((prob / window - proposal.target_accept)
-                               / math.sqrt(n_windows))
-    wall = time.perf_counter() - t_start
-    cpu = time.process_time() - cpu_start
+            scale *= math.exp((prob / window - settings.target_accept)
+                              / math.sqrt(n_windows))
+    wall, cpu = time.perf_counter() - t_start, time.process_time() - cpu_start
 
     accept_rate = n_accept_kept / kept
     if accept_rate < 0.01:
         warnings.warn(f"post burn-in acceptance rate {accept_rate:.4f} < 1%; "
                       "the chain is stuck", StuckChainWarning)
-    return Chain(draws=draws, energies=energies, accept_rate=accept_rate,
-                 wall_clock_seconds=wall, seed=int(seed), step_scales=scales,
-                 process_seconds=cpu)
+    return Chain(draws=draws[:, None], energies=energies,
+                 accept_rate=accept_rate, wall_clock_seconds=wall,
+                 step_scale=scale, process_seconds=cpu)
 
 
 def effective_sample_size(x) -> float:

@@ -149,6 +149,9 @@ BAD_INPUTS = {
     "observations_not_finite": lambda tmp: (
         write_spec(tmp, observations_csv=write_bytes(
             tmp / "obs.csv", b"t,y\n0,1\n0.4,nan\n")), "obs.csv"),
+    "observations_times_repeat": lambda tmp: (
+        write_spec(tmp, observations_csv=write_bytes(
+            tmp / "obs.csv", b"t,y\n0,1\n0,2\n1,3\n")), "obs.csv"),
 }
 
 

@@ -106,6 +106,16 @@ def test_spec_validation():
                 {"model": "glucose", "params": {"Gb": float("nan")}}):
         with pytest.raises(ParseError):
             ExperimentSpec.from_dict({**base, **bad})
+    # the sampler's settings and the observation grid name their field
+    for bad, named in (
+            ({"mcmc": {"target_accept": 1.5}}, "mcmc.target_accept"),
+            ({"mcmc": {"target_accept": 0}}, "mcmc.target_accept"),
+            ({"mcmc": {"adapt_window": 0}}, "mcmc.adapt_window"),
+            ({"mcmc": {"step_scale": -1.0}}, "mcmc.step_scale"),
+            ({"times": {"start": 0, "stop": 0, "n": 2}}, "times:"),
+            ({"times": {"n": 0}}, "times:")):
+        with pytest.raises(ParseError, match=re.escape(named)):
+            ExperimentSpec.from_dict({**base, **bad})
 
 
 # True is an int to isinstance, so each of these parsed as 1 or 0 until the
@@ -315,7 +325,7 @@ def test_run_single_record_and_energy_replay(tmp_path):
     forward = make_solver_forward(build_system(spec, ds),
                                   SolverConfig(spec.solver, 0.1), ds.times)
     logpost = make_log_posterior(ds, spec.build_prior(), forward)
-    replayed = np.array([-logpost(row) for row in draws])
+    replayed = np.array([-logpost(v) for v in draws[:, 0].tolist()])
     assert np.array_equal(replayed, energies)
 
 

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every private
 module-level name is used in the package, one helper spells the number
-tables' format, and the package runs on numpy alone."""
+tables' format, one class declares the sampler's settings, and the package
+runs on numpy alone."""
 
 import ast
 import os
@@ -79,6 +80,19 @@ def test_one_writer_formats_the_number_tables():
                   if isinstance(node, ast.FunctionDef)
                   and node.name == "_write_table")
     assert ".17g" in ast.get_source_segment(text, writer)
+
+
+def test_one_class_declares_the_sampler_settings():
+    # the sampler's settings are declared once, by the spec's mcmc group,
+    # which mh_run reads as it is
+    declaring = [f"{path.stem}.{node.name}" for path in SOURCES
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ClassDef) and any(
+                     isinstance(stmt, ast.AnnAssign)
+                     and isinstance(stmt.target, ast.Name)
+                     and stmt.target.id == "target_accept"
+                     for stmt in node.body)]
+    assert declaring == ["mcmc.McmcSettings"]
 
 
 RUN_WITHOUT_SCIPY = """

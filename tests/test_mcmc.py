@@ -7,19 +7,26 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from stepselect import Chain, ProposalConfig, effective_sample_size, mh_run
+from stepselect import Chain, McmcSettings, effective_sample_size, mh_run
 from stepselect.errors import InitializationError, ParseError, StuckChainWarning
 from stepselect.harness import load_chain_csv, save_chain_csv
 
 
 def std_normal_logpdf(x):
-    return -0.5 * float(x[0]) ** 2
+    return -0.5 * x ** 2
+
+
+def run(log_posterior, init=0.0, seed=0, **settings):
+    """A chain under McmcSettings(**settings), burn-in resolved as the
+    harness resolves it."""
+    s = McmcSettings(**settings)
+    return mh_run(log_posterior, init, s, n_iter=s.n_iter,
+                  burn_in=s.resolved_burn_in(), seed=seed)
 
 
 def run_normal(n_iter=40000, seed=11, scale=1.0, adapt=True):
-    cfg = ProposalConfig(step_scales=np.array([scale]), adapt=adapt)
-    return mh_run(std_normal_logpdf, np.array([0.0]), cfg, n_iter=n_iter,
-                  seed=seed)
+    return run(std_normal_logpdf, seed=seed, n_iter=n_iter, step_scale=scale,
+               adapt=adapt)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +50,8 @@ def test_samples_standard_normal():
 def test_energies_track_log_posterior():
     # stored energies must replay bit for bit through the same callable
     chain = run_normal(n_iter=2000)
-    recomputed = np.array([-std_normal_logpdf(row) for row in chain.draws])
+    recomputed = np.array([-std_normal_logpdf(v)
+                           for v in chain.draws[:, 0].tolist()])
     assert np.array_equal(chain.energies, recomputed)
 
 
@@ -54,10 +62,22 @@ def test_exactly_one_evaluation_per_iteration():
         calls.append(1)
         return std_normal_logpdf(x)
 
-    cfg = ProposalConfig(step_scales=np.array([1.0]))
-    mh_run(counting, np.array([0.0]), cfg, n_iter=500, seed=0)
+    run(counting, n_iter=500, step_scale=1.0)
     # one evaluation for the initial point, then one per iteration
     assert len(calls) == 501
+
+
+def test_log_posterior_gets_a_float_at_every_call():
+    # the chain's state is a Python float, from an integer init on
+    seen = []
+
+    def recording(x):
+        seen.append(type(x))
+        return std_normal_logpdf(x)
+
+    chain = run(recording, init=0, n_iter=500, step_scale=1.0)
+    assert len(seen) == 501 and set(seen) == {float}
+    assert chain.draws.shape == (400, 1)
 
 
 def test_deterministic_given_seed():
@@ -70,21 +90,21 @@ def test_deterministic_given_seed():
 
 
 def test_initialization_off_support_raises():
-    cfg = ProposalConfig(step_scales=np.array([1.0]))
     with pytest.raises(InitializationError):
-        mh_run(lambda x: -math.inf, np.array([0.0]), cfg, n_iter=100)
+        run(lambda x: -math.inf, n_iter=100, step_scale=1.0)
 
 
 def test_default_burn_in_is_a_fifth():
-    cfg = ProposalConfig(step_scales=np.array([1.0]))
-    chain = mh_run(std_normal_logpdf, np.array([0.25]), cfg, n_iter=200)
+    assert McmcSettings(n_iter=200).resolved_burn_in() == 40
+    assert McmcSettings(n_iter=200, burn_in=0).resolved_burn_in() == 0
+    chain = run(std_normal_logpdf, init=0.25, n_iter=200, step_scale=1.0)
     assert chain.n_draws == 160
 
 
 def test_burn_in_validation():
-    cfg = ProposalConfig(step_scales=np.array([1.0]))
     with pytest.raises(ValueError):
-        mh_run(std_normal_logpdf, np.array([0.0]), cfg, n_iter=10, burn_in=10)
+        mh_run(std_normal_logpdf, 0.0, McmcSettings(step_scale=1.0),
+               n_iter=10, burn_in=10)
 
 
 # ---------------------------------------------------------------------------
@@ -95,31 +115,20 @@ def test_adaptation_recovers_from_bad_scale():
     # start 50x too wide; burn-in adaptation must pull acceptance into range
     chain = run_normal(n_iter=20000, scale=50.0)
     assert 0.15 <= chain.accept_rate <= 0.5
-    assert chain.step_scales[0] != 50.0
+    assert chain.step_scale != 50.0
 
 
 def test_no_adaptation_when_disabled():
     chain = run_normal(n_iter=2000, scale=0.7, adapt=False)
-    assert chain.step_scales[0] == 0.7
+    assert chain.step_scale == 0.7
 
 
 def test_stuck_chain_warns():
     def spike(x):
-        return 0.0 if abs(float(x[0])) < 1e-12 else -math.inf
+        return 0.0 if abs(x) < 1e-12 else -math.inf
 
-    cfg = ProposalConfig(step_scales=np.array([1.0]), adapt=False)
     with pytest.warns(StuckChainWarning):
-        mh_run(spike, np.array([0.0]), cfg, n_iter=300, seed=1)
-
-
-def test_proposal_config_validation():
-    for bad in (-1.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            ProposalConfig(step_scales=np.array([bad]))
-    with pytest.raises(ValueError):
-        ProposalConfig(step_scales=np.array([1.0]), target_accept=1.5)
-    with pytest.raises(ValueError):
-        ProposalConfig(step_scales=np.array([1.0]), adapt_window=0)
+        run(spike, seed=1, n_iter=300, step_scale=1.0, adapt=False)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +176,11 @@ def roundtrip(chain, tmp_path):
 
 def test_chain_csv_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    draws = np.concatenate([rng.standard_normal((50, 2)) * 1e-8,
-                            rng.standard_normal((50, 2)) * 1e8])
+    draws = np.concatenate([rng.standard_normal((50, 1)) * 1e-8,
+                            rng.standard_normal((50, 1)) * 1e8])
     energies = rng.standard_normal(100) * 300.0
     chain = Chain(draws=draws, energies=energies, accept_rate=0.3,
-                  wall_clock_seconds=0.0, seed=0)
+                  wall_clock_seconds=0.0, step_scale=1.0, process_seconds=0.0)
     d2, e2 = roundtrip(chain, tmp_path)
     assert np.array_equal(d2, draws)
     assert np.array_equal(e2, energies)
@@ -180,6 +189,7 @@ def test_chain_csv_roundtrip_bit_exact(tmp_path):
 def test_chain_csv_parse_errors(tmp_path):
     p = tmp_path / "bad.csv"
     for body in ("wrong,header\n",
+                 "index,theta_0,theta_1,energy\n0,1.0,2.0,3.0\n",
                  "index,theta_0,energy\n0,1.0\n",
                  "index,theta_0,energy\n0,abc,1.0\n",
                  "index,theta_0,energy\n",
