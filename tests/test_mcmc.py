@@ -1,6 +1,7 @@
 """Sampler correctness, cost accounting, diagnostics, serialization."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import scipy.stats
 
 from stepselect import Chain, McmcSettings, effective_sample_size, mh_run
 from stepselect.errors import InitializationError, ParseError, StuckChainWarning
-from stepselect.harness import load_chain_csv, save_chain_csv
+from stepselect.harness import ExperimentSpec, load_chain_csv, save_chain_csv
 
 
 def std_normal_logpdf(x):
@@ -105,6 +106,17 @@ def test_burn_in_validation():
     with pytest.raises(ValueError):
         mh_run(std_normal_logpdf, 0.0, McmcSettings(step_scale=1.0),
                n_iter=10, burn_in=10)
+
+
+def test_proposal_config_validation():
+    # the proposal's settings are checked where the spec is read, and the
+    # error names the field
+    for bad, named in ([({"step_scale": v}, "mcmc.step_scale")
+                        for v in (-1.0, math.inf, math.nan)]
+                       + [({"target_accept": 1.5}, "mcmc.target_accept"),
+                          ({"adapt_window": 0}, "mcmc.adapt_window")]):
+        with pytest.raises(ParseError, match=re.escape(named)):
+            ExperimentSpec(mcmc=McmcSettings(**bad))
 
 
 # ---------------------------------------------------------------------------
