@@ -137,32 +137,43 @@ def log_posterior_unnorm(dataset: Dataset, prior: Prior, phi: ParamVector,
 
 def make_log_posterior(dataset: Dataset, prior: Prior,
                        forward: Callable) -> Callable:
-    """x -> unnormalised log posterior at theta = x, with the noise scale
-    fixed at ``dataset.sigma_fixed``; x is a float.
+    """(x, floor=-inf) -> unnormalised log posterior at theta = x, with the
+    noise scale fixed at ``dataset.sigma_fixed``; x is a float.
 
     The one closure behind both the chains and the quadrature oracles.  It
-    is pure and deterministic, which is what lets stored chain energies be
-    recomputed bit for bit.  On a forward map from ``make_solver_forward``
-    and a one-parameter prior it is one fused function: the Gamma log
-    density with its constant precomputed, one ``integrate_states`` call and
-    the residual sum of squares, the same float operations as
-    ``log_posterior_unnorm``.  Its ``rhs_evals()`` gives the right-hand-side
-    evaluations of the solves it has run, n_steps times the method's stages
-    each.  Any other forward map or prior goes through
-    ``log_posterior_unnorm``.
+    returns the exact value, or some value below ``floor`` when the exact
+    value is below ``floor``: a Metropolis chain that passes its acceptance
+    threshold as the floor makes the same decisions as with the exact
+    value.  It is pure and deterministic, which is what lets stored chain
+    energies be recomputed bit for bit.
+
+    On a forward map from ``make_solver_forward`` and a one-parameter prior
+    it is one fused function: the Gamma log density with its constant
+    precomputed, one ``integrate_states`` call and the residual sum of
+    squares, the same float operations as ``log_posterior_unnorm``.  The
+    Gaussian residual sum only grows from node to node, so a finite floor
+    becomes a cap on it, and the solve stops once its partial sum proves
+    the value below the floor (early rejection, Solonen et al. 2012); the
+    closure then returns -inf.  Every value it returns otherwise has the
+    same bits as without a floor.  Its ``rhs_evals()`` gives the
+    right-hand-side evaluations of the steps its solves took and
+    ``stopped_early()`` the number of solves a floor cut short.  Any other
+    forward map or prior goes through ``log_posterior_unnorm`` and ignores
+    the floor.
     """
     if dataset.sigma_fixed is None:
         raise ValueError("the log posterior needs dataset.sigma_fixed")
     sigma = dataset.sigma_fixed
     solve = getattr(forward, "solve", None)
     if solve is None or len(prior.theta) != 1:
-        def logpost(x) -> float:
+        def logpost(x, floor=-math.inf) -> float:
             return log_posterior_unnorm(dataset, prior, ParamVector(x, sigma),
                                         forward)
         return logpost
 
     system, config, t0, n_steps, nodes = solve
-    obs, values = system.obs, dataset.values
+    values = dataset.values
+    observed = tuple(values.tolist())
     # logpdf is ((k log r - lgamma k) + (k - 1) log x) - r x
     gamma, = prior.theta
     c = gamma.shape * math.log(gamma.rate) - math.lgamma(gamma.shape)
@@ -170,28 +181,40 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
     n = dataset.n
     ll0 = -n * math.log(sigma) - 0.5 * n * LOG_2PI
     var = sigma * sigma
-    n_solves = 0
+    n_steps_taken = n_stopped = 0
 
-    def logpost(x) -> float:
-        nonlocal n_solves
+    def logpost(x, floor=-math.inf) -> float:
+        nonlocal n_steps_taken, n_stopped
         v = float(x)
         if v <= 0.0:
             return -math.inf
         lp = c + k1 * math.log(v) - r * v
         if lp == -math.inf:
             return lp
-        n_solves += 1
+        # value < floor once ss > 2 var (lp + ll0 - floor); the margin
+        # covers the rounding of the node-by-node sum against the dot below
+        # and of the value and the chain's difference of two values
+        top = lp + ll0
+        cap = 2.0 * var * (top - floor
+                           + 1e-9 * (1.0 + abs(top) + abs(floor)))
         try:
-            pred = obs(integrate_states(system, (v,), config, t0, n_steps, nodes))
+            states = integrate_states(system, (v,), config, t0, n_steps,
+                                      nodes, observed, cap)
         except NonFiniteState:
+            n_steps_taken += n_steps
             return lp - math.inf
-        resid = values - pred
+        n_steps_taken += nodes[len(states) - 1]
+        if len(states) < len(nodes):
+            n_stopped += 1
+            return -math.inf
+        resid = values - states[:, 0]
         ss = float(resid.dot(resid))   # the BLAS dot that ``@`` runs
         if not math.isfinite(ss):
             return lp - math.inf
         return lp + (ll0 - 0.5 * ss / var)
     stages = METHOD_STAGES[config.method]
-    logpost.rhs_evals = lambda: n_solves * n_steps * stages
+    logpost.rhs_evals = lambda: n_steps_taken * stages
+    logpost.stopped_early = lambda: n_stopped
     return logpost
 
 
@@ -212,10 +235,9 @@ def make_solver_forward(system, config: SolverConfig, times) -> Callable:
     t0 = float(times[0])
     idx = tuple(int(i) for i in np.rint((times - t0) / config.h))
     n_steps = idx[-1]
-    obs = system.obs
 
     def forward(theta):
-        return obs(integrate_states(system, theta, config, t0, n_steps, idx))
+        return integrate_states(system, theta, config, t0, n_steps, idx)[:, 0]
     forward.solve = (system, config, t0, n_steps, idx)
     return forward
 
@@ -227,19 +249,3 @@ def make_logistic_exact_forward(params: LogisticParams, times) -> Callable:
     def forward(theta):
         return logistic_exact(times, replace(params, lam=float(theta[0])))
     return forward
-
-
-# ---------------------------------------------------------------------------
-# discretisation diagnostics
-# ---------------------------------------------------------------------------
-
-def likelihood_ratio(dataset: Dataset, phi: ParamVector, forward_h: Callable,
-                     forward_exact: Callable) -> float:
-    """R_h = L_h / L_exact at one parameter point.
-
-    |R_h - 1| shrinks like h^p when the solver converges with order p, so
-    log-log slopes of this ratio against h are an end-to-end order check on
-    the whole likelihood pipeline.
-    """
-    return math.exp(log_likelihood(dataset, phi, forward_h)
-                    - log_likelihood(dataset, phi, forward_exact))

@@ -56,7 +56,8 @@ PARAM_DEFAULTS["glucose"].update(d0=90.0, D0=200.0)
 # the keys of every run in record.json, ok or failed, in this order
 RUN_FIELDS = ("h", "k", "seed", "status", "log_marginal", "se", "method",
               "solver", "cpu_seconds", "process_seconds", "rhs_evals",
-              "accept_rate", "ess", "step_scale", "chain_csv", "warnings")
+              "stopped_early", "accept_rate", "ess", "step_scale",
+              "chain_csv", "warnings")
 
 
 @dataclass
@@ -395,12 +396,13 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
 
     The reported cpu_seconds is the sampler wall clock only: posterior
     evaluations included, data generation and file writing excluded;
-    process_seconds is this process's CPU time over the same loop, and
-    rhs_evals the right-hand-side evaluations of its solves, a cost that
-    does not depend on the host.  ess is the chain's effective sample size
-    and step_scale the proposal scale adapted during burn-in.  The record
-    holds every RUN_FIELDS key; ``warnings`` stays None here and the sweep
-    fills it.
+    process_seconds is this process's CPU time over the same loop,
+    rhs_evals the right-hand-side evaluations of the steps its solves took,
+    a cost that does not depend on the host, and stopped_early the number
+    of evaluations whose solve stopped once it proved the proposal
+    rejected.  ess is the chain's effective sample size and step_scale the
+    proposal scale adapted during burn-in.  The record holds every
+    RUN_FIELDS key; ``warnings`` stays None here and the sweep fills it.
     """
     config = SolverConfig(spec.solver, float(spec.h_grid[k]))
     system = build_system(spec, dataset)
@@ -420,6 +422,7 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
                       cpu_seconds=chain.wall_clock_seconds,
                       process_seconds=chain.process_seconds,
                       rhs_evals=logpost.rhs_evals(),
+                      stopped_early=logpost.stopped_early(),
                       accept_rate=chain.accept_rate,
                       ess=effective_sample_size(chain.draws[:, 0]),
                       step_scale=chain.step_scale)
@@ -579,6 +582,8 @@ def report(out_dir) -> dict:
                 f" process={r['process_seconds']:.2f}s ess={r['ess']:.0f} "
                 f"scale={r['step_scale']:.4g}")
             rhs_s = "" if r.get("rhs_evals") is None else f" rhs={r['rhs_evals']}"
+            if r.get("stopped_early") is not None:
+                rhs_s += f" stopped={r['stopped_early']}"
             lines.append(f"h={s['h']:<8g} log P = {s['log_marginal']:.6f} "
                          f"+- {s['se']:.4f}{bf_s}  cpu={s['cpu_seconds']:.2f}s "
                          f"accept={r['accept_rate']:.3f}{chain_s}{rhs_s}")

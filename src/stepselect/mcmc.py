@@ -1,8 +1,11 @@
 """Adaptive random-walk Metropolis sampling and chain diagnostics.
 
 The sampler keeps the current point's log posterior cached, so each
-iteration costs exactly one new posterior evaluation — with an ODE solve
-behind every evaluation that is the entire cost model.  Energies
+iteration costs exactly one new posterior evaluation, with an ODE solve
+behind it.  After burn-in the evaluation also gets the value below which
+the proposal is rejected, so a solve can stop as soon as it proves the
+rejection (early rejection); most of a chain's cost is the solves, and what
+each one costs depends on how soon it stops.  Energies
 ``U = -log posterior`` are recorded for every kept draw because the
 evidence estimators consume them directly.
 """
@@ -68,8 +71,14 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
 
     Parameters
     ----------
-    log_posterior : callable on a float, returning a float (-inf allowed
-        for zero-mass points); every call gets a Python float.
+    log_posterior : called as ``log_posterior(x, floor)`` with Python
+        floats; returns the log posterior at x (-inf allowed for zero-mass
+        points), or any value below ``floor`` when the log posterior is
+        below it.  After burn-in ``floor`` is the current point's log
+        posterior plus the iteration's log uniform, below which the
+        proposal is rejected; at the initial point and during burn-in,
+        whose adaptation reads the exact acceptance probability, it is
+        -inf.  A function that ignores ``floor`` meets this contract.
     init : starting point.
     settings : read for ``step_scale``, ``adapt``, ``adapt_window`` and
         ``target_accept`` only.
@@ -81,7 +90,7 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
     if not 0 <= burn_in < n_iter:
         raise ValueError("need n_iter > burn_in >= 0")
 
-    lp = float(log_posterior(x))
+    lp = float(log_posterior(x, -math.inf))
     if not math.isfinite(lp):
         raise InitializationError(
             f"log posterior at the initial point is {lp}; start inside the support")
@@ -105,9 +114,11 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
     for start, stop in zip(edges, edges[1:]):
         xs, es = [], []
         n_accept, prob = 0, 0.0
+        kept_block = start >= burn_in
         for z, lu in zip(noise[start:stop].tolist(), log_u[start:stop].tolist()):
             prop = x + scale * z
-            lp_prop = float(log_posterior(prop))
+            lp_prop = float(log_posterior(
+                prop, lp + lu if kept_block else -math.inf))
             delta = lp_prop - lp
             prob += math.exp(delta) if delta < 0.0 else 1.0
             if delta >= 0.0 or lu < delta:
@@ -115,7 +126,7 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
                 n_accept += 1
             xs.append(x)
             es.append(-lp)
-        if start >= burn_in:
+        if kept_block:
             draws[start - burn_in:stop - burn_in] = xs
             energies[start - burn_in:stop - burn_in] = es
             n_accept_kept += n_accept

@@ -1,7 +1,7 @@
 """Forward models: logistic growth and a four-state glucose-insulin system.
 
-Each model ships as an :class:`OdeSystem` bundling the right-hand side, the
-observation map (what the data actually measures) and the initial state.
+Each model ships as an :class:`OdeSystem` bundling the right-hand side and
+the initial state; the data observe the first state component.
 The right-hand side is written once, as source lines that the integrator
 pastes into its generated step loop (see ``ode._stepper``).  The parameter
 ``theta`` it reads holds only the inferred coordinates; everything else is
@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
 class OdeSystem:
-    """An autonomous-in-shape ODE with an observation map.
+    """An autonomous-in-shape ODE whose data observe its first state component.
 
     A system is fixed once built: the integrator reads its right-hand side,
     constants and initial state once per method and keeps them (systems
@@ -35,16 +35,12 @@ class OdeSystem:
         ``dx_1``, ...).  They may assign temporaries of their own.
     consts : the constants the lines read, name -> value; a value may be any
         object, a helper function included.
-    obs : observation map; takes states with the state on the last axis and
-        returns the observed scalar(s), so it works on single states and on
-        whole trajectories alike.
     x0 : initial state, ndarray of shape (dim_p,).
     """
 
     dim_p: int
     rhs: Tuple[str, ...]
     consts: dict
-    obs: Callable
     x0: np.ndarray
 
 
@@ -79,8 +75,7 @@ def logistic_exact(t, params: LogisticParams):
 def make_logistic_system(params: LogisticParams) -> OdeSystem:
     """Logistic system with theta = [lam] inferred; K and X0 fixed."""
     return OdeSystem(dim_p=1, rhs=("dx = theta_0 * x * (1.0 - x / K)",),
-                     consts={"K": params.K}, obs=lambda s: s[..., 0],
-                     x0=np.array([params.X0]))
+                     consts={"K": params.K}, x0=np.array([params.X0]))
 
 
 # ---------------------------------------------------------------------------
@@ -133,5 +128,5 @@ def make_glucose_system(params: GlucoseParams, d0: float,
            "dx_3 = -x_3 / theta2")
     consts = {name: getattr(params, name)
               for name in ("theta1", "theta2", "a", "b", "Gb")}
-    return OdeSystem(dim_p=4, rhs=rhs, consts=consts, obs=lambda s: s[..., 0],
+    return OdeSystem(dim_p=4, rhs=rhs, consts=consts,
                      x0=np.array([d0, 0.0, 0.0, float(D0)]))

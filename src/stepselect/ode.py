@@ -65,7 +65,8 @@ def check_grid(h: float, times) -> None:
 
 
 def integrate_states(system, theta, config: SolverConfig, t0: float,
-                     n_steps: int, nodes) -> np.ndarray:
+                     n_steps: int, nodes, values=(),
+                     cap: float = math.inf) -> np.ndarray:
     """States of an ``n_steps``-step solve from t0 at the step indices ``nodes``.
 
     ``nodes`` are non-decreasing step indices that end at ``n_steps``; row j
@@ -74,26 +75,41 @@ def integrate_states(system, theta, config: SolverConfig, t0: float,
     so they precompute ``n_steps`` and their observation node indices and
     call it directly.
 
+    With a finite ``cap``, ``values`` holds one observed value of the first
+    state component per node, and the solve adds up the squared residuals
+    ``(values[j] - x_0)**2`` node by node.  It stops at the first node
+    before the last step where that running sum exceeds ``cap`` and returns
+    only the rows reached: fewer rows than nodes means the sum of squares
+    of the whole solve exceeds ``cap`` too, and the last row's node is the
+    number of steps taken.  A NaN sum never exceeds the cap, and a solve
+    that stops never learns whether the nodes after its stop were in order.
+
     The solve keeps only the states at the nodes and checks none of the
     others.  Every step adds an increment to the state, so a NaN or infinity
-    never leaves it again: a solve whose last state is non-finite, or whose
-    right-hand side raises ArithmeticError or ValueError, is replayed step
-    by step to raise NonFiniteState at the first non-finite step, exactly as
-    a per-step check would.
+    never leaves it again: a solve that runs to the end with a non-finite
+    last state, or whose right-hand side raises ArithmeticError or
+    ValueError, is replayed step by step to raise NonFiniteState at the
+    first non-finite step, exactly as a per-step check would.
     """
     if not len(nodes) or nodes[-1] != n_steps:
         raise ValueError(f"nodes must end at n_steps={n_steps}")
+    bounded = cap < math.inf
+    if bounded and len(values) != len(nodes):
+        raise ValueError("a finite cap needs one observed value per node")
     theta_f = tuple(np.asarray(theta, dtype=float).ravel().tolist())
-    step, consts, x0, finite = _solver(config.method, system)
+    step, consts, x0, finite = _solver(config.method, system, bounded)
     h = config.h
     out = []
     try:
-        x, m = step(consts, x0, theta_f, t0, h, 0, n_steps, nodes, out)
+        x, m = step(consts, x0, theta_f, t0, h, 0, n_steps, nodes, out,
+                    values, cap)
     except (ArithmeticError, ValueError):
-        _replay(step, finite, consts, x0, theta_f, t0, h, n_steps)
+        _replay(config.method, system, theta_f, t0, h, n_steps)
         raise
+    if len(out) < len(nodes) and m is None:   # stopped at the cap
+        return np.array(out).reshape(len(out), system.dim_p)
     if not finite(x):
-        _replay(step, finite, consts, x0, theta_f, t0, h, n_steps)
+        _replay(config.method, system, theta_f, t0, h, n_steps)
     if m is not None:
         raise ValueError(f"nodes must be non-decreasing step indices in "
                          f"[0, {n_steps}]; {m} was never reached")
@@ -105,20 +121,22 @@ def _all_finite(x) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _solver(method: str, system):
-    """The stepper of ``method`` for ``system``, the values of its constants,
-    its initial state and the finiteness check for that state, looked up once
+def _solver(method: str, system, bounded: bool):
+    """The stepper of ``method`` for ``system`` (checking the residual sum
+    against a cap when ``bounded``), the values of its constants, its
+    initial state and the finiteness check for that state, looked up once
     per system and method instead of once per solve."""
     consts = system.consts
-    step = _stepper(method, system.dim_p, system.rhs, tuple(consts))
+    step = _stepper(method, system.dim_p, system.rhs, tuple(consts), bounded)
     if system.dim_p == 1:
         return step, tuple(consts.values()), float(system.x0[0]), math.isfinite
     return (step, tuple(consts.values()), tuple(float(v) for v in system.x0),
             _all_finite)
 
 
-def _replay(step, finite, consts, x, theta, t0, h, n_steps):
+def _replay(method, system, theta, t0, h, n_steps):
     """Redo a solve one step at a time; raise at the first non-finite state."""
+    step, consts, x, finite = _solver(method, system, False)
     for i in range(n_steps):
         x, _ = step(consts, x, theta, t0, h, i, i + 1, (i + 1,), [])
         if not finite(x):
@@ -132,7 +150,12 @@ def _replay(step, finite, consts, x, theta, t0, h, n_steps):
 # is never reached).  One loop over all the steps, comparing the step index
 # with the next node, costs less than a loop per pair of nodes, whose set-up
 # outweighs a two-step stretch.  The state is a float for dim_p == 1 and a
-# tuple of dim_p floats otherwise.
+# tuple of dim_p floats otherwise.  A bounded stepper also adds the squared
+# residual of its first component against the next of ``values`` at each
+# node it passes before ``end``, and returns the state and None as soon as
+# that sum exceeds ``cap``, with fewer states in ``out`` than nodes; the
+# unbounded one ignores both, which spares the solves that no cap can stop
+# the cost of the check.
 #
 # Each method is written once, per state component: its set-up lines, its
 # stages as (argument, time) with stage j k_j = f(argument, time), where t is
@@ -162,20 +185,22 @@ _IDENTIFIER = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
 
 
 @functools.lru_cache(maxsize=None)
-def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
+def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
+             bounded: bool = False):
     """The stepper of ``method`` for states of ``dim_p`` components whose
-    derivative the source lines ``rhs`` compute.
+    derivative the source lines ``rhs`` compute, checking the residual sum
+    against its cap at each node when ``bounded``.
 
     ``rhs`` reads the state as ``x`` (``x_0``, ``x_1``, ... when dim_p > 1),
     the parameter as ``theta_0``, ``theta_1``, ..., the time as ``t`` and the
     constants ``const_names``, and assigns the derivative to ``dx`` (``dx_0``,
     ...); it may assign temporaries of its own.  The stepper is called as
-    ``step(consts, x, theta, t0, h, n, end, nodes, out)``, with ``consts``
-    the constants' values in the order of ``const_names``.  Compiled on first
-    use; the constants and the parameter are unpacked once on entry, and the
-    stage times are computed only when ``rhs`` reads ``t``.  Every component
-    runs the same float operations in the same order as a call of the
-    right-hand side per stage would.
+    ``step(consts, x, theta, t0, h, n, end, nodes, out, values=(), cap=inf)``,
+    with ``consts`` the constants' values in the order of ``const_names``.
+    Compiled on first use; the constants and the parameter are unpacked once
+    on entry, and the stage times are computed only when ``rhs`` reads
+    ``t``.  Every component runs the same float operations in the same order
+    as a call of the right-hand side per stage would.
     """
     setup, stages, update = _METHODS[method]
     if not (isinstance(dim_p, int) and dim_p >= 1):
@@ -202,7 +227,7 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
             return (k if mo.group(1) == "dx" else x) + (mo.group(2) or "")
         return _RHS_NAMES.sub(name, line)
 
-    def loop(rhs):
+    def loop(rhs, bounded):
         """The step loop, ``rhs`` pasted into each stage."""
         body = ["t = t0 + i * h"] if reads_t else []
         for j, (arg, time) in enumerate(stages, start=1):
@@ -215,14 +240,23 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
                 body.append(f"ts = {time}")
             body += [bind(line, x, f"k{j}", t) for line in rhs]
         body += [f"{x} = {u}" for x, u in zip(parts("x"), parts(update))]
+        check = [
+            f"            dy = next(seen) - {parts('x')[0]}",
+            "            ss += dy * dy",
+            "            if ss > cap:",
+            f"                return {pack('x')}, None",
+        ] if bounded else []
         return [
-            "def step(consts, x, theta, t0, h, n, end, nodes, out):",
+            "def step(consts, x, theta, t0, h, n, end, nodes, out, values=(),"
+            " cap=inf):",
             *(f"    {line}" for line in setup),
             "    stops = iter(nodes)",
+            *(["    seen = iter(values)", "    ss = 0.0"] if bounded else []),
             "    m = next(stops)",
             "    for i in range(n, end):",
             "        while i == m:",
             f"            out.append({pack('x')})",
+            *check,
             "            m = next(stops, None)",
             *(f"        {line}" for line in body),
             "    while m == end:",
@@ -233,14 +267,14 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
 
     # a temporary or constant named like one of the loop's own variables
     # would silently change what the loop computes
-    own = set(_IDENTIFIER.findall("\n".join(loop(()))))
+    own = set(_IDENTIFIER.findall("\n".join(loop((), True))))
     temps = {m.group(1) for m in map(_ASSIGNED.match, rhs) if m}
     clash = (temps | set(const_names)) & own
     if clash:
         raise ValueError(f"right-hand side names {sorted(clash)} are the "
                          f"stepper's own")
     thetas = sorted(set(re.findall(r"\btheta_(\d+)\b", source)), key=int)
-    head, *rest = loop(rhs)
+    head, *rest = loop(rhs, bounded)
     lines = [
         head,
         *([f"    {', '.join(const_names)}, = consts"] if const_names else []),
@@ -248,7 +282,7 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
         *([] if dim_p == 1 else [f"    {', '.join(parts('x'))} = x"]),
         *rest,
     ]
-    namespace = {}
+    namespace = {"inf": math.inf}
     exec(compile("\n".join(lines) + "\n", f"<{method} stepper, dim {dim_p}>",
                  "exec"), namespace)
     return namespace["step"]

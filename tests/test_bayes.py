@@ -9,11 +9,11 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stepselect import (Dataset, GammaPrior, LogisticParams, ParamVector,
-                        Prior, SolverConfig, likelihood_ratio, log_likelihood,
-                        log_posterior_unnorm, log_prior,
-                        make_log_posterior, make_logistic_exact_forward,
-                        make_logistic_system, make_solver_forward)
+from stepselect import (Dataset, GammaPrior, LogisticParams, McmcSettings,
+                        ParamVector, Prior, SolverConfig, log_likelihood,
+                        log_posterior_unnorm, log_prior, make_log_posterior,
+                        make_logistic_exact_forward, make_logistic_system,
+                        make_solver_forward, mh_run)
 from stepselect import bayes, evidence
 from stepselect.bayes import LOG_2PI
 from stepselect.errors import GridMismatch, NonFiniteState, NonMonotoneTimes
@@ -184,9 +184,10 @@ def test_likelihood_ratio_shrinks_at_solver_order():
     ds = Dataset(times=times, values=values + 0.5, sigma_fixed=1.0)
     exact = make_logistic_exact_forward(params, times)
     phi = ParamVector(theta=np.array([1.0]), sigma=1.0)
-    r = [likelihood_ratio(ds, phi,
-                          make_solver_forward(system, SolverConfig("rk4", h),
-                                              times), exact)
+    # R_h = L_h / L_exact at one parameter point
+    r = [math.exp(log_likelihood(ds, phi, make_solver_forward(
+                      system, SolverConfig("rk4", h), times))
+                  - log_likelihood(ds, phi, exact))
          for h in (0.2, 0.1)]
     # |R_h - 1| = O(h^4): halving h shrinks the gap ~16x
     assert abs(r[0] - 1.0) > abs(r[1] - 1.0) > 0.0
@@ -253,14 +254,25 @@ def test_one_fused_log_posterior_evaluation_is_one_traced_solve(monkeypatch):
     ds, prior, forward = logistic_case()
     solves = counting(monkeypatch, "integrate_states")
     lp = make_log_posterior(ds, prior, forward)
-    lp(1.1)
+    exact = lp(1.1)
     assert len(solves) == 1
     (args, kwargs), = solves
-    assert kwargs == {} and len(args) == 6
+    # the observed values and the cap on the residual sum follow the nodes;
+    # without a floor the cap is infinite
+    assert kwargs == {} and len(args) == 8
     assert args[2] is forward.solve[1] and args[4] == 100
+    assert args[6] == tuple(ds.values.tolist()) and args[7] == math.inf
     lp(-1.1)   # off the prior's support: no solve
     assert len(solves) == 1
-    assert lp.rhs_evals() == 100 * 4
+    assert lp.rhs_evals() == 100 * 4 and lp.stopped_early() == 0
+    # a floor above the value at a zero residual stops the solve at its
+    # first node, before any step
+    assert lp(1.1, 1e9) == -math.inf
+    assert len(solves) == 2 and solves[1][0][7] < 0.0
+    assert lp.rhs_evals() == 100 * 4 and lp.stopped_early() == 1
+    # one the value clears changes nothing
+    assert lp(1.1, exact - 1e-6).hex() == exact.hex()
+    assert lp.rhs_evals() == 2 * 100 * 4 and lp.stopped_early() == 1
 
 
 def test_one_forward_call_is_one_traced_solve(monkeypatch):
@@ -279,7 +291,7 @@ def test_one_forward_call_is_one_traced_solve(monkeypatch):
 
 
 @functools.lru_cache(maxsize=None)
-def model_case(model):
+def model_case(model, method="rk4"):
     """(dataset, prior, solver forward) of each model at a coarse step."""
     if model == "logistic":
         spec = ExperimentSpec(seed=7, h_grid=(0.2,))
@@ -289,7 +301,7 @@ def model_case(model):
                               prior={"shape": 5.0, "rate": 0.4})
     ds = generate_synthetic(spec)
     forward = make_solver_forward(build_system(spec, ds),
-                                  SolverConfig("rk4", spec.h_grid[0]),
+                                  SolverConfig(method, spec.h_grid[0]),
                                   ds.times)
     return ds, spec.build_prior(), forward
 
@@ -310,6 +322,70 @@ def test_fused_log_posterior_matches_general_bit_for_bit(model, x):
     assert fused.hex() == general.hex()
     if x <= 0.0 or (model, x) in (("logistic", 40.0), ("glucose", 300.0)):
         assert fused == -math.inf
+
+
+FLOOR_CASES = [("logistic", "rk4"), ("logistic", "euler"), ("glucose", "rk4")]
+
+
+def metropolis_accepts(lp_prop, lp, lu):
+    """The decision mh_run makes on a proposal from the current point."""
+    delta = lp_prop - lp
+    return delta >= 0.0 or lu < delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FLOOR_CASES),
+       st.floats(min_value=0.05, max_value=4.0),
+       st.floats(min_value=-36.8, max_value=-1e-12),
+       st.one_of(st.floats(min_value=-1e-6, max_value=1e-6),
+                 st.floats(min_value=-50.0, max_value=50.0),
+                 st.sampled_from([0.0, 1e-12, -1e-12])),
+       st.booleans())
+@example(("logistic", "rk4"), 1.0, -1.0, 0.0, False)
+@example(("glucose", "rk4"), 40.0, -0.5, 0.0, False)    # the solve blows up
+def test_fused_log_posterior_with_a_floor(case, x, lu, gap, fit_last):
+    # a floor changes no value at or above it, and a value it cuts short
+    # stands for an exact one below it that mh_run rejects as well: the
+    # current point lp is placed so that the floor lp + lu sits ``gap``
+    # above the exact value
+    ds, prior, forward = model_case(*case)
+    if fit_last:
+        # the last node, where no solve stops, adds nothing to the sum of
+        # squares, so the sum the solve checks before it is the whole sum
+        last = forward(np.array([x]))[-1]
+        if math.isfinite(last):
+            ds = Dataset(times=ds.times, values=[*ds.values[:-1], last],
+                         sigma_fixed=ds.sigma_fixed)
+    logpost = make_log_posterior(ds, prior, forward)
+    exact = logpost(x)
+    lp = (exact - lu) + gap if math.isfinite(exact) else -lu
+    floor = lp + lu
+    bounded = logpost(x, floor)
+    if bounded >= floor:
+        assert bounded.hex() == exact.hex()
+    else:
+        assert exact < floor
+        assert bounded.hex() == exact.hex() or bounded == -math.inf
+    assert metropolis_accepts(bounded, lp, lu) == \
+        metropolis_accepts(exact, lp, lu)
+
+
+@pytest.mark.parametrize("case", FLOOR_CASES)
+def test_chain_with_early_rejection_matches_the_exact_chain(case):
+    ds, prior, forward = model_case(*case)
+    settings_ = McmcSettings(n_iter=1500, step_scale=0.05)
+    init = prior.theta[0].mean if case[0] == "glucose" else 1.0
+    logpost = make_log_posterior(ds, prior, forward)
+    exact = make_log_posterior(ds, prior, forward)
+    a = mh_run(logpost, init, settings_, n_iter=1500, burn_in=300, seed=3)
+    b = mh_run(lambda x, floor: exact(x), init, settings_, n_iter=1500,
+               burn_in=300, seed=3)
+    assert a.draws.tobytes() == b.draws.tobytes()
+    assert a.energies.tobytes() == b.energies.tobytes()
+    assert a.accept_rate == b.accept_rate and a.step_scale == b.step_scale
+    # the floor did cut solves short, and only after burn-in
+    assert 0 < logpost.stopped_early() <= 1200
+    assert logpost.rhs_evals() < exact.rhs_evals()
 
 
 def test_quadrature_oracles_evaluate_through_the_traced_posterior(monkeypatch):

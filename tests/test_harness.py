@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stepselect import Dataset, harness
+from stepselect import Dataset, bayes, harness
 from stepselect.bayes import make_log_posterior, make_solver_forward
 from stepselect.errors import ParseError, StepSelectError
 from stepselect.harness import (ExperimentSpec, McmcSettings,
@@ -303,10 +303,21 @@ def test_load_or_generate_prefers_csv(tmp_path):
 # single runs and sweeps
 # ---------------------------------------------------------------------------
 
-def test_run_single_record_and_energy_replay(tmp_path):
+def test_run_single_record_and_energy_replay(tmp_path, monkeypatch):
     spec = small_spec(mcmc=McmcSettings(n_iter=400))
     ds = generate_synthetic(spec)
+    # count the steps each solve reached from the rows it returned: all 100
+    # of h = 0.1 when it kept every node, the last kept node's otherwise
+    solves = []
+    real = bayes.integrate_states
+
+    def counted(system, theta, config, t0, n_steps, nodes, *bound):
+        states = real(system, theta, config, t0, n_steps, nodes, *bound)
+        solves.append(nodes[len(states) - 1])
+        return states
+    monkeypatch.setattr(bayes, "integrate_states", counted)
     rec = run_single(spec, ds, k=2, out_dir=tmp_path)
+    monkeypatch.undo()
     assert rec["h"] == 0.1 and rec["k"] == 2
     assert rec["seed"] == spec.chain_seed(2)
     assert rec["status"] == "ok" and rec["method"] == "gelfand_dey_kde"
@@ -314,10 +325,14 @@ def test_run_single_record_and_energy_replay(tmp_path):
     assert rec["cpu_seconds"] > 0.0 and rec["process_seconds"] > 0.0
     assert 0.0 < rec["ess"] <= 320
     assert rec["step_scale"] > 0.0 and rec["step_scale"] != 0.02  # adapted
-    # one solve of 100 RK4 steps per evaluation inside the prior's support:
-    # the initial point and each of the 400 proposals
-    assert rec["rhs_evals"] == 401 * 100 * 4
-    assert run_single(spec, ds, k=2)["rhs_evals"] == rec["rhs_evals"]
+    # one solve per evaluation inside the prior's support: the initial point
+    # and each of the 400 proposals; after burn-in some stop early
+    assert len(solves) == 401
+    assert rec["rhs_evals"] == sum(solves) * 4 < 401 * 100 * 4
+    assert rec["stopped_early"] == sum(n < 100 for n in solves) > 0
+    again = run_single(spec, ds, k=2)
+    assert (again["rhs_evals"], again["stopped_early"]) == (
+        rec["rhs_evals"], rec["stopped_early"])
 
     # the stored energies (negated log posterior) must replay exactly
     # through a rebuilt posterior
@@ -512,7 +527,8 @@ def test_report_files(tmp_path):
     assert "recommended step" in summary
     for r in record["runs"]:
         assert (f"process={r['process_seconds']:.2f}s ess={r['ess']:.0f} "
-                f"scale={r['step_scale']:.4g} rhs={r['rhs_evals']}") in summary
+                f"scale={r['step_scale']:.4g} rhs={r['rhs_evals']} "
+                f"stopped={r['stopped_early']}") in summary
 
     # a record written before process_seconds, ess, step_scale and warnings
     # still renders

@@ -13,7 +13,7 @@ from stepselect.errors import InitializationError, ParseError, StuckChainWarning
 from stepselect.harness import ExperimentSpec, load_chain_csv, save_chain_csv
 
 
-def std_normal_logpdf(x):
+def std_normal_logpdf(x, floor=-math.inf):
     return -0.5 * x ** 2
 
 
@@ -59,7 +59,7 @@ def test_energies_track_log_posterior():
 def test_exactly_one_evaluation_per_iteration():
     calls = []
 
-    def counting(x):
+    def counting(x, floor):
         calls.append(1)
         return std_normal_logpdf(x)
 
@@ -72,13 +72,32 @@ def test_log_posterior_gets_a_float_at_every_call():
     # the chain's state is a Python float, from an integer init on
     seen = []
 
-    def recording(x):
-        seen.append(type(x))
+    def recording(x, floor):
+        seen.append((type(x), type(floor)))
         return std_normal_logpdf(x)
 
     chain = run(recording, init=0, n_iter=500, step_scale=1.0)
-    assert len(seen) == 501 and set(seen) == {float}
+    assert len(seen) == 501 and set(seen) == {(float, float)}
     assert chain.draws.shape == (400, 1)
+
+
+def test_floor_is_the_rejection_threshold_after_burn_in():
+    # -inf at the initial point and during burn-in; after it, the current
+    # point's log posterior plus the iteration's log uniform
+    calls = []
+
+    def recording(x, floor):
+        lp = std_normal_logpdf(x)
+        calls.append((lp, floor))
+        return lp
+
+    chain = run(recording, n_iter=500, step_scale=1.0)
+    assert all(floor == -math.inf for _, floor in calls[:101])
+    kept = calls[101:]
+    assert len(kept) == 400
+    # the current point of kept iteration i is kept draw i - 1
+    assert all(-math.inf < floor < -energy
+               for (_, floor), energy in zip(kept[1:], chain.energies[:-1]))
 
 
 def test_deterministic_given_seed():
@@ -92,7 +111,7 @@ def test_deterministic_given_seed():
 
 def test_initialization_off_support_raises():
     with pytest.raises(InitializationError):
-        run(lambda x: -math.inf, n_iter=100, step_scale=1.0)
+        run(lambda x, floor: -math.inf, n_iter=100, step_scale=1.0)
 
 
 def test_default_burn_in_is_a_fifth():
@@ -136,7 +155,7 @@ def test_no_adaptation_when_disabled():
 
 
 def test_stuck_chain_warns():
-    def spike(x):
+    def spike(x, floor):
         return 0.0 if abs(x) < 1e-12 else -math.inf
 
     with pytest.warns(StuckChainWarning):

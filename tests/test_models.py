@@ -1,4 +1,4 @@
-"""Forward-model tests: closed forms, clamps, and the observation maps."""
+"""Forward-model tests: closed forms, clamps, and the observed component."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stepselect import (GlucoseParams, LogisticParams, SolverConfig,
                         integrate_states, make_glucose_system,
-                        make_logistic_system)
+                        make_logistic_system, make_solver_forward)
 from stepselect.models import logistic_exact
 
 from _oracles import rhs_function
@@ -111,7 +111,12 @@ def test_glucose_deposit_decays_exponentially():
 
 
 def test_glucose_observation_is_first_component():
+    # the solver forward returns the glucose component, state column 0
     system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
-    states = np.arange(8.0).reshape(2, 4)
-    assert np.array_equal(system.obs(states), np.array([0.0, 4.0]))
-    assert system.obs(np.array([7.0, 1.0, 2.0, 3.0])) == 7.0
+    times = np.linspace(0.0, 2.0, 5)
+    config = SolverConfig("rk4", 0.0625)
+    states = integrate_states(system, np.array([10.0]), config, 0.0, 32,
+                              (0, 8, 16, 24, 32))
+    forward = make_solver_forward(system, config, times)
+    assert np.array_equal(forward(np.array([10.0])), states[:, 0])
+    assert forward(np.array([10.0]))[0] == 90.0

@@ -27,7 +27,7 @@ from _oracles import rhs_function
 def make_system(rhs, x0, **consts) -> OdeSystem:
     """A test system with right-hand-side lines ``rhs`` from ``x0``."""
     return OdeSystem(dim_p=len(x0), rhs=rhs, consts=consts,
-                     obs=lambda s: s[..., 0], x0=np.array(x0, dtype=float))
+                     x0=np.array(x0, dtype=float))
 
 
 def exp_system() -> OdeSystem:
@@ -220,6 +220,27 @@ def test_generated_stepper_matches_plain_loop(method, dim_p):
     step(consts, x, theta, t0, h, 23, n_steps, (23, 50, 64), out)
     assert hexes(out) == [[v.hex() for v in ref[n]] for n in (23, 50, 64)]
 
+    # the bounded stepper takes the same steps and stops at the first node
+    # before the end where the running sum of squared residuals of the
+    # first component exceeds the cap; the last node is never checked
+    bounded = _stepper(method, dim_p, model.rhs, tuple(model.consts), True)
+    nodes = [0, 0, 1, 2, 2, 9, 40, 63, 64]
+    values = [0.5 * j for j in range(len(nodes))]
+    sums, total = [], 0.0
+    for v, n in zip(values, nodes):
+        total += (v - ref[n][0]) ** 2
+        sums.append(total)
+    for cap in (math.inf, -1.0, sums[0], sums[4], sums[-2]):
+        stop = next((j for j, (n, total) in enumerate(zip(nodes, sums))
+                     if n < n_steps and total > cap), len(nodes) - 1)
+        out = []
+        x, missed = bounded(consts, x0, theta, t0, h, 0, n_steps, nodes, out,
+                            values, cap)
+        assert missed is None
+        assert hexes(out) == [[v.hex() for v in ref[n]]
+                              for n in nodes[:stop + 1]]
+        assert hexes([x]) == hexes(out[-1:])
+
 
 @pytest.mark.parametrize("dim_p,rhs,consts", [
     (1, ("h = 2.0 * x", "dx = h"), ()),    # a temporary named like the step
@@ -310,6 +331,24 @@ def test_nonfinite_state_raised_with_context():
                                      nodes)
                 assert (exc.value.t, exc.value.step_index) == (80.0, 7)
                 assert exc.value.theta == (1.5,)
+
+
+def test_capped_solve_stops_on_an_overflowing_residual_sum():
+    # Euler h=10 on dx/dt = x^2 from 10: the square of x_7 ~ 1e255 is
+    # infinite, which exceeds any finite cap, so a solve checked at every
+    # node stops there with 8 rows instead of replaying the blow-up; one
+    # whose last node before the end is 3 still raises
+    system, cfg = quadratic_blowup_system(1), SolverConfig("euler", 10.0)
+    zeros = [0.0] * 21
+    states = integrate_states(system, np.array([1.5]), cfg, 0.0, 20,
+                              range(21), zeros, 1e300)
+    assert states.shape == (8, 1) and math.isfinite(states[-1, 0])
+    with pytest.raises(NonFiniteState):
+        integrate_states(system, np.array([1.5]), cfg, 0.0, 20, (0, 3, 20),
+                         zeros[:3], 1e300)
+    with pytest.raises(ValueError, match="one observed value per node"):
+        integrate_states(system, np.array([1.5]), cfg, 0.0, 20, (0, 3, 20),
+                         zeros, 1e300)
 
 
 @pytest.mark.parametrize("nodes", [range(21), (0, 3, 20)])
