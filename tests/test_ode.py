@@ -152,9 +152,14 @@ def test_integrate_states_at_nodes_matches_every_node_solve(model, method):
     [],                # no node at all
 ])
 def test_integrate_states_rejects_bad_nodes(nodes):
-    with pytest.raises(ValueError):
-        integrate_states(exp_system(), np.array([1.0]),
-                         SolverConfig("rk4", 0.1), 0.0, 10, nodes)
+    # every loop shape, with and without the residual check; the cap is
+    # too large to stop the solve, so only the nodes can end it
+    for method in sorted(METHOD_ORDERS):
+        for values, cap in (((), math.inf), ([0.0] * len(nodes), 1e300)):
+            with pytest.raises(ValueError):
+                integrate_states(exp_system(), np.array([1.0]),
+                                 SolverConfig(method, 0.1), 0.0, 10, nodes,
+                                 values, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +190,42 @@ def reference_states(rhs, x, theta, t0, h, n_steps, method):
     return states
 
 
+# steps per pass of the loop over a node gap, where it is more than one: a
+# step of few statements runs several times per pass, and every other
+# stepper (RK4, four states, a right-hand side that reads t) one step per
+# pass of a loop over single steps
+UNROLLED = {("euler", "logistic"): 4, ("rk2", "logistic"): 2,
+            ("euler", "rotation"): 2}
+
+
 @pytest.mark.parametrize("method", sorted(METHOD_ORDERS))
 @pytest.mark.parametrize("dim_p", [1, 2, 4])
 def test_generated_stepper_matches_plain_loop(method, dim_p):
-    theta, t0, h, n_steps = (1.3,), 0.5, 0.0625, 64
+    t0, h, n_steps = 0.5, 0.0625, 64
     if dim_p == 1:
-        model = make_logistic_system(LogisticParams())
+        models = {"logistic": (make_logistic_system(LogisticParams()), (1.3,))}
     elif dim_p == 2:
-        model = forced_oscillator()
+        models = {"oscillator": (forced_oscillator(), (1.3,)),
+                  "rotation": (rotation_system(), (1.3,))}
     else:
-        model = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
-        theta = (9.3,)
+        models = {"glucose": (make_glucose_system(GlucoseParams(), d0=90.0,
+                                                  D0=200.0), (9.3,))}
+    for name, (model, theta) in models.items():
+        check_stepper(model, theta, method, t0, h, n_steps,
+                      UNROLLED.get((method, name), 1))
+
+
+def check_stepper(model, theta, method, t0, h, n_steps, unroll):
+    """The generated steppers of ``model``, whose loop shape runs
+    ``unroll`` steps per pass, against ``reference_states``."""
+    dim_p = model.dim_p
     x0 = tuple(model.x0.tolist())
     ref = reference_states(rhs_function(model), x0, theta, t0, h, n_steps,
                            method)
     step = _stepper(method, dim_p, model.rhs, tuple(model.consts))
+    bounded = _stepper(method, dim_p, model.rhs, tuple(model.consts), True)
+    for stepper in (step, bounded):   # the shape the generator chose
+        assert ("stops" not in stepper.__code__.co_varnames) == (unroll > 1)
     consts = tuple(model.consts.values())
     if dim_p == 1:
         x0, = x0
@@ -207,13 +233,31 @@ def test_generated_stepper_matches_plain_loop(method, dim_p):
     def hexes(states):
         return [[v.hex() for v in (s if dim_p > 1 else (s,))] for s in states]
 
-    # node 0, repeated nodes, adjacent nodes and long stretches between them
-    for nodes in ([0, 0, 1, 2, 2, 9, 40, 63, 64], [64], [0, 64, 64]):
+    # node 0, repeated nodes, adjacent nodes and long stretches between
+    # them; then gaps of 0, 1, U - 1, U, U + 1 and 2U + r steps for every
+    # remainder r, so each remainder occurs with and without a full pass
+    # of U steps
+    gaps = [0, 1, unroll - 1, unroll, unroll + 1,
+            *(2 * unroll + r for r in range(unroll))]
+    node_sets = ([0, 0, 1, 2, 2, 9, 40, 63, 64], [64], [0, 64, 64],
+                 [*np.cumsum([0, *gaps]).tolist(), n_steps])
+    for nodes in node_sets:
         out = []
         x, missed = step(consts, x0, theta, t0, h, 0, n_steps, nodes, out)
         assert missed is None
         assert hexes(out) == [[v.hex() for v in ref[n]] for n in nodes]
         assert hexes([x]) == hexes(out[-1:])
+    # a node below the start, past the end or after a larger one is never
+    # reached: the stepper keeps the states before it, steps on to the end
+    # and returns that node
+    for nodes, missed in (([0, 5, 70], 70), ([0, 5, 3, 64], 3),
+                          ([-1, 64], -1)):
+        out = []
+        x, miss = step(consts, x0, theta, t0, h, 0, n_steps, nodes, out)
+        assert miss == missed
+        assert hexes(out) == [[v.hex() for v in ref[n]]
+                              for n in nodes[:nodes.index(missed)]]
+        assert hexes([x]) == [[v.hex() for v in ref[-1]]]
     # a solve resumed part-way, as the blow-up replay steps it
     x, _ = step(consts, x0, theta, t0, h, 0, 23, (23,), [])
     out = []
@@ -223,34 +267,37 @@ def test_generated_stepper_matches_plain_loop(method, dim_p):
     # the bounded stepper takes the same steps and stops at the first node
     # before the end where the running sum of squared residuals of the
     # first component exceeds the cap; the last node is never checked
-    bounded = _stepper(method, dim_p, model.rhs, tuple(model.consts), True)
-    nodes = [0, 0, 1, 2, 2, 9, 40, 63, 64]
-    values = [0.5 * j for j in range(len(nodes))]
-    sums, total = [], 0.0
-    for v, n in zip(values, nodes):
-        total += (v - ref[n][0]) ** 2
-        sums.append(total)
-    for cap in (math.inf, -1.0, sums[0], sums[4], sums[-2]):
-        stop = next((j for j, (n, total) in enumerate(zip(nodes, sums))
-                     if n < n_steps and total > cap), len(nodes) - 1)
-        out = []
-        x, missed = bounded(consts, x0, theta, t0, h, 0, n_steps, nodes, out,
-                            values, cap)
-        assert missed is None
-        assert hexes(out) == [[v.hex() for v in ref[n]]
-                              for n in nodes[:stop + 1]]
-        assert hexes([x]) == hexes(out[-1:])
+    for nodes in node_sets:
+        values = [0.5 * j for j in range(len(nodes))]
+        sums, total = [], 0.0
+        for v, n in zip(values, nodes):
+            total += (v - ref[n][0]) ** 2
+            sums.append(total)
+        for cap in (math.inf, -1.0, *sums):
+            stop = next((j for j, (n, total) in enumerate(zip(nodes, sums))
+                         if n < n_steps and total > cap), len(nodes) - 1)
+            out = []
+            x, missed = bounded(consts, x0, theta, t0, h, 0, n_steps, nodes,
+                                out, values, cap)
+            assert missed is None
+            assert hexes(out) == [[v.hex() for v in ref[n]]
+                                  for n in nodes[:stop + 1]]
+            assert hexes([x]) == hexes(out[-1:])
 
 
-@pytest.mark.parametrize("dim_p,rhs,consts", [
-    (1, ("h = 2.0 * x", "dx = h"), ()),    # a temporary named like the step
-    (1, ("dx = half * x",), ("half",)),    # a constant named like a stage
-    (2, ("dx_0 = x_1", "i = x_0", "dx_1 = -i"), ()),
+@pytest.mark.parametrize("method,dim_p,rhs,consts", [
+    ("rk4", 1, ("h = 2.0 * x", "dx = h"), ()),  # a temporary like the step
+    ("rk4", 1, ("dx = half * x",), ("half",)),  # a constant like a stage
+    ("rk4", 2, ("dx_0 = x_1", "i = x_0", "dx_1 = -i"), ()),
+    # names of one loop shape only: the loop over single steps (RK4) and
+    # the loop over node gaps (Euler on one state)
+    ("rk4", 1, ("stops = 2.0 * x", "dx = stops"), ()),
+    ("euler", 1, ("_ = 2.0 * x", "dx = _"), ()),
 ])
-def test_stepper_rejects_rhs_names_of_its_own(dim_p, rhs, consts):
+def test_stepper_rejects_rhs_names_of_its_own(method, dim_p, rhs, consts):
     # pasted into the loop, they would silently change what it computes
     with pytest.raises(ValueError, match="stepper's own"):
-        _stepper("rk4", dim_p, rhs, consts)
+        _stepper(method, dim_p, rhs, consts)
 
 
 # ---------------------------------------------------------------------------
