@@ -22,9 +22,8 @@ from .errors import (BoundsTooTight, DegenerateFit, DegenerateSampleWarning,
                      InitializationError, NonFiniteState, NonMonotoneTimes,
                      ParseError, StepSelectError, StuckChainWarning)
 from .evidence import (EvidenceEstimate, GridSpec, KdeDensity, bracket_bounds,
-                       evidence_from_chain, gelfand_dey, harmonic_mean,
-                       kde_fit, posterior_window, quadrature_marginal,
-                       subsample_draws)
+                       evidence_from_chain, gelfand_dey, kde_fit,
+                       posterior_window, quadrature_marginal, subsample_draws)
 from .mcmc import Chain, McmcSettings, effective_sample_size, mh_run
 from .models import (GlucoseParams, LogisticParams, OdeSystem, logistic_exact,
                      make_glucose_system, make_logistic_system)

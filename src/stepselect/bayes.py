@@ -198,8 +198,8 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
         cap = 2.0 * var * (top - floor
                            + 1e-9 * (1.0 + abs(top) + abs(floor)))
         try:
-            states = integrate_states(system, (v,), config, t0, n_steps,
-                                      nodes, observed, cap)
+            states = integrate_states(system, v, config, t0, n_steps, nodes,
+                                      observed, cap)
         except NonFiniteState:
             n_steps_taken += n_steps
             return lp - math.inf
@@ -228,7 +228,7 @@ def make_solver_forward(system, config: SolverConfig, times) -> Callable:
     Grid admissibility (h divides every observation gap) is checked here,
     once, at build time, and the observation node indices are frozen with
     it; each call then solves only as far as it must and keeps the states at
-    those nodes.
+    those nodes.  It is called on a one-element parameter array.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     check_grid(config.h, times)
@@ -237,7 +237,8 @@ def make_solver_forward(system, config: SolverConfig, times) -> Callable:
     n_steps = idx[-1]
 
     def forward(theta):
-        return integrate_states(system, theta, config, t0, n_steps, idx)[:, 0]
+        return integrate_states(system, float(theta[0]), config, t0, n_steps,
+                                idx)[:, 0]
     forward.solve = (system, config, t0, n_steps, idx)
     return forward
 

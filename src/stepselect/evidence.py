@@ -7,10 +7,10 @@ marginal likelihood by reciprocal importance sampling,
 
 with U_l the recorded chain energies and A_l = -log alpha(draw_l) for a
 weighting density alpha.  A thin-tailed alpha keeps the terms bounded; the
-default is a Gaussian-mixture KDE of a chain subsample with shrunk
-bandwidths and centers truncated to the central 5-95 percentile box.
-Setting alpha to the prior recovers the classical harmonic-mean estimator,
-kept around purely as the unstable comparator.
+default is a Gaussian-mixture KDE of a chain subsample with a shrunk
+bandwidth and centers truncated to the central 5-95 percentile range.
+Setting alpha to the prior would give the classical harmonic-mean
+estimator, whose variance can be infinite.
 
 ``quadrature_marginal`` integrates the unnormalised posterior of the one
 parameter, at fixed sigma, directly on a refined Simpson grid and serves as
@@ -62,28 +62,28 @@ class EvidenceEstimate:
 
 @dataclass
 class KdeDensity:
-    """Diagonal-bandwidth Gaussian mixture; a proper density by construction."""
+    """Gaussian mixture of one bandwidth; a proper density by construction."""
 
-    centers: np.ndarray     # (m, d)
-    bandwidths: np.ndarray  # (d,)
+    centers: np.ndarray     # (m,)
+    bandwidth: float
 
     def log_density(self, points) -> np.ndarray:
-        """Log density at ``points`` of shape (n, d), as shape (n,).
+        """Log density at the (n,) ``points``, as shape (n,).
 
         Points go through in blocks of KDE_BLOCK_ROWS; each point's value is
-        a reduction along its own row, so it depends neither on the block
-        size nor on the other points, and repeated evaluation is
+        a reduction over the centers alone, so it depends neither on the
+        block size nor on the other points, and repeated evaluation is
         bit-reproducible."""
         pts = np.asarray(points, dtype=float)
-        m, d = self.centers.shape
-        const = -0.5 * d * LOG_2PI - float(np.sum(np.log(self.bandwidths))) \
-            - math.log(m)
-        out = np.empty(pts.shape[0])
-        for start in range(0, pts.shape[0], KDE_BLOCK_ROWS):
+        # np.log, not math.log: the two may differ in the last bit
+        const = -0.5 * LOG_2PI - float(np.log(self.bandwidth)) \
+            - math.log(self.centers.size)
+        out = np.empty(pts.size)
+        for start in range(0, pts.size, KDE_BLOCK_ROWS):
             block = pts[start:start + KDE_BLOCK_ROWS]
-            z = (block[:, None, :] - self.centers[None, :, :]) / self.bandwidths
-            expo = -0.5 * np.sum(z * z, axis=2)
-            out[start:start + KDE_BLOCK_ROWS] = logsumexp_rows(expo) + const
+            z = (block[:, None] - self.centers[None, :]) / self.bandwidth
+            out[start:start + KDE_BLOCK_ROWS] = logsumexp_rows(-0.5 * (z * z)) \
+                + const
         return out
 
 
@@ -112,48 +112,48 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
 
 def subsample_draws(draws: np.ndarray, m: int = 500, seed: int = 0) -> np.ndarray:
     """Random subsample without replacement, kept in chain order."""
-    draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    if draws.shape[0] <= m:
+    draws = np.asarray(draws, dtype=float)
+    if draws.size <= m:
         return draws.copy()
     rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(draws.shape[0], size=m, replace=False))
-    return draws[idx]
+    return draws[np.sort(rng.choice(draws.size, size=m, replace=False))]
 
 
 def kde_fit(draws: np.ndarray, shrink: float = 0.5,
             trunc_pct: Tuple[float, float] = (5.0, 95.0)) -> KdeDensity:
-    """Fit the weighting density from a (sub)sample of posterior draws.
+    """Fit the weighting density from a (sub)sample of 1-D posterior draws.
 
-    Centers outside the per-coordinate ``trunc_pct`` percentile box are
-    dropped, which thins the mixture's tails relative to the posterior —
-    exactly what keeps the Gelfand-Dey terms' variance finite.  Bandwidths
-    are Silverman's rule times ``shrink``.
+    Centers outside the ``trunc_pct`` percentile range are dropped, which
+    thins the mixture's tails relative to the posterior — exactly what keeps
+    the Gelfand-Dey terms' variance finite.  The bandwidth is Silverman's
+    rule times ``shrink``.
 
-    A numerically degenerate sample (zero spread in some coordinate) gets a
-    1e-10 variance jitter and a DegenerateSampleWarning instead of an error.
+    A numerically degenerate sample (zero spread) gets a 1e-10 variance
+    jitter and a DegenerateSampleWarning instead of an error.
     """
-    draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    if draws.ndim != 2 or draws.shape[0] < 30:
-        raise ValueError("need at least 30 draws to fit a weighting density")
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 1 or draws.size < 30:
+        raise ValueError("need a 1-D array of at least 30 draws to fit a "
+                         "weighting density")
     if not 0.0 < shrink <= 1.0:
         raise ValueError("shrink must be in (0, 1]")
 
-    lo, hi = np.percentile(draws, trunc_pct, axis=0)
-    keep = np.all((draws >= lo) & (draws <= hi), axis=1)
+    lo, hi = np.percentile(draws, trunc_pct)
+    keep = (draws >= lo) & (draws <= hi)
     centers = draws[keep] if keep.sum() >= 2 else draws
-    m, d = centers.shape
 
-    sd = centers.std(axis=0, ddof=1)
-    q75, q25 = np.percentile(centers, [75.0, 25.0], axis=0)
+    sd = centers.std(ddof=1)
+    q75, q25 = np.percentile(centers, [75.0, 25.0])
     iqr_sd = (q75 - q25) / 1.34
-    robust = np.where(iqr_sd > 0.0, np.minimum(sd, iqr_sd), sd)
-    if np.any(robust <= 0.0):
-        warnings.warn("degenerate sample: zero spread in some coordinate; "
-                      "adding 1e-10 variance jitter", DegenerateSampleWarning)
+    robust = min(sd, iqr_sd) if iqr_sd > 0.0 else sd
+    if robust <= 0.0:
+        warnings.warn("degenerate sample: zero spread; adding 1e-10 variance "
+                      "jitter", DegenerateSampleWarning)
         robust = np.sqrt(robust ** 2 + 1e-10)
 
-    factor = (4.0 / (d + 2.0)) ** (1.0 / (d + 4.0)) * m ** (-1.0 / (d + 4.0))
-    return KdeDensity(centers=centers, bandwidths=shrink * factor * robust)
+    # Silverman's (4 / (d + 2))^(1 / (d + 4)) m^(-1 / (d + 4)) at d = 1
+    factor = (4.0 / 3.0) ** 0.2 * centers.size ** -0.2
+    return KdeDensity(centers, float(shrink * factor * robust))
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +203,6 @@ def gelfand_dey(energies: np.ndarray, log_alpha: np.ndarray,
                             method=method)
 
 
-def harmonic_mean(energies: np.ndarray, log_prior_fn: Callable,
-                  draws: np.ndarray) -> EvidenceEstimate:
-    """Gelfand-Dey with alpha = prior: the harmonic mean of the likelihoods."""
-    draws = np.atleast_2d(np.asarray(draws, dtype=float))
-    log_alpha = np.array([float(log_prior_fn(row)) for row in draws])
-    return gelfand_dey(energies, log_alpha, method="harmonic_mean")
-
-
 def evidence_from_chain(chain, subsample: int = 500, shrink: float = 0.5,
                         seed: int = 0,
                         trunc_pct: Tuple[float, float] = (5.0, 95.0)) -> EvidenceEstimate:
@@ -225,14 +217,14 @@ def evidence_from_chain(chain, subsample: int = 500, shrink: float = 0.5,
     chain under 120 draws is too short to halve and gets one fit on all of
     its draws.
     """
-    draws = np.atleast_2d(np.asarray(chain.draws, dtype=float))
+    draws = np.asarray(chain.draws, dtype=float)
     energies = np.asarray(chain.energies, dtype=float)
-    if draws.shape[0] < 120:
+    if draws.size < 120:
         sub = subsample_draws(draws, m=subsample, seed=seed)
         alpha = kde_fit(sub, shrink=shrink, trunc_pct=trunc_pct)
         return gelfand_dey(energies, alpha.log_density(draws))
 
-    cut = draws.shape[0] // 2
+    cut = draws.size // 2
     alphas = [kde_fit(subsample_draws(draws[:cut], m=subsample, seed=seed),
                       shrink=shrink, trunc_pct=trunc_pct),
               kde_fit(subsample_draws(draws[cut:], m=subsample, seed=seed + 1),

@@ -374,10 +374,10 @@ def save_chain_csv(chain: Chain, path) -> None:
 
 
 def load_chain_csv(path):
-    """Read a chain CSV back; returns (draws, energies), draws (L, 1)."""
+    """Read a chain CSV back; returns (draws, energies), both (L,)."""
     rows = _read_table(path, lambda columns:
                        columns == ["index", "theta_0", "energy"])
-    return rows[:, 1:2], rows[:, 2]
+    return rows[:, 1], rows[:, 2]
 
 
 def load_or_generate(spec: ExperimentSpec) -> Dataset:
@@ -424,7 +424,7 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
                       rhs_evals=logpost.rhs_evals(),
                       stopped_early=logpost.stopped_early(),
                       accept_rate=chain.accept_rate,
-                      ess=effective_sample_size(chain.draws[:, 0]),
+                      ess=effective_sample_size(chain.draws),
                       step_scale=chain.step_scale)
     if out_dir is not None:
         chain_name = f"chain_{k}.csv"
@@ -614,7 +614,7 @@ def report(out_dir) -> dict:
         exact = _quadrature_exact(spec, dataset)
     except StepSelectError as exc:
         exact, exact_error = None, str(exc)
-    hists = [(k, np.histogram(load_chain_csv(chain_csv)[0][:, 0], bins=60,
+    hists = [(k, np.histogram(load_chain_csv(chain_csv)[0], bins=60,
                               density=True)) for k, chain_csv in chains]
 
     head = [f"model={spec.model} solver={spec.solver} sigma={spec.sigma:g} "

@@ -53,7 +53,7 @@ class McmcSettings:
 class Chain:
     """Post burn-in draws with their energies U = -log posterior."""
 
-    draws: np.ndarray      # (L, 1)
+    draws: np.ndarray      # (L,)
     energies: np.ndarray   # (L,)
     accept_rate: float
     wall_clock_seconds: float
@@ -141,7 +141,7 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
     if accept_rate < 0.01:
         warnings.warn(f"post burn-in acceptance rate {accept_rate:.4f} < 1%; "
                       "the chain is stuck", StuckChainWarning)
-    return Chain(draws=draws[:, None], energies=energies,
+    return Chain(draws=draws, energies=energies,
                  accept_rate=accept_rate, wall_clock_seconds=wall,
                  step_scale=scale, process_seconds=cpu)
 

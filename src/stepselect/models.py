@@ -3,9 +3,9 @@
 Each model ships as an :class:`OdeSystem` bundling the right-hand side and
 the initial state; the data observe the first state component.
 The right-hand side is written once, as source lines that the integrator
-pastes into its generated step loop (see ``ode._stepper``).  The parameter
-``theta`` it reads holds only the inferred coordinates; everything else is
-frozen into the system as named constants.
+pastes into its generated step loop (see ``ode._stepper``).  It reads the
+one inferred parameter as ``theta_0``; everything else is frozen into the
+system as named constants.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ class OdeSystem:
     ----------
     dim_p : state dimension.
     rhs : dx/dt as Python source lines.  They read the state as ``x`` (for
-        dim_p > 1 its components ``x_0``, ``x_1``, ...), the inferred
-        parameters as ``theta_0``, ``theta_1``, ..., the time as ``t`` and the
-        names in ``consts``, and assign the derivative to ``dx`` (``dx_0``,
-        ``dx_1``, ...).  They may assign temporaries of their own.
+        dim_p > 1 its components ``x_0``, ``x_1``, ...), the one inferred
+        parameter as ``theta_0``, the time as ``t`` and the names in
+        ``consts``, and assign the derivative to ``dx`` (``dx_0``, ``dx_1``,
+        ...).  They may assign temporaries of their own.
     consts : the constants the lines read, name -> value; a value may be any
         object, a helper function included.
     x0 : initial state, ndarray of shape (dim_p,).
@@ -73,7 +73,7 @@ def logistic_exact(t, params: LogisticParams):
 
 
 def make_logistic_system(params: LogisticParams) -> OdeSystem:
-    """Logistic system with theta = [lam] inferred; K and X0 fixed."""
+    """Logistic system with theta_0 = lam inferred; K and X0 fixed."""
     return OdeSystem(dim_p=1, rhs=("dx = theta_0 * x * (1.0 - x / K)",),
                      consts={"K": params.K}, x0=np.array([params.X0]))
 
@@ -106,7 +106,7 @@ class GlucoseParams:
 
 def make_glucose_system(params: GlucoseParams, d0: float,
                         D0: float = 200.0) -> OdeSystem:
-    """Glucose system with theta = [theta0] inferred.
+    """Glucose system with theta_0 = theta0 inferred.
 
     The initial state is (d0, 0, 0, D0): glucose anchored at the first
     observed value d0, no insulin or liver action yet, and the full dose D0

@@ -64,10 +64,11 @@ def check_grid(h: float, times) -> None:
                 f"t={times[i]:.12g} and t={times[i + 1]:.12g}")
 
 
-def integrate_states(system, theta, config: SolverConfig, t0: float,
+def integrate_states(system, theta: float, config: SolverConfig, t0: float,
                      n_steps: int, nodes, values=(),
                      cap: float = math.inf) -> np.ndarray:
-    """States of an ``n_steps``-step solve from t0 at the step indices ``nodes``.
+    """States of an ``n_steps``-step solve from t0 at the step indices
+    ``nodes``, with the one parameter ``theta`` a float.
 
     ``nodes`` are non-decreasing step indices that end at ``n_steps``; row j
     of the result is the state after ``nodes[j]`` steps (a repeated index
@@ -96,20 +97,19 @@ def integrate_states(system, theta, config: SolverConfig, t0: float,
     bounded = cap < math.inf
     if bounded and len(values) != len(nodes):
         raise ValueError("a finite cap needs one observed value per node")
-    theta_f = tuple(np.asarray(theta, dtype=float).ravel().tolist())
     step, consts, x0, finite = _solver(config.method, system, bounded)
     h = config.h
     out = []
     try:
-        x, m = step(consts, x0, theta_f, t0, h, 0, n_steps, nodes, out,
+        x, m = step(consts, x0, theta, t0, h, 0, n_steps, nodes, out,
                     values, cap)
     except (ArithmeticError, ValueError):
-        _replay(config.method, system, theta_f, t0, h, n_steps)
+        _replay(config.method, system, theta, t0, h, n_steps)
         raise
     if len(out) < len(nodes) and m is None:   # stopped at the cap
         return np.array(out).reshape(len(out), system.dim_p)
     if not finite(x):
-        _replay(config.method, system, theta_f, t0, h, n_steps)
+        _replay(config.method, system, theta, t0, h, n_steps)
     if m is not None:
         raise ValueError(f"nodes must be non-decreasing step indices in "
                          f"[0, {n_steps}]; {m} was never reached")
@@ -140,7 +140,7 @@ def _replay(method, system, theta, t0, h, n_steps):
     for i in range(n_steps):
         x, _ = step(consts, x, theta, t0, h, i, i + 1, (i + 1,), [])
         if not finite(x):
-            raise NonFiniteState(t0 + (i + 1) * h, i, theta)
+            raise NonFiniteState(t0 + (i + 1) * h, i, (theta,))
 
 
 # A stepper advances the state x from step n to step ``end`` and appends to
@@ -157,16 +157,15 @@ def _replay(method, system, theta, t0, h, n_steps):
 # check.
 #
 # The loop's shape follows the number S of statements in one step.  A step
-# of S >= 5 (RK4, every four-state stepper) or one that reads t runs in one
-# loop over all the steps that tests the step index against the next node;
-# a loop per node gap would cost more than that test beside a long step at
-# short gaps (an RK4 step of the logistic model at 2-step gaps took 0.84
-# instead of 0.56 us).  A shorter step (Euler and rk2 on one state, Euler
-# on two) runs U = 8 // S times per pass of a loop over each node gap, and
-# the gap's remaining steps one per pass, since the per-step test costs a
-# fifth of an Euler step of the logistic model (0.089 -> 0.070 us per step
-# at 512-step gaps, timed alternately in one process on a two-core Xeon
-# VM).  Both shapes take the same steps in the same order.
+# of S <= 2 that does not read t (Euler on one state) runs U = 8 // S times
+# per pass of a loop over each node gap, and the gap's remaining steps one
+# per pass, since the per-step node test costs a fifth of an Euler step of
+# the logistic model (0.089 -> 0.070 us per step at 512-step gaps, timed
+# alternately in one process on a two-core Xeon VM).  Every other step runs
+# in one loop over all the steps that tests the step index against the
+# next node, as cheap or cheaper beside a longer step (logistic rk2: 0.245
+# against 0.248 us per step; RK4 at 2-step gaps: 0.56 against 0.84 us).
+# Both shapes take the same steps in the same order.
 #
 # Each method is written once, per state component: its set-up lines, its
 # stages as (argument, time) with stage j k_j = f(argument, time), where t is
@@ -203,15 +202,16 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
     against its cap at each node when ``bounded``.
 
     ``rhs`` reads the state as ``x`` (``x_0``, ``x_1``, ... when dim_p > 1),
-    the parameter as ``theta_0``, ``theta_1``, ..., the time as ``t`` and the
-    constants ``const_names``, and assigns the derivative to ``dx`` (``dx_0``,
-    ...); it may assign temporaries of its own.  The stepper is called as
-    ``step(consts, x, theta, t0, h, n, end, nodes, out, values=(), cap=inf)``,
-    with ``consts`` the constants' values in the order of ``const_names``.
-    Compiled on first use; the constants and the parameter are unpacked once
-    on entry, and the stage times are computed only when ``rhs`` reads
-    ``t``.  Every component runs the same float operations in the same order
-    as a call of the right-hand side per stage would.
+    the one parameter as ``theta_0``, the time as ``t`` and the constants
+    ``const_names``, and assigns the derivative to ``dx`` (``dx_0``, ...);
+    it may assign temporaries of its own.  The stepper is called as
+    ``step(consts, x, theta_0, t0, h, n, end, nodes, out, values=(),
+    cap=inf)``, with the parameter a float and ``consts`` the constants'
+    values in the order of ``const_names``.  Compiled on first use; the
+    constants are unpacked once on entry, and the stage times are computed
+    only when ``rhs`` reads ``t``.  Every component runs the same float
+    operations in the same order as a call of the right-hand side per stage
+    would.
     """
     setup, stages, update = _METHODS[method]
     if not (isinstance(dim_p, int) and dim_p >= 1):
@@ -262,8 +262,8 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
             f"    return {pack('x')}, None",
         ] if bounded else []
         head = [
-            "def step(consts, x, theta, t0, h, n, end, nodes, out, values=(),"
-            " cap=inf):",
+            "def step(consts, x, theta_0, t0, h, n, end, nodes, out,"
+            " values=(), cap=inf):",
             *(f"    {line}" for line in setup),
         ]
         init = ["    seen = iter(values)", "    ss = 0.0"] if bounded else []
@@ -306,11 +306,11 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
             f"    return {pack('x')}, m",
         ]
 
-    # a body of few statements runs ``unroll`` steps per pass of a loop over
-    # each node gap; one that reads t, which it computes from the step
-    # index, keeps the loop over single steps
+    # a body of at most two statements runs ``unroll`` steps per pass of a
+    # loop over each node gap; one that reads t, which it computes from the
+    # step index, keeps the loop over single steps
     body = step_body(rhs)
-    unroll = 1 if reads_t else max(1, 8 // len(body))
+    unroll = 8 // len(body) if len(body) <= 2 and not reads_t else 1
     # a temporary or constant named like one of the loop's own variables, in
     # either loop of the shape this body gets, would silently change what
     # the loop computes
@@ -322,12 +322,10 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
     if clash:
         raise ValueError(f"right-hand side names {sorted(clash)} are the "
                          f"stepper's own")
-    thetas = sorted(set(re.findall(r"\btheta_(\d+)\b", source)), key=int)
     head, *rest = loop(body, bounded, unroll)
     lines = [
         head,
         *([f"    {', '.join(const_names)}, = consts"] if const_names else []),
-        *(f"    theta_{j} = theta[{j}]" for j in thetas),
         *([] if dim_p == 1 else [f"    {', '.join(parts('x'))} = x"]),
         *rest,
     ]
@@ -341,7 +339,8 @@ def estimate_order(system, theta, method: str, h_list, t0: float,
                    t_check: float, oracle) -> float:
     """Empirical convergence order from errors against an exact solution.
 
-    Integrates to ``t_check`` for every h in ``h_list`` (at least three
+    Integrates with the parameter ``theta[0]`` of the one-element array
+    ``theta`` to ``t_check`` for every h in ``h_list`` (at least three
     values) and returns the least-squares slope of log error versus log h,
     with the error measured as the Euclidean norm of the state deviation
     from ``oracle(t_check)``.
@@ -358,8 +357,9 @@ def estimate_order(system, theta, method: str, h_list, t0: float,
     for h in h_list:
         check_grid(h, (t0, t_check))
         n_steps = round((t_check - t0) / h)
-        final = integrate_states(system, theta, SolverConfig(method, h), t0,
-                                 n_steps, nodes=(n_steps,))
+        final = integrate_states(system, float(theta[0]),
+                                 SolverConfig(method, h), t0, n_steps,
+                                 nodes=(n_steps,))
         errs.append(float(np.linalg.norm(final[0] - ref)))
     errs = np.asarray(errs)
     if np.all(errs < 1e-13):

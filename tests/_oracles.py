@@ -9,6 +9,8 @@ posterior draws, isolating estimator error from sampler error.
 
 ``rhs_function`` turns a system's source-form right-hand side into a plain
 function, the reference the generated steppers are compared against.
+``harmonic_mean`` is the classical estimator that the Gelfand-Dey KDE
+estimator is compared against.
 """
 
 import math
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.stats
+
+from stepselect.evidence import EvidenceEstimate, gelfand_dey
 
 
 @dataclass(frozen=True)
@@ -75,15 +79,22 @@ def default_case() -> ConjugateNormal:
     return ConjugateNormal(m0=m0, s0=s0, sigma=sigma, y=y)
 
 
+def harmonic_mean(energies, log_prior_fn, draws) -> EvidenceEstimate:
+    """Gelfand-Dey with alpha = prior: the harmonic mean of the likelihoods
+    at the 1-D ``draws``, whose variance can be infinite."""
+    log_alpha = np.array([float(log_prior_fn(x)) for x in draws])
+    return gelfand_dey(energies, log_alpha, method="harmonic_mean")
+
+
 def rhs_function(system):
-    """(x, t, theta) -> dx/dt of ``system``, with x and dx tuples of dim_p
-    floats, by running its right-hand-side lines with exec on every call."""
+    """(x, t, theta) -> dx/dt of ``system`` at the parameter ``theta``, a
+    float, with x and dx tuples of dim_p floats, by running its
+    right-hand-side lines with exec on every call."""
     code = compile("\n".join(system.rhs), "<rhs>", "exec")
     p = system.dim_p
 
     def rhs(x, t, theta):
-        names = dict(system.consts, t=t)
-        names.update((f"theta_{j}", v) for j, v in enumerate(theta))
+        names = dict(system.consts, t=t, theta_0=theta)
         if p == 1:
             names["x"] = x[0]
         else:

@@ -13,11 +13,10 @@ import warnings
 
 import numpy as np
 
-from _oracles import default_case
+from _oracles import default_case, harmonic_mean
 from conftest import ACCEPT_GRID, logistic_spec
-from stepselect import (GridSpec, gelfand_dey, harmonic_mean, kde_fit,
-                        posterior_discrepancy, posterior_window,
-                        quadrature_marginal, subsample_draws)
+from stepselect import (GridSpec, gelfand_dey, kde_fit, posterior_discrepancy,
+                        posterior_window, quadrature_marginal, subsample_draws)
 from stepselect.bayes import make_solver_forward
 from stepselect.errors import InfiniteVarianceWarning
 from stepselect.harness import (_quadrature_exact, build_system, exact_forward,
@@ -75,13 +74,13 @@ def test_c2_evidence_matches_conjugate_closed_form():
     case = default_case()
     log_true = case.log_evidence()
 
-    def log_prior_fn(row):
-        return float(case.log_prior(np.asarray([float(row[0])]))[0])
+    def log_prior_fn(x):
+        return float(case.log_prior(np.asarray([float(x)]))[0])
 
     zs, se_ratios = [], []
     for seed in range(20):
-        th = case.posterior_draws(4000, seed)
-        draws, energies = th[:, None], case.energies(th)
+        draws = case.posterior_draws(4000, seed)
+        energies = case.energies(draws)
         alpha = kde_fit(subsample_draws(draws, m=500, seed=seed))
         gd = gelfand_dey(energies, alpha.log_density(draws))
         zs.append((gd.log_marginal - log_true) / gd.mc_standard_error)
@@ -244,8 +243,8 @@ def test_c9_glucose_decay_and_evidence_plateau(sweep_glucose):
     errs = {}
     for h in (0.125, 0.0625, 0.03125):
         n = round(2.0 / h)
-        states = integrate_states(system, np.array([gp.theta0]),
-                                  SolverConfig("rk4", h), 0.0, n, range(n + 1))
+        states = integrate_states(system, gp.theta0, SolverConfig("rk4", h),
+                                  0.0, n, range(n + 1))
         exact = 200.0 * np.exp(-h * np.arange(n + 1) / gp.theta2)
         errs[h] = float(np.max(np.abs(states[:, 3] - exact)))
     r_coarse = errs[0.125] / errs[0.0625]

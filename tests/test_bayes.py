@@ -285,7 +285,9 @@ def test_one_forward_call_is_one_traced_solve(monkeypatch):
     assert len(calls) == 1
     (args, kwargs), = calls
     assert kwargs == {} and len(args) == 6
-    assert args[0] is system and args[1] is theta and args[2] is config
+    # the forward hands on the one parameter as a float
+    assert args[0] is system and args[2] is config
+    assert type(args[1]) is float and args[1] == 1.1
     assert args[3] == 0.0 and args[4] == 100
     assert args[5] == tuple(range(0, 101, 4))
 

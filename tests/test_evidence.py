@@ -8,11 +8,10 @@ import pytest
 from scipy.integrate import quad, simpson
 from scipy.special import logsumexp
 
-from _oracles import default_case
-from stepselect import (Dataset, GammaPrior, GridSpec, KdeDensity, ParamVector,
-                        Prior, bracket_bounds, evidence_from_chain, gelfand_dey,
-                        harmonic_mean, kde_fit, quadrature_marginal,
-                        subsample_draws)
+from _oracles import default_case, harmonic_mean
+from stepselect import (Dataset, GammaPrior, GridSpec, ParamVector, Prior,
+                        bracket_bounds, evidence_from_chain, gelfand_dey,
+                        kde_fit, quadrature_marginal, subsample_draws)
 from stepselect import evidence
 from stepselect.bayes import log_posterior_unnorm
 from stepselect.errors import (BoundsTooTight, DegenerateSampleWarning,
@@ -24,7 +23,7 @@ LOG_TRUE = CASE.log_evidence()
 
 def exact_log_alpha(draws):
     """Weighting log-density equal to the exact posterior, at the draws."""
-    return CASE.posterior_logpdf(np.asarray(draws)[:, 0])
+    return CASE.posterior_logpdf(np.asarray(draws))
 
 
 class _FakeChain:
@@ -35,7 +34,7 @@ class _FakeChain:
 
 def make_inputs(n_draws=4000, seed=0):
     th = CASE.posterior_draws(n_draws, seed)
-    return th[:, None], CASE.energies(th)
+    return th, CASE.energies(th)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +86,7 @@ def test_reciprocal_scale_unbiased_with_independent_alpha():
         th = CASE.posterior_draws(2000, 1000 + r)
         th_alpha = CASE.posterior_draws(600, 5000 + r)
         est = gelfand_dey(CASE.energies(th),
-                          kde_fit(th_alpha[:, None]).log_density(th[:, None]))
+                          kde_fit(th_alpha).log_density(th))
         rels.append(math.exp(LOG_TRUE - est.log_marginal) - 1.0)
         ses.append(est.mc_standard_error)
     mean_rel = float(np.mean(rels))
@@ -101,7 +100,7 @@ def test_cross_fit_pipeline_unbiased_on_same_draws():
     rels, ses = [], []
     for r in range(60):
         th = CASE.posterior_draws(2000, 1000 + r)
-        est = evidence_from_chain(_FakeChain(th[:, None], CASE.energies(th)),
+        est = evidence_from_chain(_FakeChain(th, CASE.energies(th)),
                                   seed=r)
         rels.append(math.exp(LOG_TRUE - est.log_marginal) - 1.0)
         ses.append(est.mc_standard_error)
@@ -115,8 +114,8 @@ def test_harmonic_mean_reports_larger_error():
     gd = gelfand_dey(U, kde_fit(subsample_draws(draws, m=500, seed=5))
                      .log_density(draws))
 
-    def log_prior_fn(row):
-        return float(CASE.log_prior(np.asarray([float(row[0])]))[0])
+    def log_prior_fn(x):
+        return float(CASE.log_prior(np.asarray([float(x)]))[0])
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", InfiniteVarianceWarning)
@@ -155,13 +154,13 @@ def test_evidence_estimate_fields():
 def test_evidence_from_chain_small_sample_falls_back():
     # below the split threshold the single-fit path runs; just needs >= 30
     th = CASE.posterior_draws(100, 4)
-    est = evidence_from_chain(_FakeChain(th[:, None], CASE.energies(th)))
+    est = evidence_from_chain(_FakeChain(th, CASE.energies(th)))
     assert abs(est.log_marginal - LOG_TRUE) < 0.5
 
 
 def test_evidence_from_chain_deterministic():
     th = CASE.posterior_draws(2000, 12)
-    chain = _FakeChain(th[:, None], CASE.energies(th))
+    chain = _FakeChain(th, CASE.energies(th))
     a = evidence_from_chain(chain, seed=9)
     b = evidence_from_chain(chain, seed=9)
     assert a.log_marginal == b.log_marginal
@@ -172,47 +171,48 @@ def test_evidence_from_chain_deterministic():
 # kde
 # ---------------------------------------------------------------------------
 
-def test_kde_is_normalized_1d():
+def test_kde_is_normalized_1d(monkeypatch):
     th = CASE.posterior_draws(800, 21)
-    kde = kde_fit(th[:, None])
+    kde = kde_fit(th)
     lo = th.min() - 10.0
     hi = th.max() + 10.0
     xs = np.linspace(lo, hi, 4001)
-    dens = np.exp(kde.log_density(xs[:, None]))
+    dens = np.exp(kde.log_density(xs))
     assert float(simpson(dens, x=xs)) == pytest.approx(1.0, abs=0.005)
 
-
-def test_kde_is_normalized_2d():
-    rng = np.random.default_rng(31)
-    pts = rng.standard_normal((600, 2)) @ np.array([[1.0, 0.4], [0.0, 0.8]])
-    kde = kde_fit(pts)
-    xs = np.linspace(-8.0, 8.0, 201)
-    grid = np.dstack(np.meshgrid(xs, xs, indexing="ij")).reshape(-1, 2)
-    dens = np.exp(kde.log_density(grid)).reshape(201, 201)
-    total = float(simpson(simpson(dens, x=xs, axis=1), x=xs))
-    assert total == pytest.approx(1.0, abs=0.01)
+    # the bandwidth, three log densities and the normalising constant (the
+    # log density with the log-sum-exp over the centers taken as 0) keep
+    # the bits they had when the weighting density worked over d
+    # coordinates, at d = 1
+    assert kde.centers.shape == (720,)
+    assert kde.bandwidth.hex() == "0x1.cb4968b513031p-5"
+    pts = [th[0], CASE.posterior_mean, CASE.posterior_mean + 4.0]
+    assert [v.hex() for v in kde.log_density(pts).tolist()] == [
+        "-0x1.4b0ef02970600p-3", "-0x1.87738384527c0p-3",
+        "-0x1.9170526980b63p+10"]
+    monkeypatch.setattr(evidence, "logsumexp_rows",
+                        lambda a: np.zeros(a.shape[0]))
+    assert kde.log_density([0.0])[0].hex() == "-0x1.277c20ac480efp+2"
 
 
 def test_kde_log_density_is_the_mixture():
-    # density(x) = mean_i N(x | center_i, diag(bw^2)), checked by hand
+    # density(x) = mean_i N(x | center_i, bw^2), checked by hand
     rng = np.random.default_rng(17)
-    pts = rng.standard_normal((60, 2))
+    pts = rng.standard_normal(60)
     kde = kde_fit(pts, shrink=1.0, trunc_pct=(0.0, 100.0))
-    assert kde.centers.shape[0] == 60   # no truncation requested
-    x = np.array([0.3, -0.2])
-    z = (x[None, :] - kde.centers) / kde.bandwidths
-    manual = (math.log(np.mean(np.exp(-0.5 * np.sum(z * z, axis=1))))
-              - 0.5 * 2 * math.log(2 * math.pi)
-              - float(np.sum(np.log(kde.bandwidths))))
-    assert kde.log_density(x[None, :])[0] == pytest.approx(manual, rel=1e-12)
+    assert kde.centers.shape == (60,)   # no truncation requested
+    z = (0.3 - kde.centers) / kde.bandwidth
+    manual = (math.log(np.mean(np.exp(-0.5 * z * z)))
+              - 0.5 * math.log(2 * math.pi) - math.log(kde.bandwidth))
+    assert kde.log_density([0.3])[0] == pytest.approx(manual, rel=1e-12)
 
 
 def test_kde_log_density_does_not_depend_on_the_block_size(monkeypatch):
     rng = np.random.default_rng(23)
-    kde = kde_fit(rng.standard_normal((450, 1)))
-    pts = rng.standard_normal((4000, 1)) * 3.0
+    kde = kde_fit(rng.standard_normal(450))
+    pts = rng.standard_normal(4000) * 3.0
     blocked = kde.log_density(pts)
-    monkeypatch.setattr(evidence, "KDE_BLOCK_ROWS", pts.shape[0])
+    monkeypatch.setattr(evidence, "KDE_BLOCK_ROWS", pts.size)
     whole = kde.log_density(pts)
     assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
 
@@ -264,35 +264,38 @@ def test_simpson_rejects_even_or_short_grids():
 
 def test_kde_truncation_thins_tails():
     th = CASE.posterior_draws(1000, 41)
-    kde = kde_fit(th[:, None], trunc_pct=(5.0, 95.0))
+    kde = kde_fit(th, trunc_pct=(5.0, 95.0))
     lo, hi = np.percentile(th, [5.0, 95.0])
     assert kde.centers.min() >= lo and kde.centers.max() <= hi
-    assert kde.centers.shape[0] < 1000
+    assert kde.centers.size < 1000
 
 
 def test_kde_degenerate_sample_warns():
     with pytest.warns(DegenerateSampleWarning):
-        kde = kde_fit(np.ones((50, 1)))
-    assert np.all(np.isfinite(kde.bandwidths)) and np.all(kde.bandwidths > 0)
+        kde = kde_fit(np.ones(50))
+    assert math.isfinite(kde.bandwidth) and kde.bandwidth > 0.0
 
 
 def test_kde_fit_validation():
     with pytest.raises(ValueError):
-        kde_fit(np.ones((10, 1)))
+        kde_fit(np.ones(10))
     with pytest.raises(ValueError):
-        kde_fit(np.ones((50, 1)), shrink=0.0)
+        kde_fit(np.ones(50), shrink=0.0)
+    with pytest.raises(ValueError, match="1-D"):
+        kde_fit(np.ones((50, 1)))
 
 
 def test_subsample_draws_behavior():
     rng = np.random.default_rng(0)
-    draws = rng.standard_normal((1000, 1))
+    draws = rng.standard_normal(1000)
     sub = subsample_draws(draws, m=200, seed=4)
-    assert sub.shape == (200, 1)
+    assert sub.shape == (200,)
     assert np.array_equal(sub, subsample_draws(draws, m=200, seed=4))
     # kept in chain order: the subsample is a monotone selection
-    idx = np.searchsorted(draws[:, 0], sub[:, 0])
+    pos = [int(np.flatnonzero(draws == v)[0]) for v in sub]
+    assert pos == sorted(pos)
     small = subsample_draws(draws[:50], m=200)
-    assert small.shape == (50, 1)
+    assert small.shape == (50,)
     assert small is not draws   # a copy, never a view
 
 

@@ -340,7 +340,7 @@ def test_run_single_record_and_energy_replay(tmp_path, monkeypatch):
     forward = make_solver_forward(build_system(spec, ds),
                                   SolverConfig(spec.solver, 0.1), ds.times)
     logpost = make_log_posterior(ds, spec.build_prior(), forward)
-    replayed = np.array([-logpost(v) for v in draws[:, 0].tolist()])
+    replayed = np.array([-logpost(v) for v in draws.tolist()])
     assert np.array_equal(replayed, energies)
 
 

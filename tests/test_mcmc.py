@@ -36,7 +36,7 @@ def run_normal(n_iter=40000, seed=11, scale=1.0, adapt=True):
 
 def test_samples_standard_normal():
     chain = run_normal()
-    x = chain.draws[:, 0]
+    x = chain.draws
     n_eff = effective_sample_size(x)
     assert n_eff > 500
     # mean and sd against their Monte Carlo uncertainty (3 sigma)
@@ -52,7 +52,7 @@ def test_energies_track_log_posterior():
     # stored energies must replay bit for bit through the same callable
     chain = run_normal(n_iter=2000)
     recomputed = np.array([-std_normal_logpdf(v)
-                           for v in chain.draws[:, 0].tolist()])
+                           for v in chain.draws.tolist()])
     assert np.array_equal(chain.energies, recomputed)
 
 
@@ -78,7 +78,7 @@ def test_log_posterior_gets_a_float_at_every_call():
 
     chain = run(recording, init=0, n_iter=500, step_scale=1.0)
     assert len(seen) == 501 and set(seen) == {(float, float)}
-    assert chain.draws.shape == (400, 1)
+    assert chain.draws.shape == (400,)
 
 
 def test_floor_is_the_rejection_threshold_after_burn_in():
@@ -207,14 +207,21 @@ def roundtrip(chain, tmp_path):
 
 def test_chain_csv_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    draws = np.concatenate([rng.standard_normal((50, 1)) * 1e-8,
-                            rng.standard_normal((50, 1)) * 1e8])
+    draws = np.concatenate([rng.standard_normal(50) * 1e-8,
+                            rng.standard_normal(50) * 1e8])
     energies = rng.standard_normal(100) * 300.0
     chain = Chain(draws=draws, energies=energies, accept_rate=0.3,
                   wall_clock_seconds=0.0, step_scale=1.0, process_seconds=0.0)
     d2, e2 = roundtrip(chain, tmp_path)
-    assert np.array_equal(d2, draws)
-    assert np.array_equal(e2, energies)
+    assert d2.shape == e2.shape == (100,)
+    assert d2.tobytes() == draws.tobytes()
+    assert e2.tobytes() == energies.tobytes()
+    # a sampled chain's 1-D draws come back bit for bit too
+    chain = run_normal(n_iter=500, seed=2)
+    d2, e2 = roundtrip(chain, tmp_path)
+    assert chain.draws.ndim == 1
+    assert d2.tobytes() == chain.draws.tobytes()
+    assert e2.tobytes() == chain.energies.tobytes()
 
 
 def test_chain_csv_parse_errors(tmp_path):

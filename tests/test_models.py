@@ -35,7 +35,7 @@ def test_logistic_exact_solves_the_ode():
         x = float(logistic_exact(t, params))
         dx = (float(logistic_exact(t + eps, params))
               - float(logistic_exact(t - eps, params))) / (2 * eps)
-        assert abs(dx - rhs((x,), t, (params.lam,))[0]) < 1e-4
+        assert abs(dx - rhs((x,), t, params.lam)[0]) < 1e-4
 
 
 def test_logistic_params_validation():
@@ -60,7 +60,7 @@ def test_logistic_exact_bounded_and_monotone(lam, t):
 def test_logistic_system_rhs_uses_theta():
     system = make_logistic_system(LogisticParams(lam=1.0, K=1000.0, X0=100.0))
     # the system infers lam through theta, not through params.lam
-    dx, = rhs_function(system)((100.0,), 0.0, (2.0,))
+    dx, = rhs_function(system)((100.0,), 0.0, 2.0)
     assert dx == pytest.approx(2.0 * 100.0 * 0.9)
     assert system.dim_p == 1
 
@@ -72,7 +72,7 @@ def test_logistic_system_rhs_uses_theta():
 def test_glucose_clamps_switch_at_basal():
     p = GlucoseParams()
     rhs = rhs_function(make_glucose_system(p, d0=90.0))
-    theta = (p.theta0,)
+    theta = p.theta0
     # above basal: insulin response active, liver release off
     d = rhs((100.0, 0.0, 0.0, 0.0), 0.0, theta)
     assert d[1] == pytest.approx(p.theta0 * (100.0 / p.Gb - 1.0))
@@ -103,8 +103,8 @@ def test_glucose_deposit_decays_exponentially():
     # dD = -D/theta2 decouples: D(t) = D0 exp(-t/theta2)
     p = GlucoseParams()
     system = make_glucose_system(p, d0=90.0, D0=200.0)
-    final = integrate_states(system, np.array([10.0]),
-                             SolverConfig("rk4", 1.0 / 512), 0.0, 1024, (1024,))
+    final = integrate_states(system, 10.0, SolverConfig("rk4", 1.0 / 512),
+                             0.0, 1024, (1024,))
     t = 2.0
     exact = 200.0 * math.exp(-t / p.theta2)
     assert abs(float(final[0, 3]) - exact) / exact < 1e-9
@@ -115,7 +115,7 @@ def test_glucose_observation_is_first_component():
     system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
     times = np.linspace(0.0, 2.0, 5)
     config = SolverConfig("rk4", 0.0625)
-    states = integrate_states(system, np.array([10.0]), config, 0.0, 32,
+    states = integrate_states(system, 10.0, config, 0.0, 32,
                               (0, 8, 16, 24, 32))
     forward = make_solver_forward(system, config, times)
     assert np.array_equal(forward(np.array([10.0])), states[:, 0])
