@@ -14,8 +14,8 @@ inside the Jeffreys window.
 import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 
-from .bayes import (Dataset, GammaPrior, ParamVector, Prior, log_likelihood,
-                    log_posterior_unnorm, log_prior, make_log_posterior,
+from .bayes import (Dataset, GammaPrior, ParamVector, Prior,
+                    log_posterior_unnorm, make_log_posterior,
                     make_logistic_exact_forward, make_solver_forward)
 from .errors import (BoundsTooTight, DegenerateFit, DegenerateSampleWarning,
                      GridMismatch, IllConditionedFit, InfiniteVarianceWarning,

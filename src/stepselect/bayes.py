@@ -1,4 +1,4 @@
-"""Gaussian observation likelihood, Gamma priors, and posterior assembly.
+"""Gaussian observation likelihood, a Gamma prior, and posterior assembly.
 
 Observations are modelled as y_i = f(X_theta(t_i)) + eps_i with iid Gaussian
 noise of standard deviation sigma.  A *forward map* is any callable
@@ -40,8 +40,11 @@ class Dataset:
             raise NonMonotoneTimes("observation times must be strictly increasing")
         if not np.all(np.isfinite(self.values)) or not np.all(np.isfinite(self.times)):
             raise ValueError("observations must be finite")
-        if self.sigma_fixed is not None and not self.sigma_fixed > 0.0:
-            raise ValueError("sigma_fixed must be positive")
+        if self.sigma_fixed is not None and not (
+                self.sigma_fixed > 0.0
+                and self.sigma_fixed * self.sigma_fixed > 0.0):
+            raise ValueError("sigma_fixed must be positive, with a square "
+                             "that does not underflow to zero")
 
     @property
     def n(self) -> int:
@@ -90,49 +93,39 @@ class GammaPrior:
 
 @dataclass(frozen=True)
 class Prior:
-    """Independent Gamma components, one per theta coordinate."""
+    """The Gamma prior of the one inferred parameter, as a one-element
+    tuple ``(GammaPrior(...),)``."""
 
     theta: Tuple[GammaPrior, ...]
 
 
-def log_prior(prior: Prior, phi: ParamVector) -> float:
-    if len(prior.theta) != phi.theta.size:
-        raise ValueError("prior has wrong number of theta components")
-    total = 0.0
-    for comp, value in zip(prior.theta, phi.theta):
-        total += comp.logpdf(float(value))
-        if total == -math.inf:
-            return -math.inf
-    return total
+def log_posterior_unnorm(dataset: Dataset, prior: Prior, phi: ParamVector,
+                         forward: Callable) -> float:
+    """Gamma log prior plus Gaussian log-likelihood of the dataset under the
+    forward map, at the one parameter of ``phi``.
 
-
-def log_likelihood(dataset: Dataset, phi: ParamVector, forward: Callable) -> float:
-    """Gaussian log-likelihood of the dataset under the forward map.
-
-    A forward solve that blows up (NonFiniteState) means the parameter gives
-    the data zero likelihood: returns -inf rather than propagating.
+    Skips the forward solve off the prior's support.  A forward solve that
+    blows up (NonFiniteState) means the parameter gives the data zero
+    likelihood: returns -inf rather than propagating.  A prior or parameter
+    vector of other than one component is a ValueError.
     """
+    gamma, = prior.theta
+    x, = phi.theta
+    lp = gamma.logpdf(float(x))
+    if lp == -math.inf:
+        return -math.inf
     try:
         pred = forward(phi.theta)
     except NonFiniteState:
-        return -math.inf
+        return lp - math.inf
     resid = dataset.values - pred
     ss = float(resid @ resid)
     if not math.isfinite(ss):   # a non-finite residual, or one too large to square
-        return -math.inf
+        return lp - math.inf
     n = dataset.n
     sigma = phi.sigma
-    return (-n * math.log(sigma) - 0.5 * n * LOG_2PI
-            - 0.5 * ss / (sigma * sigma))
-
-
-def log_posterior_unnorm(dataset: Dataset, prior: Prior, phi: ParamVector,
-                         forward: Callable) -> float:
-    """log prior + log likelihood; skips the forward solve off prior support."""
-    lp = log_prior(prior, phi)
-    if lp == -math.inf:
-        return -math.inf
-    return lp + log_likelihood(dataset, phi, forward)
+    return lp + (-n * math.log(sigma) - 0.5 * n * LOG_2PI
+                 - 0.5 * ss / (sigma * sigma))
 
 
 def make_log_posterior(dataset: Dataset, prior: Prior,
@@ -147,25 +140,24 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
     value.  It is pure and deterministic, which is what lets stored chain
     energies be recomputed bit for bit.
 
-    On a forward map from ``make_solver_forward`` and a one-parameter prior
-    it is one fused function: the Gamma log density with its constant
-    precomputed, one ``integrate_states`` call and the residual sum of
-    squares, the same float operations as ``log_posterior_unnorm``.  The
-    Gaussian residual sum only grows from node to node, so a finite floor
-    becomes a cap on it, and the solve stops once its partial sum proves
-    the value below the floor (early rejection, Solonen et al. 2012); the
-    closure then returns -inf.  Every value it returns otherwise has the
-    same bits as without a floor.  Its ``rhs_evals()`` gives the
-    right-hand-side evaluations of the steps its solves took and
-    ``stopped_early()`` the number of solves a floor cut short.  Any other
-    forward map or prior goes through ``log_posterior_unnorm`` and ignores
-    the floor.
+    On a forward map from ``make_solver_forward`` it is one fused function:
+    the Gamma log density with its constant precomputed, one
+    ``integrate_states`` call and the residual sum of squares, the same
+    float operations as ``log_posterior_unnorm``.  The Gaussian residual sum
+    only grows from node to node, so a finite floor becomes a cap on it, and
+    the solve stops once its partial sum proves the value below the floor
+    (early rejection, Solonen et al. 2012); the closure then returns -inf.
+    Every value it returns otherwise has the same bits as without a floor.
+    Its ``rhs_evals()`` gives the right-hand-side evaluations of the steps
+    its solves took and ``stopped_early()`` the number of solves a floor cut
+    short.  Any other forward map goes through ``log_posterior_unnorm`` and
+    ignores the floor.
     """
     if dataset.sigma_fixed is None:
         raise ValueError("the log posterior needs dataset.sigma_fixed")
     sigma = dataset.sigma_fixed
     solve = getattr(forward, "solve", None)
-    if solve is None or len(prior.theta) != 1:
+    if solve is None:
         def logpost(x, floor=-math.inf) -> float:
             return log_posterior_unnorm(dataset, prior, ParamVector(x, sigma),
                                         forward)

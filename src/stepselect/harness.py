@@ -183,8 +183,12 @@ class ExperimentSpec:
                                 D0=self.params["D0"])
         for h in self.h_grid:
             SolverConfig(self.solver, h)
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
+        # squared as the likelihood squares it: sigma ** 2 would raise
+        # OverflowError above about 1.3e154
+        if not (self.sigma > 0.0 and self.sigma * self.sigma > 0.0):
+            raise ValueError(f"sigma must be finite and positive, with a "
+                             f"square that does not underflow to zero, got "
+                             f"{self.sigma}")
         prior = self.build_prior()
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")

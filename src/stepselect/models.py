@@ -19,7 +19,7 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class OdeSystem:
-    """An autonomous-in-shape ODE whose data observe its first state component.
+    """An autonomous ODE whose data observe its first state component.
 
     A system is fixed once built: the integrator reads its right-hand side,
     constants and initial state once per method and keeps them (systems
@@ -30,9 +30,10 @@ class OdeSystem:
     dim_p : state dimension.
     rhs : dx/dt as Python source lines.  They read the state as ``x`` (for
         dim_p > 1 its components ``x_0``, ``x_1``, ...), the one inferred
-        parameter as ``theta_0``, the time as ``t`` and the names in
-        ``consts``, and assign the derivative to ``dx`` (``dx_0``, ``dx_1``,
-        ...).  They may assign temporaries of their own.
+        parameter as ``theta_0`` and the names in ``consts``, and assign the
+        derivative to ``dx`` (``dx_0``, ``dx_1``, ...).  They may assign
+        temporaries of their own.  They never read the time: a right-hand
+        side that reads ``t`` is a ValueError when its stepper is built.
     consts : the constants the lines read, name -> value; a value may be any
         object, a helper function included.
     x0 : initial state, ndarray of shape (dim_p,).

@@ -1,9 +1,11 @@
 """Fixed-step explicit one-step ODE solvers on uniform grids.
 
-All solvers advance ``x_{n+1} = x_n + h * K(t_n, x_n, h)`` where ``K`` is a
-combination of right-hand-side stage evaluations.  Step sizes must divide the
-target time grid exactly (up to a relative tolerance): observation times are
-hit by landing on grid nodes, never by interpolation.
+All solvers advance ``x_{n+1} = x_n + h * K(x_n, h)`` where ``K`` is a
+combination of right-hand-side stage evaluations: every system is
+autonomous, its right-hand side a function of the state and the one
+parameter alone.  Step sizes must divide the target time grid exactly (up
+to a relative tolerance): observation times are hit by landing on grid
+nodes, never by interpolation.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def integrate_states(system, theta: float, config: SolverConfig, t0: float,
                      n_steps: int, nodes, values=(),
                      cap: float = math.inf) -> np.ndarray:
     """States of an ``n_steps``-step solve from t0 at the step indices
-    ``nodes``, with the one parameter ``theta`` a float.
+    ``nodes``, with the one parameter ``theta`` a float.  The system is
+    autonomous, so ``t0`` only dates the step a NonFiniteState names.
 
     ``nodes`` are non-decreasing step indices that end at ``n_steps``; row j
     of the result is the state after ``nodes[j]`` steps (a repeated index
@@ -101,8 +104,8 @@ def integrate_states(system, theta: float, config: SolverConfig, t0: float,
     h = config.h
     out = []
     try:
-        x, m = step(consts, x0, theta, t0, h, 0, n_steps, nodes, out,
-                    values, cap)
+        x, m = step(consts, x0, theta, h, 0, n_steps, nodes, out, values,
+                    cap)
     except (ArithmeticError, ValueError):
         _replay(config.method, system, theta, t0, h, n_steps)
         raise
@@ -138,7 +141,7 @@ def _replay(method, system, theta, t0, h, n_steps):
     """Redo a solve one step at a time; raise at the first non-finite state."""
     step, consts, x, finite = _solver(method, system, False)
     for i in range(n_steps):
-        x, _ = step(consts, x, theta, t0, h, i, i + 1, (i + 1,), [])
+        x, _ = step(consts, x, theta, h, i, i + 1, (i + 1,), [])
         if not finite(x):
             raise NonFiniteState(t0 + (i + 1) * h, i, (theta,))
 
@@ -153,34 +156,36 @@ def _replay(method, system, theta, t0, h, n_steps):
 # component against the next of ``values`` at each node it passes before
 # ``end``, and returns the state and None as soon as that sum exceeds
 # ``cap``, with fewer states in ``out`` than nodes; the unbounded one
-# ignores both, which spares the solves that no cap can stop the cost of the
-# check.
+# ignores both.  The two stay apart because the check costs the solves that
+# no cap can stop: one bounded stepper serving both, called with an infinite
+# cap, took a cap-free 26-node logistic RK4 solve at h=0.2 from 20.9 to
+# 23.5 us (medians over eight alternating processes, each the min of 7
+# repeats of 2000 solves, on a two-core Xeon VM), and burn-in pays that at
+# the coarse step, where it narrows the recommended step's speedup.
 #
 # The loop's shape follows the number S of statements in one step.  A step
-# of S <= 2 that does not read t (Euler on one state) runs U = 8 // S times
-# per pass of a loop over each node gap, and the gap's remaining steps one
-# per pass, since the per-step node test costs a fifth of an Euler step of
-# the logistic model (0.089 -> 0.070 us per step at 512-step gaps, timed
-# alternately in one process on a two-core Xeon VM).  Every other step runs
-# in one loop over all the steps that tests the step index against the
-# next node, as cheap or cheaper beside a longer step (logistic rk2: 0.245
-# against 0.248 us per step; RK4 at 2-step gaps: 0.56 against 0.84 us).
-# Both shapes take the same steps in the same order.
+# of S <= 2 (Euler on one state) runs U = 8 // S times per pass of a loop
+# over each node gap, and the gap's remaining steps one per pass, since the
+# per-step node test costs a fifth of an Euler step of the logistic model
+# (0.089 -> 0.070 us per step at 512-step gaps, timed alternately in one
+# process on a two-core Xeon VM).  Every other step runs in one loop over
+# all the steps that tests the step index against the next node, as cheap
+# or cheaper beside a longer step (logistic rk2: 0.245 against 0.248 us per
+# step; RK4 at 2-step gaps: 0.56 against 0.84 us).  Both shapes take the
+# same steps in the same order.
 #
-# Each method is written once, per state component: its set-up lines, its
-# stages as (argument, time) with stage j k_j = f(argument, time), where t is
-# the step's start time t0 + i * h, and the update of x.  ``_stepper`` pastes
-# the model's right-hand side into every stage of one loop per state
-# dimension, keeping every component in a local float: a call per stage, and
-# on a four-state model the tuples it passes, cost more than the arithmetic
-# of the right-hand side itself, and the samplers take millions of steps.
+# Each method is written once, per state component: its set-up lines, the
+# argument of each stage j, k_j = f(argument), and the update of x.
+# ``_stepper`` pastes the model's right-hand side into every stage of one
+# loop per state dimension, keeping every component in a local float: a
+# call per stage, and on a four-state model the tuples it passes, cost more
+# than the arithmetic of the right-hand side itself, and the samplers take
+# millions of steps.
 _METHODS = {
-    "euler": ((), (("x", "t"),), "x + h * k1"),
-    "rk2": (("half = 0.5 * h",),
-            (("x", "t"), ("x + half * k1", "t + half")), "x + h * k2"),
+    "euler": ((), ("x",), "x + h * k1"),
+    "rk2": (("half = 0.5 * h",), ("x", "x + half * k1"), "x + h * k2"),
     "rk4": (("half = 0.5 * h", "sixth = h / 6.0"),
-            (("x", "t"), ("x + half * k1", "t + half"),
-             ("x + half * k2", "t + half"), ("x + h * k3", "t + h")),
+            ("x", "x + half * k1", "x + half * k2", "x + h * k3"),
             "x + sixth * (k1 + 2.0 * (k2 + k3) + k4)"),
 }
 
@@ -188,8 +193,8 @@ _METHODS = {
 METHOD_STAGES = {method: len(stages)
                  for method, (_, stages, _) in _METHODS.items()}
 
-# the state, its derivative and the time in right-hand-side source lines
-_RHS_NAMES = re.compile(r"\b(?:(d?x)(_\d+)?|t)\b")
+# the state and its derivative in right-hand-side source lines
+_RHS_NAMES = re.compile(r"\b(d?x)(_\d+)?\b")
 _ASSIGNED = re.compile(r"^\s*([A-Za-z_]\w*)\s*=[^=]")
 _IDENTIFIER = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
 
@@ -202,22 +207,24 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
     against its cap at each node when ``bounded``.
 
     ``rhs`` reads the state as ``x`` (``x_0``, ``x_1``, ... when dim_p > 1),
-    the one parameter as ``theta_0``, the time as ``t`` and the constants
-    ``const_names``, and assigns the derivative to ``dx`` (``dx_0``, ...);
-    it may assign temporaries of its own.  The stepper is called as
-    ``step(consts, x, theta_0, t0, h, n, end, nodes, out, values=(),
-    cap=inf)``, with the parameter a float and ``consts`` the constants'
-    values in the order of ``const_names``.  Compiled on first use; the
-    constants are unpacked once on entry, and the stage times are computed
-    only when ``rhs`` reads ``t``.  Every component runs the same float
-    operations in the same order as a call of the right-hand side per stage
-    would.
+    the one parameter as ``theta_0`` and the constants ``const_names``, and
+    assigns the derivative to ``dx`` (``dx_0``, ...); it may assign
+    temporaries of its own.  The system is autonomous: ``rhs`` that reads
+    the time ``t`` is a ValueError.  The stepper is called as
+    ``step(consts, x, theta_0, h, n, end, nodes, out, values=(), cap=inf)``,
+    with the parameter a float and ``consts`` the constants' values in the
+    order of ``const_names``.  Compiled on first use; the constants are
+    unpacked once on entry.  Every component runs the same float operations
+    in the same order as a call of the right-hand side per stage would.
     """
     setup, stages, update = _METHODS[method]
     if not (isinstance(dim_p, int) and dim_p >= 1):
         raise ValueError(f"dim_p must be a positive integer, got {dim_p!r}")
-    source = "\n".join(rhs)
-    reads_t = any(m.group(1) is None for m in _RHS_NAMES.finditer(source))
+    temps = {m.group(1) for m in map(_ASSIGNED.match, rhs) if m}
+    free = set(_IDENTIFIER.findall("\n".join(rhs))) - temps - set(const_names)
+    if "t" in free:
+        raise ValueError("right-hand side reads the time t; only autonomous "
+                         "systems are supported")
 
     def parts(expr):
         """``expr`` for each component, its names suffixed by the index."""
@@ -229,27 +236,22 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
     def pack(expr):
         return parts(expr)[0] if dim_p == 1 else f"({', '.join(parts(expr))})"
 
-    def bind(line, x, k, t):
-        """``line`` with the state read from ``x``, the derivative written
-        to ``k`` and the time read from ``t``."""
+    def bind(line, x, k):
+        """``line`` with the state read from ``x`` and the derivative
+        written to ``k``."""
         def name(mo):
-            if mo.group(1) is None:
-                return t
             return (k if mo.group(1) == "dx" else x) + (mo.group(2) or "")
         return _RHS_NAMES.sub(name, line)
 
     def step_body(rhs):
         """One step's statements, ``rhs`` pasted into each stage."""
-        body = ["t = t0 + i * h"] if reads_t else []
-        for j, (arg, time) in enumerate(stages, start=1):
-            x, t = "x", "t"
+        body = []
+        for j, arg in enumerate(stages, start=1):
+            x = "x"
             if arg != "x":
                 x = "xs"
                 body += [f"{xs} = {a}" for xs, a in zip(parts(x), parts(arg))]
-            if reads_t and time != "t":
-                t = "ts"
-                body.append(f"ts = {time}")
-            body += [bind(line, x, f"k{j}", t) for line in rhs]
+            body += [bind(line, x, f"k{j}") for line in rhs]
         return body + [f"{x} = {u}" for x, u in zip(parts("x"), parts(update))]
 
     def loop(body, bounded, unroll):
@@ -262,8 +264,8 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
             f"    return {pack('x')}, None",
         ] if bounded else []
         head = [
-            "def step(consts, x, theta_0, t0, h, n, end, nodes, out,"
-            " values=(), cap=inf):",
+            "def step(consts, x, theta_0, h, n, end, nodes, out, values=(),"
+            " cap=inf):",
             *(f"    {line}" for line in setup),
         ]
         init = ["    seen = iter(values)", "    ss = 0.0"] if bounded else []
@@ -307,17 +309,15 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
         ]
 
     # a body of at most two statements runs ``unroll`` steps per pass of a
-    # loop over each node gap; one that reads t, which it computes from the
-    # step index, keeps the loop over single steps
+    # loop over each node gap
     body = step_body(rhs)
-    unroll = 8 // len(body) if len(body) <= 2 and not reads_t else 1
+    unroll = 8 // len(body) if len(body) <= 2 else 1
     # a temporary or constant named like one of the loop's own variables, in
     # either loop of the shape this body gets, would silently change what
     # the loop computes
     frame = step_body(())
     own = set(_IDENTIFIER.findall("\n".join(
         loop(frame, False, unroll) + loop(frame, True, unroll))))
-    temps = {m.group(1) for m in map(_ASSIGNED.match, rhs) if m}
     clash = (temps | set(const_names)) & own
     if clash:
         raise ValueError(f"right-hand side names {sorted(clash)} are the "

@@ -87,14 +87,14 @@ def harmonic_mean(energies, log_prior_fn, draws) -> EvidenceEstimate:
 
 
 def rhs_function(system):
-    """(x, t, theta) -> dx/dt of ``system`` at the parameter ``theta``, a
+    """(x, theta) -> dx/dt of ``system`` at the parameter ``theta``, a
     float, with x and dx tuples of dim_p floats, by running its
     right-hand-side lines with exec on every call."""
     code = compile("\n".join(system.rhs), "<rhs>", "exec")
     p = system.dim_p
 
-    def rhs(x, t, theta):
-        names = dict(system.consts, t=t, theta_0=theta)
+    def rhs(x, theta):
+        names = dict(system.consts, theta_0=theta)
         if p == 1:
             names["x"] = x[0]
         else:

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stepselect import (Dataset, GammaPrior, LogisticParams, McmcSettings,
-                        ParamVector, Prior, SolverConfig, log_likelihood,
-                        log_posterior_unnorm, log_prior, make_log_posterior,
+                        ParamVector, Prior, SolverConfig,
+                        log_posterior_unnorm, make_log_posterior,
                         make_logistic_exact_forward, make_logistic_system,
                         make_solver_forward, mh_run)
 from stepselect import bayes, evidence
@@ -37,8 +37,9 @@ def test_dataset_validation():
         Dataset(times=[0.0, 1.0, 1.0], values=[1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         Dataset(times=[0.0, 1.0], values=[1.0, float("nan")])
-    with pytest.raises(ValueError):
-        Dataset(times=[0.0, 1.0], values=[1.0, 2.0], sigma_fixed=0.0)
+    for sigma in (0.0, 1e-300):   # 1e-300 squares to zero
+        with pytest.raises(ValueError):
+            Dataset(times=[0.0, 1.0], values=[1.0, 2.0], sigma_fixed=sigma)
     with pytest.raises(ValueError):
         Dataset(times=[0.0, 1.0], values=[1.0])
     assert small_dataset().n == 26
@@ -90,8 +91,19 @@ def test_gamma_logpdf_matches_scipy(shape, rate, x):
 
 
 # ---------------------------------------------------------------------------
-# likelihood
+# likelihood, through the log posterior: at x = 1 the Gamma(1, 1) log prior
+# is exactly -1, and at one x under one prior the prior cancels from a
+# difference of two log posteriors
 # ---------------------------------------------------------------------------
+
+UNIT_PRIOR = Prior((GammaPrior(1.0, 1.0),))
+
+
+def log_likelihood(dataset, phi, forward):
+    """The log posterior under UNIT_PRIOR at x = 1, less its log prior."""
+    assert phi.theta.tolist() == [1.0]
+    return log_posterior_unnorm(dataset, UNIT_PRIOR, phi, forward) + 1.0
+
 
 def test_zero_residual_likelihood():
     # perfect fit at sigma=1: -n/2 log(2 pi), n = 26
@@ -120,7 +132,8 @@ def test_likelihood_absorbs_blowup():
     def exploding(theta):
         raise NonFiniteState(1.0, 3, theta)
     phi = ParamVector(theta=np.array([1.0]), sigma=1.0)
-    assert log_likelihood(small_dataset(), phi, exploding) == -math.inf
+    assert log_posterior_unnorm(small_dataset(), UNIT_PRIOR, phi,
+                                exploding) == -math.inf
 
 
 def test_posterior_skips_forward_off_support():
@@ -137,10 +150,15 @@ def test_posterior_skips_forward_off_support():
 
 
 def test_log_prior_requires_matching_components():
-    prior = Prior((GammaPrior(2.0, 2.0),))
-    phi = ParamVector(theta=np.array([1.0, 2.0]), sigma=1.0)
-    with pytest.raises(ValueError):
-        log_prior(prior, phi)
+    # one parameter under one Gamma prior: any other count on either side
+    ds, forward = small_dataset(), lambda theta: small_dataset().values
+    one = Prior((GammaPrior(2.0, 2.0),))
+    two = Prior((GammaPrior(2.0, 2.0), GammaPrior(2.0, 2.0)))
+    for prior, theta in ((one, [1.0, 2.0]), (two, [1.0]),
+                         (two, [1.0, 2.0])):
+        phi = ParamVector(theta=np.array(theta), sigma=1.0)
+        with pytest.raises(ValueError):
+            log_posterior_unnorm(ds, prior, phi, forward)
 
 
 # ---------------------------------------------------------------------------

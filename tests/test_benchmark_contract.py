@@ -1,4 +1,5 @@
-"""Every package name the benchmark harness loads still exists.
+"""Every package name the benchmark harness loads still exists, and every
+argument its tracer reads by position is still at that position.
 
 ``perfbench/unit.py`` and ``perfbench/tracing.py`` reach into stepselect
 through ``pkg`` (the package) and through its modules under their own
@@ -9,6 +10,7 @@ breaks nothing.  Nothing under ``perfbench/`` is imported or run.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,18 @@ def test_perfbench_loads_only_names_the_package_has(name, known):
     assert known in chains   # the walk sees the calls it is meant to check
     missing = sorted(".".join(c) for c in chains if not resolves(c))
     assert not missing, f"perfbench/{name} loads {missing}"
+
+
+# ``perfbench/tracing.py`` also reads some arguments by position: the
+# solve's config and step count, the chain's iteration count, the chain
+# whose draws the evidence counts and the sweep step's index
+@pytest.mark.parametrize("func,position,name", [
+    (ode.integrate_states, 2, "config"),
+    (ode.integrate_states, 4, "n_steps"),
+    (mcmc.mh_run, 3, "n_iter"),
+    (evidence.evidence_from_chain, 0, "chain"),
+    (harness._sweep_worker, 1, "k"),
+])
+def test_traced_arguments_keep_their_positions(func, position, name):
+    params = list(inspect.signature(func).parameters)
+    assert params[position] == name, f"{func.__name__}{tuple(params)}"

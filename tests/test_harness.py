@@ -72,7 +72,9 @@ def test_spec_validation():
     with pytest.raises(ParseError):
         ExperimentSpec.from_dict("abc")
     base = small_spec().to_dict()
-    for bad in ({"sigma": -1}, {"sigma": True}, {"solver": "rk3"}, {"h_grid": [-0.2, 0.1]},
+    for bad in ({"sigma": -1}, {"sigma": True},
+                {"sigma": 1e-300},               # squares to zero
+                {"solver": "rk3"}, {"h_grid": [-0.2, 0.1]},
                 {"mcmc": {"step_scale": 0}}, {"evidence": {"shrink": 2}},
                 {"mcmc": {"step_scale": float("inf")}},
                 {"mcmc": {"step_scale": "0.1"}},

@@ -35,7 +35,7 @@ def test_logistic_exact_solves_the_ode():
         x = float(logistic_exact(t, params))
         dx = (float(logistic_exact(t + eps, params))
               - float(logistic_exact(t - eps, params))) / (2 * eps)
-        assert abs(dx - rhs((x,), t, params.lam)[0]) < 1e-4
+        assert abs(dx - rhs((x,), params.lam)[0]) < 1e-4
 
 
 def test_logistic_params_validation():
@@ -60,7 +60,7 @@ def test_logistic_exact_bounded_and_monotone(lam, t):
 def test_logistic_system_rhs_uses_theta():
     system = make_logistic_system(LogisticParams(lam=1.0, K=1000.0, X0=100.0))
     # the system infers lam through theta, not through params.lam
-    dx, = rhs_function(system)((100.0,), 0.0, 2.0)
+    dx, = rhs_function(system)((100.0,), 2.0)
     assert dx == pytest.approx(2.0 * 100.0 * 0.9)
     assert system.dim_p == 1
 
@@ -74,15 +74,15 @@ def test_glucose_clamps_switch_at_basal():
     rhs = rhs_function(make_glucose_system(p, d0=90.0))
     theta = p.theta0
     # above basal: insulin response active, liver release off
-    d = rhs((100.0, 0.0, 0.0, 0.0), 0.0, theta)
+    d = rhs((100.0, 0.0, 0.0, 0.0), theta)
     assert d[1] == pytest.approx(p.theta0 * (100.0 / p.Gb - 1.0))
     assert d[2] == 0.0
     # below basal: insulin off, liver on
-    d = rhs((60.0, 0.0, 0.0, 0.0), 0.0, theta)
+    d = rhs((60.0, 0.0, 0.0, 0.0), theta)
     assert d[1] == 0.0
     assert d[2] == pytest.approx(p.theta1 * (1.0 - 60.0 / p.Gb))
     # exactly at basal both response terms vanish
-    d = rhs((p.Gb, 0.5, 0.5, 0.0), 0.0, theta)
+    d = rhs((p.Gb, 0.5, 0.5, 0.0), theta)
     assert d[1] == pytest.approx(-0.5 / p.a)
     assert d[2] == pytest.approx(-0.5 / p.b)
 
