@@ -16,6 +16,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from . import ode
 from .errors import NonFiniteState, NonMonotoneTimes
 from .models import LogisticParams, logistic_exact
 from .ode import METHOD_STAGES, SolverConfig, check_grid, integrate_states
@@ -118,14 +119,23 @@ def log_posterior_unnorm(dataset: Dataset, prior: Prior, phi: ParamVector,
         pred = forward(phi.theta)
     except NonFiniteState:
         return lp - math.inf
-    resid = dataset.values - pred
-    ss = float(resid @ resid)
+    ss = _sum_of_squares((dataset.values - pred).tolist())
     if not math.isfinite(ss):   # a non-finite residual, or one too large to square
         return lp - math.inf
     n = dataset.n
     sigma = phi.sigma
     return lp + (-n * math.log(sigma) - 0.5 * n * LOG_2PI
                  - 0.5 * ss / (sigma * sigma))
+
+
+def _sum_of_squares(residuals) -> float:
+    """The residuals' sum of squares, added up node by node from the first:
+    the sum a capped solve forms as it goes, in Python and in C alike, and
+    unlike a BLAS dot it does not depend on the host's kernel."""
+    ss = 0.0
+    for d in residuals:
+        ss += d * d
+    return ss
 
 
 def make_log_posterior(dataset: Dataset, prior: Prior,
@@ -150,8 +160,16 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
     Every value it returns otherwise has the same bits as without a floor.
     Its ``rhs_evals()`` gives the right-hand-side evaluations of the steps
     its solves took and ``stopped_early()`` the number of solves a floor cut
-    short.  Any other forward map goes through ``log_posterior_unnorm`` and
-    ignores the floor.
+    short.
+
+    The fused closure also has ``run_block(x, lp, scale, z, log_u, kept,
+    draws, energies)``, which runs one block of ``mcmc.mh_run``'s
+    Metropolis loop, this closure's evaluations included, in the right-hand
+    side's compiled library (see ``ode._library``), with the same bits and
+    counts; it returns None where there is no library or the block must
+    run in Python (a division by zero), and ``compiled()`` tells whether
+    every block it was handed ran compiled.  Any other forward map goes
+    through ``log_posterior_unnorm`` and ignores the floor.
     """
     if dataset.sigma_fixed is None:
         raise ValueError("the log posterior needs dataset.sigma_fixed")
@@ -164,8 +182,7 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
         return logpost
 
     system, config, t0, n_steps, nodes = solve
-    values = dataset.values
-    observed = tuple(values.tolist())
+    observed = tuple(dataset.values.tolist())
     # logpdf is ((k log r - lgamma k) + (k - 1) log x) - r x
     gamma, = prior.theta
     c = gamma.shape * math.log(gamma.rate) - math.lgamma(gamma.shape)
@@ -173,7 +190,8 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
     n = dataset.n
     ll0 = -n * math.log(sigma) - 0.5 * n * LOG_2PI
     var = sigma * sigma
-    n_steps_taken = n_stopped = 0
+    n_steps_taken = n_stopped = python_blocks = 0
+    chain = []         # the compiled chain block's structure and its arrays
 
     def logpost(x, floor=-math.inf) -> float:
         nonlocal n_steps_taken, n_stopped
@@ -184,8 +202,8 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
         if lp == -math.inf:
             return lp
         # value < floor once ss > 2 var (lp + ll0 - floor); the margin
-        # covers the rounding of the node-by-node sum against the dot below
-        # and of the value and the chain's difference of two values
+        # covers the rounding of the value and of the chain's difference of
+        # two values (``native._BLOCK_C`` computes the same cap)
         top = lp + ll0
         cap = 2.0 * var * (top - floor
                            + 1e-9 * (1.0 + abs(top) + abs(floor)))
@@ -199,14 +217,33 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
         if len(states) < len(nodes):
             n_stopped += 1
             return -math.inf
-        resid = values - states[:, 0]
-        ss = float(resid.dot(resid))   # the BLAS dot that ``@`` runs
+        ss = _sum_of_squares([y - s for y, s
+                              in zip(observed, states[:, 0].tolist())])
         if not math.isfinite(ss):
             return lp - math.inf
         return lp + (ll0 - 0.5 * ss / var)
+
+    def run_block(x, lp, scale, z, log_u, kept, draws, energies):
+        nonlocal python_blocks
+        lib, csys = ode._library(system)
+        if lib is None:
+            python_blocks += 1
+            return None
+        if not chain:
+            chain.extend(lib.chain_post(csys, config.h, n_steps, nodes,
+                                        observed, c, k1, r, ll0, var))
+        out = lib.run_block(chain[0], config.method, x, lp, scale, z, log_u,
+                            kept, draws, energies)
+        python_blocks += out is None
+        return out
+
     stages = METHOD_STAGES[config.method]
-    logpost.rhs_evals = lambda: n_steps_taken * stages
-    logpost.stopped_early = lambda: n_stopped
+    logpost.rhs_evals = lambda: stages * (
+        n_steps_taken + (chain[0].steps if chain else 0))
+    logpost.stopped_early = lambda: n_stopped + (
+        chain[0].stopped if chain else 0)
+    logpost.run_block = run_block
+    logpost.compiled = lambda: bool(chain) and not python_blocks
     return logpost
 
 

@@ -56,7 +56,7 @@ PARAM_DEFAULTS["glucose"].update(d0=90.0, D0=200.0)
 # the keys of every run in record.json, ok or failed, in this order
 RUN_FIELDS = ("h", "k", "seed", "status", "log_marginal", "se", "method",
               "solver", "cpu_seconds", "process_seconds", "rhs_evals",
-              "stopped_early", "accept_rate", "ess", "step_scale",
+              "stopped_early", "compiled", "accept_rate", "ess", "step_scale",
               "chain_csv", "warnings")
 
 
@@ -404,8 +404,11 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
     rhs_evals the right-hand-side evaluations of the steps its solves took,
     a cost that does not depend on the host, and stopped_early the number
     of evaluations whose solve stopped once it proved the proposal
-    rejected.  ess is the chain's effective sample size and step_scale the
-    proposal scale adapted during burn-in.  The record holds every
+    rejected.  compiled tells whether every block of the chain ran in the
+    right-hand side's compiled library rather than on the Python stepper,
+    which gives the same results in more time.  ess is the chain's
+    effective sample size and step_scale the proposal scale adapted during
+    burn-in.  The record holds every
     RUN_FIELDS key; ``warnings`` stays None here and the sweep fills it.
     """
     config = SolverConfig(spec.solver, float(spec.h_grid[k]))
@@ -427,6 +430,7 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
                       process_seconds=chain.process_seconds,
                       rhs_evals=logpost.rhs_evals(),
                       stopped_early=logpost.stopped_early(),
+                      compiled=logpost.compiled(),
                       accept_rate=chain.accept_rate,
                       ess=effective_sample_size(chain.draws),
                       step_scale=chain.step_scale)
@@ -594,6 +598,10 @@ def report(out_dir) -> dict:
             lines.extend(f"  warning: {w}" for w in r.get("warnings") or ())
         chains = [(r["k"], out_dir / r["chain_csv"]) for r in ok
                   if r["chain_csv"] is not None]
+        slow = [f"h={r['h']:g}" for r in ok if r.get("compiled") is False]
+        if slow:
+            lines.append(f"python stepper: {' '.join(slow)} ran without a "
+                         f"compiled library (same results, more cpu time)")
         for r in record["runs"]:
             if r["status"] != "ok":
                 lines.append(f"h={r['h']:<8g} {r['status']}")

@@ -78,7 +78,9 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
         posterior plus the iteration's log uniform, below which the
         proposal is rejected; at the initial point and during burn-in,
         whose adaptation reads the exact acceptance probability, it is
-        -inf.  A function that ignores ``floor`` meets this contract.
+        -inf.  A function that ignores ``floor`` meets this contract.  One
+        with a ``run_block`` attribute (bayes.make_log_posterior's fused
+        closure) may run whole blocks of iterations itself.
     init : starting point.
     settings : read for ``step_scale``, ``adapt``, ``adapt_window`` and
         ``target_accept`` only.
@@ -106,29 +108,29 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
     window = settings.adapt_window if settings.adapt else _BLOCK
 
     # The scale stays fixed within a block: an adaptation window (capped at
-    # the end of burn-in) during burn-in, _BLOCK iterations after it.  A
-    # kept block's draws go to lists and then to the arrays in one write,
-    # which bounds the objects alive.
+    # the end of burn-in) during burn-in, _BLOCK iterations after it.  A log
+    # posterior with ``run_block`` (bayes.make_log_posterior's fused
+    # closure) runs a block in compiled code with the same bits, or returns
+    # None, and the block runs in ``_block``, as for any other log
+    # posterior.  The empty block before the clocks start builds the
+    # library, if this is where it gets built (ode._library), untimed.
+    run_block = getattr(log_posterior, "run_block", None)
+    if run_block is not None:
+        run_block(x, lp, scale, noise[:0], log_u[:0], False, None, None)
     edges = [*range(0, burn_in, window), *range(burn_in, n_iter, _BLOCK), n_iter]
     t_start, cpu_start = time.perf_counter(), time.process_time()
     for start, stop in zip(edges, edges[1:]):
-        xs, es = [], []
-        n_accept, prob = 0, 0.0
         kept_block = start >= burn_in
-        for z, lu in zip(noise[start:stop].tolist(), log_u[start:stop].tolist()):
-            prop = x + scale * z
-            lp_prop = float(log_posterior(
-                prop, lp + lu if kept_block else -math.inf))
-            delta = lp_prop - lp
-            prob += math.exp(delta) if delta < 0.0 else 1.0
-            if delta >= 0.0 or lu < delta:
-                x, lp = prop, lp_prop
-                n_accept += 1
-            xs.append(x)
-            es.append(-lp)
+        block = (x, lp, scale, noise[start:stop], log_u[start:stop],
+                 kept_block,
+                 *((draws[start - burn_in:stop - burn_in],
+                    energies[start - burn_in:stop - burn_in]) if kept_block
+                   else (None, None)))
+        out = None if run_block is None else run_block(*block)
+        if out is None:
+            out = _block(log_posterior, *block)
+        x, lp, n_accept, prob = out
         if kept_block:
-            draws[start - burn_in:stop - burn_in] = xs
-            energies[start - burn_in:stop - burn_in] = es
             n_accept_kept += n_accept
         elif settings.adapt and stop - start == window:
             # Robbins-Monro on each full window; a partial last one is dropped
@@ -144,6 +146,33 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
     return Chain(draws=draws, energies=energies,
                  accept_rate=accept_rate, wall_clock_seconds=wall,
                  step_scale=scale, process_seconds=cpu)
+
+
+def _block(log_posterior, x, lp, scale, noise, log_u, kept, draws,
+           energies):
+    """One block of Metropolis iterations at a fixed scale from (x, lp):
+    the proposals x + scale * noise, accepted when log u is below the
+    change in log posterior, each evaluation floored at the rejection
+    threshold when ``kept``; the draws and energies go to ``draws`` and
+    ``energies`` unless they are None.  Returns (x, lp, accepted, the
+    summed acceptance probabilities).  The draws go to lists and then to
+    the arrays in one write, which bounds the objects alive."""
+    xs, es = [], []
+    n_accept, prob = 0, 0.0
+    for z, lu in zip(noise.tolist(), log_u.tolist()):
+        prop = x + scale * z
+        lp_prop = float(log_posterior(prop, lp + lu if kept else -math.inf))
+        delta = lp_prop - lp
+        prob += math.exp(delta) if delta < 0.0 else 1.0
+        if delta >= 0.0 or lu < delta:
+            x, lp = prop, lp_prop
+            n_accept += 1
+        xs.append(x)
+        es.append(-lp)
+    if draws is not None:
+        draws[:] = xs
+        energies[:] = es
+    return x, lp, n_accept, prob
 
 
 def effective_sample_size(x) -> float:

@@ -35,7 +35,8 @@ class OdeSystem:
         temporaries of their own.  They never read the time: a right-hand
         side that reads ``t`` is a ValueError when its stepper is built.
     consts : the constants the lines read, name -> value; a value may be any
-        object, a helper function included.
+        object, a helper function included (such a system runs on the
+        Python stepper only: the compiled one takes numbers).
     x0 : initial state, ndarray of shape (dim_p,).
     """
 

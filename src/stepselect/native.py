@@ -1,0 +1,421 @@
+"""Compiled solves and chain blocks: one C library per right-hand side.
+
+Each right-hand side gets one shared library, compiled once per process
+from C that ``c_source`` translates from the very step statements
+``ode._step_lines`` gives the Python stepper: the same ``ode._METHODS``
+stages and the same right-hand-side lines after ``bind``.  It holds one
+capped stepper per method and a chain block that runs the fused log
+posterior of ``bayes.make_log_posterior`` and the Metropolis loop of
+``mcmc.mh_run`` over any of them (see ``_BLOCK_C``).  A Python-level RK4
+step of the logistic model costs 0.35-0.40 us and a compiled one about
+0.04 us, and the chains are nearly all of a sweep's cost.
+
+Same bits: the C is IEEE double arithmetic on the same operands in the same
+order, compiled without contraction into fused multiply-adds
+(``-ffp-contract=off``, never ``-ffast-math`` or ``-march=native``), and it
+calls the same libm ``log`` and ``exp`` as Python's ``math``.  The C subset
+is an assignment to one name of ``+ - * /``, unary ``-``, names, float and
+int constants (written as ``float.hex`` literals) and ``a if c else b``
+with one comparison.  An int, in the source or as a constant's value, must
+be at most 2**53 in magnitude and meet no other int in arithmetic and no
+negation, so that it converts to the double Python converts it to.
+Anything else (a call, ``**``, a constant that is not a number) gets no
+library, and that right-hand side runs on the Python stepper.  Python
+raises ZeroDivisionError where C divides by zero (0/0 and inf/0 included,
+which raise no FE_DIVBYZERO flag), so every C division notes a zero
+divisor, and a solve or block that met one is redone in Python.  The Python
+stepper stays the reference, the path for every solve that ends in an
+error, and the whole program where no C compiler runs.
+
+``ode._library`` decides when a library is built; this module is imported
+only then, so a process that never builds one neither compiles this source
+nor imports ``subprocess`` and ``sysconfig``.
+"""
+
+from __future__ import annotations
+
+import ast
+import ctypes
+import functools
+import math
+import subprocess
+import sysconfig
+import tempfile
+
+import numpy as np
+
+from .ode import _C_INT_MAX, _METHODS, _addressed, _parts, _step_lines
+
+# C variables carry a prefix so that no right-hand-side name meets one of
+# the template's own
+_C_PREFIX = "v_"
+_C_ARITH = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
+_C_COMPARE = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
+              ast.Eq: "==", ast.NotEq: "!="}
+
+
+def _c_expression(node, ints: dict) -> tuple:
+    """(C expression, int-valued) of the Python expression ``node``, whose
+    names are those of ``ints`` (name -> int-valued); ValueError outside
+    the subset."""
+    if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+        (a, a_int), (b, b_int) = (_c_expression(node.left, ints),
+                                  _c_expression(node.right, ints))
+        if a_int and b_int:
+            raise ValueError("arithmetic of two ints")
+        if isinstance(node.op, ast.Div):
+            return f"dv({a}, {b}, &zd)", False
+        return f"({a} {_C_ARITH[type(node.op)]} {b})", False
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        a, a_int = _c_expression(node.operand, ints)
+        if a_int:              # -0 is an int 0, not a float -0.0
+            raise ValueError("negated int")
+        return f"(-{a})", False
+    if isinstance(node, ast.Name):
+        if node.id not in ints:
+            raise ValueError(f"name {node.id!r} not assigned before use")
+        return _C_PREFIX + node.id, ints[node.id]
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = node.value
+        if not (abs(value) <= _C_INT_MAX if type(value) is int
+                else math.isfinite(value)):
+            raise ValueError(f"constant {value!r}")
+        return float(value).hex(), type(value) is int
+    if (isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare)
+            and len(node.test.ops) == 1
+            and type(node.test.ops[0]) in _C_COMPARE):
+        left, _ = _c_expression(node.test.left, ints)
+        right, _ = _c_expression(node.test.comparators[0], ints)
+        (a, a_int), (b, b_int) = (_c_expression(node.body, ints),
+                                  _c_expression(node.orelse, ints))
+        op = _C_COMPARE[type(node.test.ops[0])]
+        return f"(({left} {op} {right}) ? {a} : {b})", a_int or b_int
+    raise ValueError(f"{ast.dump(node)} is outside the C subset")
+
+
+def _c_statements(lines, ints: dict) -> list:
+    """C statements of the Python assignments ``lines``; ``ints`` (name ->
+    int-valued) gains each name they assign.  ValueError outside the
+    subset."""
+    out = []
+    for line in lines:
+        stmt, = ast.parse(line).body
+        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)):
+            raise ValueError(f"{line!r} is not an assignment to one name")
+        code, is_int = _c_expression(stmt.value, ints)
+        ints[stmt.targets[0].id] = is_int
+        out.append(f"{_C_PREFIX}{stmt.targets[0].id} = {code};")
+    return out
+
+
+_HEAD_C = """#include <math.h>
+#include <stddef.h>
+#include <stdint.h>
+
+/* a / b, noting a zero divisor, where Python raises ZeroDivisionError */
+static inline double dv(double a, double b, int *zd)
+{
+    *zd |= b == 0.0;
+    return a / b;
+}
+
+typedef int64_t (*stepper_t)(const double *, const double *, double, double,
+                             int64_t, const int64_t *, int64_t,
+                             const double *, double, double *, double *);
+"""
+
+# One solve of n_steps steps from x0, the generated Python loop over single
+# steps node for node: the state at each node goes to row j of ``out``
+# (when not NULL); with ``values`` it adds (values[j] - x_0)**2 to ``ss``
+# at every node and stops at the first node before the last step where the
+# sum exceeds ``cap``.  Returns the rows reached; -1 when a division met a
+# zero divisor or a node was never reached, and -2 when the solve ran to
+# the end with a non-finite last state.  ``ss_out`` (when not NULL) gets
+# the sum.
+_STEPPER_C = """
+int64_t solve_{method}(const double *c, const double *x0,
+        double {p}theta_0, double {p}h, int64_t n_steps,
+        const int64_t *nodes, int64_t n_nodes, const double *values,
+        double cap, double *out, double *ss_out)
+{{
+    {decls}
+    int zd = 0;
+    int64_t i, j = 0;
+    double ss = 0.0, dy;
+    {setup}
+    for (i = 0; i < n_steps; i++) {{
+        while (j < n_nodes && nodes[j] == i) {{
+            if (out) {{ {row} }}
+            if (values) {{
+                dy = values[j] - {x0};
+                ss += dy * dy;
+                if (ss > cap) {{
+                    if (ss_out)
+                        *ss_out = ss;
+                    return zd ? -1 : j + 1;
+                }}
+            }}
+            j++;
+        }}
+        {body}
+    }}
+    while (j < n_nodes && nodes[j] == n_steps) {{
+        if (out) {{ {row} }}
+        if (values) {{
+            dy = values[j] - {x0};
+            ss += dy * dy;
+        }}
+        j++;
+    }}
+    if (ss_out)
+        *ss_out = ss;
+    if (zd || j < n_nodes)
+        return -1;
+    return ({finite}) ? j : -2;
+}}
+"""
+
+# The chain block: the fused log posterior of bayes.make_log_posterior and
+# one block of mcmc.mh_run's Metropolis loop, line for line, over the
+# stepper ``steppers[method]``.  ``post_t`` holds the Gamma log density
+# c + k1 log v - r v, the likelihood's constant and variance, the step, the
+# solve's nodes and observed values, the system's constants and initial
+# state, and the counters of steps taken and solves stopped at the cap.
+_BLOCK_C = """
+typedef struct {{
+    double c, k1, r, ll0, var, h;
+    int64_t n_steps, n_nodes;
+    const int64_t *nodes;
+    const double *values, *consts, *x0;
+    int64_t steps, stopped;
+}} post_t;
+
+static const stepper_t steppers[] = {{ {steppers} }};
+
+/* sets *redo where the Python closure must redo the evaluation */
+static double logpost(post_t *p, stepper_t solve, double v, double floor,
+                      int *redo)
+{{
+    double lp, top, cap, ss;
+    int64_t rows;
+    if (v <= 0.0)
+        return -INFINITY;
+    lp = p->c + p->k1 * log(v) - p->r * v;
+    if (lp == -INFINITY)
+        return lp;
+    top = lp + p->ll0;
+    cap = 2.0 * p->var * (top - floor
+                          + 1e-9 * (1.0 + fabs(top) + fabs(floor)));
+    rows = solve(p->consts, p->x0, v, p->h, p->n_steps, p->nodes,
+                 p->n_nodes, p->values, cap, NULL, &ss);
+    if (rows == -1) {{
+        *redo = 1;
+        return 0.0;
+    }}
+    if (rows == -2) {{
+        p->steps += p->n_steps;
+        return lp - INFINITY;
+    }}
+    p->steps += p->nodes[rows - 1];
+    if (rows < p->n_nodes) {{
+        p->stopped += 1;
+        return -INFINITY;
+    }}
+    if (!isfinite(ss))
+        return lp - INFINITY;
+    return lp + (p->ll0 - 0.5 * ss / p->var);
+}}
+
+/* state is (x, lp, prob) in and out; returns the accepted count, or -1
+   where the Python loop must redo the block */
+int64_t block(post_t *p, int method, double *state, double scale,
+              const double *z, const double *log_u, int64_t n, int kept,
+              double *draws, double *energies)
+{{
+    stepper_t solve = steppers[method];
+    double x = state[0], lp = state[1], prob = 0.0, prop, lp_prop, delta;
+    int64_t i, n_accept = 0;
+    int redo = 0;
+    for (i = 0; i < n; i++) {{
+        prop = x + scale * z[i];
+        lp_prop = logpost(p, solve, prop,
+                          kept ? lp + log_u[i] : -INFINITY, &redo);
+        if (redo)
+            return -1;
+        delta = lp_prop - lp;
+        prob += delta < 0.0 ? exp(delta) : 1.0;
+        if (delta >= 0.0 || log_u[i] < delta) {{
+            x = prop;
+            lp = lp_prop;
+            n_accept += 1;
+        }}
+        if (draws) {{
+            draws[i] = x;
+            energies[i] = -lp;
+        }}
+    }}
+    state[0] = x;
+    state[1] = lp;
+    state[2] = prob;
+    return n_accept;
+}}
+"""
+
+# the fields of post_t as ctypes kinds: double, int64, pointer
+_POST_FIELDS = (*((f, "d") for f in ("c", "k1", "r", "ll0", "var", "h")),
+                ("n_steps", "i"), ("n_nodes", "i"), ("nodes", "p"),
+                ("values", "p"), ("consts", "p"), ("x0", "p"),
+                ("steps", "i"), ("stopped", "i"))
+
+
+def c_source(dim_p: int, rhs: tuple, const_names: tuple,
+             int_consts: tuple) -> str:
+    """The C source of the library of one right-hand side; ValueError when
+    a line is outside the C subset.  ``int_consts`` tells which constants
+    hold ints."""
+    xs = _parts("x", dim_p)
+    pieces = [_HEAD_C]
+    for method in _METHODS:
+        setup, body = _step_lines(method, dim_p, rhs)
+        ints = {"h": False, "theta_0": False, **dict.fromkeys(xs, False),
+                **dict(zip(const_names, int_consts))}
+        given = set(ints)
+        setup_c = _c_statements(setup, ints)
+        body_c = _c_statements(body, ints)
+        p = _C_PREFIX
+        decls = [*(f"const double {p}{name} = c[{i}];"
+                   for i, name in enumerate(const_names)),
+                 *(f"double {p}{x} = x0[{i}];" for i, x in enumerate(xs))]
+        local = sorted(set(ints) - given)
+        if local:
+            decls.append(f"double {', '.join(p + n for n in local)};")
+        pieces.append(_STEPPER_C.format(
+            method=method, p=p, decls="\n    ".join(decls),
+            setup="\n    ".join(setup_c), body="\n        ".join(body_c),
+            row=" ".join(f"out[j * {dim_p} + {i}] = {p}{x};"
+                         for i, x in enumerate(xs)),
+            x0=p + xs[0],
+            finite=" && ".join(f"isfinite({p}{x})" for x in xs)))
+    pieces.append(_BLOCK_C.format(
+        steppers=", ".join(f"solve_{method}" for method in _METHODS)))
+    return "".join(pieces)
+
+
+@functools.lru_cache(maxsize=256)
+def _c_nodes(nodes: tuple):
+    """``nodes`` as an addressed int64 array, or None when a node does not
+    survive the conversion (a node 2.5 is no step index)."""
+    array = np.array(nodes, dtype=np.int64)
+    return _addressed(array) if array.tolist() == list(nodes) else None
+
+
+@functools.lru_cache(maxsize=256)
+def _c_values(values: tuple):
+    """``values`` as an addressed float array."""
+    return _addressed(np.array(values, dtype=float))
+
+
+def compile_source(source: str):
+    """Compile ``source`` into a shared library and load it with ctypes;
+    OSError when the compiler or the loader fails.  Nothing stays on disk
+    and no process outlives the call."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    with tempfile.TemporaryDirectory(prefix="stepselect-") as tmp:
+        c_file, so_file = f"{tmp}/rhs.c", f"{tmp}/rhs.so"
+        with open(c_file, "w") as fh:
+            fh.write(source)
+        try:
+            subprocess.run([*cc, "-O2", "-fPIC", "-shared",
+                            "-ffp-contract=off", "-o", so_file, c_file,
+                            "-lm"], stdin=subprocess.DEVNULL,
+                           capture_output=True, check=True, timeout=120)
+        except subprocess.SubprocessError as exc:
+            raise OSError(f"C compiler failed: {exc}") from exc
+        return ctypes.PyDLL(so_file)
+
+
+class Library:
+    """A loaded library's solves and chain blocks, one of each per method,
+    and ``post``, the ctypes structure a chain block reads."""
+
+    def __init__(self, cdll):
+        kinds = {"d": ctypes.c_double, "i": ctypes.c_int64,
+                 "p": ctypes.c_void_p}
+        self.post = type("Post", (ctypes.Structure,), {"_fields_": [
+            (name, kinds[kind]) for name, kind in _POST_FIELDS]})
+        d, i, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
+        self.solve = {}
+        for method in _METHODS:
+            solve = getattr(cdll, f"solve_{method}")
+            solve.argtypes = [ptr, ptr, d, d, i, ptr, i, ptr, d, ptr, ptr]
+            solve.restype = i
+            self.solve[method] = solve
+        self.block = cdll.block
+        self.block.argtypes = [ctypes.POINTER(self.post), ctypes.c_int, ptr,
+                               d, ptr, ptr, i, ctypes.c_int, ptr, ptr]
+        self.block.restype = i
+        self.double, self.state = ctypes.c_double, ctypes.c_double * 3
+        self.byref = ctypes.byref
+        self.cdll = cdll       # keeps the library loaded
+
+    def solve_states(self, csys, method, theta, h, n_steps, nodes, values,
+                     cap):
+        """The states ``integrate_states`` returns, or None where the
+        Python stepper must run the solve: it would end in an error, or the
+        nodes or values are not what the C code takes."""
+        _, (_, consts), (x0, x0_at) = csys
+        try:
+            nodes = _c_nodes(tuple(nodes))
+            values = None if values is None else _c_values(tuple(values))
+        except (TypeError, ValueError, OverflowError):
+            return None
+        if nodes is None or n_steps < 0:
+            return None
+        n_nodes, dim_p = len(nodes[0]), x0.size
+        out = (self.double * (n_nodes * dim_p))()
+        rows = self.solve[method](consts, x0_at, theta, h, n_steps, nodes[1],
+                                  n_nodes, values and values[1], cap, out,
+                                  None)
+        return None if rows < 0 else np.ndarray((rows, dim_p), buffer=out)
+
+    def chain_post(self, csys, h, n_steps, nodes, values, c, k1, r, ll0,
+                   var):
+        """The structure a chain block of one fused log posterior reads,
+        with its counters at zero, and what holds the arrays it points
+        into, which the caller keeps alive with it."""
+        _, (_, consts), (_, x0) = csys
+        nodes, values = _c_nodes(tuple(nodes)), _c_values(tuple(values))
+        post = self.post(c=c, k1=k1, r=r, ll0=ll0, var=var, h=h,
+                         n_steps=n_steps, n_nodes=len(nodes[0]),
+                         nodes=nodes[1], values=values[1], consts=consts,
+                         x0=x0)
+        return post, (csys, nodes, values)
+
+    def run_block(self, post, method, x, lp, scale, z, log_u, kept, draws,
+                  energies):
+        """One Metropolis block in C: (x, lp, accepted, prob) as
+        ``mcmc.mh_run``'s Python loop returns them, or None, with the
+        counters restored, where that loop must redo the block (or where
+        the arrays are not contiguous float arrays of one length, the
+        outputs writable)."""
+        n = len(z)
+        z, log_u = (np.ascontiguousarray(a, dtype=float) for a in (z, log_u))
+        if len(log_u) != n or (draws is None) != (energies is None) or any(
+                a is not None and not (a.dtype == float and len(a) == n
+                                       and a.flags.c_contiguous
+                                       and a.flags.writeable)
+                for a in (draws, energies)):
+            return None
+        state = self.state(x, lp, 0.0)
+        counters = post.steps, post.stopped
+        n_accept = self.block(
+            self.byref(post), list(_METHODS).index(method), state, scale,
+            z.ctypes.data, log_u.ctypes.data, n, kept,
+            None if draws is None else draws.ctypes.data,
+            None if energies is None else energies.ctypes.data)
+        if n_accept < 0:
+            post.steps, post.stopped = counters
+            return None
+        return state[0], state[1], n_accept, state[2]

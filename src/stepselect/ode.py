@@ -5,7 +5,9 @@ combination of right-hand-side stage evaluations: every system is
 autonomous, its right-hand side a function of the state and the one
 parameter alone.  Step sizes must divide the target time grid exactly (up
 to a relative tolerance): observation times are hit by landing on grid
-nodes, never by interpolation.
+nodes, never by interpolation.  Where a C compiler runs, the solves run in
+a library compiled from the same step statements, with the same bits (see
+``_library``); elsewhere they run on the generated Python steppers.
 """
 
 from __future__ import annotations
@@ -94,6 +96,11 @@ def integrate_states(system, theta: float, config: SolverConfig, t0: float,
     last state, or whose right-hand side raises ArithmeticError or
     ValueError, is replayed step by step to raise NonFiniteState at the
     first non-finite step, exactly as a per-step check would.
+
+    The solve runs in the right-hand side's compiled library when it has
+    one (see ``_library``), with the same bits; any solve that would end in
+    an error there, or that the library cannot take, runs on the Python
+    stepper, which raises what it raises.
     """
     if not len(nodes) or nodes[-1] != n_steps:
         raise ValueError(f"nodes must end at n_steps={n_steps}")
@@ -101,6 +108,13 @@ def integrate_states(system, theta: float, config: SolverConfig, t0: float,
     if bounded and len(values) != len(nodes):
         raise ValueError("a finite cap needs one observed value per node")
     step, consts, x0, finite = _solver(config.method, system, bounded)
+    lib, csys = _library(system)
+    if lib is not None:
+        states = lib.solve_states(csys, config.method, theta, config.h,
+                                  n_steps, nodes,
+                                  values if bounded else None, cap)
+        if states is not None:
+            return states
     h = config.h
     out = []
     try:
@@ -156,14 +170,17 @@ def _replay(method, system, theta, t0, h, n_steps):
 # component against the next of ``values`` at each node it passes before
 # ``end``, and returns the state and None as soon as that sum exceeds
 # ``cap``, with fewer states in ``out`` than nodes; the unbounded one
-# ignores both.  The two stay apart because the check costs the solves that
-# no cap can stop: one bounded stepper serving both, called with an infinite
-# cap, took a cap-free 26-node logistic RK4 solve at h=0.2 from 20.9 to
-# 23.5 us (medians over eight alternating processes, each the min of 7
-# repeats of 2000 solves, on a two-core Xeon VM), and burn-in pays that at
-# the coarse step, where it narrows the recommended step's speedup.
+# ignores both.  The two Python steppers stay apart because the check costs
+# the solves that no cap can stop: one bounded stepper serving both, called
+# with an infinite cap, took a cap-free 26-node logistic RK4 solve at h=0.2
+# from 20.9 to 23.5 us (medians over eight alternating processes, each the
+# min of 7 repeats of 2000 solves, on a two-core Xeon VM), and burn-in pays
+# that at the coarse step, where it narrows the recommended step's
+# speedup.  The compiled stepper is one, with the cap checked when
+# ``values`` are given.
 #
-# The loop's shape follows the number S of statements in one step.  A step
+# The Python loop's shape follows the number S of statements in one step
+# (the compiled stepper has one shape, the loop over single steps).  A step
 # of S <= 2 (Euler on one state) runs U = 8 // S times per pass of a loop
 # over each node gap, and the gap's remaining steps one per pass, since the
 # per-step node test costs a fifth of an Euler step of the logistic model
@@ -199,6 +216,37 @@ _ASSIGNED = re.compile(r"^\s*([A-Za-z_]\w*)\s*=[^=]")
 _IDENTIFIER = re.compile(r"(?<![\w.])[A-Za-z_]\w*")
 
 
+def _parts(expr: str, dim_p: int) -> list:
+    """``expr`` for each state component, its names suffixed by the index."""
+    if dim_p == 1:
+        return [expr]
+    return [re.sub(r"\b(xs?|k\d)\b", rf"\1_{j}", expr) for j in range(dim_p)]
+
+
+def _step_lines(method: str, dim_p: int, rhs: tuple):
+    """The set-up lines of ``method`` and the statements of one step, with
+    the right-hand side's lines ``rhs`` pasted into each stage: the state
+    read from ``x`` or the stage argument ``xs`` (suffixed per component)
+    and the derivative written to ``k1``, ``k2``, ..."""
+    setup, stages, update = _METHODS[method]
+
+    def bind(line, x, k):
+        def name(mo):
+            return (k if mo.group(1) == "dx" else x) + (mo.group(2) or "")
+        return _RHS_NAMES.sub(name, line)
+
+    body = []
+    for j, arg in enumerate(stages, start=1):
+        x = "x"
+        if arg != "x":
+            x = "xs"
+            body += [f"{xs} = {a}"
+                     for xs, a in zip(_parts(x, dim_p), _parts(arg, dim_p))]
+        body += [bind(line, x, f"k{j}") for line in rhs]
+    return list(setup), body + [f"{x} = {u}" for x, u in zip(
+        _parts("x", dim_p), _parts(update, dim_p))]
+
+
 @functools.lru_cache(maxsize=None)
 def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
              bounded: bool = False):
@@ -217,7 +265,6 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
     unpacked once on entry.  Every component runs the same float operations
     in the same order as a call of the right-hand side per stage would.
     """
-    setup, stages, update = _METHODS[method]
     if not (isinstance(dim_p, int) and dim_p >= 1):
         raise ValueError(f"dim_p must be a positive integer, got {dim_p!r}")
     temps = {m.group(1) for m in map(_ASSIGNED.match, rhs) if m}
@@ -227,32 +274,10 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
                          "systems are supported")
 
     def parts(expr):
-        """``expr`` for each component, its names suffixed by the index."""
-        if dim_p == 1:
-            return [expr]
-        return [re.sub(r"\b(xs?|k\d)\b", rf"\1_{j}", expr)
-                for j in range(dim_p)]
+        return _parts(expr, dim_p)
 
     def pack(expr):
         return parts(expr)[0] if dim_p == 1 else f"({', '.join(parts(expr))})"
-
-    def bind(line, x, k):
-        """``line`` with the state read from ``x`` and the derivative
-        written to ``k``."""
-        def name(mo):
-            return (k if mo.group(1) == "dx" else x) + (mo.group(2) or "")
-        return _RHS_NAMES.sub(name, line)
-
-    def step_body(rhs):
-        """One step's statements, ``rhs`` pasted into each stage."""
-        body = []
-        for j, arg in enumerate(stages, start=1):
-            x = "x"
-            if arg != "x":
-                x = "xs"
-                body += [f"{xs} = {a}" for xs, a in zip(parts(x), parts(arg))]
-            body += [bind(line, x, f"k{j}") for line in rhs]
-        return body + [f"{x} = {u}" for x, u in zip(parts("x"), parts(update))]
 
     def loop(body, bounded, unroll):
         """The step loop around the step's statements ``body``, pasted
@@ -310,12 +335,12 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
 
     # a body of at most two statements runs ``unroll`` steps per pass of a
     # loop over each node gap
-    body = step_body(rhs)
+    setup, body = _step_lines(method, dim_p, rhs)
     unroll = 8 // len(body) if len(body) <= 2 else 1
     # a temporary or constant named like one of the loop's own variables, in
     # either loop of the shape this body gets, would silently change what
     # the loop computes
-    frame = step_body(())
+    frame = _step_lines(method, dim_p, ())[1]
     own = set(_IDENTIFIER.findall("\n".join(
         loop(frame, False, unroll) + loop(frame, True, unroll))))
     clash = (temps | set(const_names)) & own
@@ -333,6 +358,77 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
     exec(compile("\n".join(lines) + "\n", f"<{method} stepper, dim {dim_p}>",
                  "exec"), namespace)
     return namespace["step"]
+
+
+# ---------------------------------------------------------------------------
+# compiled solves and chain blocks (see ``native``)
+# ---------------------------------------------------------------------------
+#
+# The library of a right-hand side is built at its second solve in the
+# process, so a process that solves once (``stepselect gen``'s glucose
+# reference solve) never runs the compiler nor loads ``native``.  It is
+# compiled with ``sysconfig``'s CC, or ``cc``, in a temporary directory
+# deleted once the library is loaded, and a failure is remembered for the
+# rest of the process.
+
+_C_INT_MAX = 2 ** 53      # ints up to this convert to a double exactly
+
+
+def _is_c_number(value) -> bool:
+    return isinstance(value, float) or (
+        type(value) is int and abs(value) <= _C_INT_MAX)
+
+
+@functools.lru_cache(maxsize=64)
+def _c_system(system):
+    """``system`` as the compiled code takes it: (library key, constants,
+    initial state), the last two as float arrays with their addresses, or
+    None when a constant is not a number (a helper function, say)."""
+    values = tuple(system.consts.values())
+    if not all(map(_is_c_number, values)):
+        return None
+    key = (system.dim_p, system.rhs, tuple(system.consts),
+           tuple(type(v) is int for v in values))
+    return (key, _addressed(np.array(values, dtype=float)),
+            _addressed(np.array(system.x0, dtype=float).ravel()))
+
+
+def _addressed(array: np.ndarray) -> tuple:
+    """(``array``, the address of its data), the array kept alive with it."""
+    return array, array.__array_interface__["data"][0]
+
+
+# library key -> the loaded library, or None for good; a key seen once
+# waits in _SOLVED_ONCE for its second solve
+_LIBRARIES = {}
+_SOLVED_ONCE = set()
+
+
+def _library(system) -> tuple:
+    """(the compiled library of ``system``'s right-hand side or None, the
+    system as ``_c_system`` gives it).  The library is built at the
+    right-hand side's second solve in the process (each call counts as a
+    solve), and stays None for the rest of the process once the right-hand
+    side proves outside the C subset or the compiler or the loader
+    fails."""
+    csys = _c_system(system)
+    if csys is None:
+        return None, None
+    key = csys[0]
+    try:
+        return _LIBRARIES[key], csys
+    except KeyError:
+        pass
+    if key not in _SOLVED_ONCE:
+        _SOLVED_ONCE.add(key)
+        return None, csys
+    from . import native
+    try:
+        lib = native.Library(native.compile_source(native.c_source(*key)))
+    except (ValueError, SyntaxError, OSError):
+        lib = None
+    _LIBRARIES[key] = lib
+    return lib, csys
 
 
 def estimate_order(system, theta, method: str, h_list, t0: float,

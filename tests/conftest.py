@@ -7,6 +7,7 @@ test asks for them; unit tests run in seconds without touching them.
 
 import pytest
 
+from stepselect import native, ode
 from stepselect.harness import (ExperimentSpec, McmcSettings, TimesSpec,
                                 generate_synthetic, report, run_sweep)
 
@@ -68,3 +69,28 @@ def sweep_glucose(tmp_path_factory):
         mcmc=McmcSettings(n_iter=12000, step_scale=0.5),
     )
     return _sweep(spec, tmp_path_factory.mktemp("sweep_glucose"), jobs=4)
+
+
+def on_python_stepper(monkeypatch):
+    """Run every later solve and chain block on the Python stepper, as on a
+    host without a C compiler: the function that builds a right-hand
+    side's library fails, and no library built earlier in the process is
+    used, until ``monkeypatch`` undoes it."""
+    def no_compiler(source):
+        raise OSError("no C compiler")
+    monkeypatch.setattr(native, "compile_source", no_compiler)
+    monkeypatch.setattr(ode, "_LIBRARIES", {})
+    monkeypatch.setattr(ode, "_SOLVED_ONCE", set())
+
+
+@pytest.fixture
+def python_stepper(monkeypatch):
+    """The whole test on the Python stepper (see ``on_python_stepper``)."""
+    on_python_stepper(monkeypatch)
+
+
+def compiled(system) -> bool:
+    """Whether ``system``'s right-hand side has its compiled library, built
+    now if it has none yet; the tests that compare the two paths skip on a
+    host where none can be built."""
+    return any(ode._library(system)[0] is not None for _ in range(2))

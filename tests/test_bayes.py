@@ -14,12 +14,14 @@ from stepselect import (Dataset, GammaPrior, LogisticParams, McmcSettings,
                         log_posterior_unnorm, make_log_posterior,
                         make_logistic_exact_forward, make_logistic_system,
                         make_solver_forward, mh_run)
-from stepselect import bayes, evidence
+from stepselect import bayes, evidence, mcmc
 from stepselect.bayes import LOG_2PI
 from stepselect.errors import GridMismatch, NonFiniteState, NonMonotoneTimes
 from stepselect.harness import (ExperimentSpec, TimesSpec, build_system,
                                 generate_synthetic)
-from stepselect.models import logistic_exact
+from stepselect.models import OdeSystem, logistic_exact
+
+from conftest import compiled
 
 
 def small_dataset(n=26, sigma=1.0):
@@ -397,15 +399,53 @@ def test_chain_with_early_rejection_matches_the_exact_chain(case):
     init = prior.theta[0].mean if case[0] == "glucose" else 1.0
     logpost = make_log_posterior(ds, prior, forward)
     exact = make_log_posterior(ds, prior, forward)
+    looped = make_log_posterior(ds, prior, forward)
     a = mh_run(logpost, init, settings_, n_iter=1500, burn_in=300, seed=3)
     b = mh_run(lambda x, floor: exact(x), init, settings_, n_iter=1500,
                burn_in=300, seed=3)
-    assert a.draws.tobytes() == b.draws.tobytes()
-    assert a.energies.tobytes() == b.energies.tobytes()
-    assert a.accept_rate == b.accept_rate and a.step_scale == b.step_scale
+    # the same closure in mh_run's Python loop, where ``logpost`` runs its
+    # blocks in the compiled library
+    c = mh_run(lambda x, floor: looped(x, floor), init, settings_,
+               n_iter=1500, burn_in=300, seed=3)
+    for other in (b, c):
+        assert a.draws.tobytes() == other.draws.tobytes()
+        assert a.energies.tobytes() == other.energies.tobytes()
+        assert a.accept_rate == other.accept_rate
+        assert a.step_scale == other.step_scale
+    assert logpost.compiled() is compiled(forward.solve[0])
+    assert not looped.compiled()
+    assert (logpost.rhs_evals(), logpost.stopped_early()) == (
+        looped.rhs_evals(), looped.stopped_early())
     # the floor did cut solves short, and only after burn-in
     assert 0 < logpost.stopped_early() <= 1200
     assert logpost.rhs_evals() < exact.rhs_evals()
+
+
+def test_compiled_block_redoes_a_zero_division_in_python():
+    # dx/dt = -x / (theta - 2): the proposal theta = 2 divides by zero.
+    # The compiled block hands the block back with its counters restored,
+    # and mh_run's Python loop raises ZeroDivisionError as it always did.
+    system = OdeSystem(dim_p=1, rhs=("dx = -x / (theta_0 - 2.0)",), consts={},
+                       x0=np.array([1.0]))
+    ds = small_dataset(n=6)
+    forward = make_solver_forward(system, SolverConfig("rk4", 0.5), ds.times)
+    logpost = make_log_posterior(ds, Prior((GammaPrior(2.0, 2.0),)), forward)
+    if not compiled(system):
+        pytest.skip("no C compiler")
+    lp = logpost(1.0)
+    # a log uniform of -inf accepts every proposal of finite value
+    ones, accept = np.ones(3), np.full(3, -np.inf)
+    x, lp_end, n_accept, _ = logpost.run_block(1.0, lp, 0.25, ones, accept,
+                                               False, None, None)
+    assert (x, n_accept) == (1.75, 3) and logpost.compiled()
+    counters = logpost.rhs_evals(), logpost.stopped_early()
+    assert counters == (4 * 20 * 4, 0)   # four solves of 20 RK4 steps
+    assert logpost.run_block(x, lp_end, 0.25, ones, accept, False, None,
+                             None) is None
+    assert (logpost.rhs_evals(), logpost.stopped_early()) == counters
+    assert not logpost.compiled()
+    with pytest.raises(ZeroDivisionError):
+        mcmc._block(logpost, x, lp_end, 0.25, ones, accept, False, None, None)
 
 
 def test_quadrature_oracles_evaluate_through_the_traced_posterior(monkeypatch):

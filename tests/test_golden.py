@@ -27,17 +27,17 @@ N_ITER = 1500
 # sha256 of chain_0.csv for a one-step sweep at each (model, solver, h)
 CHAIN_SHA256 = {
     ("logistic", "rk4", 0.2):
-        "ff44199bf64c59f7dbaaa50d10906dec19e62819726672e0d1bc21a0ad1cd355",
+        "a1ae953e6810ce93bc22dac149778d250df266629e4b632f0c9289aefe7811ad",
     ("logistic", "euler", 0.025):
-        "07304393c65eadfd65940d971bae12d4f4da757de0fe39daf3e996ede1b125bc",
+        "28556a07fa48703a09383d21bbcfcb215d077392c86d3ae8da441b2dc383adc1",
     ("glucose", "rk4", 0.0625):
-        "002fd6e3e2a83a6b7102bf0bb3e25d42dc0d97c327173785d2c16b448da4b253",
+        "19b6c0c69048e5522ecd39228ca00e74ddf606ef827d3e2ba954865c0c079fc9",
 }
 
 # float.hex of the log marginal by quadrature: the exact model, then solver
 MARGINAL_HEX = {
     "exact": "-0x1.5620c446b8dfep+5",
-    ("rk4", 0.2): "-0x1.561ea2db6bae2p+5",
+    ("rk4", 0.2): "-0x1.561ea2db6bae3p+5",
     ("euler", 7.8125e-4): "-0x1.55f1f8fd7c7a6p+5",
 }
 
@@ -49,9 +49,17 @@ RUN_DIR_SHA256 = {
     "table.csv":
         "5c649fa98666c6dd0c06dfcf05c1f01870cc24af289d8afac9ce8f49c811f9b4",
     "curve.csv":
-        "cffe9bd78911e9ebd0d1530f88623836e531ea4f0bbeb93e7e63188c84904005",
+        "bba3f33c000f82568a923f1d28aa10403d95a418229b0ad1764a8b84f4b952c9",
     "posterior_hist_0.csv":
         "2f6602fd26916618994fa20d4e5dc6d81909dd834604d8ef1109c8a09122df13",
+    "chain_0.csv":
+        "a1ae953e6810ce93bc22dac149778d250df266629e4b632f0c9289aefe7811ad",
+    "chain_1.csv":
+        "cd3c63c7e2185617d430f900c6c622be46949003192be974ea7054882b8cb8a3",
+    "chain_2.csv":
+        "3e67470f8683eafe52ac510e7130977e0f77fd295ed7df9333771daff32b4a3f",
+    "chain_3.csv":
+        "a138d4922a6b7d1516420a2f64998c0e66055b7bab97df35f634d8744f0540ed",
 }
 
 SPEC_SIGMA1 = (Path(__file__).resolve().parents[1] / "scripts" / "specs"
@@ -64,7 +72,7 @@ EMPTY_CELL_SHA256 = {
     ("sigma_1e5", "table.csv"):
         "3a86305fb589e464f5d850463dbc99aaadcbdf4529c17a7f72792a92c7d5e139",
     ("no_curve", "curve.csv"):
-        "96653b634f10a8879f9c36759fd8684063aa35b454cb581235344a3f4686706c",
+        "7970d256431b3d6c82f0b5de4afa814d3133d286a894f2876b6065410011d10e",
 }
 
 
@@ -104,14 +112,29 @@ def test_quadrature_marginal_bits_pinned(key):
     assert est.log_marginal.hex() == MARGINAL_HEX[key]
 
 
-def test_run_directory_bits_pinned(tmp_path):
+def run_directory_digests(out_dir) -> dict:
     spec = ExperimentSpec.from_json_file(SPEC_SIGMA1)
     spec.mcmc.n_iter = N_ITER
-    run_sweep(spec, tmp_path)
-    report(tmp_path)
-    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-               for name in RUN_DIR_SHA256}
+    record = run_sweep(spec, out_dir)
+    report(out_dir)
+    return record, {name: hashlib.sha256((out_dir / name).read_bytes())
+                    .hexdigest() for name in RUN_DIR_SHA256}
+
+
+def test_run_directory_bits_pinned(tmp_path):
+    _, digests = run_directory_digests(tmp_path)
     assert digests == RUN_DIR_SHA256
+
+
+def test_run_directory_bits_without_a_compiler(tmp_path, python_stepper):
+    # the Python stepper and Metropolis loop give the same bits; the record
+    # and the summary say that the chains ran on them
+    record, digests = run_directory_digests(tmp_path)
+    assert digests == RUN_DIR_SHA256
+    assert [r["compiled"] for r in record["runs"]] == [False] * 4
+    summary = (tmp_path / "summary.txt").read_text()
+    assert ("python stepper: h=0.025 h=0.05 h=0.1 h=0.2 ran without a "
+            "compiled library") in summary
 
 
 def empty_cell_spec(case):

@@ -23,6 +23,8 @@ from stepselect.harness import (ExperimentSpec, McmcSettings,
 from stepselect.models import LogisticParams, logistic_exact
 from stepselect.ode import SolverConfig
 
+from conftest import compiled
+
 SPECS = Path(__file__).resolve().parents[1] / "scripts" / "specs"
 
 
@@ -305,11 +307,14 @@ def test_load_or_generate_prefers_csv(tmp_path):
 # single runs and sweeps
 # ---------------------------------------------------------------------------
 
-def test_run_single_record_and_energy_replay(tmp_path, monkeypatch):
+def test_run_single_record_and_energy_replay(tmp_path, monkeypatch,
+                                            python_stepper):
     spec = small_spec(mcmc=McmcSettings(n_iter=400))
     ds = generate_synthetic(spec)
     # count the steps each solve reached from the rows it returned: all 100
-    # of h = 0.1 when it kept every node, the last kept node's otherwise
+    # of h = 0.1 when it kept every node, the last kept node's otherwise;
+    # on the Python stepper every chain evaluation is one solve through
+    # bayes.integrate_states
     solves = []
     real = bayes.integrate_states
 
@@ -332,7 +337,10 @@ def test_run_single_record_and_energy_replay(tmp_path, monkeypatch):
     assert len(solves) == 401
     assert rec["rhs_evals"] == sum(solves) * 4 < 401 * 100 * 4
     assert rec["stopped_early"] == sum(n < 100 for n in solves) > 0
+    assert rec["compiled"] is False
+    # the compiled chain blocks count the same steps and stops
     again = run_single(spec, ds, k=2)
+    assert again["compiled"] is compiled(build_system(spec, ds))
     assert (again["rhs_evals"], again["stopped_early"]) == (
         rec["rhs_evals"], rec["stopped_early"])
 

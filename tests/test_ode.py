@@ -7,6 +7,7 @@ size 0.1 from x=100), so they are independent of the implementation.
 """
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from stepselect import (METHOD_ORDERS, GlucoseParams, LogisticParams,
                         SolverConfig, check_grid, divides, estimate_order,
                         integrate_states, make_glucose_system,
                         make_logistic_system)
+from stepselect import native, ode
 from stepselect.errors import DegenerateFit, GridMismatch, NonFiniteState
 from stepselect.models import OdeSystem, logistic_exact
 from stepselect.ode import _stepper
 
 from _oracles import rhs_function
+from conftest import compiled, on_python_stepper
 
 
 def make_system(rhs, x0, **consts) -> OdeSystem:
@@ -113,14 +116,23 @@ def test_final_state_bits_pinned(model, method):
         == PINNED_FINAL_STATES[model, method]
 
 
+def helper_logistic_system() -> OdeSystem:
+    """The logistic model through a constant helper function, which the C
+    subset does not take: it runs on the Python stepper."""
+    return make_system(("dx = theta_0 * x * (1.0 - fraction(x))",), [100.0],
+                       fraction=lambda x: x / 1000.0)
+
+
 @pytest.mark.parametrize("method", sorted(METHOD_ORDERS))
-@pytest.mark.parametrize("model", ["logistic", "glucose"])
+@pytest.mark.parametrize("model", ["logistic", "glucose", "helper"])
 def test_integrate_states_at_nodes_matches_every_node_solve(model, method):
     # node 0, adjacent nodes, a repeated node and long stretches between them
-    if model == "logistic":
-        system = make_logistic_system(LogisticParams())
+    if model != "glucose":
+        system = (make_logistic_system(LogisticParams()) if model == "logistic"
+                  else helper_logistic_system())
         theta, h, n_steps = 1.1, 0.1, 30
         nodes = [0, 1, 2, 2, 9, 30]
+        assert (ode._c_system(system) is None) == (model == "helper")
     else:
         system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
         theta, h, n_steps = 9.3, 0.0625, 32
@@ -296,6 +308,136 @@ def test_stepper_rejects_rhs_that_reads_t():
     rhs = ("dx_0 = x_1", "dx_1 = -theta_0 * x_0 + cos(t)")
     with pytest.raises(ValueError, match="reads the time t"):
         _stepper("rk4", 2, rhs, ("cos",))
+
+
+# ---------------------------------------------------------------------------
+# the compiled library against the Python stepper
+# ---------------------------------------------------------------------------
+
+def model_solve(model):
+    """(system, theta, h, n_steps, nodes) of a solve with gaps of 1-4 steps
+    and a repeated node."""
+    if model == "logistic":
+        return (make_logistic_system(LogisticParams()), 1.1, 0.1, 30,
+                (0, 1, 4, 8, 8, 12, 16, 20, 24, 28, 30))
+    return (make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0), 9.3,
+            0.0625, 32, (0, 2, 4, 8, 8, 12, 16, 20, 24, 28, 32))
+
+
+def python_solve(monkeypatch, solve):
+    """``solve()`` on the Python stepper, or the exception it raised."""
+    with monkeypatch.context() as patch:
+        on_python_stepper(patch)
+        try:
+            return solve()
+        except Exception as exc:   # compared with the compiled path's
+            return exc
+
+
+@pytest.mark.parametrize("case", ["uncapped", "capped", "stopped at the cap",
+                                  "repeated node"])
+@pytest.mark.parametrize("method", sorted(METHOD_ORDERS))
+@pytest.mark.parametrize("model", ["logistic", "glucose"])
+def test_compiled_solve_matches_the_python_stepper(model, method, case,
+                                                   monkeypatch):
+    system, theta, h, n_steps, nodes = model_solve(model)
+    if not compiled(system):
+        pytest.skip("no C compiler")
+    values, cap = (), math.inf
+    if case != "uncapped":
+        # observed values 2 off the states, so the residual sum grows by
+        # about 4 per node: a cap of 9 stops the solve at its third node,
+        # and one of 17 at the second row of the repeated node 8
+        ref = integrate_states(system, theta, SolverConfig(method, h), 0.0,
+                               n_steps, nodes)
+        values = (ref[:, 0] + 2.0).tolist()
+        cap = {"capped": 1e300, "stopped at the cap": 9.0,
+               "repeated node": 17.0}[case]
+
+    def solve():
+        return integrate_states(system, theta, SolverConfig(method, h), 0.0,
+                                n_steps, nodes, values, cap)
+    got, want = solve(), python_solve(monkeypatch, solve)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert len(got) == {"uncapped": 11, "capped": 11, "stopped at the cap": 3,
+                        "repeated node": 5}[case]
+
+
+def zero_division_system() -> OdeSystem:
+    """dx/dt = -1 from 1, through a test that divides by x: Euler at h=0.25
+    reaches x = 0 exactly after four steps, where x / x raises
+    ZeroDivisionError in Python, while in C it gives NaN and the state
+    stays finite."""
+    return make_system(("dx = -1.0 if x / x > 0.0 else -1.0",), [1.0])
+
+
+@pytest.mark.parametrize("case", ["unreachable node", "blow-up theta",
+                                  "blow-up", "zero division"])
+def test_compiled_solve_errors_match_the_python_stepper(case, monkeypatch):
+    # the compiled path hands every solve that ends in an error to the
+    # Python stepper, which raises what it always raised
+    if case == "unreachable node":
+        system, theta, method, h = make_logistic_system(LogisticParams()), \
+            1.1, "rk4", 0.1
+        args = (0.0, 30, (0, 9, 5, 30))
+        error = ValueError
+    elif case == "blow-up theta":
+        # RK4 at lambda h = 8 is unstable
+        system, theta, method, h = make_logistic_system(LogisticParams()), \
+            40.0, "rk4", 0.2
+        args = (0.0, 50, (0, 2, 50))
+        error = NonFiniteState
+    elif case == "blow-up":
+        # dx/dt = x^2 from 10: Euler h=10 overflows at step 7
+        system, theta, method, h = make_system(("dx = x * x",), [10.0]), \
+            1.5, "euler", 10.0
+        args = (0.0, 20, (0, 3, 20))
+        error = NonFiniteState
+    else:
+        system, theta, method, h = zero_division_system(), 1.0, "euler", 0.25
+        args = (0.0, 8, (0, 8))
+        error = ZeroDivisionError
+    if not compiled(system):
+        pytest.skip("no C compiler")
+
+    def solve():
+        return integrate_states(system, theta, SolverConfig(method, h), *args)
+    with pytest.raises(error) as got:
+        solve()
+    want = python_solve(monkeypatch, solve)
+    assert type(want) is error and str(got.value) == str(want)
+    if error is NonFiniteState:
+        assert (got.value.t, got.value.step_index, got.value.theta) \
+            == (want.t, want.step_index, want.theta)
+    if case == "blow-up":
+        assert (got.value.t, got.value.step_index) == (80.0, 7)
+
+
+def test_c_source_takes_only_its_subset():
+    # a call, a power, a chained comparison, an int that does not convert
+    # exactly or arithmetic of two ints gets no library: that right-hand
+    # side runs on the Python stepper
+    for rhs in (("dx = abs(x)",), ("dx = x ** 2",),
+                ("dx = x if 0.0 < x < 1.0 else 0.0",),
+                (f"dx = {2 ** 60} * x",), ("dx = 2 * 3 * x",),
+                ("dx = -1 * x",), ("dx = y",)):
+        with pytest.raises(ValueError):
+            native.c_source(1, rhs, (), ())
+    # an int constant multiplies a float exactly as in Python
+    assert "0x1.8000000000000p+1" in native.c_source(1, ("dx = 3 * x",), (),
+                                                     ())
+
+
+def test_compile_leaves_no_file_behind(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    source = native.c_source(1, ("dx = theta_0 * x",), (), ())
+    try:
+        lib = native.compile_source(source)
+    except OSError:
+        pytest.skip("no C compiler")
+    assert lib.solve_rk4 and lib.block
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
