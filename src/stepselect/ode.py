@@ -107,7 +107,7 @@ def integrate_states(system, theta: float, config: SolverConfig, t0: float,
     bounded = cap < math.inf
     if bounded and len(values) != len(nodes):
         raise ValueError("a finite cap needs one observed value per node")
-    step, consts, x0, finite = _solver(config.method, system, bounded)
+    step, consts, x0, finite = _solver(config.method, system)
     lib, csys = _library(system)
     if lib is not None:
         states = lib.solve_states(csys, config.method, theta, config.h,
@@ -118,8 +118,8 @@ def integrate_states(system, theta: float, config: SolverConfig, t0: float,
     h = config.h
     out = []
     try:
-        x, m = step(consts, x0, theta, h, 0, n_steps, nodes, out, values,
-                    cap)
+        x, m = step(consts, x0, theta, h, 0, n_steps, nodes, out,
+                    values if bounded else (), cap)
     except (ArithmeticError, ValueError):
         _replay(config.method, system, theta, t0, h, n_steps)
         raise
@@ -138,13 +138,12 @@ def _all_finite(x) -> bool:
 
 
 @functools.lru_cache(maxsize=64)
-def _solver(method: str, system, bounded: bool):
-    """The stepper of ``method`` for ``system`` (checking the residual sum
-    against a cap when ``bounded``), the values of its constants, its
-    initial state and the finiteness check for that state, looked up once
-    per system and method instead of once per solve."""
+def _solver(method: str, system):
+    """The stepper of ``method`` for ``system``, the values of its
+    constants, its initial state and the finiteness check for that state,
+    looked up once per system and method instead of once per solve."""
     consts = system.consts
-    step = _stepper(method, system.dim_p, system.rhs, tuple(consts), bounded)
+    step = _stepper(method, system.dim_p, system.rhs, tuple(consts))
     if system.dim_p == 1:
         return step, tuple(consts.values()), float(system.x0[0]), math.isfinite
     return (step, tuple(consts.values()), tuple(float(v) for v in system.x0),
@@ -153,7 +152,7 @@ def _solver(method: str, system, bounded: bool):
 
 def _replay(method, system, theta, t0, h, n_steps):
     """Redo a solve one step at a time; raise at the first non-finite state."""
-    step, consts, x, finite = _solver(method, system, False)
+    step, consts, x, finite = _solver(method, system)
     for i in range(n_steps):
         x, _ = step(consts, x, theta, h, i, i + 1, (i + 1,), [])
         if not finite(x):
@@ -166,30 +165,13 @@ def _replay(method, system, theta, t0, h, n_steps):
 # it reached them all: a node below n, past ``end``, or one that comes after
 # a larger one, is never reached, and the stepper still steps on to
 # ``end``).  The state is a float for dim_p == 1 and a tuple of dim_p floats
-# otherwise.  A bounded stepper also adds the squared residual of its first
-# component against the next of ``values`` at each node it passes before
+# otherwise.  Given ``values``, it also adds the squared residual of its
+# first component against the next of them at each node it passes before
 # ``end``, and returns the state and None as soon as that sum exceeds
-# ``cap``, with fewer states in ``out`` than nodes; the unbounded one
-# ignores both.  The two Python steppers stay apart because the check costs
-# the solves that no cap can stop: one bounded stepper serving both, called
-# with an infinite cap, took a cap-free 26-node logistic RK4 solve at h=0.2
-# from 20.9 to 23.5 us (medians over eight alternating processes, each the
-# min of 7 repeats of 2000 solves, on a two-core Xeon VM), and burn-in pays
-# that at the coarse step, where it narrows the recommended step's
-# speedup.  The compiled stepper is one, with the cap checked when
-# ``values`` are given.
-#
-# The Python loop's shape follows the number S of statements in one step
-# (the compiled stepper has one shape, the loop over single steps).  A step
-# of S <= 2 (Euler on one state) runs U = 8 // S times per pass of a loop
-# over each node gap, and the gap's remaining steps one per pass, since the
-# per-step node test costs a fifth of an Euler step of the logistic model
-# (0.089 -> 0.070 us per step at 512-step gaps, timed alternately in one
-# process on a two-core Xeon VM).  Every other step runs in one loop over
-# all the steps that tests the step index against the next node, as cheap
-# or cheaper beside a longer step (logistic rk2: 0.245 against 0.248 us per
-# step; RK4 at 2-step gaps: 0.56 against 0.84 us).  Both shapes take the
-# same steps in the same order.
+# ``cap``, with fewer states in ``out`` than nodes.  Its one shape is the
+# compiled stepper's (``native._STEPPER_C``): a loop over single steps that
+# tests the step index against the next node, the residual check under an
+# ``if values:`` at each node.
 #
 # Each method is written once, per state component: its set-up lines, the
 # argument of each stage j, k_j = f(argument), and the update of x.
@@ -248,11 +230,10 @@ def _step_lines(method: str, dim_p: int, rhs: tuple):
 
 
 @functools.lru_cache(maxsize=None)
-def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
-             bounded: bool = False):
+def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
     """The stepper of ``method`` for states of ``dim_p`` components whose
     derivative the source lines ``rhs`` compute, checking the residual sum
-    against its cap at each node when ``bounded``.
+    against its cap at each node when given observed values.
 
     ``rhs`` reads the state as ``x`` (``x_0``, ``x_1``, ... when dim_p > 1),
     the one parameter as ``theta_0`` and the constants ``const_names``, and
@@ -272,86 +253,48 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple,
     if "t" in free:
         raise ValueError("right-hand side reads the time t; only autonomous "
                          "systems are supported")
+    xs = _parts("x", dim_p)
+    state = xs[0] if dim_p == 1 else f"({', '.join(xs)})"
 
-    def parts(expr):
-        return _parts(expr, dim_p)
-
-    def pack(expr):
-        return parts(expr)[0] if dim_p == 1 else f"({', '.join(parts(expr))})"
-
-    def loop(body, bounded, unroll):
-        """The step loop around the step's statements ``body``, pasted
-        ``unroll`` times into each pass of the loop over a node gap."""
-        check = [
-            f"dy = next(seen) - {parts('x')[0]}",
-            "ss += dy * dy",
-            "if ss > cap:",
-            f"    return {pack('x')}, None",
-        ] if bounded else []
-        head = [
+    def loop(setup, body):
+        """The step loop around the step's statements ``body``."""
+        return [
             "def step(consts, x, theta_0, h, n, end, nodes, out, values=(),"
             " cap=inf):",
             *(f"    {line}" for line in setup),
-        ]
-        init = ["    seen = iter(values)", "    ss = 0.0"] if bounded else []
-        if unroll == 1:
-            return [
-                *head,
-                "    stops = iter(nodes)",
-                *init,
-                "    m = next(stops)",
-                "    for i in range(n, end):",
-                "        while i == m:",
-                f"            out.append({pack('x')})",
-                *(f"            {line}" for line in check),
-                "            m = next(stops, None)",
-                *(f"        {line}" for line in body),
-                "    while m == end:",
-                f"        out.append({pack('x')})",
-                "        m = next(stops, None)",
-                f"    return {pack('x')}, m",
-            ]
-        return [
-            *head,
-            *init,
-            "    i = n",
-            "    for m in nodes:",
-            "        if not i <= m <= end:",
-            "            break",
-            f"        for _ in range((m - i) // {unroll}):",
-            *(f"            {line}" for line in body * unroll),
-            f"        for _ in range((m - i) % {unroll}):",
-            *(f"            {line}" for line in body),
-            "        i = m",
-            f"        out.append({pack('x')})",
-            *(["        if m < end:"] if bounded else []),
-            *(f"            {line}" for line in check),
-            "    else:",
-            "        m = None",
-            "    for _ in range(end - i):",
+            "    stops = iter(nodes)",
+            "    seen = iter(values)",
+            "    ss = 0.0",
+            "    m = next(stops)",
+            "    for i in range(n, end):",
+            "        while i == m:",
+            f"            out.append({state})",
+            "            if values:",
+            f"                dy = next(seen) - {xs[0]}",
+            "                ss += dy * dy",
+            "                if ss > cap:",
+            f"                    return {state}, None",
+            "            m = next(stops, None)",
             *(f"        {line}" for line in body),
-            f"    return {pack('x')}, m",
+            "    while m == end:",
+            f"        out.append({state})",
+            "        m = next(stops, None)",
+            f"    return {state}, m",
         ]
 
-    # a body of at most two statements runs ``unroll`` steps per pass of a
-    # loop over each node gap
-    setup, body = _step_lines(method, dim_p, rhs)
-    unroll = 8 // len(body) if len(body) <= 2 else 1
-    # a temporary or constant named like one of the loop's own variables, in
-    # either loop of the shape this body gets, would silently change what
-    # the loop computes
-    frame = _step_lines(method, dim_p, ())[1]
+    # a temporary or constant named like one of the loop's own variables
+    # would silently change what the loop computes
     own = set(_IDENTIFIER.findall("\n".join(
-        loop(frame, False, unroll) + loop(frame, True, unroll))))
+        loop(*_step_lines(method, dim_p, ())))))
     clash = (temps | set(const_names)) & own
     if clash:
         raise ValueError(f"right-hand side names {sorted(clash)} are the "
                          f"stepper's own")
-    head, *rest = loop(body, bounded, unroll)
+    head, *rest = loop(*_step_lines(method, dim_p, rhs))
     lines = [
         head,
         *([f"    {', '.join(const_names)}, = consts"] if const_names else []),
-        *([] if dim_p == 1 else [f"    {', '.join(parts('x'))} = x"]),
+        *([] if dim_p == 1 else [f"    {', '.join(xs)} = x"]),
         *rest,
     ]
     namespace = {"inf": math.inf}

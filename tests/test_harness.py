@@ -381,6 +381,19 @@ def test_run_sweep_serial_and_parallel_agree(tmp_path):
                (tmp_path / "b" / name).read_bytes()
 
 
+def test_parallel_sweep_records_steps_whose_system_cannot_be_built(tmp_path):
+    # a first glucose observation below zero is no initial state: every
+    # step fails in its worker, as it does in one process
+    spec = ExperimentSpec(model="glucose", h_grid=(0.25, 0.125), sigma=5.0,
+                          times=TimesSpec(start=0.0, stop=2.0, n=5),
+                          mcmc=McmcSettings(n_iter=200))
+    ds = generate_synthetic(spec)
+    ds = Dataset(ds.times, [-1.0, *ds.values[1:]], ds.sigma_fixed)
+    rec = run_sweep(spec, tmp_path, jobs=2, dataset=ds)
+    assert [r["status"] for r in rec["runs"]] == [
+        "failed: ValueError: initial glucose d0 must be positive"] * 2
+
+
 def test_run_sweep_submits_finest_step_first(tmp_path, monkeypatch):
     # the finest chain costs the most, so the pool gets it first; the
     # record still lists the steps in h_grid order

@@ -195,39 +195,27 @@ def reference_states(rhs, x, theta, h, n_steps, method):
     return states
 
 
-# steps per pass of the loop over a node gap, where it is more than one: a
-# step of at most two statements (Euler on one state) runs several times
-# per pass, and every other stepper (rk2, RK4, two or four states) one step
-# per pass of a loop over single steps
-UNROLLED = {("euler", "logistic"): 4}
-
-
 @pytest.mark.parametrize("method", sorted(METHOD_ORDERS))
 @pytest.mark.parametrize("dim_p", [1, 2, 4])
 def test_generated_stepper_matches_plain_loop(method, dim_p):
     h, n_steps = 0.0625, 64
     if dim_p == 1:
-        models = {"logistic": (make_logistic_system(LogisticParams()), 1.3)}
+        model, theta = make_logistic_system(LogisticParams()), 1.3
     elif dim_p == 2:
-        models = {"rotation": (rotation_system(), 1.3)}
+        model, theta = rotation_system(), 1.3
     else:
-        models = {"glucose": (make_glucose_system(GlucoseParams(), d0=90.0,
-                                                  D0=200.0), 9.3)}
-    for name, (model, theta) in models.items():
-        check_stepper(model, theta, method, h, n_steps,
-                      UNROLLED.get((method, name), 1))
+        model, theta = make_glucose_system(GlucoseParams(), d0=90.0,
+                                           D0=200.0), 9.3
+    check_stepper(model, theta, method, h, n_steps)
 
 
-def check_stepper(model, theta, method, h, n_steps, unroll):
-    """The generated steppers of ``model``, whose loop shape runs
-    ``unroll`` steps per pass, against ``reference_states``."""
+def check_stepper(model, theta, method, h, n_steps):
+    """The generated stepper of ``model`` against ``reference_states``,
+    without and with observed values and a cap."""
     dim_p = model.dim_p
     x0 = tuple(model.x0.tolist())
     ref = reference_states(rhs_function(model), x0, theta, h, n_steps, method)
     step = _stepper(method, dim_p, model.rhs, tuple(model.consts))
-    bounded = _stepper(method, dim_p, model.rhs, tuple(model.consts), True)
-    for stepper in (step, bounded):   # the shape the generator chose
-        assert ("stops" not in stepper.__code__.co_varnames) == (unroll > 1)
     consts = tuple(model.consts.values())
     if dim_p == 1:
         x0, = x0
@@ -235,14 +223,10 @@ def check_stepper(model, theta, method, h, n_steps, unroll):
     def hexes(states):
         return [[v.hex() for v in (s if dim_p > 1 else (s,))] for s in states]
 
-    # node 0, repeated nodes, adjacent nodes and long stretches between
-    # them; then gaps of 0, 1, U - 1, U, U + 1 and 2U + r steps for every
-    # remainder r, so each remainder occurs with and without a full pass
-    # of U steps
-    gaps = [0, 1, unroll - 1, unroll, unroll + 1,
-            *(2 * unroll + r for r in range(unroll))]
+    # node 0, repeated nodes, adjacent nodes, gaps of 0, 1, 2 and 3 steps
+    # and long stretches between them
     node_sets = ([0, 0, 1, 2, 2, 9, 40, 63, 64], [64], [0, 64, 64],
-                 [*np.cumsum([0, *gaps]).tolist(), n_steps])
+                 [0, 0, 1, 3, 6, 6, 9, 64])
     for nodes in node_sets:
         out = []
         x, missed = step(consts, x0, theta, h, 0, n_steps, nodes, out)
@@ -266,9 +250,10 @@ def check_stepper(model, theta, method, h, n_steps, unroll):
     step(consts, x, theta, h, 23, n_steps, (23, 50, 64), out)
     assert hexes(out) == [[v.hex() for v in ref[n]] for n in (23, 50, 64)]
 
-    # the bounded stepper takes the same steps and stops at the first node
-    # before the end where the running sum of squared residuals of the
-    # first component exceeds the cap; the last node is never checked
+    # given observed values, the stepper takes the same steps and stops at
+    # the first node before the end where the running sum of squared
+    # residuals of the first component exceeds the cap; the last node is
+    # never checked
     for nodes in node_sets:
         values = [0.5 * j for j in range(len(nodes))]
         sums, total = [], 0.0
@@ -279,8 +264,8 @@ def check_stepper(model, theta, method, h, n_steps, unroll):
             stop = next((j for j, (n, total) in enumerate(zip(nodes, sums))
                          if n < n_steps and total > cap), len(nodes) - 1)
             out = []
-            x, missed = bounded(consts, x0, theta, h, 0, n_steps, nodes, out,
-                                values, cap)
+            x, missed = step(consts, x0, theta, h, 0, n_steps, nodes, out,
+                             values, cap)
             assert missed is None
             assert hexes(out) == [[v.hex() for v in ref[n]]
                                   for n in nodes[:stop + 1]]
@@ -291,10 +276,8 @@ def check_stepper(model, theta, method, h, n_steps, unroll):
     ("rk4", 1, ("h = 2.0 * x", "dx = h"), ()),  # a temporary like the step
     ("rk4", 1, ("dx = half * x",), ("half",)),  # a constant like a stage
     ("rk4", 2, ("dx_0 = x_1", "i = x_0", "dx_1 = -i"), ()),
-    # names of one loop shape only: the loop over single steps (RK4) and
-    # the loop over node gaps (a two-statement Euler step on one state)
     ("rk4", 1, ("stops = 2.0 * x", "dx = stops"), ()),
-    ("euler", 1, ("dx = _ * x",), ("_",)),
+    ("rk2", 1, ("dx = seen * x",), ("seen",)),  # the residual check's
 ])
 def test_stepper_rejects_rhs_names_of_its_own(method, dim_p, rhs, consts):
     # pasted into the loop, they would silently change what it computes
@@ -362,6 +345,24 @@ def test_compiled_solve_matches_the_python_stepper(model, method, case,
     assert got.tobytes() == want.tobytes()
     assert len(got) == {"uncapped": 11, "capped": 11, "stopped at the cap": 3,
                         "repeated node": 5}[case]
+
+
+@pytest.mark.parametrize("path", ["compiled", "python"])
+def test_uncapped_solve_reads_no_values(path, monkeypatch):
+    # the fused log posterior passes its observations with an infinite cap
+    # during burn-in and quadrature: values are read only under a finite
+    # cap, so any tuple, even one of the wrong length, gives the same bits
+    system, theta, h, n_steps, nodes = model_solve("logistic")
+    if path == "python":
+        on_python_stepper(monkeypatch)
+    elif not compiled(system):
+        pytest.skip("no C compiler")
+    cfg = SolverConfig("rk4", h)
+    want = integrate_states(system, theta, cfg, 0.0, n_steps, nodes)
+    for values in ((), (1.0,), (0.0,) * (2 * len(nodes))):
+        got = integrate_states(system, theta, cfg, 0.0, n_steps, nodes,
+                               values, math.inf)
+        assert got.tobytes() == want.tobytes()
 
 
 def zero_division_system() -> OdeSystem:
