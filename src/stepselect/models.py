@@ -5,7 +5,8 @@ the initial state; the data observe the first state component.
 The right-hand side is written once, as source lines that the integrator
 pastes into its generated step loop (see ``ode._stepper``).  It reads the
 one inferred parameter as ``theta_0``; everything else is frozen into the
-system as named constants.
+system as named float constants, so a JSON int such as ``"K": 1000`` gives
+the same system as ``1000.0``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class OdeSystem:
         side that reads ``t`` is a ValueError when its stepper is built.
     consts : the constants the lines read, name -> value; a value may be any
         object, a helper function included (such a system runs on the
-        Python stepper only: the compiled one takes numbers).
+        Python stepper only: the compiled one takes floats, so an int
+        constant keeps it there too).
     x0 : initial state, ndarray of shape (dim_p,).
     """
 
@@ -77,7 +79,8 @@ def logistic_exact(t, params: LogisticParams):
 def make_logistic_system(params: LogisticParams) -> OdeSystem:
     """Logistic system with theta_0 = lam inferred; K and X0 fixed."""
     return OdeSystem(dim_p=1, rhs=("dx = theta_0 * x * (1.0 - x / K)",),
-                     consts={"K": params.K}, x0=np.array([params.X0]))
+                     consts={"K": float(params.K)},
+                     x0=np.array([float(params.X0)]))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +131,7 @@ def make_glucose_system(params: GlucoseParams, d0: float,
            "dx_1 = theta_0 * (over if over > 0.0 else 0.0) - x_1 / a",
            "dx_2 = theta1 * (-over if over < 0.0 else 0.0) - x_2 / b",
            "dx_3 = -x_3 / theta2")
-    consts = {name: getattr(params, name)
+    consts = {name: float(getattr(params, name))
               for name in ("theta1", "theta2", "a", "b", "Gb")}
     return OdeSystem(dim_p=4, rhs=rhs, consts=consts,
                      x0=np.array([d0, 0.0, 0.0, float(D0)]))

@@ -14,13 +14,12 @@ Same bits: the C is IEEE double arithmetic on the same operands in the same
 order, compiled without contraction into fused multiply-adds
 (``-ffp-contract=off``, never ``-ffast-math`` or ``-march=native``), and it
 calls the same libm ``log`` and ``exp`` as Python's ``math``.  The C subset
-is an assignment to one name of ``+ - * /``, unary ``-``, names, float and
-int constants (written as ``float.hex`` literals) and ``a if c else b``
-with one comparison.  An int, in the source or as a constant's value, must
-be at most 2**53 in magnitude and meet no other int in arithmetic and no
-negation, so that it converts to the double Python converts it to.
-Anything else (a call, ``**``, a constant that is not a number) gets no
-library, and that right-hand side runs on the Python stepper.  Python
+is float arithmetic only: an assignment to one name of ``+ - * /``, unary
+``-``, names, finite float literals (written in ``float.hex`` form) and
+``a if c else b`` with one comparison, where every constant the names read
+holds a float (``ode._c_system``).  Anything else (a call, ``**``, an int
+literal, a constant that is not a float) gets no library, and that
+right-hand side runs on the Python stepper.  Python
 raises ZeroDivisionError where C divides by zero (0/0 and inf/0 included,
 which raise no FE_DIVBYZERO flag), so every C division notes a zero
 divisor, and a solve or block that met one is redone in Python.  The Python
@@ -44,7 +43,7 @@ import tempfile
 
 import numpy as np
 
-from .ode import _C_INT_MAX, _METHODS, _addressed, _parts, _step_lines
+from .ode import _METHODS, _addressed, _parts, _step_lines
 
 # C variables carry a prefix so that no right-hand-side name meets one of
 # the template's own
@@ -54,58 +53,49 @@ _C_COMPARE = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
               ast.Eq: "==", ast.NotEq: "!="}
 
 
-def _c_expression(node, ints: dict) -> tuple:
-    """(C expression, int-valued) of the Python expression ``node``, whose
-    names are those of ``ints`` (name -> int-valued); ValueError outside
-    the subset."""
+def _c_expression(node, names: set) -> str:
+    """The C expression of the Python expression ``node``, whose names are
+    those of ``names``; ValueError outside the subset."""
     if isinstance(node, ast.BinOp) and isinstance(
             node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
-        (a, a_int), (b, b_int) = (_c_expression(node.left, ints),
-                                  _c_expression(node.right, ints))
-        if a_int and b_int:
-            raise ValueError("arithmetic of two ints")
+        a, b = (_c_expression(node.left, names),
+                _c_expression(node.right, names))
         if isinstance(node.op, ast.Div):
-            return f"dv({a}, {b}, &zd)", False
-        return f"({a} {_C_ARITH[type(node.op)]} {b})", False
+            return f"dv({a}, {b}, &zd)"
+        return f"({a} {_C_ARITH[type(node.op)]} {b})"
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        a, a_int = _c_expression(node.operand, ints)
-        if a_int:              # -0 is an int 0, not a float -0.0
-            raise ValueError("negated int")
-        return f"(-{a})", False
+        return f"(-{_c_expression(node.operand, names)})"
     if isinstance(node, ast.Name):
-        if node.id not in ints:
+        if node.id not in names:
             raise ValueError(f"name {node.id!r} not assigned before use")
-        return _C_PREFIX + node.id, ints[node.id]
-    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        value = node.value
-        if not (abs(value) <= _C_INT_MAX if type(value) is int
-                else math.isfinite(value)):
-            raise ValueError(f"constant {value!r}")
-        return float(value).hex(), type(value) is int
+        return _C_PREFIX + node.id
+    if isinstance(node, ast.Constant) and type(node.value) is float:
+        if not math.isfinite(node.value):
+            raise ValueError(f"constant {node.value!r}")
+        return node.value.hex()
     if (isinstance(node, ast.IfExp) and isinstance(node.test, ast.Compare)
             and len(node.test.ops) == 1
             and type(node.test.ops[0]) in _C_COMPARE):
-        left, _ = _c_expression(node.test.left, ints)
-        right, _ = _c_expression(node.test.comparators[0], ints)
-        (a, a_int), (b, b_int) = (_c_expression(node.body, ints),
-                                  _c_expression(node.orelse, ints))
+        left, right, a, b = (
+            _c_expression(part, names) for part in (
+                node.test.left, node.test.comparators[0], node.body,
+                node.orelse))
         op = _C_COMPARE[type(node.test.ops[0])]
-        return f"(({left} {op} {right}) ? {a} : {b})", a_int or b_int
+        return f"(({left} {op} {right}) ? {a} : {b})"
     raise ValueError(f"{ast.dump(node)} is outside the C subset")
 
 
-def _c_statements(lines, ints: dict) -> list:
-    """C statements of the Python assignments ``lines``; ``ints`` (name ->
-    int-valued) gains each name they assign.  ValueError outside the
-    subset."""
+def _c_statements(lines, names: set) -> list:
+    """C statements of the Python assignments ``lines``; ``names`` gains
+    each name they assign.  ValueError outside the subset."""
     out = []
     for line in lines:
         stmt, = ast.parse(line).body
         if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
                 and isinstance(stmt.targets[0], ast.Name)):
             raise ValueError(f"{line!r} is not an assignment to one name")
-        code, is_int = _c_expression(stmt.value, ints)
-        ints[stmt.targets[0].id] = is_int
+        code = _c_expression(stmt.value, names)
+        names.add(stmt.targets[0].id)
         out.append(f"{_C_PREFIX}{stmt.targets[0].id} = {code};")
     return out
 
@@ -270,25 +260,23 @@ _POST_FIELDS = (*((f, "d") for f in ("c", "k1", "r", "ll0", "var", "h")),
                 ("steps", "i"), ("stopped", "i"))
 
 
-def c_source(dim_p: int, rhs: tuple, const_names: tuple,
-             int_consts: tuple) -> str:
-    """The C source of the library of one right-hand side; ValueError when
-    a line is outside the C subset.  ``int_consts`` tells which constants
-    hold ints."""
+def c_source(dim_p: int, rhs: tuple, const_names: tuple) -> str:
+    """The C source of the library of one right-hand side, whose constants
+    ``const_names`` hold floats; ValueError when a line is outside the C
+    subset."""
     xs = _parts("x", dim_p)
     pieces = [_HEAD_C]
     for method in _METHODS:
         setup, body = _step_lines(method, dim_p, rhs)
-        ints = {"h": False, "theta_0": False, **dict.fromkeys(xs, False),
-                **dict(zip(const_names, int_consts))}
-        given = set(ints)
-        setup_c = _c_statements(setup, ints)
-        body_c = _c_statements(body, ints)
+        given = {"h", "theta_0", *xs, *const_names}
+        names = set(given)
+        setup_c = _c_statements(setup, names)
+        body_c = _c_statements(body, names)
         p = _C_PREFIX
         decls = [*(f"const double {p}{name} = c[{i}];"
                    for i, name in enumerate(const_names)),
                  *(f"double {p}{x} = x0[{i}];" for i, x in enumerate(xs))]
-        local = sorted(set(ints) - given)
+        local = sorted(names - given)
         if local:
             decls.append(f"double {', '.join(p + n for n in local)};")
         pieces.append(_STEPPER_C.format(

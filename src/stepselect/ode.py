@@ -314,25 +314,17 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
 # deleted once the library is loaded, and a failure is remembered for the
 # rest of the process.
 
-_C_INT_MAX = 2 ** 53      # ints up to this convert to a double exactly
-
-
-def _is_c_number(value) -> bool:
-    return isinstance(value, float) or (
-        type(value) is int and abs(value) <= _C_INT_MAX)
-
-
 @functools.lru_cache(maxsize=64)
 def _c_system(system):
     """``system`` as the compiled code takes it: (library key, constants,
     initial state), the last two as float arrays with their addresses, or
-    None when a constant is not a number (a helper function, say)."""
+    None when a constant is not a float (an int, a helper function): the
+    compiled arithmetic is float only."""
     values = tuple(system.consts.values())
-    if not all(map(_is_c_number, values)):
+    if not all(isinstance(v, float) for v in values):
         return None
-    key = (system.dim_p, system.rhs, tuple(system.consts),
-           tuple(type(v) is int for v in values))
-    return (key, _addressed(np.array(values, dtype=float)),
+    return ((system.dim_p, system.rhs, tuple(system.consts)),
+            _addressed(np.array(values, dtype=float)),
             _addressed(np.array(system.x0, dtype=float).ravel()))
 
 

@@ -263,18 +263,39 @@ def test_report_reads_every_chain_before_it_writes(
     assert "chain_2.csv" in err
 
 
-def test_console_script_help():
-    # the child imports the package these tests import, installed or not
+def run_child(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports the package these tests
+    import, installed or not."""
     src = str(Path(stepselect.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys; from stepselect.cli import main; "
-                           "sys.exit(main(['--help']))"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+
+
+def test_console_script_help():
+    proc = run_child("import sys; from stepselect.cli import main; "
+                     "sys.exit(main(['--help']))")
     assert proc.returncode == 0
     for verb in ("gen", "sweep", "evidence", "report"):
         assert verb in proc.stdout
+
+
+def test_glucose_gen_builds_no_library(tmp_path):
+    # gen solves the glucose model once, and a library is built only at a
+    # right-hand side's second solve: the process neither compiles nor
+    # imports the C translation
+    spec = Path(__file__).resolve().parents[1] / "scripts" / "specs" \
+        / "glucose.json"
+    proc = run_child(
+        "import sys; from stepselect import ode; "
+        "from stepselect.cli import main; "
+        f"assert main(['gen', '--spec', {str(spec)!r}, "
+        f"'--out', {str(tmp_path / 'obs.csv')!r}]) == 0; "
+        "print('stepselect.native' in sys.modules, len(ode._LIBRARIES), "
+        "len(ode._SOLVED_ONCE))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0 1"
 
 
 def test_solver_override(tmp_path, capsys):

@@ -394,6 +394,34 @@ def test_parallel_sweep_records_steps_whose_system_cannot_be_built(tmp_path):
         "failed: ValueError: initial glucose d0 must be positive"] * 2
 
 
+@pytest.mark.parametrize("model,ints", [
+    ("logistic", {"K": 1000, "X0": 100}),
+    ("glucose", {"a": 1, "b": 2, "Gb": 80})])
+def test_json_int_params_run_the_compiled_float_chain(tmp_path, model, ints):
+    # a spec's JSON ints reach the model as ints and become float constants
+    # there, so the chain runs in the float system's library with its bits
+    base = small_spec() if model == "logistic" else ExperimentSpec(
+        model="glucose", h_grid=(0.25, 0.125), sigma=5.0,
+        times=TimesSpec(start=0.0, stop=2.0, n=5),
+        mcmc=McmcSettings(n_iter=400, step_scale=0.5))
+    d = base.to_dict()
+    d["params"].update({name: float(v) for name, v in ints.items()})
+    float_spec = ExperimentSpec.from_dict(d)
+    d["params"].update(ints)
+    int_spec = ExperimentSpec.from_dict(d)
+    assert all(type(int_spec.params[name]) is int for name in ints)
+    ds = generate_synthetic(float_spec)
+    if not compiled(build_system(float_spec, ds)):
+        pytest.skip("no C compiler")
+    runs = []
+    for spec, name in ((float_spec, "float"), (int_spec, "int")):
+        (tmp_path / name).mkdir()
+        runs.append(run_single(spec, ds, 1, tmp_path / name))
+    assert [run["compiled"] for run in runs] == [True, True]
+    assert (tmp_path / "int" / "chain_1.csv").read_bytes() \
+        == (tmp_path / "float" / "chain_1.csv").read_bytes()
+
+
 def test_run_sweep_submits_finest_step_first(tmp_path, monkeypatch):
     # the finest chain costs the most, so the pool gets it first; the
     # record still lists the steps in h_grid order

@@ -123,16 +123,24 @@ def helper_logistic_system() -> OdeSystem:
                        fraction=lambda x: x / 1000.0)
 
 
+def int_logistic_system() -> OdeSystem:
+    """The logistic model built by hand with its constant K an int, which
+    the float-only C subset does not take: it runs on the Python stepper."""
+    return make_system(("dx = theta_0 * x * (1.0 - x / K)",), [100.0],
+                       K=1000)
+
+
 @pytest.mark.parametrize("method", sorted(METHOD_ORDERS))
-@pytest.mark.parametrize("model", ["logistic", "glucose", "helper"])
+@pytest.mark.parametrize("model", ["logistic", "glucose", "helper", "int"])
 def test_integrate_states_at_nodes_matches_every_node_solve(model, method):
     # node 0, adjacent nodes, a repeated node and long stretches between them
     if model != "glucose":
-        system = (make_logistic_system(LogisticParams()) if model == "logistic"
-                  else helper_logistic_system())
+        system = {"logistic": make_logistic_system(LogisticParams()),
+                  "helper": helper_logistic_system(),
+                  "int": int_logistic_system()}[model]
         theta, h, n_steps = 1.1, 0.1, 30
         nodes = [0, 1, 2, 2, 9, 30]
-        assert (ode._c_system(system) is None) == (model == "helper")
+        assert (ode._c_system(system) is None) == (model in ("helper", "int"))
     else:
         system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
         theta, h, n_steps = 9.3, 0.0625, 32
@@ -148,6 +156,13 @@ def test_integrate_states_at_nodes_matches_every_node_solve(model, method):
     last = integrate_states(system, theta, cfg, 0.0, n_steps,
                             (n_steps,))
     assert np.array_equal(last, every[-1:])
+    if model == "int":
+        # x / K divides by the same double whether K is 1000 or 1000.0
+        float_k = integrate_states(make_logistic_system(LogisticParams()),
+                                   theta, cfg, 0.0, n_steps,
+                                   range(n_steps + 1))
+        assert [v.hex() for v in every.ravel().tolist()] \
+            == [v.hex() for v in float_k.ravel().tolist()]
 
 
 @pytest.mark.parametrize("nodes", [
@@ -416,23 +431,23 @@ def test_compiled_solve_errors_match_the_python_stepper(case, monkeypatch):
 
 
 def test_c_source_takes_only_its_subset():
-    # a call, a power, a chained comparison, an int that does not convert
-    # exactly or arithmetic of two ints gets no library: that right-hand
-    # side runs on the Python stepper
+    # a call, a power, a chained comparison, an int literal or a name never
+    # assigned gets no library: that right-hand side runs on the Python
+    # stepper
     for rhs in (("dx = abs(x)",), ("dx = x ** 2",),
                 ("dx = x if 0.0 < x < 1.0 else 0.0",),
                 (f"dx = {2 ** 60} * x",), ("dx = 2 * 3 * x",),
-                ("dx = -1 * x",), ("dx = y",)):
+                ("dx = -1 * x",), ("dx = 3 * x",), ("dx = y",)):
         with pytest.raises(ValueError):
-            native.c_source(1, rhs, (), ())
-    # an int constant multiplies a float exactly as in Python
-    assert "0x1.8000000000000p+1" in native.c_source(1, ("dx = 3 * x",), (),
+            native.c_source(1, rhs, ())
+    # a float literal is written as its float.hex
+    assert "0x1.8000000000000p+1" in native.c_source(1, ("dx = 3.0 * x",),
                                                      ())
 
 
 def test_compile_leaves_no_file_behind(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    source = native.c_source(1, ("dx = theta_0 * x",), (), ())
+    source = native.c_source(1, ("dx = theta_0 * x",), ())
     try:
         lib = native.compile_source(source)
     except OSError:
