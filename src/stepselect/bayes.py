@@ -166,9 +166,8 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
     draws, energies)``, which runs one block of ``mcmc.mh_run``'s
     Metropolis loop, this closure's evaluations included, in the right-hand
     side's compiled library (see ``ode._library``), with the same bits and
-    counts; it returns None where there is no library or the block must
-    run in Python (a division by zero), and ``compiled()`` tells whether
-    every block it was handed ran compiled.  Any other forward map goes
+    counts; it returns None where there is no library, and ``compiled()``
+    tells whether its blocks run compiled.  Any other forward map goes
     through ``log_posterior_unnorm`` and ignores the floor.
     """
     if dataset.sigma_fixed is None:
@@ -190,7 +189,7 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
     n = dataset.n
     ll0 = -n * math.log(sigma) - 0.5 * n * LOG_2PI
     var = sigma * sigma
-    n_steps_taken = n_stopped = python_blocks = 0
+    n_steps_taken = n_stopped = 0
     chain = []         # the compiled chain block's structure and its arrays
 
     def logpost(x, floor=-math.inf) -> float:
@@ -224,18 +223,14 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
         return lp + (ll0 - 0.5 * ss / var)
 
     def run_block(x, lp, scale, z, log_u, kept, draws, energies):
-        nonlocal python_blocks
         lib, csys = ode._library(system)
         if lib is None:
-            python_blocks += 1
             return None
         if not chain:
             chain.extend(lib.chain_post(csys, config.h, n_steps, nodes,
                                         observed, c, k1, r, ll0, var))
-        out = lib.run_block(chain[0], config.method, x, lp, scale, z, log_u,
-                            kept, draws, energies)
-        python_blocks += out is None
-        return out
+        return lib.run_block(chain[0], config.method, x, lp, scale, z, log_u,
+                             kept, draws, energies)
 
     stages = METHOD_STAGES[config.method]
     logpost.rhs_evals = lambda: stages * (
@@ -243,7 +238,7 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
     logpost.stopped_early = lambda: n_stopped + (
         chain[0].stopped if chain else 0)
     logpost.run_block = run_block
-    logpost.compiled = lambda: bool(chain) and not python_blocks
+    logpost.compiled = lambda: bool(chain)
     return logpost
 
 

@@ -17,14 +17,18 @@ calls the same libm ``log`` and ``exp`` as Python's ``math``.  The C subset
 is float arithmetic only: an assignment to one name of ``+ - * /``, unary
 ``-``, names, finite float literals (written in ``float.hex`` form) and
 ``a if c else b`` with one comparison, where every constant the names read
-holds a float (``ode._c_system``).  Anything else (a call, ``**``, an int
-literal, a constant that is not a float) gets no library, and that
-right-hand side runs on the Python stepper.  Python
-raises ZeroDivisionError where C divides by zero (0/0 and inf/0 included,
-which raise no FE_DIVBYZERO flag), so every C division notes a zero
-divisor, and a solve or block that met one is redone in Python.  The Python
-stepper stays the reference, the path for every solve that ends in an
-error, and the whole program where no C compiler runs.
+holds a nonzero float (``ode._c_system``) and no line assigns one.  A
+divisor is a constant's name or a nonzero float literal, so no division
+meets the zero divisor where Python raises ZeroDivisionError.  Anything
+else (a call, ``**``, an int literal, a division by a state, by theta or by
+an expression, a constant that is zero or not a float) gets no library, and
+that right-hand side runs on the Python stepper.  A compiled solve returns
+-1 where a node was never reached and -2 where its last state is not
+finite, and ``ode.integrate_states`` runs that solve again on the Python
+stepper, which raises what it raises; a chain block scores -2 as the
+Python closure scores NonFiniteState and never meets -1 (see ``_BLOCK_C``).
+The Python stepper stays the reference, the path for every solve that ends
+in an error, and the whole program where no C compiler runs.
 
 ``ode._library`` decides when a library is built; this module is imported
 only then, so a process that never builds one neither compiles this source
@@ -48,23 +52,28 @@ from .ode import _METHODS, _addressed, _parts, _step_lines
 # C variables carry a prefix so that no right-hand-side name meets one of
 # the template's own
 _C_PREFIX = "v_"
-_C_ARITH = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
+_C_ARITH = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
 _C_COMPARE = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
               ast.Eq: "==", ast.NotEq: "!="}
 
 
-def _c_expression(node, names: set) -> str:
+def _c_expression(node, names: set, consts) -> str:
     """The C expression of the Python expression ``node``, whose names are
-    those of ``names``; ValueError outside the subset."""
-    if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
-        a, b = (_c_expression(node.left, names),
-                _c_expression(node.right, names))
-        if isinstance(node.op, ast.Div):
-            return f"dv({a}, {b}, &zd)"
+    those of ``names`` and whose divisors are names of the constants
+    ``consts`` or nonzero float literals; ValueError outside the subset."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _C_ARITH:
+        d = node.right
+        if isinstance(node.op, ast.Div) and not (
+                isinstance(d, ast.Name) and d.id in consts
+                or isinstance(d, ast.Constant) and type(d.value) is float
+                and d.value != 0.0):
+            raise ValueError(f"divisor {ast.unparse(d)!r} is neither a "
+                             f"constant nor a nonzero float literal")
+        a, b = (_c_expression(part, names, consts)
+                for part in (node.left, node.right))
         return f"({a} {_C_ARITH[type(node.op)]} {b})"
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return f"(-{_c_expression(node.operand, names)})"
+        return f"(-{_c_expression(node.operand, names, consts)})"
     if isinstance(node, ast.Name):
         if node.id not in names:
             raise ValueError(f"name {node.id!r} not assigned before use")
@@ -77,7 +86,7 @@ def _c_expression(node, names: set) -> str:
             and len(node.test.ops) == 1
             and type(node.test.ops[0]) in _C_COMPARE):
         left, right, a, b = (
-            _c_expression(part, names) for part in (
+            _c_expression(part, names, consts) for part in (
                 node.test.left, node.test.comparators[0], node.body,
                 node.orelse))
         op = _C_COMPARE[type(node.test.ops[0])]
@@ -85,16 +94,19 @@ def _c_expression(node, names: set) -> str:
     raise ValueError(f"{ast.dump(node)} is outside the C subset")
 
 
-def _c_statements(lines, names: set) -> list:
-    """C statements of the Python assignments ``lines``; ``names`` gains
-    each name they assign.  ValueError outside the subset."""
+def _c_statements(lines, names: set, consts) -> list:
+    """C statements of the Python assignments ``lines``, which divide only
+    by the constants ``consts`` and never assign one; ``names`` gains each
+    name they assign.  ValueError outside the subset."""
     out = []
     for line in lines:
         stmt, = ast.parse(line).body
         if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)):
-            raise ValueError(f"{line!r} is not an assignment to one name")
-        code = _c_expression(stmt.value, names)
+                and isinstance(stmt.targets[0], ast.Name)
+                and stmt.targets[0].id not in consts):
+            raise ValueError(f"{line!r} is not an assignment to one name "
+                             f"other than a constant")
+        code = _c_expression(stmt.value, names, consts)
         names.add(stmt.targets[0].id)
         out.append(f"{_C_PREFIX}{stmt.targets[0].id} = {code};")
     return out
@@ -103,13 +115,6 @@ def _c_statements(lines, names: set) -> list:
 _HEAD_C = """#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
-
-/* a / b, noting a zero divisor, where Python raises ZeroDivisionError */
-static inline double dv(double a, double b, int *zd)
-{
-    *zd |= b == 0.0;
-    return a / b;
-}
 
 typedef int64_t (*stepper_t)(const double *, const double *, double, double,
                              int64_t, const int64_t *, int64_t,
@@ -120,10 +125,9 @@ typedef int64_t (*stepper_t)(const double *, const double *, double, double,
 # steps node for node: the state at each node goes to row j of ``out``
 # (when not NULL); with ``values`` it adds (values[j] - x_0)**2 to ``ss``
 # at every node and stops at the first node before the last step where the
-# sum exceeds ``cap``.  Returns the rows reached; -1 when a division met a
-# zero divisor or a node was never reached, and -2 when the solve ran to
-# the end with a non-finite last state.  ``ss_out`` (when not NULL) gets
-# the sum.
+# sum exceeds ``cap``.  Returns the rows reached; -1 when a node was never
+# reached, and -2 when the solve ran to the end with a non-finite last
+# state.  ``ss_out`` (when not NULL) gets the sum.
 _STEPPER_C = """
 int64_t solve_{method}(const double *c, const double *x0,
         double {p}theta_0, double {p}h, int64_t n_steps,
@@ -131,7 +135,6 @@ int64_t solve_{method}(const double *c, const double *x0,
         double cap, double *out, double *ss_out)
 {{
     {decls}
-    int zd = 0;
     int64_t i, j = 0;
     double ss = 0.0, dy;
     {setup}
@@ -144,7 +147,7 @@ int64_t solve_{method}(const double *c, const double *x0,
                 if (ss > cap) {{
                     if (ss_out)
                         *ss_out = ss;
-                    return zd ? -1 : j + 1;
+                    return j + 1;
                 }}
             }}
             j++;
@@ -161,7 +164,7 @@ int64_t solve_{method}(const double *c, const double *x0,
     }}
     if (ss_out)
         *ss_out = ss;
-    if (zd || j < n_nodes)
+    if (j < n_nodes)
         return -1;
     return ({finite}) ? j : -2;
 }}
@@ -184,9 +187,10 @@ typedef struct {{
 
 static const stepper_t steppers[] = {{ {steppers} }};
 
-/* sets *redo where the Python closure must redo the evaluation */
-static double logpost(post_t *p, stepper_t solve, double v, double floor,
-                      int *redo)
+/* the solve returns the rows reached or -2, never -1: the nodes are
+   make_solver_forward's, strictly increasing from 0 to n_steps, and a
+   solve reaches every such node */
+static double logpost(post_t *p, stepper_t solve, double v, double floor)
 {{
     double lp, top, cap, ss;
     int64_t rows;
@@ -200,10 +204,6 @@ static double logpost(post_t *p, stepper_t solve, double v, double floor,
                           + 1e-9 * (1.0 + fabs(top) + fabs(floor)));
     rows = solve(p->consts, p->x0, v, p->h, p->n_steps, p->nodes,
                  p->n_nodes, p->values, cap, NULL, &ss);
-    if (rows == -1) {{
-        *redo = 1;
-        return 0.0;
-    }}
     if (rows == -2) {{
         p->steps += p->n_steps;
         return lp - INFINITY;
@@ -218,8 +218,7 @@ static double logpost(post_t *p, stepper_t solve, double v, double floor,
     return lp + (p->ll0 - 0.5 * ss / p->var);
 }}
 
-/* state is (x, lp, prob) in and out; returns the accepted count, or -1
-   where the Python loop must redo the block */
+/* state is (x, lp, prob) in and out; returns the accepted count */
 int64_t block(post_t *p, int method, double *state, double scale,
               const double *z, const double *log_u, int64_t n, int kept,
               double *draws, double *energies)
@@ -227,13 +226,9 @@ int64_t block(post_t *p, int method, double *state, double scale,
     stepper_t solve = steppers[method];
     double x = state[0], lp = state[1], prob = 0.0, prop, lp_prop, delta;
     int64_t i, n_accept = 0;
-    int redo = 0;
     for (i = 0; i < n; i++) {{
         prop = x + scale * z[i];
-        lp_prop = logpost(p, solve, prop,
-                          kept ? lp + log_u[i] : -INFINITY, &redo);
-        if (redo)
-            return -1;
+        lp_prop = logpost(p, solve, prop, kept ? lp + log_u[i] : -INFINITY);
         delta = lp_prop - lp;
         prob += delta < 0.0 ? exp(delta) : 1.0;
         if (delta >= 0.0 || log_u[i] < delta) {{
@@ -262,16 +257,16 @@ _POST_FIELDS = (*((f, "d") for f in ("c", "k1", "r", "ll0", "var", "h")),
 
 def c_source(dim_p: int, rhs: tuple, const_names: tuple) -> str:
     """The C source of the library of one right-hand side, whose constants
-    ``const_names`` hold floats; ValueError when a line is outside the C
-    subset."""
+    ``const_names`` hold nonzero floats; ValueError when a line is outside
+    the C subset."""
     xs = _parts("x", dim_p)
     pieces = [_HEAD_C]
     for method in _METHODS:
         setup, body = _step_lines(method, dim_p, rhs)
         given = {"h", "theta_0", *xs, *const_names}
         names = set(given)
-        setup_c = _c_statements(setup, names)
-        body_c = _c_statements(body, names)
+        setup_c = _c_statements(setup, names, const_names)
+        body_c = _c_statements(body, names, const_names)
         p = _C_PREFIX
         decls = [*(f"const double {p}{name} = c[{i}];"
                    for i, name in enumerate(const_names)),
@@ -384,10 +379,10 @@ class Library:
     def run_block(self, post, method, x, lp, scale, z, log_u, kept, draws,
                   energies):
         """One Metropolis block in C: (x, lp, accepted, prob) as
-        ``mcmc.mh_run``'s Python loop returns them, or None, with the
-        counters restored, where that loop must redo the block (or where
-        the arrays are not contiguous float arrays of one length, the
-        outputs writable)."""
+        ``mcmc.mh_run``'s Python loop returns them.  ValueError, with
+        nothing run or written, unless ``z`` and ``log_u`` have one length
+        and ``draws`` and ``energies`` are both None or both writable
+        contiguous float arrays of that length."""
         n = len(z)
         z, log_u = (np.ascontiguousarray(a, dtype=float) for a in (z, log_u))
         if len(log_u) != n or (draws is None) != (energies is None) or any(
@@ -395,15 +390,12 @@ class Library:
                                        and a.flags.c_contiguous
                                        and a.flags.writeable)
                 for a in (draws, energies)):
-            return None
+            raise ValueError("z, log_u and (both or neither) draws and "
+                             "energies must be float arrays of one length")
         state = self.state(x, lp, 0.0)
-        counters = post.steps, post.stopped
         n_accept = self.block(
             self.byref(post), list(_METHODS).index(method), state, scale,
             z.ctypes.data, log_u.ctypes.data, n, kept,
             None if draws is None else draws.ctypes.data,
             None if energies is None else energies.ctypes.data)
-        if n_accept < 0:
-            post.steps, post.stopped = counters
-            return None
         return state[0], state[1], n_accept, state[2]

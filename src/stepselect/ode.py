@@ -318,10 +318,11 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
 def _c_system(system):
     """``system`` as the compiled code takes it: (library key, constants,
     initial state), the last two as float arrays with their addresses, or
-    None when a constant is not a float (an int, a helper function): the
-    compiled arithmetic is float only."""
+    None when a constant is not a nonzero float (an int, a helper function,
+    0.0): the compiled arithmetic is float only, and it divides only by
+    constants and literals that are not zero."""
     values = tuple(system.consts.values())
-    if not all(isinstance(v, float) for v in values):
+    if not all(isinstance(v, float) and v != 0.0 for v in values):
         return None
     return ((system.dim_p, system.rhs, tuple(system.consts)),
             _addressed(np.array(values, dtype=float)),

@@ -14,7 +14,7 @@ from stepselect import (Dataset, GammaPrior, LogisticParams, McmcSettings,
                         log_posterior_unnorm, make_log_posterior,
                         make_logistic_exact_forward, make_logistic_system,
                         make_solver_forward, mh_run)
-from stepselect import bayes, evidence, mcmc
+from stepselect import bayes, evidence, mcmc, native
 from stepselect.bayes import LOG_2PI
 from stepselect.errors import GridMismatch, NonFiniteState, NonMonotoneTimes
 from stepselect.harness import (ExperimentSpec, TimesSpec, build_system,
@@ -421,31 +421,57 @@ def test_chain_with_early_rejection_matches_the_exact_chain(case):
     assert logpost.rhs_evals() < exact.rhs_evals()
 
 
-def test_compiled_block_redoes_a_zero_division_in_python():
-    # dx/dt = -x / (theta - 2): the proposal theta = 2 divides by zero.
-    # The compiled block hands the block back with its counters restored,
-    # and mh_run's Python loop raises ZeroDivisionError as it always did.
+def test_a_division_by_theta_gets_no_library():
+    # dx/dt = -x / (theta - 2): a divisor that could be zero is outside the
+    # C subset, so the closure runs no block compiled, and mh_run's Python
+    # loop raises ZeroDivisionError at the proposal theta = 2 as it always
+    # did
     system = OdeSystem(dim_p=1, rhs=("dx = -x / (theta_0 - 2.0)",), consts={},
                        x0=np.array([1.0]))
     ds = small_dataset(n=6)
     forward = make_solver_forward(system, SolverConfig("rk4", 0.5), ds.times)
     logpost = make_log_posterior(ds, Prior((GammaPrior(2.0, 2.0),)), forward)
-    if not compiled(system):
-        pytest.skip("no C compiler")
+    with pytest.raises(ValueError, match="divisor"):
+        native.c_source(1, system.rhs, ())
     lp = logpost(1.0)
     # a log uniform of -inf accepts every proposal of finite value
-    ones, accept = np.ones(3), np.full(3, -np.inf)
-    x, lp_end, n_accept, _ = logpost.run_block(1.0, lp, 0.25, ones, accept,
-                                               False, None, None)
-    assert (x, n_accept) == (1.75, 3) and logpost.compiled()
-    counters = logpost.rhs_evals(), logpost.stopped_early()
-    assert counters == (4 * 20 * 4, 0)   # four solves of 20 RK4 steps
-    assert logpost.run_block(x, lp_end, 0.25, ones, accept, False, None,
-                             None) is None
-    assert (logpost.rhs_evals(), logpost.stopped_early()) == counters
+    ones, accept = np.ones(4), np.full(4, -np.inf)
+    for _ in range(2):     # the second solve would build a library
+        assert logpost.run_block(1.0, lp, 0.25, ones, accept, False, None,
+                                 None) is None
     assert not logpost.compiled()
     with pytest.raises(ZeroDivisionError):
-        mcmc._block(logpost, x, lp_end, 0.25, ones, accept, False, None, None)
+        mcmc._block(logpost, 1.0, lp, 0.25, ones, accept, False, None, None)
+
+
+@pytest.mark.parametrize("case", ["z and log_u", "draws alone"])
+def test_compiled_block_refuses_arrays_it_cannot_take(case):
+    # a ValueError before the block runs: no counter moves, nothing is
+    # written
+    ds, prior, forward = logistic_case()
+    if not compiled(forward.solve[0]):
+        pytest.skip("no C compiler")
+    logpost = make_log_posterior(ds, prior, forward)
+    lp = logpost(1.0)
+    z, log_u = np.ones(4), np.full(4, -np.inf)
+    draws, energies = np.full(4, np.nan), np.full(4, np.nan)
+    if case == "z and log_u":
+        log_u = log_u[:3]
+    else:
+        energies = None
+    counters = logpost.rhs_evals(), logpost.stopped_early()
+    with pytest.raises(ValueError):
+        logpost.run_block(1.0, lp, 0.01, z, log_u, True, draws, energies)
+    assert (logpost.rhs_evals(), logpost.stopped_early()) == counters
+    assert np.isnan(draws).all()
+    if energies is not None:
+        assert np.isnan(energies).all()
+    # the same block with arrays it takes runs, and accepts every proposal
+    want = mcmc._block(lambda x, floor: logpost(x, floor), 1.0, lp, 0.01, z,
+                       z * -np.inf, True, None, None)
+    got = logpost.run_block(1.0, lp, 0.01, z, z * -np.inf, True, draws,
+                            np.empty(4))
+    assert got == want and got[2] == 4 and logpost.compiled()
 
 
 def test_quadrature_oracles_evaluate_through_the_traced_posterior(monkeypatch):

@@ -380,16 +380,8 @@ def test_uncapped_solve_reads_no_values(path, monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
-def zero_division_system() -> OdeSystem:
-    """dx/dt = -1 from 1, through a test that divides by x: Euler at h=0.25
-    reaches x = 0 exactly after four steps, where x / x raises
-    ZeroDivisionError in Python, while in C it gives NaN and the state
-    stays finite."""
-    return make_system(("dx = -1.0 if x / x > 0.0 else -1.0",), [1.0])
-
-
 @pytest.mark.parametrize("case", ["unreachable node", "blow-up theta",
-                                  "blow-up", "zero division"])
+                                  "blow-up"])
 def test_compiled_solve_errors_match_the_python_stepper(case, monkeypatch):
     # the compiled path hands every solve that ends in an error to the
     # Python stepper, which raises what it always raised
@@ -410,10 +402,6 @@ def test_compiled_solve_errors_match_the_python_stepper(case, monkeypatch):
             1.5, "euler", 10.0
         args = (0.0, 20, (0, 3, 20))
         error = NonFiniteState
-    else:
-        system, theta, method, h = zero_division_system(), 1.0, "euler", 0.25
-        args = (0.0, 8, (0, 8))
-        error = ZeroDivisionError
     if not compiled(system):
         pytest.skip("no C compiler")
 
@@ -431,18 +419,38 @@ def test_compiled_solve_errors_match_the_python_stepper(case, monkeypatch):
 
 
 def test_c_source_takes_only_its_subset():
-    # a call, a power, a chained comparison, an int literal or a name never
-    # assigned gets no library: that right-hand side runs on the Python
-    # stepper
+    # a call, a power, a chained comparison, an int literal, a name never
+    # assigned, a divisor that is neither a constant nor a nonzero float
+    # literal, or an assignment to a constant gets no library: that
+    # right-hand side runs on the Python stepper
     for rhs in (("dx = abs(x)",), ("dx = x ** 2",),
                 ("dx = x if 0.0 < x < 1.0 else 0.0",),
                 (f"dx = {2 ** 60} * x",), ("dx = 2 * 3 * x",),
-                ("dx = -1 * x",), ("dx = 3 * x",), ("dx = y",)):
+                ("dx = -1 * x",), ("dx = 3 * x",), ("dx = y",),
+                ("dx = x / x",), ("dx = x / (theta_0 - 2.0)",),
+                ("dx = x / 0.0",), ("dx = x / -2.0",),
+                ("K = x", "dx = x / K")):
         with pytest.raises(ValueError):
-            native.c_source(1, rhs, ())
-    # a float literal is written as its float.hex
+            native.c_source(1, rhs, ("K",))
+    # a float literal is written as its float.hex, and a division by a
+    # constant or a nonzero float literal is a plain C division
     assert "0x1.8000000000000p+1" in native.c_source(1, ("dx = 3.0 * x",),
                                                      ())
+    source = native.c_source(1, ("dx = x / K - x / 2.0",), ("K",))
+    assert "((v_x / v_K) - (v_x / 0x1.0000000000000p+1))" in source
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_zero_constant_gets_no_library(zero):
+    # x / K with K = 0 raises ZeroDivisionError in Python and gives an
+    # infinity or a NaN in C: the system runs on the Python stepper
+    system = make_system(("dx = theta_0 * x * (1.0 - x / K)",), [100.0],
+                         K=zero)
+    assert ode._c_system(system) is None
+    for _ in range(2):     # the second solve would build a library
+        with pytest.raises(ZeroDivisionError):
+            integrate_states(system, 1.1, SolverConfig("rk4", 0.1), 0.0, 10,
+                             (0, 10))
 
 
 def test_compile_leaves_no_file_behind(tmp_path, monkeypatch):
