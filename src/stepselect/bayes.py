@@ -164,9 +164,11 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
 
     The fused closure also has ``run_block(x, lp, scale, z, log_u, kept,
     draws, energies)``, which runs one block of ``mcmc.mh_run``'s
-    Metropolis loop, this closure's evaluations included, in the right-hand
-    side's compiled library (see ``ode._library``), with the same bits and
-    counts; it returns None where there is no library, and ``compiled()``
+    Metropolis loop, this closure's evaluations included, in a compiled
+    library of the right-hand side that holds the closure's method (built
+    for that method alone when there is none, see ``ode._library``), with
+    the same bits and counts; it returns None where there is no library,
+    and ``compiled()``
     tells whether its blocks run compiled.  Any other forward map goes
     through ``log_posterior_unnorm`` and ignores the floor.
     """
@@ -223,7 +225,7 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
         return lp + (ll0 - 0.5 * ss / var)
 
     def run_block(x, lp, scale, z, log_u, kept, draws, energies):
-        lib, csys = ode._library(system)
+        lib, csys = ode._library(system, config.method, chain=True)
         if lib is None:
             return None
         if not chain:

@@ -324,11 +324,17 @@ def generate_synthetic(spec: ExperimentSpec) -> Dataset:
 def _write_table(path, header: str, rows) -> None:
     """Write the rows under a header line as comma-separated numbers to 17
     significant digits, which read back bit for bit (an integral float
-    prints as an integer and a True flag as 1); a None cell stays empty."""
+    prints as an integer and a True flag as 1); a None cell stays empty.
+    A row without a None cell, such as every row of a chain CSV, is
+    formatted in one go, one number per column of the header."""
+    cell = "%.17g"
+    line = ",".join([cell] * (header.count(",") + 1)) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(["" if v is None else "%.17g" % v for v in row])
-                      + "\n" for row in rows)
+        fh.writelines(
+            line % tuple(row) if None not in row
+            else ",".join(["" if v is None else cell % v for v in row])
+            + "\n" for row in rows)
 
 
 def _read_table(path, header_ok) -> np.ndarray:

@@ -1,12 +1,16 @@
-"""Compiled solves and chain blocks: one C library per right-hand side.
+"""Compiled solves and chain blocks: C libraries per right-hand side.
 
-Each right-hand side gets one shared library, compiled once per process
-from C that ``c_source`` translates from the very step statements
-``ode._step_lines`` gives the Python stepper: the same ``ode._METHODS``
-stages and the same right-hand-side lines after ``bind``.  It holds one
-capped stepper per method and a chain block that runs the fused log
+A right-hand side's shared library is compiled in the process from C that
+``c_source`` translates from the very step statements ``ode._step_lines``
+gives the Python stepper: the same ``ode._METHODS`` stages and the same
+right-hand-side lines after ``bind``.  It holds one capped stepper for
+each method it is built with and a chain block that runs the fused log
 posterior of ``bayes.make_log_posterior`` and the Metropolis loop of
-``mcmc.mh_run`` over any of them (see ``_BLOCK_C``).  A Python-level RK4
+``mcmc.mh_run`` over any of them (see ``_BLOCK_C``).  A Metropolis chain
+builds a library of its own method alone, and lone solves one of all
+three methods, since the compile's cost grows with the methods it holds
+(``ode._library``); a loaded library serves every later solve and chain
+of its methods in the process and is never replaced.  A Python-level RK4
 step of the logistic model costs 0.35-0.40 us and a compiled one about
 0.04 us, and the chains are nearly all of a sweep's cost.
 
@@ -172,7 +176,8 @@ int64_t solve_{method}(const double *c, const double *x0,
 
 # The chain block: the fused log posterior of bayes.make_log_posterior and
 # one block of mcmc.mh_run's Metropolis loop, line for line, over the
-# stepper ``steppers[method]``.  ``post_t`` holds the Gamma log density
+# stepper ``steppers[method]``, the library's methods in the order
+# ``c_source`` was given them.  ``post_t`` holds the Gamma log density
 # c + k1 log v - r v, the likelihood's constant and variance, the step, the
 # solve's nodes and observed values, the system's constants and initial
 # state, and the counters of steps taken and solves stopped at the cap.
@@ -255,13 +260,15 @@ _POST_FIELDS = (*((f, "d") for f in ("c", "k1", "r", "ll0", "var", "h")),
                 ("steps", "i"), ("stopped", "i"))
 
 
-def c_source(dim_p: int, rhs: tuple, const_names: tuple) -> str:
+def c_source(dim_p: int, rhs: tuple, const_names: tuple,
+             methods: tuple = tuple(_METHODS)) -> str:
     """The C source of the library of one right-hand side, whose constants
-    ``const_names`` hold nonzero floats; ValueError when a line is outside
-    the C subset."""
+    ``const_names`` hold nonzero floats, with the steppers of ``methods``
+    and a chain block over them, in that order; ValueError when a line is
+    outside the C subset."""
     xs = _parts("x", dim_p)
     pieces = [_HEAD_C]
-    for method in _METHODS:
+    for method in methods:
         setup, body = _step_lines(method, dim_p, rhs)
         given = {"h", "theta_0", *xs, *const_names}
         names = set(given)
@@ -282,7 +289,7 @@ def c_source(dim_p: int, rhs: tuple, const_names: tuple) -> str:
             x0=p + xs[0],
             finite=" && ".join(f"isfinite({p}{x})" for x in xs)))
     pieces.append(_BLOCK_C.format(
-        steppers=", ".join(f"solve_{method}" for method in _METHODS)))
+        steppers=", ".join(f"solve_{method}" for method in methods)))
     return "".join(pieces)
 
 
@@ -320,17 +327,18 @@ def compile_source(source: str):
 
 
 class Library:
-    """A loaded library's solves and chain blocks, one of each per method,
-    and ``post``, the ctypes structure a chain block reads."""
+    """A loaded library's solves and chain blocks, one of each of the
+    ``methods`` it was compiled with (``c_source``), and ``post``, the
+    ctypes structure a chain block reads."""
 
-    def __init__(self, cdll):
+    def __init__(self, cdll, methods: tuple):
         kinds = {"d": ctypes.c_double, "i": ctypes.c_int64,
                  "p": ctypes.c_void_p}
         self.post = type("Post", (ctypes.Structure,), {"_fields_": [
             (name, kinds[kind]) for name, kind in _POST_FIELDS]})
         d, i, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
-        self.solve = {}
-        for method in _METHODS:
+        self.methods, self.solve = methods, {}
+        for method in methods:
             solve = getattr(cdll, f"solve_{method}")
             solve.argtypes = [ptr, ptr, d, d, i, ptr, i, ptr, d, ptr, ptr]
             solve.restype = i
@@ -394,7 +402,7 @@ class Library:
                              "energies must be float arrays of one length")
         state = self.state(x, lp, 0.0)
         n_accept = self.block(
-            self.byref(post), list(_METHODS).index(method), state, scale,
+            self.byref(post), self.methods.index(method), state, scale,
             z.ctypes.data, log_u.ctypes.data, n, kept,
             None if draws is None else draws.ctypes.data,
             None if energies is None else energies.ctypes.data)

@@ -14,7 +14,7 @@ from stepselect import (Dataset, GammaPrior, LogisticParams, McmcSettings,
                         log_posterior_unnorm, make_log_posterior,
                         make_logistic_exact_forward, make_logistic_system,
                         make_solver_forward, mh_run)
-from stepselect import bayes, evidence, mcmc, native
+from stepselect import bayes, evidence, mcmc, native, ode
 from stepselect.bayes import LOG_2PI
 from stepselect.errors import GridMismatch, NonFiniteState, NonMonotoneTimes
 from stepselect.harness import (ExperimentSpec, TimesSpec, build_system,
@@ -442,6 +442,41 @@ def test_a_division_by_theta_gets_no_library():
     assert not logpost.compiled()
     with pytest.raises(ZeroDivisionError):
         mcmc._block(logpost, 1.0, lp, 0.25, ones, accept, False, None, None)
+
+
+def test_lone_solves_leave_a_chain_its_library(monkeypatch):
+    # a chain builds the library of its own method, and lone Euler solves
+    # on the same right-hand side then build the three-method library
+    # beside it: the first closure's chain structure is a ctypes type of
+    # the library that made it, so that library still serves RK4, and the
+    # closure's next chain runs compiled with a fresh closure's bits
+    ds, prior, forward = logistic_case()
+    system = forward.solve[0]
+    if not compiled(system):
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(ode, "_LIBRARIES", {})
+    monkeypatch.setattr(ode, "_SOLVED_ONCE", set())
+    settings_ = McmcSettings(n_iter=400, step_scale=0.05)
+    first = make_log_posterior(ds, prior, forward)
+    mh_run(first, 1.0, settings_, n_iter=400, burn_in=100, seed=5)
+    key = ode._c_system(system)[0]
+    chain_lib = ode._LIBRARIES[key, "rk4"]
+    assert list(ode._LIBRARIES) == [(key, "rk4")]
+    assert chain_lib.methods == ("rk4",) and first.compiled()
+    for _ in range(2):
+        ode.integrate_states(system, 1.0, SolverConfig("euler", 0.1), 0.0,
+                             100, (0, 100))
+    assert ode._LIBRARIES[key, "euler"].methods == ("euler", "rk2", "rk4")
+
+    def python_block(*args):
+        raise AssertionError("a block ran on the Python stepper")
+    monkeypatch.setattr(mcmc, "_block", python_block)
+    fresh = make_log_posterior(ds, prior, forward)
+    a, b = (mh_run(logpost, 1.0, settings_, n_iter=400, burn_in=100, seed=6)
+            for logpost in (first, fresh))
+    assert a.draws.tobytes() == b.draws.tobytes()
+    assert a.energies.tobytes() == b.energies.tobytes()
+    assert ode._LIBRARIES[key, "rk4"] is chain_lib
 
 
 @pytest.mark.parametrize("case", ["z and log_u", "draws alone"])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stepselect import Dataset, bayes, harness
+from stepselect import Dataset, bayes, harness, native, ode
 from stepselect.bayes import make_log_posterior, make_solver_forward
 from stepselect.errors import ParseError, StepSelectError
 from stepselect.harness import (ExperimentSpec, McmcSettings,
@@ -420,6 +420,31 @@ def test_json_int_params_run_the_compiled_float_chain(tmp_path, model, ints):
     assert [run["compiled"] for run in runs] == [True, True]
     assert (tmp_path / "int" / "chain_1.csv").read_bytes() \
         == (tmp_path / "float" / "chain_1.csv").read_bytes()
+
+
+def test_each_pool_worker_compiles_its_solver_alone(tmp_path, monkeypatch):
+    # a chain builds the library of its own method, once per process: each
+    # forked worker inherits the wrapper and logs the steppers of every
+    # source it compiles, and the parent compiles nothing
+    spec = small_spec(solver="rk2")
+    ds = generate_synthetic(spec)
+    if not compiled(build_system(spec, ds)):
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(ode, "_LIBRARIES", {})
+    monkeypatch.setattr(ode, "_SOLVED_ONCE", set())
+    log, compile_source = tmp_path / "compiles.txt", native.compile_source
+
+    def logged(source):
+        with open(log, "a") as fh:
+            fh.write(" ".join(re.findall(r"\bint64_t (solve_\w+)\(",
+                                         source)) + "\n")
+        return compile_source(source)
+    monkeypatch.setattr(native, "compile_source", logged)
+    rec = run_sweep(spec, tmp_path / "run", jobs=2, dataset=ds)
+    compiles = log.read_text().splitlines()
+    assert 1 <= len(compiles) <= 2 and set(compiles) == {"solve_rk2"}
+    assert [r["compiled"] for r in rec["runs"]] == [True] * 3
+    assert ode._LIBRARIES == {}
 
 
 def test_run_sweep_submits_finest_step_first(tmp_path, monkeypatch):

@@ -6,7 +6,9 @@ size 0.5 from (1, 0)) and on the logistic right-hand side (one Euler step of
 size 0.1 from x=100), so they are independent of the implementation.
 """
 
+import hashlib
 import math
+import re
 import tempfile
 
 import numpy as np
@@ -438,6 +440,33 @@ def test_c_source_takes_only_its_subset():
                                                      ())
     source = native.c_source(1, ("dx = x / K - x / 2.0",), ("K",))
     assert "((v_x / v_K) - (v_x / 0x1.0000000000000p+1))" in source
+
+
+# sha256 of each bundled model's three-method C source, the bytes it had
+# before a library could hold fewer methods
+WHOLE_SOURCE_SHA256 = {
+    "logistic": "daa5086c5b9c2b679082bd4b90d469fec6cd6ed744f1b72bce1566a7a6c2990c",
+    "glucose": "d638d3fcf5d5b5ef45b5171f82882306e08ac05e821c8501d1c5d98c2dc871f5",
+}
+
+
+@pytest.mark.parametrize("model", ["logistic", "glucose"])
+def test_one_method_source_is_its_part_of_the_whole(model):
+    # a chain's library holds its own method alone: the head, that
+    # method's stepper as the three-method source has it, and the chain
+    # block over a table of one entry
+    key = ode._c_system(model_solve(model)[0])[0]
+    whole = native.c_source(*key)
+    assert hashlib.sha256(whole.encode()).hexdigest() \
+        == WHOLE_SOURCE_SHA256[model]
+    head, *steppers, block = re.split(
+        r"(?=\nint64_t solve_|\ntypedef struct)", whole)
+    table = "{ solve_euler, solve_rk2, solve_rk4 }"
+    assert len(steppers) == 3 and block.count(table) == 1
+    for method, stepper in zip(("euler", "rk2", "rk4"), steppers):
+        assert stepper.startswith(f"\nint64_t solve_{method}(")
+        assert native.c_source(*key, (method,)) == head + stepper \
+            + block.replace(table, f"{{ solve_{method} }}")
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])
