@@ -164,11 +164,12 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
 
     The fused closure also has ``run_block(x, lp, scale, z, log_u, kept,
     draws, energies)``, which runs one block of ``mcmc.mh_run``'s
-    Metropolis loop, this closure's evaluations included, in a compiled
-    library of the right-hand side that holds the closure's method (built
-    for that method alone when there is none, see ``ode._library``), with
-    the same bits and counts; it returns None where there is no library,
-    and ``compiled()``
+    Metropolis loop, this closure's evaluations included, in the compiled
+    chain library of the right-hand side and the closure's method (built
+    when there is none, see ``ode._library``), with the same bits and
+    counts: the block solves proposals ahead of the Metropolis test, and
+    ``rhs_evals()`` and ``stopped_early()`` count only the solves the loop
+    used.  It returns None where there is no library, and ``compiled()``
     tells whether its blocks run compiled.  Any other forward map goes
     through ``log_posterior_unnorm`` and ignores the floor.
     """
@@ -231,8 +232,8 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
         if not chain:
             chain.extend(lib.chain_post(csys, config.h, n_steps, nodes,
                                         observed, c, k1, r, ll0, var))
-        return lib.run_block(chain[0], config.method, x, lp, scale, z, log_u,
-                             kept, draws, energies)
+        return lib.run_block(chain[0], x, lp, scale, z, log_u, kept, draws,
+                             energies)
 
     stages = METHOD_STAGES[config.method]
     logpost.rhs_evals = lambda: stages * (

@@ -92,6 +92,15 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
     if not 0 <= burn_in < n_iter:
         raise ValueError("need n_iter > burn_in >= 0")
 
+    # A log posterior with ``run_block`` (bayes.make_log_posterior's fused
+    # closure) may run whole blocks in compiled code; its empty block,
+    # before the initial evaluation and the clocks, builds the chain's
+    # library if this is where it gets built (ode._library), and the
+    # initial evaluation's solve then runs in it too.
+    run_block = getattr(log_posterior, "run_block", None)
+    if run_block is not None:
+        empty = np.empty(0)
+        run_block(x, -math.inf, 0.0, empty, empty, False, None, None)
     lp = float(log_posterior(x, -math.inf))
     if not math.isfinite(lp):
         raise InitializationError(
@@ -108,15 +117,10 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
     window = settings.adapt_window if settings.adapt else _BLOCK
 
     # The scale stays fixed within a block: an adaptation window (capped at
-    # the end of burn-in) during burn-in, _BLOCK iterations after it.  A log
-    # posterior with ``run_block`` (bayes.make_log_posterior's fused
-    # closure) runs a block in compiled code with the same bits, or returns
-    # None, and the block runs in ``_block``, as for any other log
-    # posterior.  The empty block before the clocks start builds the
-    # library, if this is where it gets built (ode._library), untimed.
-    run_block = getattr(log_posterior, "run_block", None)
-    if run_block is not None:
-        run_block(x, lp, scale, noise[:0], log_u[:0], False, None, None)
+    # the end of burn-in) during burn-in, _BLOCK iterations after it.
+    # ``run_block`` runs a block in compiled code with the same bits, or
+    # returns None, and the block runs in ``_block``, as for any other log
+    # posterior.
     edges = [*range(0, burn_in, window), *range(burn_in, n_iter, _BLOCK), n_iter]
     t_start, cpu_start = time.perf_counter(), time.process_time()
     for start, stop in zip(edges, edges[1:]):

@@ -1,18 +1,21 @@
 """Compiled solves and chain blocks: C libraries per right-hand side.
 
-A right-hand side's shared library is compiled in the process from C that
-``c_source`` translates from the very step statements ``ode._step_lines``
-gives the Python stepper: the same ``ode._METHODS`` stages and the same
-right-hand-side lines after ``bind``.  It holds one capped stepper for
-each method it is built with and a chain block that runs the fused log
-posterior of ``bayes.make_log_posterior`` and the Metropolis loop of
-``mcmc.mh_run`` over any of them (see ``_BLOCK_C``).  A Metropolis chain
-builds a library of its own method alone, and lone solves one of all
-three methods, since the compile's cost grows with the methods it holds
-(``ode._library``); a loaded library serves every later solve and chain
-of its methods in the process and is never replaced.  A Python-level RK4
-step of the logistic model costs 0.35-0.40 us and a compiled one about
-0.04 us, and the chains are nearly all of a sweep's cost.
+A right-hand side's shared libraries are compiled in the process from C
+that ``c_source`` translates from the very step statements
+``ode._step_lines`` gives the Python stepper: the same ``ode._METHODS``
+stages and the same right-hand-side lines after ``bind``.  Each method gets
+one stepper that runs several solves in lockstep, its lanes, and a lone
+solve is that stepper with one lane.  A Metropolis chain's library holds its
+own method's stepper and a chain block that runs the fused log posterior of
+``bayes.make_log_posterior`` and the Metropolis loop of ``mcmc.mh_run``,
+solving the next ``lanes(dim_p)`` proposals at once along the rejection path
+(see ``_BLOCK_C``); the library of lone solves holds the steppers of all
+three methods and no block, since the compile's cost grows with what it
+holds (``ode._library``).  A loaded library serves every later solve of its
+methods, and a chain's every later chain, in the process and is never
+replaced.  A Python-level RK4 step of the logistic model costs 0.35-0.40 us
+and a compiled one about 0.04 us, and the chains are nearly all of a
+sweep's cost.
 
 Same bits: the C is IEEE double arithmetic on the same operands in the same
 order, compiled without contraction into fused multiply-adds
@@ -119,68 +122,101 @@ def _c_statements(lines, names: set, consts) -> list:
 _HEAD_C = """#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
-
-typedef int64_t (*stepper_t)(const double *, const double *, double, double,
-                             int64_t, const int64_t *, int64_t,
-                             const double *, double, double *, double *);
 """
 
-# One solve of n_steps steps from x0, the generated Python loop over single
-# steps node for node: the state at each node goes to row j of ``out``
-# (when not NULL); with ``values`` it adds (values[j] - x_0)**2 to ``ss``
-# at every node and stops at the first node before the last step where the
-# sum exceeds ``cap``.  Returns the rows reached; -1 when a node was never
-# reached, and -2 when the solve ran to the end with a non-finite last
-# state.  ``ss_out`` (when not NULL) gets the sum.
+# A method's stepper: ``lanes_<method>`` runs nl <= ``lanes(dim_p)`` solves
+# of n_steps steps from x0 in lockstep, lane l at the parameter theta[l],
+# each the generated Python loop over single steps node for node.  The
+# lanes share the nodes, so one node index serves them all, and the lanes
+# still running (``act``) take each step one after another: their steps are
+# independent chains of arithmetic that the CPU overlaps, where one solve's
+# step waits on the latency of its own divisions.  Each lane runs its own
+# solve's operations in the same order, so the lanes change no bits.  Lane
+# l's state at each node goes to row j of its ``n_nodes`` rows of ``out``
+# (when not NULL); with ``values`` it adds (values[j] - x_0)**2 to ss[l] at
+# every node and stops at the first node before the last step where the sum
+# exceeds cap[l], with rows[l] the rows reached.  A lane that runs to the
+# end gets rows[l] -1 when a node was never reached, and -2 when its last
+# state is not finite.  ``solve_<method>`` is one lone solve, the stepper
+# with one lane.
 _STEPPER_C = """
-int64_t solve_{method}(const double *c, const double *x0,
-        double {p}theta_0, double {p}h, int64_t n_steps,
+static void lanes_{method}(const double *c, const double *x0,
+        const double *theta, double {p}h, int64_t n_steps,
         const int64_t *nodes, int64_t n_nodes, const double *values,
-        double cap, double *out, double *ss_out)
+        const double *cap, int64_t nl, double *out, int64_t *rows,
+        double *ss)
 {{
     {decls}
-    int64_t i, j = 0;
-    double ss = 0.0, dy;
+    double xs[{lanes} * {dim}], dy;
+    int64_t i, j = 0, a, l, na = nl, act[{lanes}];
     {setup}
-    for (i = 0; i < n_steps; i++) {{
+    for (l = 0; l < nl; l++) {{
+        act[l] = l;
+        ss[l] = 0.0;
+        {start}
+    }}
+    for (i = 0; ; i++) {{
         while (j < n_nodes && nodes[j] == i) {{
-            if (out) {{ {row} }}
-            if (values) {{
-                dy = values[j] - {x0};
-                ss += dy * dy;
-                if (ss > cap) {{
-                    if (ss_out)
-                        *ss_out = ss;
-                    return j + 1;
+            for (a = 0; a < na; ) {{
+                l = act[a];
+                if (out) {{ {row} }}
+                if (values) {{
+                    dy = values[j] - xs[l * {dim}];
+                    ss[l] += dy * dy;
+                    if (i < n_steps && ss[l] > cap[l]) {{
+                        rows[l] = j + 1;
+                        act[a] = act[--na];
+                        continue;
+                    }}
                 }}
+                a++;
             }}
             j++;
         }}
-        {body}
-    }}
-    while (j < n_nodes && nodes[j] == n_steps) {{
-        if (out) {{ {row} }}
-        if (values) {{
-            dy = values[j] - {x0};
-            ss += dy * dy;
+        if (i >= n_steps || na == 0)
+            break;
+        for (a = 0; a < na; a++) {{
+            l = act[a];
+            {p}theta_0 = theta[l];
+            {load}
+            {body}
+            {store}
         }}
-        j++;
     }}
+    for (a = 0; a < na; a++) {{
+        l = act[a];
+        {load}
+        rows[l] = j < n_nodes ? -1 : ({finite}) ? j : -2;
+    }}
+}}
+
+int64_t solve_{method}(const double *c, const double *x0, double theta,
+        double h, int64_t n_steps, const int64_t *nodes, int64_t n_nodes,
+        const double *values, double cap, double *out, double *ss_out)
+{{
+    int64_t rows;
+    double ss;
+    lanes_{method}(c, x0, &theta, h, n_steps, nodes, n_nodes, values, &cap,
+                   1, out, &rows, &ss);
     if (ss_out)
         *ss_out = ss;
-    if (j < n_nodes)
-        return -1;
-    return ({finite}) ? j : -2;
+    return rows;
 }}
 """
 
 # The chain block: the fused log posterior of bayes.make_log_posterior and
-# one block of mcmc.mh_run's Metropolis loop, line for line, over the
-# stepper ``steppers[method]``, the library's methods in the order
-# ``c_source`` was given them.  ``post_t`` holds the Gamma log density
-# c + k1 log v - r v, the likelihood's constant and variance, the step, the
-# solve's nodes and observed values, the system's constants and initial
-# state, and the counters of steps taken and solves stopped at the cap.
+# one block of mcmc.mh_run's Metropolis loop over the stepper of the
+# library's one method, with the same bits.  Until a proposal is accepted
+# every proposal starts from the current point (x, lp), so the block solves
+# the next ``lanes(dim_p)`` proposals at once (lane l is x + scale z[i + l],
+# floored at lp + log_u[i + l]), then walks them with the Metropolis test up
+# to the first acceptance and discards the lanes after it (prefetching along
+# the rejection path, Brockwell 2006).  Only the lanes walked count their
+# steps and stops, so the counters read what the sequential loop's do.
+# ``post_t`` holds the Gamma log density c + k1 log v - r v, the
+# likelihood's constant and variance, the step, the solve's nodes and
+# observed values, the system's constants and initial state, and the
+# counters of steps taken and solves stopped at the cap.
 _BLOCK_C = """
 typedef struct {{
     double c, k1, r, ll0, var, h;
@@ -190,25 +226,12 @@ typedef struct {{
     int64_t steps, stopped;
 }} post_t;
 
-static const stepper_t steppers[] = {{ {steppers} }};
-
-/* the solve returns the rows reached or -2, never -1: the nodes are
-   make_solver_forward's, strictly increasing from 0 to n_steps, and a
-   solve reaches every such node */
-static double logpost(post_t *p, stepper_t solve, double v, double floor)
+/* the log posterior at prior value lp from a lane's solve: its rows
+   reached or -2, never -1 (the nodes are make_solver_forward's, strictly
+   increasing from 0 to n_steps, and a solve reaches every such node), and
+   its residual sum ss */
+static double scored(post_t *p, double lp, int64_t rows, double ss)
 {{
-    double lp, top, cap, ss;
-    int64_t rows;
-    if (v <= 0.0)
-        return -INFINITY;
-    lp = p->c + p->k1 * log(v) - p->r * v;
-    if (lp == -INFINITY)
-        return lp;
-    top = lp + p->ll0;
-    cap = 2.0 * p->var * (top - floor
-                          + 1e-9 * (1.0 + fabs(top) + fabs(floor)));
-    rows = solve(p->consts, p->x0, v, p->h, p->n_steps, p->nodes,
-                 p->n_nodes, p->values, cap, NULL, &ss);
     if (rows == -2) {{
         p->steps += p->n_steps;
         return lp - INFINITY;
@@ -224,27 +247,56 @@ static double logpost(post_t *p, stepper_t solve, double v, double floor)
 }}
 
 /* state is (x, lp, prob) in and out; returns the accepted count */
-int64_t block(post_t *p, int method, double *state, double scale,
-              const double *z, const double *log_u, int64_t n, int kept,
-              double *draws, double *energies)
+int64_t block(post_t *p, double *state, double scale, const double *z,
+              const double *log_u, int64_t n, int kept, double *draws,
+              double *energies)
 {{
-    stepper_t solve = steppers[method];
-    double x = state[0], lp = state[1], prob = 0.0, prop, lp_prop, delta;
-    int64_t i, n_accept = 0;
-    for (i = 0; i < n; i++) {{
-        prop = x + scale * z[i];
-        lp_prop = logpost(p, solve, prop, kept ? lp + log_u[i] : -INFINITY);
-        delta = lp_prop - lp;
-        prob += delta < 0.0 ? exp(delta) : 1.0;
-        if (delta >= 0.0 || log_u[i] < delta) {{
-            x = prop;
-            lp = lp_prop;
-            n_accept += 1;
+    double x = state[0], lp = state[1], prob = 0.0, v, floor, top, delta;
+    double prop[{lanes}], lpv[{lanes}], theta[{lanes}], cap[{lanes}];
+    double ss[{lanes}];
+    int64_t rows[{lanes}], lane[{lanes}], i = 0, l, nl, ns, n_accept = 0;
+    int accept;
+    while (i < n) {{
+        nl = n - i < {lanes} ? n - i : {lanes};
+        ns = 0;
+        for (l = 0; l < nl; l++) {{
+            v = prop[l] = x + scale * z[i + l];
+            lane[l] = -1;
+            lpv[l] = -INFINITY;
+            if (v <= 0.0)
+                continue;
+            lpv[l] = p->c + p->k1 * log(v) - p->r * v;
+            if (lpv[l] == -INFINITY)
+                continue;
+            floor = kept ? lp + log_u[i + l] : -INFINITY;
+            top = lpv[l] + p->ll0;
+            theta[ns] = v;
+            cap[ns] = 2.0 * p->var * (
+                top - floor + 1e-9 * (1.0 + fabs(top) + fabs(floor)));
+            lane[l] = ns++;
         }}
-        if (draws) {{
-            draws[i] = x;
-            energies[i] = -lp;
+        if (ns > 0)
+            lanes_{method}(p->consts, p->x0, theta, p->h, p->n_steps,
+                           p->nodes, p->n_nodes, p->values, cap, ns, NULL,
+                           rows, ss);
+        accept = 0;
+        for (l = 0; l < nl && !accept; l++) {{
+            if (lane[l] >= 0)
+                lpv[l] = scored(p, lpv[l], rows[lane[l]], ss[lane[l]]);
+            delta = lpv[l] - lp;
+            prob += delta < 0.0 ? exp(delta) : 1.0;
+            accept = delta >= 0.0 || log_u[i + l] < delta;
+            if (accept) {{
+                x = prop[l];
+                lp = lpv[l];
+                n_accept += 1;
+            }}
+            if (draws) {{
+                draws[i + l] = x;
+                energies[i + l] = -lp;
+            }}
         }}
+        i += l;
     }}
     state[0] = x;
     state[1] = lp;
@@ -260,36 +312,54 @@ _POST_FIELDS = (*((f, "d") for f in ("c", "k1", "r", "ll0", "var", "h")),
                 ("steps", "i"), ("stopped", "i"))
 
 
+def lanes(dim_p: int) -> int:
+    """The lanes a chain block of a ``dim_p``-state system solves at once:
+    enough independent steps to fill the CPU's wait on one step's latency,
+    fewer as one step holds more arithmetic, and at most 4, about the walk
+    to the next acceptance at the sampler's target acceptance of 0.3, since
+    the lanes past it are solved for nothing.  On gcc 12, logistic chains
+    (dim_p 1) with 8 lanes ran the coarse step's chain slower than with 4
+    and cut c6's speedup to 4.7-7.7, and glucose chains (dim_p 4) ran
+    fastest with 2 of 1, 2 and 4."""
+    return min(4, max(1, 8 // dim_p))
+
+
 def c_source(dim_p: int, rhs: tuple, const_names: tuple,
-             methods: tuple = tuple(_METHODS)) -> str:
-    """The C source of the library of one right-hand side, whose constants
-    ``const_names`` hold nonzero floats, with the steppers of ``methods``
-    and a chain block over them, in that order; ValueError when a line is
-    outside the C subset."""
+             method: str = None) -> str:
+    """The C source of a library of one right-hand side, whose constants
+    ``const_names`` hold nonzero floats: a chain's, the stepper of
+    ``method`` and the chain block over it, or, with no ``method``, the lone
+    solves', the steppers of every method and no block; ValueError when a
+    line is outside the C subset."""
     xs = _parts("x", dim_p)
+    p, n_lanes = _C_PREFIX, lanes(dim_p)
     pieces = [_HEAD_C]
-    for method in methods:
-        setup, body = _step_lines(method, dim_p, rhs)
+    for m in _METHODS if method is None else (method,):
+        setup, body = _step_lines(m, dim_p, rhs)
         given = {"h", "theta_0", *xs, *const_names}
         names = set(given)
         setup_c = _c_statements(setup, names, const_names)
         body_c = _c_statements(body, names, const_names)
-        p = _C_PREFIX
-        decls = [*(f"const double {p}{name} = c[{i}];"
-                   for i, name in enumerate(const_names)),
-                 *(f"double {p}{x} = x0[{i}];" for i, x in enumerate(xs))]
-        local = sorted(names - given)
-        if local:
-            decls.append(f"double {', '.join(p + n for n in local)};")
+        decls = [f"const double {p}{name} = c[{i}];"
+                 for i, name in enumerate(const_names)]
+        local = sorted(names - given) + ["theta_0", *xs]
+        decls.append(f"double {', '.join(p + name for name in local)};")
         pieces.append(_STEPPER_C.format(
-            method=method, p=p, decls="\n    ".join(decls),
-            setup="\n    ".join(setup_c), body="\n        ".join(body_c),
-            row=" ".join(f"out[j * {dim_p} + {i}] = {p}{x};"
-                         for i, x in enumerate(xs)),
-            x0=p + xs[0],
+            method=m, p=p, lanes=n_lanes, dim=dim_p,
+            decls="\n    ".join(decls),
+            setup="\n    ".join(setup_c),
+            body="\n            ".join(body_c),
+            start=" ".join(f"xs[l * {dim_p} + {i}] = x0[{i}];"
+                           for i in range(dim_p)),
+            load=" ".join(f"{p}{x} = xs[l * {dim_p} + {i}];"
+                          for i, x in enumerate(xs)),
+            store=" ".join(f"xs[l * {dim_p} + {i}] = {p}{x};"
+                           for i, x in enumerate(xs)),
+            row=" ".join(f"out[(l * n_nodes + j) * {dim_p} + {i}] = "
+                         f"xs[l * {dim_p} + {i}];" for i in range(dim_p)),
             finite=" && ".join(f"isfinite({p}{x})" for x in xs)))
-    pieces.append(_BLOCK_C.format(
-        steppers=", ".join(f"solve_{method}" for method in methods)))
+    if method is not None:
+        pieces.append(_BLOCK_C.format(method=method, lanes=n_lanes))
     return "".join(pieces)
 
 
@@ -317,7 +387,7 @@ def compile_source(source: str):
         with open(c_file, "w") as fh:
             fh.write(source)
         try:
-            subprocess.run([*cc, "-O2", "-fPIC", "-shared",
+            subprocess.run([*cc, "-O1", "-fPIC", "-shared",
                             "-ffp-contract=off", "-o", so_file, c_file,
                             "-lm"], stdin=subprocess.DEVNULL,
                            capture_output=True, check=True, timeout=120)
@@ -327,27 +397,29 @@ def compile_source(source: str):
 
 
 class Library:
-    """A loaded library's solves and chain blocks, one of each of the
-    ``methods`` it was compiled with (``c_source``), and ``post``, the
-    ctypes structure a chain block reads."""
+    """A loaded library's solves, one for each method it was compiled
+    with, and for a chain's library (``c_source`` given ``method``) its
+    chain block and ``post``, the ctypes structure the block reads."""
 
-    def __init__(self, cdll, methods: tuple):
-        kinds = {"d": ctypes.c_double, "i": ctypes.c_int64,
-                 "p": ctypes.c_void_p}
-        self.post = type("Post", (ctypes.Structure,), {"_fields_": [
-            (name, kinds[kind]) for name, kind in _POST_FIELDS]})
+    def __init__(self, cdll, method: str = None):
         d, i, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
-        self.methods, self.solve = methods, {}
-        for method in methods:
-            solve = getattr(cdll, f"solve_{method}")
+        self.methods = tuple(_METHODS) if method is None else (method,)
+        self.solve = {}
+        for m in self.methods:
+            solve = getattr(cdll, f"solve_{m}")
             solve.argtypes = [ptr, ptr, d, d, i, ptr, i, ptr, d, ptr, ptr]
             solve.restype = i
-            self.solve[method] = solve
-        self.block = cdll.block
-        self.block.argtypes = [ctypes.POINTER(self.post), ctypes.c_int, ptr,
-                               d, ptr, ptr, i, ctypes.c_int, ptr, ptr]
-        self.block.restype = i
-        self.double, self.state = ctypes.c_double, ctypes.c_double * 3
+            self.solve[m] = solve
+        self.block = self.post = None
+        if method is not None:
+            kinds = {"d": d, "i": i, "p": ptr}
+            self.post = type("Post", (ctypes.Structure,), {"_fields_": [
+                (name, kinds[kind]) for name, kind in _POST_FIELDS]})
+            self.block = cdll.block
+            self.block.argtypes = [ctypes.POINTER(self.post), ptr, d, ptr,
+                                   ptr, i, ctypes.c_int, ptr, ptr]
+            self.block.restype = i
+        self.double, self.state = d, d * 3
         self.byref = ctypes.byref
         self.cdll = cdll       # keeps the library loaded
 
@@ -384,7 +456,7 @@ class Library:
                          x0=x0)
         return post, (csys, nodes, values)
 
-    def run_block(self, post, method, x, lp, scale, z, log_u, kept, draws,
+    def run_block(self, post, x, lp, scale, z, log_u, kept, draws,
                   energies):
         """One Metropolis block in C: (x, lp, accepted, prob) as
         ``mcmc.mh_run``'s Python loop returns them.  ValueError, with
@@ -402,8 +474,8 @@ class Library:
                              "energies must be float arrays of one length")
         state = self.state(x, lp, 0.0)
         n_accept = self.block(
-            self.byref(post), self.methods.index(method), state, scale,
-            z.ctypes.data, log_u.ctypes.data, n, kept,
+            self.byref(post), state, scale, z.ctypes.data, log_u.ctypes.data,
+            n, kept,
             None if draws is None else draws.ctypes.data,
             None if energies is None else energies.ctypes.data)
         return state[0], state[1], n_accept, state[2]

@@ -307,17 +307,19 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
 # compiled solves and chain blocks (see ``native``)
 # ---------------------------------------------------------------------------
 #
-# A Metropolis chain builds a library of its own method alone at its first
-# block: a compile costs more the more methods it holds (gcc 12 took 0.20 s
-# on the glucose source with all three and 0.17 s with RK4 alone, medians
-# of 7 on a 2-core Xeon VM), and a sweep runs one solver.  Lone solves (the quadrature oracles,
-# ``estimate_order``) build one library of all three methods at the
-# right-hand side's second solve, since the order check solves with every
-# method, and a process that solves once (``stepselect gen``'s glucose
-# reference solve) never runs the compiler nor loads ``native``.  A library
-# is compiled with ``sysconfig``'s CC, or ``cc``, in a temporary directory
-# deleted once it is loaded, and a failure is remembered for the rest of
-# the process.
+# A Metropolis chain builds a library of its own method and the chain block
+# before its initial evaluation (``mcmc.mh_run``'s empty block), so that
+# evaluation's solve runs in it too: a compile costs more the more it holds,
+# and a sweep runs one solver.  Lone solves (the quadrature oracles,
+# ``estimate_order``) take any loaded library that holds their method, else
+# build one of all three methods and no block at the right-hand side's
+# second solve, since the order check solves with every method; a process
+# that solves once (``stepselect gen``'s glucose reference solve) never runs
+# the compiler nor loads ``native``, and one that solves once before its
+# first chain (a glucose sweep that generates its own data) compiles only
+# the chain's library.  A library is compiled with ``sysconfig``'s CC, or
+# ``cc``, in a temporary directory deleted once it is loaded, and a failure
+# is remembered for the rest of the process.
 
 @functools.lru_cache(maxsize=64)
 def _c_system(system):
@@ -339,45 +341,49 @@ def _addressed(array: np.ndarray) -> tuple:
     return array, array.__array_interface__["data"][0]
 
 
-# (library key, method) -> the loaded library that serves the method, or
-# None for good; a key seen once by a lone solve waits in _SOLVED_ONCE for
-# its second
+# (library key, method, chain) -> the loaded library that serves the
+# method's lone solves (chain False) or its chains (True), or None for good;
+# a key seen once by a lone solve waits in _SOLVED_ONCE for its second
 _LIBRARIES = {}
 _SOLVED_ONCE = set()
 
 
 def _library(system, method: str, chain: bool = False) -> tuple:
-    """(a compiled library of ``system``'s right-hand side that holds
-    ``method``, or None, the system as ``_c_system`` gives it).  Without a
-    loaded one, a chain builds a library of ``method`` alone at once, and a
-    lone solve one of every method at the right-hand side's second lone
-    solve in the process (each lone call counts as a solve).  A build only
-    fills the methods that have no library yet: a chain's ``post`` is a
-    ctypes type of the library that made it, so a loaded library is never
-    replaced.  Once the right-hand side proves outside the C subset or the
-    compiler or the loader fails, every method stays None for the rest of
-    the process."""
+    """(a compiled library of ``system``'s right-hand side that serves
+    ``method``'s lone solves, or with ``chain`` its chain blocks, or None,
+    the system as ``_c_system`` gives it).  Lone solves take any loaded
+    library that holds the method, and a chain only one with a chain block.
+    Without one, a chain builds a library of ``method`` and its block at
+    once, and a lone solve one of every method and no block at the
+    right-hand side's second lone solve in the process (each lone call
+    counts as a solve).  A build only fills what has no library yet: a
+    chain's ``post`` is a ctypes type of the library that made it, so a
+    loaded library is never replaced.  Once the right-hand side proves
+    outside the C subset or the compiler or the loader fails, every method
+    stays None for the rest of the process."""
     csys = _c_system(system)
     if csys is None:
         return None, None
     key = csys[0]
     try:
-        return _LIBRARIES[key, method], csys
+        return _LIBRARIES[key, method, chain], csys
     except KeyError:
         pass
     if not chain and key not in _SOLVED_ONCE:
         _SOLVED_ONCE.add(key)
         return None, csys
-    methods = (method,) if chain else tuple(_METHODS)
+    built = method if chain else None
     from . import native
     try:
         lib = native.Library(native.compile_source(
-            native.c_source(*key, methods)), methods)
+            native.c_source(*key, built)), built)
+        # a chain's library serves its method's lone solves too
+        serves = [(m, c) for m in lib.methods for c in {False, chain}]
     except (ValueError, SyntaxError, OSError):
-        lib, methods = None, _METHODS
-    for m in methods:
-        _LIBRARIES.setdefault((key, m), lib)
-    return _LIBRARIES[key, method], csys
+        lib, serves = None, [(m, c) for m in _METHODS for c in (False, True)]
+    for m, c in serves:
+        _LIBRARIES.setdefault((key, m, c), lib)
+    return _LIBRARIES[key, method, chain], csys
 
 
 def estimate_order(system, theta, method: str, h_list, t0: float,

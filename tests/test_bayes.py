@@ -1,6 +1,7 @@
 """Likelihood, prior, and posterior-assembly tests."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -445,8 +446,9 @@ def test_a_division_by_theta_gets_no_library():
 
 
 def test_lone_solves_leave_a_chain_its_library(monkeypatch):
-    # a chain builds the library of its own method, and lone Euler solves
-    # on the same right-hand side then build the three-method library
+    # a chain builds the library of its own method and its block, which
+    # also serves the lone RK4 solves, and lone Euler solves on the same
+    # right-hand side then build the three-method library, with no block,
     # beside it: the first closure's chain structure is a ctypes type of
     # the library that made it, so that library still serves RK4, and the
     # closure's next chain runs compiled with a fresh closure's bits
@@ -460,13 +462,20 @@ def test_lone_solves_leave_a_chain_its_library(monkeypatch):
     first = make_log_posterior(ds, prior, forward)
     mh_run(first, 1.0, settings_, n_iter=400, burn_in=100, seed=5)
     key = ode._c_system(system)[0]
-    chain_lib = ode._LIBRARIES[key, "rk4"]
-    assert list(ode._LIBRARIES) == [(key, "rk4")]
+    chain_lib = ode._LIBRARIES[key, "rk4", True]
+    assert ode._LIBRARIES == {(key, "rk4", True): chain_lib,
+                              (key, "rk4", False): chain_lib}
     assert chain_lib.methods == ("rk4",) and first.compiled()
     for _ in range(2):
         ode.integrate_states(system, 1.0, SolverConfig("euler", 0.1), 0.0,
                              100, (0, 100))
-    assert ode._LIBRARIES[key, "euler"].methods == ("euler", "rk2", "rk4")
+    lone_lib = ode._LIBRARIES[key, "euler", False]
+    assert lone_lib.methods == ("euler", "rk2", "rk4")
+    assert lone_lib.block is None
+    assert ode._LIBRARIES == {(key, "rk4", True): chain_lib,
+                              (key, "rk4", False): chain_lib,
+                              (key, "euler", False): lone_lib,
+                              (key, "rk2", False): lone_lib}
 
     def python_block(*args):
         raise AssertionError("a block ran on the Python stepper")
@@ -476,7 +485,70 @@ def test_lone_solves_leave_a_chain_its_library(monkeypatch):
             for logpost in (first, fresh))
     assert a.draws.tobytes() == b.draws.tobytes()
     assert a.energies.tobytes() == b.energies.tobytes()
-    assert ode._LIBRARIES[key, "rk4"] is chain_lib
+    assert ode._LIBRARIES[key, "rk4", True] is chain_lib
+
+
+@pytest.mark.parametrize("model", ["logistic", "glucose"])
+def test_compiled_block_matches_the_sequential_block(model):
+    # the compiled block solves the next few proposals at once and walks
+    # them up to the first acceptance; at every block length around its
+    # lane count, kept or not, it gives mcmc._block's returns, draws,
+    # energies and counters bit for bit, also where every proposal is
+    # accepted, where proposals cross 0 and where solves blow up
+    ds, prior, forward = model_case(model)
+    if not compiled(forward.solve[0]):
+        pytest.skip("no C compiler")
+    n_lanes = native.lanes(forward.solve[0].dim_p)
+    # a point near the posterior's mode, a scale that gets some proposals
+    # accepted, and a parameter whose solve blows up
+    x, scale, blowup = ((1.0, 0.01, 40.0) if model == "logistic"
+                        else (10.0, 1.0, 300.0))
+    rng = np.random.default_rng(29)
+    cases = [(x, scale, rng.standard_normal(n), np.log(rng.random(n)))
+             for n in (0, 1, n_lanes - 1, n_lanes, n_lanes + 1,
+                       2 * n_lanes + 1)]
+    n = 2 * n_lanes + 1
+    z = rng.standard_normal(n)
+    accept_all = (x, scale / 10.0, z, np.full(n, -np.inf))
+    cross_zero = (scale / 2.0, scale, z, np.log(rng.random(n)))
+    z = rng.standard_normal(n)
+    z[::3] = (blowup - x) / scale
+    blow_up = (x, scale, z, np.log(rng.random(n)))
+    k = 2 * len(cases)     # where the all-accepting case's blocks land
+    cases += [accept_all, cross_zero, blow_up]
+    seen = []
+    for (x, scale, z, log_u), kept in itertools.product(cases,
+                                                         (True, False)):
+        compiled_, sequential = (make_log_posterior(ds, prior, forward)
+                                 for _ in range(2))
+        lp = compiled_(x)
+        assert sequential(x) == lp and math.isfinite(lp)
+        arrays = [np.full(len(z), np.nan) if kept else None
+                  for _ in range(4)]
+        got = compiled_.run_block(x, lp, scale, z, log_u, kept, *arrays[:2])
+        want = mcmc._block(lambda v, floor: sequential(v, floor), x, lp,
+                           scale, z, log_u, kept, *arrays[2:])
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        if kept:
+            assert arrays[0].tobytes() == arrays[2].tobytes()
+            assert arrays[1].tobytes() == arrays[3].tobytes()
+        assert (compiled_.rhs_evals(), compiled_.stopped_early()) \
+            == (sequential.rhs_evals(), sequential.stopped_early())
+        assert compiled_.compiled()
+        seen.append((got[2], len(z), compiled_.stopped_early()))
+    # the cases reach what they name: blocks that accept some proposals but
+    # not all, solves stopped at a floor, the all-accepting case's every
+    # proposal accepted, proposals at or below 0, and solves that blow up,
+    # which the closure scores -inf inside the prior's support
+    assert any(0 < accepted < length for accepted, length, _ in seen)
+    assert any(stopped for _, _, stopped in seen)
+    assert [accepted for accepted, _, _ in seen[k:k + 2]] == [n, n]
+    x, scale, z, _ = cross_zero
+    assert (x + scale * z <= 0.0).any()
+    x, scale, z, _ = blow_up
+    assert make_log_posterior(ds, prior, forward)(x + scale * z[0]) \
+        == -math.inf
+    assert math.isfinite(prior.theta[0].logpdf(x + scale * z[0]))
 
 
 @pytest.mark.parametrize("case", ["z and log_u", "draws alone"])

@@ -447,6 +447,32 @@ def test_each_pool_worker_compiles_its_solver_alone(tmp_path, monkeypatch):
     assert ode._LIBRARIES == {}
 
 
+def test_a_sweep_that_generates_its_data_compiles_once(tmp_path,
+                                                       monkeypatch):
+    # generating the glucose data solves the model once, and a chain
+    # builds its library before its initial evaluation, whose solve is the
+    # right-hand side's second: the sweep compiles the chain's library
+    # alone, not a lone-solve library first
+    spec = ExperimentSpec.from_json_file(SPECS / "glucose.json")
+    spec = dataclasses.replace(spec, h_grid=spec.h_grid[:3],
+                               mcmc=McmcSettings(n_iter=300, step_scale=0.5))
+    if not compiled(build_system(spec, generate_synthetic(spec))):
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(ode, "_LIBRARIES", {})
+    monkeypatch.setattr(ode, "_SOLVED_ONCE", set())
+    sources, compile_source = [], native.compile_source
+
+    def counted(source):
+        sources.append(source)
+        return compile_source(source)
+    monkeypatch.setattr(native, "compile_source", counted)
+    rec = run_sweep(spec, tmp_path / "run", jobs=1)
+    assert len(sources) == 1
+    assert re.findall(r"\bint64_t (solve_\w+)\(", sources[0]) \
+        == [f"solve_{spec.solver}"]
+    assert [r["compiled"] for r in rec["runs"]] == [True] * 3
+
+
 def test_run_sweep_submits_finest_step_first(tmp_path, monkeypatch):
     # the finest chain costs the most, so the pool gets it first; the
     # record still lists the steps in h_grid order

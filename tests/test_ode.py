@@ -442,31 +442,38 @@ def test_c_source_takes_only_its_subset():
     assert "((v_x / v_K) - (v_x / 0x1.0000000000000p+1))" in source
 
 
-# sha256 of each bundled model's three-method C source, the bytes it had
-# before a library could hold fewer methods
+# sha256 of each bundled model's lone-solve C source (the head and the
+# three methods' steppers), the bytes it has since the steppers run lanes
 WHOLE_SOURCE_SHA256 = {
-    "logistic": "daa5086c5b9c2b679082bd4b90d469fec6cd6ed744f1b72bce1566a7a6c2990c",
-    "glucose": "d638d3fcf5d5b5ef45b5171f82882306e08ac05e821c8501d1c5d98c2dc871f5",
+    "logistic": "7d22ab78fd7aecc10a918651f2fa81a2e06a54143c031de8bfcf1ee757977897",
+    "glucose": "3f458227ddc7c31f2f5e9e4d8a15325c34fa2837b5ade63fd196fbd7e79c8738",
 }
 
 
 @pytest.mark.parametrize("model", ["logistic", "glucose"])
 def test_one_method_source_is_its_part_of_the_whole(model):
-    # a chain's library holds its own method alone: the head, that
-    # method's stepper as the three-method source has it, and the chain
-    # block over a table of one entry
+    # the lone solves' library is the head and every method's stepper, a
+    # lane stepper and its one-lane solve_<method>; a chain's library is
+    # the head, its own method's stepper as the lone source has it, and the
+    # chain block over that stepper, the same block for every method
     key = ode._c_system(model_solve(model)[0])[0]
     whole = native.c_source(*key)
     assert hashlib.sha256(whole.encode()).hexdigest() \
         == WHOLE_SOURCE_SHA256[model]
-    head, *steppers, block = re.split(
-        r"(?=\nint64_t solve_|\ntypedef struct)", whole)
-    table = "{ solve_euler, solve_rk2, solve_rk4 }"
-    assert len(steppers) == 3 and block.count(table) == 1
+    head, *steppers = re.split(r"(?=\nstatic void lanes_)", whole)
+    assert len(steppers) == 3 and "typedef struct" not in whole
+    blocks = set()
     for method, stepper in zip(("euler", "rk2", "rk4"), steppers):
-        assert stepper.startswith(f"\nint64_t solve_{method}(")
-        assert native.c_source(*key, (method,)) == head + stepper \
-            + block.replace(table, f"{{ solve_{method} }}")
+        assert stepper.startswith(f"\nstatic void lanes_{method}(")
+        assert re.findall(r"\bint64_t (solve_\w+)\(", stepper) \
+            == [f"solve_{method}"]
+        chain = native.c_source(*key, method)
+        assert chain.startswith(head + stepper)
+        block = chain[len(head + stepper):]
+        assert block.startswith("\ntypedef struct")
+        assert block.count(f"lanes_{method}(") == 1 and "solve_" not in block
+        blocks.add(block.replace(f"lanes_{method}(", "lanes_M("))
+    assert len(blocks) == 1
 
 
 @pytest.mark.parametrize("zero", [0.0, -0.0])
@@ -483,14 +490,20 @@ def test_a_zero_constant_gets_no_library(zero):
 
 
 def test_compile_leaves_no_file_behind(tmp_path, monkeypatch):
+    # a lone-solve library (no method) and a chain's library alike: the
+    # lone one holds every method's solve and no chain block, the chain's
+    # its own method's solve and the block
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    source = native.c_source(1, ("dx = theta_0 * x",), ())
-    try:
-        lib = native.compile_source(source)
-    except OSError:
-        pytest.skip("no C compiler")
-    assert lib.solve_rk4 and lib.block
-    assert list(tmp_path.iterdir()) == []
+    for method in (None, "rk4"):
+        source = native.c_source(1, ("dx = theta_0 * x",), (), method)
+        try:
+            lib = native.compile_source(source)
+        except OSError:
+            pytest.skip("no C compiler")
+        assert lib.solve_rk4
+        assert hasattr(lib, "solve_euler") is (method is None)
+        assert hasattr(lib, "block") is (method is not None)
+        assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
