@@ -164,14 +164,16 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
 
     The fused closure also has ``run_block(x, lp, scale, z, log_u, kept,
     draws, energies)``, which runs one block of ``mcmc.mh_run``'s
-    Metropolis loop, this closure's evaluations included, in the compiled
-    chain library of the right-hand side and the closure's method (built
-    when there is none, see ``ode._library``), with the same bits and
-    counts: the block solves proposals ahead of the Metropolis test, and
-    ``rhs_evals()`` and ``stopped_early()`` count only the solves the loop
-    used.  It returns None where there is no library, and ``compiled()``
-    tells whether its blocks run compiled.  Any other forward map goes
-    through ``log_posterior_unnorm`` and ignores the floor.
+    Metropolis loop, this closure's evaluations included, in the chain
+    library of the right-hand side and the closure's method, with the same
+    bits and counts: the block solves proposals ahead of the Metropolis
+    test, and ``rhs_evals()`` and ``stopped_early()`` count only the solves
+    the loop used.  A chain builds that library at its first block, at
+    once, and solves nothing outside its blocks: ``mh_run`` evaluates the
+    initial point in a block too (see ``ode._library``).  It returns None
+    where there is no library, and ``compiled()`` tells whether its blocks
+    run compiled.  Any other forward map goes through
+    ``log_posterior_unnorm`` and ignores the floor.
     """
     if dataset.sigma_fixed is None:
         raise ValueError("the log posterior needs dataset.sigma_fixed")
@@ -226,7 +228,7 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
         return lp + (ll0 - 0.5 * ss / var)
 
     def run_block(x, lp, scale, z, log_u, kept, draws, energies):
-        lib, csys = ode._library(system, config.method, chain=True)
+        lib, csys = ode._library(system, config.method)
         if lib is None:
             return None
         if not chain:

@@ -80,7 +80,9 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
         whose adaptation reads the exact acceptance probability, it is
         -inf.  A function that ignores ``floor`` meets this contract.  One
         with a ``run_block`` attribute (bayes.make_log_posterior's fused
-        closure) may run whole blocks of iterations itself.
+        closure) may run whole blocks of iterations itself, the initial
+        evaluation included, and is then called only for a block that
+        ``run_block`` hands back (returns None for).
     init : starting point.
     settings : read for ``step_scale``, ``adapt``, ``adapt_window`` and
         ``target_accept`` only.
@@ -93,15 +95,14 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
         raise ValueError("need n_iter > burn_in >= 0")
 
     # A log posterior with ``run_block`` (bayes.make_log_posterior's fused
-    # closure) may run whole blocks in compiled code; its empty block,
-    # before the initial evaluation and the clocks, builds the chain's
-    # library if this is where it gets built (ode._library), and the
-    # initial evaluation's solve then runs in it too.
+    # closure) may run whole blocks in compiled code, and then evaluates
+    # the initial point in one too: one proposal of scale 0 from lp = -inf,
+    # accepted unless its log posterior is -inf as well.
     run_block = getattr(log_posterior, "run_block", None)
-    if run_block is not None:
-        empty = np.empty(0)
-        run_block(x, -math.inf, 0.0, empty, empty, False, None, None)
-    lp = float(log_posterior(x, -math.inf))
+    zero = np.zeros(1)
+    out = None if run_block is None else run_block(
+        x, -math.inf, 0.0, zero, zero, False, None, None)
+    lp = float(log_posterior(x, -math.inf)) if out is None else out[1]
     if not math.isfinite(lp):
         raise InitializationError(
             f"log posterior at the initial point is {lp}; start inside the support")

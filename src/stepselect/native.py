@@ -4,18 +4,19 @@ A right-hand side's shared libraries are compiled in the process from C
 that ``c_source`` translates from the very step statements
 ``ode._step_lines`` gives the Python stepper: the same ``ode._METHODS``
 stages and the same right-hand-side lines after ``bind``.  Each method gets
-one stepper that runs several solves in lockstep, its lanes, and a lone
-solve is that stepper with one lane.  A Metropolis chain's library holds its
-own method's stepper and a chain block that runs the fused log posterior of
+one stepper that runs several solves in lockstep, its lanes.  Each library
+has one caller, since the compile's cost grows with what it holds.  A
+Metropolis chain's library, built at once, holds its own method's stepper
+and a chain block that runs the fused log posterior of
 ``bayes.make_log_posterior`` and the Metropolis loop of ``mcmc.mh_run``,
-solving the next ``lanes(dim_p)`` proposals at once along the rejection path
-(see ``_BLOCK_C``); the library of lone solves holds the steppers of all
-three methods and no block, since the compile's cost grows with what it
-holds (``ode._library``).  A loaded library serves every later solve of its
-methods, and a chain's every later chain, in the process and is never
-replaced.  A Python-level RK4 step of the logistic model costs 0.35-0.40 us
-and a compiled one about 0.04 us, and the chains are nearly all of a
-sweep's cost.
+the initial evaluation included, solving the next ``lanes(dim_p)``
+proposals at once along the rejection path (see ``_BLOCK_C``).  The lone
+library, built at the right-hand side's second lone solve, holds every
+method's stepper and its plain solve, the stepper with one lane, for
+``ode.integrate_states``' uncapped solves (see ``ode._library``).  A
+Python-level RK4 step of the logistic model costs 0.35-0.40 us and a
+compiled one about 0.04 us, and the chains are nearly all of a sweep's
+cost.
 
 Same bits: the C is IEEE double arithmetic on the same operands in the same
 order, compiled without contraction into fused multiply-adds
@@ -137,8 +138,7 @@ _HEAD_C = """#include <math.h>
 # every node and stops at the first node before the last step where the sum
 # exceeds cap[l], with rows[l] the rows reached.  A lane that runs to the
 # end gets rows[l] -1 when a node was never reached, and -2 when its last
-# state is not finite.  ``solve_<method>`` is one lone solve, the stepper
-# with one lane.
+# state is not finite.
 _STEPPER_C = """
 static void lanes_{method}(const double *c, const double *x0,
         const double *theta, double {p}h, int64_t n_steps,
@@ -189,17 +189,19 @@ static void lanes_{method}(const double *c, const double *x0,
         rows[l] = j < n_nodes ? -1 : ({finite}) ? j : -2;
     }}
 }}
+"""
 
+# A lone solve of the lone library: the stepper with one lane and no
+# residual sum, returning its rows reached, -1 or -2.
+_SOLVE_C = """
 int64_t solve_{method}(const double *c, const double *x0, double theta,
         double h, int64_t n_steps, const int64_t *nodes, int64_t n_nodes,
-        const double *values, double cap, double *out, double *ss_out)
+        double *out)
 {{
     int64_t rows;
     double ss;
-    lanes_{method}(c, x0, &theta, h, n_steps, nodes, n_nodes, values, &cap,
-                   1, out, &rows, &ss);
-    if (ss_out)
-        *ss_out = ss;
+    lanes_{method}(c, x0, &theta, h, n_steps, nodes, n_nodes, NULL, NULL, 1,
+                   out, &rows, &ss);
     return rows;
 }}
 """
@@ -329,7 +331,7 @@ def c_source(dim_p: int, rhs: tuple, const_names: tuple,
     """The C source of a library of one right-hand side, whose constants
     ``const_names`` hold nonzero floats: a chain's, the stepper of
     ``method`` and the chain block over it, or, with no ``method``, the lone
-    solves', the steppers of every method and no block; ValueError when a
+    library, every method's stepper and its plain solve; ValueError when a
     line is outside the C subset."""
     xs = _parts("x", dim_p)
     p, n_lanes = _C_PREFIX, lanes(dim_p)
@@ -358,8 +360,8 @@ def c_source(dim_p: int, rhs: tuple, const_names: tuple,
             row=" ".join(f"out[(l * n_nodes + j) * {dim_p} + {i}] = "
                          f"xs[l * {dim_p} + {i}];" for i in range(dim_p)),
             finite=" && ".join(f"isfinite({p}{x})" for x in xs)))
-    if method is not None:
-        pieces.append(_BLOCK_C.format(method=method, lanes=n_lanes))
+        pieces.append(_SOLVE_C.format(method=m) if method is None
+                      else _BLOCK_C.format(method=m, lanes=n_lanes))
     return "".join(pieces)
 
 
@@ -369,12 +371,6 @@ def _c_nodes(nodes: tuple):
     survive the conversion (a node 2.5 is no step index)."""
     array = np.array(nodes, dtype=np.int64)
     return _addressed(array) if array.tolist() == list(nodes) else None
-
-
-@functools.lru_cache(maxsize=256)
-def _c_values(values: tuple):
-    """``values`` as an addressed float array."""
-    return _addressed(np.array(values, dtype=float))
 
 
 def compile_source(source: str):
@@ -397,21 +393,19 @@ def compile_source(source: str):
 
 
 class Library:
-    """A loaded library's solves, one for each method it was compiled
-    with, and for a chain's library (``c_source`` given ``method``) its
+    """A loaded library: for the lone library (``c_source`` given no
+    ``method``) ``solve``, its plain solve per method, and for a chain's its
     chain block and ``post``, the ctypes structure the block reads."""
 
     def __init__(self, cdll, method: str = None):
         d, i, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
-        self.methods = tuple(_METHODS) if method is None else (method,)
         self.solve = {}
-        for m in self.methods:
-            solve = getattr(cdll, f"solve_{m}")
-            solve.argtypes = [ptr, ptr, d, d, i, ptr, i, ptr, d, ptr, ptr]
-            solve.restype = i
-            self.solve[m] = solve
-        self.block = self.post = None
-        if method is not None:
+        if method is None:
+            for m in _METHODS:
+                solve = self.solve[m] = getattr(cdll, f"solve_{m}")
+                solve.argtypes = [ptr, ptr, d, d, i, ptr, i, ptr]
+                solve.restype = i
+        else:
             kinds = {"d": d, "i": i, "p": ptr}
             self.post = type("Post", (ctypes.Structure,), {"_fields_": [
                 (name, kinds[kind]) for name, kind in _POST_FIELDS]})
@@ -423,15 +417,13 @@ class Library:
         self.byref = ctypes.byref
         self.cdll = cdll       # keeps the library loaded
 
-    def solve_states(self, csys, method, theta, h, n_steps, nodes, values,
-                     cap):
-        """The states ``integrate_states`` returns, or None where the
-        Python stepper must run the solve: it would end in an error, or the
-        nodes or values are not what the C code takes."""
+    def solve_states(self, csys, method, theta, h, n_steps, nodes):
+        """The states of an uncapped ``integrate_states`` solve, or None
+        where the Python stepper must run it: it would end in an error, or
+        the nodes are not what the C code takes."""
         _, (_, consts), (x0, x0_at) = csys
         try:
             nodes = _c_nodes(tuple(nodes))
-            values = None if values is None else _c_values(tuple(values))
         except (TypeError, ValueError, OverflowError):
             return None
         if nodes is None or n_steps < 0:
@@ -439,8 +431,7 @@ class Library:
         n_nodes, dim_p = len(nodes[0]), x0.size
         out = (self.double * (n_nodes * dim_p))()
         rows = self.solve[method](consts, x0_at, theta, h, n_steps, nodes[1],
-                                  n_nodes, values and values[1], cap, out,
-                                  None)
+                                  n_nodes, out)
         return None if rows < 0 else np.ndarray((rows, dim_p), buffer=out)
 
     def chain_post(self, csys, h, n_steps, nodes, values, c, k1, r, ll0,
@@ -449,7 +440,8 @@ class Library:
         with its counters at zero, and what holds the arrays it points
         into, which the caller keeps alive with it."""
         _, (_, consts), (_, x0) = csys
-        nodes, values = _c_nodes(tuple(nodes)), _c_values(tuple(values))
+        nodes = _c_nodes(tuple(nodes))
+        values = _addressed(np.array(values, dtype=float))
         post = self.post(c=c, k1=k1, r=r, ll0=ll0, var=var, h=h,
                          n_steps=n_steps, n_nodes=len(nodes[0]),
                          nodes=nodes[1], values=values[1], consts=consts,

@@ -97,10 +97,13 @@ def integrate_states(system, theta: float, config: SolverConfig, t0: float,
     ValueError, is replayed step by step to raise NonFiniteState at the
     first non-finite step, exactly as a per-step check would.
 
-    The solve runs in the right-hand side's compiled library when it has
-    one (see ``_library``), with the same bits; any solve that would end in
-    an error there, or that the library cannot take, runs on the Python
-    stepper, which raises what it raises.
+    An uncapped solve runs in the right-hand side's lone library when it
+    has one (see ``_library``), with the same bits; any solve that would end
+    in an error there, or that the library cannot take, runs on the Python
+    stepper, which raises what it raises.  A capped solve always runs on
+    the Python stepper: only the fused log posterior of a chain with no
+    library of its own makes one, since a compiled chain solves in its
+    block.
     """
     if not len(nodes) or nodes[-1] != n_steps:
         raise ValueError(f"nodes must end at n_steps={n_steps}")
@@ -108,11 +111,10 @@ def integrate_states(system, theta: float, config: SolverConfig, t0: float,
     if bounded and len(values) != len(nodes):
         raise ValueError("a finite cap needs one observed value per node")
     step, consts, x0, finite = _solver(config.method, system)
-    lib, csys = _library(system, config.method)
+    lib, csys = (None, None) if bounded else _library(system)
     if lib is not None:
         states = lib.solve_states(csys, config.method, theta, config.h,
-                                  n_steps, nodes,
-                                  values if bounded else None, cap)
+                                  n_steps, nodes)
         if states is not None:
             return states
     h = config.h
@@ -307,19 +309,19 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
 # compiled solves and chain blocks (see ``native``)
 # ---------------------------------------------------------------------------
 #
-# A Metropolis chain builds a library of its own method and the chain block
-# before its initial evaluation (``mcmc.mh_run``'s empty block), so that
-# evaluation's solve runs in it too: a compile costs more the more it holds,
-# and a sweep runs one solver.  Lone solves (the quadrature oracles,
-# ``estimate_order``) take any loaded library that holds their method, else
-# build one of all three methods and no block at the right-hand side's
-# second solve, since the order check solves with every method; a process
-# that solves once (``stepselect gen``'s glucose reference solve) never runs
-# the compiler nor loads ``native``, and one that solves once before its
-# first chain (a glucose sweep that generates its own data) compiles only
-# the chain's library.  A library is compiled with ``sysconfig``'s CC, or
-# ``cc``, in a temporary directory deleted once it is loaded, and a failure
-# is remembered for the rest of the process.
+# A right-hand side gets one library per caller, and a compile costs more
+# the more the library holds.  A Metropolis chain builds its own at once: its
+# method's stepper and the chain block, in which the chain evaluates
+# everything, its initial point included (``mcmc.mh_run``).  Lone solves
+# (the quadrature oracles, ``estimate_order``) build theirs at the
+# right-hand side's second lone solve: every method's stepper and plain
+# solve, since the order check solves with every method.  So a process that
+# solves once (``stepselect gen``'s glucose reference solve) never runs the
+# compiler nor loads ``native``, and a glucose sweep that generates its own
+# data compiles only its chains' library.  A library is compiled with
+# ``sysconfig``'s CC, or ``cc``, in a temporary directory deleted once it is
+# loaded, and a failed build is remembered, library by library, for the
+# rest of the process.
 
 @functools.lru_cache(maxsize=64)
 def _c_system(system):
@@ -341,49 +343,36 @@ def _addressed(array: np.ndarray) -> tuple:
     return array, array.__array_interface__["data"][0]
 
 
-# (library key, method, chain) -> the loaded library that serves the
-# method's lone solves (chain False) or its chains (True), or None for good;
-# a key seen once by a lone solve waits in _SOLVED_ONCE for its second
+# (library key, method) -> the loaded library of a chain of that method,
+# or with method None the lone library, or None for good; a key seen once
+# by a lone solve waits in _SOLVED_ONCE for its second
 _LIBRARIES = {}
 _SOLVED_ONCE = set()
 
 
-def _library(system, method: str, chain: bool = False) -> tuple:
-    """(a compiled library of ``system``'s right-hand side that serves
-    ``method``'s lone solves, or with ``chain`` its chain blocks, or None,
-    the system as ``_c_system`` gives it).  Lone solves take any loaded
-    library that holds the method, and a chain only one with a chain block.
-    Without one, a chain builds a library of ``method`` and its block at
-    once, and a lone solve one of every method and no block at the
-    right-hand side's second lone solve in the process (each lone call
-    counts as a solve).  A build only fills what has no library yet: a
-    chain's ``post`` is a ctypes type of the library that made it, so a
-    loaded library is never replaced.  Once the right-hand side proves
-    outside the C subset or the compiler or the loader fails, every method
-    stays None for the rest of the process."""
+def _library(system, method: str = None) -> tuple:
+    """(the compiled library of ``system``'s right-hand side for chains of
+    ``method``, or with no ``method`` for lone solves, or None, the system
+    as ``_c_system`` gives it).  A chain's library is built at once, the
+    lone library at the right-hand side's second lone solve in the process
+    (each lone call counts as a solve).  Once a library proves outside the
+    C subset or its compiler or loader fails, it stays None for the rest
+    of the process."""
     csys = _c_system(system)
     if csys is None:
         return None, None
-    key = csys[0]
-    try:
-        return _LIBRARIES[key, method, chain], csys
-    except KeyError:
-        pass
-    if not chain and key not in _SOLVED_ONCE:
-        _SOLVED_ONCE.add(key)
-        return None, csys
-    built = method if chain else None
-    from . import native
-    try:
-        lib = native.Library(native.compile_source(
-            native.c_source(*key, built)), built)
-        # a chain's library serves its method's lone solves too
-        serves = [(m, c) for m in lib.methods for c in {False, chain}]
-    except (ValueError, SyntaxError, OSError):
-        lib, serves = None, [(m, c) for m in _METHODS for c in (False, True)]
-    for m, c in serves:
-        _LIBRARIES.setdefault((key, m, c), lib)
-    return _LIBRARIES[key, method, chain], csys
+    key = csys[0], method
+    if key not in _LIBRARIES:
+        if method is None and csys[0] not in _SOLVED_ONCE:
+            _SOLVED_ONCE.add(csys[0])
+            return None, csys
+        from . import native
+        try:
+            _LIBRARIES[key] = native.Library(native.compile_source(
+                native.c_source(*csys[0], method)), method)
+        except (ValueError, SyntaxError, OSError):
+            _LIBRARIES[key] = None
+    return _LIBRARIES[key], csys
 
 
 def estimate_order(system, theta, method: str, h_list, t0: float,

@@ -17,12 +17,13 @@ from stepselect import (Dataset, GammaPrior, LogisticParams, McmcSettings,
                         make_solver_forward, mh_run)
 from stepselect import bayes, evidence, mcmc, native, ode
 from stepselect.bayes import LOG_2PI
-from stepselect.errors import GridMismatch, NonFiniteState, NonMonotoneTimes
+from stepselect.errors import (GridMismatch, InitializationError,
+                               NonFiniteState, NonMonotoneTimes)
 from stepselect.harness import (ExperimentSpec, TimesSpec, build_system,
                                 generate_synthetic)
 from stepselect.models import OdeSystem, logistic_exact
 
-from conftest import compiled
+from conftest import compiled, on_python_stepper
 
 
 def small_dataset(n=26, sigma=1.0):
@@ -446,12 +447,12 @@ def test_a_division_by_theta_gets_no_library():
 
 
 def test_lone_solves_leave_a_chain_its_library(monkeypatch):
-    # a chain builds the library of its own method and its block, which
-    # also serves the lone RK4 solves, and lone Euler solves on the same
-    # right-hand side then build the three-method library, with no block,
-    # beside it: the first closure's chain structure is a ctypes type of
-    # the library that made it, so that library still serves RK4, and the
-    # closure's next chain runs compiled with a fresh closure's bits
+    # a chain builds the library of its own method and its block, with no
+    # plain solve, and solves nothing outside it; lone Euler solves on the
+    # same right-hand side then build the lone library, every method's
+    # plain solve and no block, at their second solve, beside it, and the
+    # first closure's next chain still runs compiled, with a fresh
+    # closure's bits
     ds, prior, forward = logistic_case()
     system = forward.solve[0]
     if not compiled(system):
@@ -462,20 +463,17 @@ def test_lone_solves_leave_a_chain_its_library(monkeypatch):
     first = make_log_posterior(ds, prior, forward)
     mh_run(first, 1.0, settings_, n_iter=400, burn_in=100, seed=5)
     key = ode._c_system(system)[0]
-    chain_lib = ode._LIBRARIES[key, "rk4", True]
-    assert ode._LIBRARIES == {(key, "rk4", True): chain_lib,
-                              (key, "rk4", False): chain_lib}
-    assert chain_lib.methods == ("rk4",) and first.compiled()
+    chain_lib = ode._LIBRARIES[key, "rk4"]
+    assert ode._LIBRARIES == {(key, "rk4"): chain_lib}
+    assert ode._SOLVED_ONCE == set() and first.compiled()
+    assert chain_lib.solve == {} and not hasattr(chain_lib.cdll, "solve_rk4")
     for _ in range(2):
         ode.integrate_states(system, 1.0, SolverConfig("euler", 0.1), 0.0,
                              100, (0, 100))
-    lone_lib = ode._LIBRARIES[key, "euler", False]
-    assert lone_lib.methods == ("euler", "rk2", "rk4")
-    assert lone_lib.block is None
-    assert ode._LIBRARIES == {(key, "rk4", True): chain_lib,
-                              (key, "rk4", False): chain_lib,
-                              (key, "euler", False): lone_lib,
-                              (key, "rk2", False): lone_lib}
+    lone_lib = ode._LIBRARIES[key, None]
+    assert sorted(lone_lib.solve) == ["euler", "rk2", "rk4"]
+    assert not hasattr(lone_lib, "block")
+    assert ode._LIBRARIES == {(key, "rk4"): chain_lib, (key, None): lone_lib}
 
     def python_block(*args):
         raise AssertionError("a block ran on the Python stepper")
@@ -485,7 +483,82 @@ def test_lone_solves_leave_a_chain_its_library(monkeypatch):
             for logpost in (first, fresh))
     assert a.draws.tobytes() == b.draws.tobytes()
     assert a.energies.tobytes() == b.energies.tobytes()
-    assert ode._LIBRARIES[key, "rk4", True] is chain_lib
+    assert ode._LIBRARIES[key, "rk4"] is chain_lib
+
+
+@pytest.mark.parametrize("model", ["logistic", "glucose"])
+def test_a_compiled_chain_solves_nothing_outside_its_block(model,
+                                                           monkeypatch):
+    # the initial evaluation runs in the chain block too, so a compiled
+    # chain never calls integrate_states, and it gives the Python stepper's
+    # chain, counters included; an initial point at or below 0 and one
+    # whose solve blows up end in the same InitializationError on both paths
+    ds, prior, forward = model_case(model)
+    if not compiled(forward.solve[0]):
+        pytest.skip("no C compiler")
+    settings_ = McmcSettings(n_iter=600,
+                             step_scale=0.005 if model == "logistic" else 0.5)
+    init = prior.theta[0].mean
+    blowup = 40.0 if model == "logistic" else 300.0
+
+    def run(x):
+        logpost = make_log_posterior(ds, prior, forward)
+        try:
+            chain = mh_run(logpost, x, settings_, n_iter=600, burn_in=100,
+                           seed=8)
+        except InitializationError as exc:
+            return str(exc)
+        return (chain.draws.tobytes(), chain.energies.tobytes(),
+                logpost.rhs_evals(), logpost.stopped_early(),
+                logpost.compiled())
+    with monkeypatch.context() as patch:
+        on_python_stepper(patch)
+        want = [run(x) for x in (init, 0.0, -1.0, blowup)]
+
+    def no_solve(*args):
+        raise AssertionError("a compiled chain solved outside its block")
+    monkeypatch.setattr(bayes, "integrate_states", no_solve)
+    got = [run(x) for x in (init, 0.0, -1.0, blowup)]
+    assert got[0][:4] == want[0][:4] and (got[0][4], want[0][4]) \
+        == (True, False)
+    assert got[0][3] > 0     # the floor cut some solves short
+    assert got[1:] == want[1:]
+    assert all("initial point is -inf" in message for message in got[1:])
+
+
+def test_a_failed_build_is_remembered_per_library(monkeypatch):
+    # with no compiler, the chain's library is tried once, at its first
+    # block, and the lone library once, at the second solve of the chain's
+    # Python burn-in: the compiler is called twice for a chain and three
+    # lone solves, and the bits are the Python stepper's
+    ds, prior, forward = logistic_case()
+    system, config, t0, n_steps, nodes = forward.solve
+    settings_ = McmcSettings(n_iter=300, step_scale=0.05)
+    calls = []
+
+    def chain_and_solves():
+        chain = mh_run(make_log_posterior(ds, prior, forward), 1.0,
+                       settings_, n_iter=300, burn_in=100, seed=9)
+        return [chain.draws.tobytes(), chain.energies.tobytes(),
+                *(ode.integrate_states(system, theta, config, t0, n_steps,
+                                       nodes).tobytes()
+                  for theta in (0.9, 1.0, 1.1))]
+    with monkeypatch.context() as patch:
+        on_python_stepper(patch)
+        want = chain_and_solves()
+    monkeypatch.setattr(ode, "_LIBRARIES", {})
+    monkeypatch.setattr(ode, "_SOLVED_ONCE", set())
+
+    def failing(source):
+        calls.append(source)
+        raise OSError("C compiler failed")
+    monkeypatch.setattr(native, "compile_source", failing)
+    assert chain_and_solves() == want
+    assert len(calls) == 2
+    assert "block" in calls[0] and "solve_" not in calls[0]
+    assert "solve_" in calls[1] and "block" not in calls[1]
+    key = ode._c_system(system)[0]
+    assert ode._LIBRARIES == {(key, "rk4"): None, (key, None): None}
 
 
 @pytest.mark.parametrize("model", ["logistic", "glucose"])

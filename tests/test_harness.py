@@ -436,13 +436,13 @@ def test_each_pool_worker_compiles_its_solver_alone(tmp_path, monkeypatch):
 
     def logged(source):
         with open(log, "a") as fh:
-            fh.write(" ".join(re.findall(r"\bint64_t (solve_\w+)\(",
+            fh.write(" ".join(re.findall(r"\bstatic void (lanes_\w+)\(",
                                          source)) + "\n")
         return compile_source(source)
     monkeypatch.setattr(native, "compile_source", logged)
     rec = run_sweep(spec, tmp_path / "run", jobs=2, dataset=ds)
     compiles = log.read_text().splitlines()
-    assert 1 <= len(compiles) <= 2 and set(compiles) == {"solve_rk2"}
+    assert 1 <= len(compiles) <= 2 and set(compiles) == {"lanes_rk2"}
     assert [r["compiled"] for r in rec["runs"]] == [True] * 3
     assert ode._LIBRARIES == {}
 
@@ -450,9 +450,9 @@ def test_each_pool_worker_compiles_its_solver_alone(tmp_path, monkeypatch):
 def test_a_sweep_that_generates_its_data_compiles_once(tmp_path,
                                                        monkeypatch):
     # generating the glucose data solves the model once, and a chain
-    # builds its library before its initial evaluation, whose solve is the
-    # right-hand side's second: the sweep compiles the chain's library
-    # alone, not a lone-solve library first
+    # builds its library at once and evaluates its initial point in it, so
+    # no lone solve comes second: the sweep compiles the chain's library
+    # alone, not the lone library too
     spec = ExperimentSpec.from_json_file(SPECS / "glucose.json")
     spec = dataclasses.replace(spec, h_grid=spec.h_grid[:3],
                                mcmc=McmcSettings(n_iter=300, step_scale=0.5))
@@ -468,8 +468,8 @@ def test_a_sweep_that_generates_its_data_compiles_once(tmp_path,
     monkeypatch.setattr(native, "compile_source", counted)
     rec = run_sweep(spec, tmp_path / "run", jobs=1)
     assert len(sources) == 1
-    assert re.findall(r"\bint64_t (solve_\w+)\(", sources[0]) \
-        == [f"solve_{spec.solver}"]
+    assert re.findall(r"\bstatic void (lanes_\w+)\(", sources[0]) \
+        == [f"lanes_{spec.solver}"]
     assert [r["compiled"] for r in rec["runs"]] == [True] * 3
 
 

@@ -343,23 +343,29 @@ def test_compiled_solve_matches_the_python_stepper(model, method, case,
     system, theta, h, n_steps, nodes = model_solve(model)
     if not compiled(system):
         pytest.skip("no C compiler")
-    values, cap = (), math.inf
-    if case != "uncapped":
-        # observed values 2 off the states, so the residual sum grows by
-        # about 4 per node: a cap of 9 stops the solve at its third node,
-        # and one of 17 at the second row of the repeated node 8
-        ref = integrate_states(system, theta, SolverConfig(method, h), 0.0,
-                               n_steps, nodes)
-        values = (ref[:, 0] + 2.0).tolist()
-        cap = {"capped": 1e300, "stopped at the cap": 9.0,
-               "repeated node": 17.0}[case]
 
-    def solve():
+    def solve(values=(), cap=math.inf):
         return integrate_states(system, theta, SolverConfig(method, h), 0.0,
                                 n_steps, nodes, values, cap)
     got, want = solve(), python_solve(monkeypatch, solve)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+    if case != "uncapped":
+        # a capped solve runs on the Python stepper and never enters the
+        # lone library, whose compiled cap the lane stepper's chain blocks
+        # keep (test_compiled_block_matches_the_sequential_block): observed
+        # values 2 off the states, so the residual sum grows by about 4 per
+        # node, a cap of 9 stops the solve at its third node, and one of 17
+        # at the second row of the repeated node 8
+        def entered(*args):
+            raise AssertionError("a capped solve entered the lone library")
+        lib = ode._library(system)[0]
+        monkeypatch.setattr(lib, "solve", dict.fromkeys(lib.solve, entered))
+        full = got
+        got = solve((full[:, 0] + 2.0).tolist(),
+                    {"capped": 1e300, "stopped at the cap": 9.0,
+                     "repeated node": 17.0}[case])
+        assert got.tobytes() == full[:len(got)].tobytes()
     assert len(got) == {"uncapped": 11, "capped": 11, "stopped at the cap": 3,
                         "repeated node": 5}[case]
 
@@ -442,36 +448,39 @@ def test_c_source_takes_only_its_subset():
     assert "((v_x / v_K) - (v_x / 0x1.0000000000000p+1))" in source
 
 
-# sha256 of each bundled model's lone-solve C source (the head and the
-# three methods' steppers), the bytes it has since the steppers run lanes
+# sha256 of each bundled model's lone-library C source (the head and the
+# three methods' steppers, each with its plain solve), the bytes it has
+# since a lone solve takes no cap
 WHOLE_SOURCE_SHA256 = {
-    "logistic": "7d22ab78fd7aecc10a918651f2fa81a2e06a54143c031de8bfcf1ee757977897",
-    "glucose": "3f458227ddc7c31f2f5e9e4d8a15325c34fa2837b5ade63fd196fbd7e79c8738",
+    "logistic": "0fcc328e0db028f40c6e41f01db9b2e9570bc9b3b9bb57b8268afa968243a73b",
+    "glucose": "ebbd1a41bec36c82006e6b93caefef36a7f98d4fde28e78e8f8004cc3623174a",
 }
 
 
 @pytest.mark.parametrize("model", ["logistic", "glucose"])
 def test_one_method_source_is_its_part_of_the_whole(model):
-    # the lone solves' library is the head and every method's stepper, a
-    # lane stepper and its one-lane solve_<method>; a chain's library is
-    # the head, its own method's stepper as the lone source has it, and the
-    # chain block over that stepper, the same block for every method
+    # the lone library is the head and every method's lane stepper, each
+    # followed by its one-lane solve_<method>; a chain's library is the
+    # head, its own method's lane stepper as the lone source has it, and
+    # the chain block over that stepper, the same block for every method,
+    # with no solve_
     key = ode._c_system(model_solve(model)[0])[0]
     whole = native.c_source(*key)
     assert hashlib.sha256(whole.encode()).hexdigest() \
         == WHOLE_SOURCE_SHA256[model]
-    head, *steppers = re.split(r"(?=\nstatic void lanes_)", whole)
-    assert len(steppers) == 3 and "typedef struct" not in whole
+    head, *parts = re.split(r"(?=\nstatic void lanes_)", whole)
+    assert len(parts) == 3 and "typedef struct" not in whole
     blocks = set()
-    for method, stepper in zip(("euler", "rk2", "rk4"), steppers):
+    for method, part in zip(("euler", "rk2", "rk4"), parts):
+        stepper, solve = re.split(r"(?=\nint64_t solve_)", part)
         assert stepper.startswith(f"\nstatic void lanes_{method}(")
-        assert re.findall(r"\bint64_t (solve_\w+)\(", stepper) \
+        assert re.findall(r"\bint64_t (solve_\w+)\(", solve) \
             == [f"solve_{method}"]
         chain = native.c_source(*key, method)
-        assert chain.startswith(head + stepper)
+        assert chain.startswith(head + stepper) and "solve_" not in chain
         block = chain[len(head + stepper):]
         assert block.startswith("\ntypedef struct")
-        assert block.count(f"lanes_{method}(") == 1 and "solve_" not in block
+        assert block.count(f"lanes_{method}(") == 1
         blocks.add(block.replace(f"lanes_{method}(", "lanes_M("))
     assert len(blocks) == 1
 
@@ -490,9 +499,9 @@ def test_a_zero_constant_gets_no_library(zero):
 
 
 def test_compile_leaves_no_file_behind(tmp_path, monkeypatch):
-    # a lone-solve library (no method) and a chain's library alike: the
-    # lone one holds every method's solve and no chain block, the chain's
-    # its own method's solve and the block
+    # the lone library (no method) and a chain's library alike: the lone
+    # one holds every method's plain solve and no chain block, the chain's
+    # the block and no solve
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     for method in (None, "rk4"):
         source = native.c_source(1, ("dx = theta_0 * x",), (), method)
@@ -500,8 +509,8 @@ def test_compile_leaves_no_file_behind(tmp_path, monkeypatch):
             lib = native.compile_source(source)
         except OSError:
             pytest.skip("no C compiler")
-        assert lib.solve_rk4
-        assert hasattr(lib, "solve_euler") is (method is None)
+        for m in METHOD_ORDERS:
+            assert hasattr(lib, f"solve_{m}") is (method is None)
         assert hasattr(lib, "block") is (method is not None)
         assert list(tmp_path.iterdir()) == []
 
