@@ -232,8 +232,9 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
         if lib is None:
             return None
         if not chain:
-            chain.extend(lib.chain_post(csys, config.h, n_steps, nodes,
-                                        observed, c, k1, r, ll0, var))
+            chain.extend(lib.chain_post(
+                csys, config.h, n_steps, ode._checked_nodes(nodes, n_steps),
+                observed, c, k1, r, ll0, var))
         return lib.run_block(chain[0], x, lp, scale, z, log_u, kept, draws,
                              energies)
 

@@ -83,7 +83,8 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
         closure) may run whole blocks of iterations itself, the initial
         evaluation included, and is then called only for a block that
         ``run_block`` hands back (returns None for).
-    init : starting point.
+    init : starting point; InitializationError, before any evaluation,
+        when it is not finite.
     settings : read for ``step_scale``, ``adapt``, ``adapt_window`` and
         ``target_accept`` only.
     n_iter : total iterations; the first ``burn_in`` of them are discarded
@@ -93,6 +94,9 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
     x = float(init)
     if not 0 <= burn_in < n_iter:
         raise ValueError("need n_iter > burn_in >= 0")
+    if not math.isfinite(x):
+        raise InitializationError(
+            f"the initial point {x} is not finite; start inside the support")
 
     # A log posterior with ``run_block`` (bayes.make_log_posterior's fused
     # closure) may run whole blocks in compiled code, and then evaluates

@@ -30,13 +30,15 @@ divisor is a constant's name or a nonzero float literal, so no division
 meets the zero divisor where Python raises ZeroDivisionError.  Anything
 else (a call, ``**``, an int literal, a division by a state, by theta or by
 an expression, a constant that is zero or not a float) gets no library, and
-that right-hand side runs on the Python stepper.  A compiled solve returns
--1 where a node was never reached and -2 where its last state is not
-finite, and ``ode.integrate_states`` runs that solve again on the Python
-stepper, which raises what it raises; a chain block scores -2 as the
-Python closure scores NonFiniteState and never meets -1 (see ``_BLOCK_C``).
-The Python stepper stays the reference, the path for every solve that ends
-in an error, and the whole program where no C compiler runs.
+that right-hand side runs on the Python stepper, as does one that the
+Python stepper refuses: ``c_source`` builds it first and raises its
+ValueError.  The nodes are checked before either path runs, so a compiled
+solve fails only where its last state is not finite: it returns -2, and
+``ode.integrate_states`` runs that solve again on the Python stepper,
+which raises what it raises; a chain block scores -2 as the Python closure
+scores NonFiniteState (see ``_BLOCK_C``).  The Python stepper stays the
+reference, the path for every solve that ends in an error, and the whole
+program where no C compiler runs.
 
 ``ode._library`` decides when a library is built; this module is imported
 only then, so a process that never builds one neither compiles this source
@@ -47,7 +49,6 @@ from __future__ import annotations
 
 import ast
 import ctypes
-import functools
 import math
 import subprocess
 import sysconfig
@@ -55,7 +56,7 @@ import tempfile
 
 import numpy as np
 
-from .ode import _METHODS, _addressed, _parts, _step_lines
+from .ode import _METHODS, _addressed, _parts, _step_lines, _stepper
 
 # C variables carry a prefix so that no right-hand-side name meets one of
 # the template's own
@@ -137,8 +138,8 @@ _HEAD_C = """#include <math.h>
 # (when not NULL); with ``values`` it adds (values[j] - x_0)**2 to ss[l] at
 # every node and stops at the first node before the last step where the sum
 # exceeds cap[l], with rows[l] the rows reached.  A lane that runs to the
-# end gets rows[l] -1 when a node was never reached, and -2 when its last
-# state is not finite.
+# end reaches every node (``ode._checked_nodes``) and gets rows[l] -2 when
+# its last state is not finite.
 _STEPPER_C = """
 static void lanes_{method}(const double *c, const double *x0,
         const double *theta, double {p}h, int64_t n_steps,
@@ -186,13 +187,13 @@ static void lanes_{method}(const double *c, const double *x0,
     for (a = 0; a < na; a++) {{
         l = act[a];
         {load}
-        rows[l] = j < n_nodes ? -1 : ({finite}) ? j : -2;
+        rows[l] = ({finite}) ? j : -2;
     }}
 }}
 """
 
 # A lone solve of the lone library: the stepper with one lane and no
-# residual sum, returning its rows reached, -1 or -2.
+# residual sum, returning its rows reached or -2.
 _SOLVE_C = """
 int64_t solve_{method}(const double *c, const double *x0, double theta,
         double h, int64_t n_steps, const int64_t *nodes, int64_t n_nodes,
@@ -229,9 +230,7 @@ typedef struct {{
 }} post_t;
 
 /* the log posterior at prior value lp from a lane's solve: its rows
-   reached or -2, never -1 (the nodes are make_solver_forward's, strictly
-   increasing from 0 to n_steps, and a solve reaches every such node), and
-   its residual sum ss */
+   reached or -2, and its residual sum ss */
 static double scored(post_t *p, double lp, int64_t rows, double ss)
 {{
     if (rows == -2) {{
@@ -331,12 +330,14 @@ def c_source(dim_p: int, rhs: tuple, const_names: tuple,
     """The C source of a library of one right-hand side, whose constants
     ``const_names`` hold nonzero floats: a chain's, the stepper of
     ``method`` and the chain block over it, or, with no ``method``, the lone
-    library, every method's stepper and its plain solve; ValueError when a
-    line is outside the C subset."""
+    library, every method's stepper and its plain solve; ValueError, the
+    Python stepper's, where it refuses the right-hand side, or outside the
+    C subset."""
     xs = _parts("x", dim_p)
     p, n_lanes = _C_PREFIX, lanes(dim_p)
     pieces = [_HEAD_C]
     for m in _METHODS if method is None else (method,):
+        _stepper(m, dim_p, rhs, const_names)
         setup, body = _step_lines(m, dim_p, rhs)
         given = {"h", "theta_0", *xs, *const_names}
         names = set(given)
@@ -363,14 +364,6 @@ def c_source(dim_p: int, rhs: tuple, const_names: tuple,
         pieces.append(_SOLVE_C.format(method=m) if method is None
                       else _BLOCK_C.format(method=m, lanes=n_lanes))
     return "".join(pieces)
-
-
-@functools.lru_cache(maxsize=256)
-def _c_nodes(nodes: tuple):
-    """``nodes`` as an addressed int64 array, or None when a node does not
-    survive the conversion (a node 2.5 is no step index)."""
-    array = np.array(nodes, dtype=np.int64)
-    return _addressed(array) if array.tolist() == list(nodes) else None
 
 
 def compile_source(source: str):
@@ -418,16 +411,10 @@ class Library:
         self.cdll = cdll       # keeps the library loaded
 
     def solve_states(self, csys, method, theta, h, n_steps, nodes):
-        """The states of an uncapped ``integrate_states`` solve, or None
-        where the Python stepper must run it: it would end in an error, or
-        the nodes are not what the C code takes."""
+        """The states of an uncapped ``integrate_states`` solve at the
+        addressed ``nodes`` of ``ode._checked_nodes``, or None where its
+        last state is not finite and the Python stepper must run it."""
         _, (_, consts), (x0, x0_at) = csys
-        try:
-            nodes = _c_nodes(tuple(nodes))
-        except (TypeError, ValueError, OverflowError):
-            return None
-        if nodes is None or n_steps < 0:
-            return None
         n_nodes, dim_p = len(nodes[0]), x0.size
         out = (self.double * (n_nodes * dim_p))()
         rows = self.solve[method](consts, x0_at, theta, h, n_steps, nodes[1],
@@ -436,11 +423,10 @@ class Library:
 
     def chain_post(self, csys, h, n_steps, nodes, values, c, k1, r, ll0,
                    var):
-        """The structure a chain block of one fused log posterior reads,
-        with its counters at zero, and what holds the arrays it points
-        into, which the caller keeps alive with it."""
+        """The structure a chain block reads at the addressed ``nodes`` of
+        ``ode._checked_nodes``, with its counters at zero, and what holds
+        the arrays it points into, which the caller keeps alive with it."""
         _, (_, consts), (_, x0) = csys
-        nodes = _c_nodes(tuple(nodes))
         values = _addressed(np.array(values, dtype=float))
         post = self.post(c=c, k1=k1, r=r, ll0=ll0, var=var, h=h,
                          n_steps=n_steps, n_nodes=len(nodes[0]),

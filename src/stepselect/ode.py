@@ -75,11 +75,11 @@ def integrate_states(system, theta: float, config: SolverConfig, t0: float,
     ``nodes``, with the one parameter ``theta`` a float.  The system is
     autonomous, so ``t0`` only dates the step a NonFiniteState names.
 
-    ``nodes`` are non-decreasing step indices that end at ``n_steps``; row j
-    of the result is the state after ``nodes[j]`` steps (a repeated index
-    gives a repeated row).  Samplers hit this once per posterior evaluation,
-    so they precompute ``n_steps`` and their observation node indices and
-    call it directly.
+    ``nodes`` are integral, non-decreasing step indices from 0 or more that
+    end at ``n_steps``, else ValueError before any step; row j of the
+    result is the state after ``nodes[j]`` steps (a repeated index gives a
+    repeated row).  Samplers hit this once per posterior evaluation, so
+    they precompute ``n_steps`` and their observation node indices.
 
     With a finite ``cap``, ``values`` holds one observed value of the first
     state component per node, and the solve adds up the squared residuals
@@ -87,8 +87,7 @@ def integrate_states(system, theta: float, config: SolverConfig, t0: float,
     before the last step where that running sum exceeds ``cap`` and returns
     only the rows reached: fewer rows than nodes means the sum of squares
     of the whole solve exceeds ``cap`` too, and the last row's node is the
-    number of steps taken.  A NaN sum never exceeds the cap, and a solve
-    that stops never learns whether the nodes after its stop were in order.
+    number of steps taken.  A NaN sum never exceeds the cap.
 
     The solve keeps only the states at the nodes and checks none of the
     others.  Every step adds an increment to the state, so a NaN or infinity
@@ -98,15 +97,14 @@ def integrate_states(system, theta: float, config: SolverConfig, t0: float,
     first non-finite step, exactly as a per-step check would.
 
     An uncapped solve runs in the right-hand side's lone library when it
-    has one (see ``_library``), with the same bits; any solve that would end
-    in an error there, or that the library cannot take, runs on the Python
-    stepper, which raises what it raises.  A capped solve always runs on
+    has one (see ``_library``), with the same bits; a solve that ends on a
+    non-finite state there runs again on the Python stepper, which raises
+    what it raises.  A capped solve always runs on
     the Python stepper: only the fused log posterior of a chain with no
     library of its own makes one, since a compiled chain solves in its
     block.
     """
-    if not len(nodes) or nodes[-1] != n_steps:
-        raise ValueError(f"nodes must end at n_steps={n_steps}")
+    node_array = _checked_nodes(tuple(nodes), n_steps)
     bounded = cap < math.inf
     if bounded and len(values) != len(nodes):
         raise ValueError("a finite cap needs one observed value per node")
@@ -114,25 +112,37 @@ def integrate_states(system, theta: float, config: SolverConfig, t0: float,
     lib, csys = (None, None) if bounded else _library(system)
     if lib is not None:
         states = lib.solve_states(csys, config.method, theta, config.h,
-                                  n_steps, nodes)
+                                  n_steps, node_array)
         if states is not None:
             return states
     h = config.h
     out = []
     try:
-        x, m = step(consts, x0, theta, h, 0, n_steps, nodes, out,
-                    values if bounded else (), cap)
+        x = step(consts, x0, theta, h, n_steps, nodes, out,
+                 values if bounded else (), cap)
     except (ArithmeticError, ValueError):
         _replay(config.method, system, theta, t0, h, n_steps)
         raise
-    if len(out) < len(nodes) and m is None:   # stopped at the cap
-        return np.array(out).reshape(len(out), system.dim_p)
-    if not finite(x):
+    if len(out) == len(nodes) and not finite(x):   # ran to the end
         _replay(config.method, system, theta, t0, h, n_steps)
-    if m is not None:
-        raise ValueError(f"nodes must be non-decreasing step indices in "
-                         f"[0, {n_steps}]; {m} was never reached")
     return np.array(out).reshape(len(out), system.dim_p)
+
+
+@functools.lru_cache(maxsize=256)
+def _checked_nodes(nodes: tuple, n_steps: int) -> tuple:
+    """``nodes`` as the addressed int64 array a compiled solve takes;
+    ValueError unless they are integral, non-decreasing step indices from 0
+    or more that end at ``n_steps``, so that a stepper reaches every one."""
+    try:
+        array = np.array(nodes, dtype=np.int64)
+        ok = (array.tolist() == sorted(nodes) == list(nodes)
+              and array[0] >= 0 and nodes[-1] == n_steps)
+    except (TypeError, ValueError, OverflowError, IndexError):
+        ok = False
+    if not ok:
+        raise ValueError(f"nodes must be integral, non-decreasing step indices"
+                         f" from 0 or more that end at n_steps={n_steps}")
+    return _addressed(array)
 
 
 def _all_finite(x) -> bool:
@@ -156,24 +166,21 @@ def _replay(method, system, theta, t0, h, n_steps):
     """Redo a solve one step at a time; raise at the first non-finite state."""
     step, consts, x, finite = _solver(method, system)
     for i in range(n_steps):
-        x, _ = step(consts, x, theta, h, i, i + 1, (i + 1,), [])
+        x = step(consts, x, theta, h, 1, (1,), [])
         if not finite(x):
             raise NonFiniteState(t0 + (i + 1) * h, i, (theta,))
 
 
-# A stepper advances the state x from step n to step ``end`` and appends to
-# ``out`` the state at each of the step indices ``nodes`` as it passes them.
-# It returns the final state and the first node it never reached (None when
-# it reached them all: a node below n, past ``end``, or one that comes after
-# a larger one, is never reached, and the stepper still steps on to
-# ``end``).  The state is a float for dim_p == 1 and a tuple of dim_p floats
-# otherwise.  Given ``values``, it also adds the squared residual of its
-# first component against the next of them at each node it passes before
-# ``end``, and returns the state and None as soon as that sum exceeds
-# ``cap``, with fewer states in ``out`` than nodes.  Its one shape is the
-# compiled stepper's (``native._STEPPER_C``): a loop over single steps that
-# tests the step index against the next node, the residual check under an
-# ``if values:`` at each node.
+# A stepper advances the state x by ``end`` steps and appends to ``out`` the
+# state at each of the step indices ``nodes`` (``_checked_nodes``') as it
+# passes them.  It returns the final state, a float for dim_p == 1 and a
+# tuple of dim_p floats otherwise.  Given ``values``, it also adds the
+# squared residual of its first component against the next of them at each
+# node it passes before ``end``, and returns the state as soon as that sum
+# exceeds ``cap``, with fewer states in ``out`` than nodes.  Its one shape
+# is the compiled stepper's (``native._STEPPER_C``): a loop over single
+# steps that tests the step index against the next node, the residual
+# check under an ``if values:`` at each node.
 #
 # Each method is written once, per state component: its set-up lines, the
 # argument of each stage j, k_j = f(argument), and the update of x.
@@ -242,7 +249,7 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
     assigns the derivative to ``dx`` (``dx_0``, ...); it may assign
     temporaries of its own.  The system is autonomous: ``rhs`` that reads
     the time ``t`` is a ValueError.  The stepper is called as
-    ``step(consts, x, theta_0, h, n, end, nodes, out, values=(), cap=inf)``,
+    ``step(consts, x, theta_0, h, end, nodes, out, values=(), cap=inf)``,
     with the parameter a float and ``consts`` the constants' values in the
     order of ``const_names``.  Compiled on first use; the constants are
     unpacked once on entry.  Every component runs the same float operations
@@ -261,27 +268,27 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
     def loop(setup, body):
         """The step loop around the step's statements ``body``."""
         return [
-            "def step(consts, x, theta_0, h, n, end, nodes, out, values=(),"
+            "def step(consts, x, theta_0, h, end, nodes, out, values=(),"
             " cap=inf):",
             *(f"    {line}" for line in setup),
             "    stops = iter(nodes)",
             "    seen = iter(values)",
             "    ss = 0.0",
             "    m = next(stops)",
-            "    for i in range(n, end):",
+            "    for i in range(end):",
             "        while i == m:",
             f"            out.append({state})",
             "            if values:",
             f"                dy = next(seen) - {xs[0]}",
             "                ss += dy * dy",
             "                if ss > cap:",
-            f"                    return {state}, None",
+            f"                    return {state}",
             "            m = next(stops, None)",
             *(f"        {line}" for line in body),
             "    while m == end:",
             f"        out.append({state})",
             "        m = next(stops, None)",
-            f"    return {state}, m",
+            f"    return {state}",
         ]
 
     # a temporary or constant named like one of the loop's own variables

@@ -446,6 +446,26 @@ def test_a_division_by_theta_gets_no_library():
         mcmc._block(logpost, 1.0, lp, 0.25, ones, accept, False, None, None)
 
 
+def test_a_rhs_the_stepper_refuses_gets_no_library():
+    # a temporary named like RK4's set-up variable half would overwrite it
+    # between stages: the Python stepper refuses it, and so does the C
+    # translation, so a chain gets no library and its initial evaluation
+    # raises the Python stepper's ValueError
+    system = OdeSystem(dim_p=1, rhs=("half = 1.0 - x / K",
+                                     "dx = theta_0 * x * half"),
+                       consts={"K": 1000.0}, x0=np.array([100.0]))
+    ds, prior, _ = logistic_case()
+    forward = make_solver_forward(system, SolverConfig("rk4", 0.1), ds.times)
+    logpost = make_log_posterior(ds, prior, forward)
+    with pytest.raises(ValueError, match="stepper's own") as want:
+        ode._stepper("rk4", 1, system.rhs, ("K",))
+    with pytest.raises(ValueError) as got:
+        mh_run(logpost, 1.0, McmcSettings(n_iter=200), n_iter=200,
+               burn_in=40, seed=3)
+    assert str(got.value) == str(want.value)
+    assert not logpost.compiled()
+
+
 def test_lone_solves_leave_a_chain_its_library(monkeypatch):
     # a chain builds the library of its own method and its block, with no
     # plain solve, and solves nothing outside it; lone Euler solves on the
@@ -491,8 +511,9 @@ def test_a_compiled_chain_solves_nothing_outside_its_block(model,
                                                            monkeypatch):
     # the initial evaluation runs in the chain block too, so a compiled
     # chain never calls integrate_states, and it gives the Python stepper's
-    # chain, counters included; an initial point at or below 0 and one
-    # whose solve blows up end in the same InitializationError on both paths
+    # chain, counters included; an initial point at or below 0, one whose
+    # solve blows up and one that is not finite end in the same
+    # InitializationError on both paths
     ds, prior, forward = model_case(model)
     if not compiled(forward.solve[0]):
         pytest.skip("no C compiler")
@@ -500,6 +521,7 @@ def test_a_compiled_chain_solves_nothing_outside_its_block(model,
                              step_scale=0.005 if model == "logistic" else 0.5)
     init = prior.theta[0].mean
     blowup = 40.0 if model == "logistic" else 300.0
+    points = (init, 0.0, -1.0, blowup, math.nan, math.inf)
 
     def run(x):
         logpost = make_log_posterior(ds, prior, forward)
@@ -513,17 +535,20 @@ def test_a_compiled_chain_solves_nothing_outside_its_block(model,
                 logpost.compiled())
     with monkeypatch.context() as patch:
         on_python_stepper(patch)
-        want = [run(x) for x in (init, 0.0, -1.0, blowup)]
+        want = [run(x) for x in points]
 
     def no_solve(*args):
         raise AssertionError("a compiled chain solved outside its block")
     monkeypatch.setattr(bayes, "integrate_states", no_solve)
-    got = [run(x) for x in (init, 0.0, -1.0, blowup)]
+    got = [run(x) for x in points]
     assert got[0][:4] == want[0][:4] and (got[0][4], want[0][4]) \
         == (True, False)
     assert got[0][3] > 0     # the floor cut some solves short
     assert got[1:] == want[1:]
-    assert all("initial point is -inf" in message for message in got[1:])
+    assert all("initial point is -inf" in message for message in got[1:4])
+    assert got[4:] == ["the initial point nan is not finite; start inside "
+                       "the support", "the initial point inf is not finite; "
+                       "start inside the support"]
 
 
 def test_a_failed_build_is_remembered_per_library(monkeypatch):

@@ -173,16 +173,35 @@ def test_integrate_states_at_nodes_matches_every_node_solve(model, method):
     [0, 5, 10, 12],    # runs past n_steps
     [-1, 10],          # before the start
     [],                # no node at all
+    [0, 2.5, 10],      # not a step index
 ])
-def test_integrate_states_rejects_bad_nodes(nodes):
-    # every loop shape, with and without the residual check; the cap is
-    # too large to stop the solve, so only the nodes can end it
-    for method in sorted(METHOD_ORDERS):
-        for values, cap in (((), math.inf), ([0.0] * len(nodes), 1e300)):
-            with pytest.raises(ValueError):
-                integrate_states(exp_system(), 1.0,
-                                 SolverConfig(method, 0.1), 0.0, 10, nodes,
-                                 values, cap)
+def test_integrate_states_rejects_bad_nodes(nodes, monkeypatch):
+    # on both paths, every method, without and with the residual check: the
+    # nodes are checked before any step, so no stepper runs, not even when
+    # the cap (1.0 against values 1e9) would stop the solve at node 0
+    system = exp_system()
+
+    def stepped(*args):
+        raise AssertionError("a stepper ran")
+    solver = ode._solver
+    monkeypatch.setattr(ode, "_solver", lambda method, system: (
+        stepped, *solver(method, system)[1:]))
+    for path in ("compiled", "python"):
+        with monkeypatch.context() as patch:
+            if path == "python":
+                on_python_stepper(patch)
+            elif compiled(system):
+                lib = ode._library(system)[0]
+                patch.setattr(lib, "solve",
+                              dict.fromkeys(lib.solve, stepped))
+            for method in sorted(METHOD_ORDERS):
+                for values, cap in (((), math.inf),
+                                    ([0.0] * len(nodes), 1e300),
+                                    ([1e9] * len(nodes), 1.0)):
+                    with pytest.raises(ValueError, match="nodes must be"):
+                        integrate_states(system, 1.0,
+                                         SolverConfig(method, 0.1), 0.0, 10,
+                                         nodes, values, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +265,9 @@ def check_stepper(model, theta, method, h, n_steps):
                  [0, 0, 1, 3, 6, 6, 9, 64])
     for nodes in node_sets:
         out = []
-        x, missed = step(consts, x0, theta, h, 0, n_steps, nodes, out)
-        assert missed is None
+        x = step(consts, x0, theta, h, n_steps, nodes, out)
         assert hexes(out) == [[v.hex() for v in ref[n]] for n in nodes]
         assert hexes([x]) == hexes(out[-1:])
-    # a node below the start, past the end or after a larger one is never
-    # reached: the stepper keeps the states before it, steps on to the end
-    # and returns that node
-    for nodes, missed in (([0, 5, 70], 70), ([0, 5, 3, 64], 3),
-                          ([-1, 64], -1)):
-        out = []
-        x, miss = step(consts, x0, theta, h, 0, n_steps, nodes, out)
-        assert miss == missed
-        assert hexes(out) == [[v.hex() for v in ref[n]]
-                              for n in nodes[:nodes.index(missed)]]
-        assert hexes([x]) == [[v.hex() for v in ref[-1]]]
-    # a solve resumed part-way, as the blow-up replay steps it
-    x, _ = step(consts, x0, theta, h, 0, 23, (23,), [])
-    out = []
-    step(consts, x, theta, h, 23, n_steps, (23, 50, 64), out)
-    assert hexes(out) == [[v.hex() for v in ref[n]] for n in (23, 50, 64)]
 
     # given observed values, the stepper takes the same steps and stops at
     # the first node before the end where the running sum of squared
@@ -281,9 +283,7 @@ def check_stepper(model, theta, method, h, n_steps):
             stop = next((j for j, (n, total) in enumerate(zip(nodes, sums))
                          if n < n_steps and total > cap), len(nodes) - 1)
             out = []
-            x, missed = step(consts, x0, theta, h, 0, n_steps, nodes, out,
-                             values, cap)
-            assert missed is None
+            x = step(consts, x0, theta, h, n_steps, nodes, out, values, cap)
             assert hexes(out) == [[v.hex() for v in ref[n]]
                                   for n in nodes[:stop + 1]]
             assert hexes([x]) == hexes(out[-1:])
@@ -297,17 +297,25 @@ def check_stepper(model, theta, method, h, n_steps):
     ("rk2", 1, ("dx = seen * x",), ("seen",)),  # the residual check's
 ])
 def test_stepper_rejects_rhs_names_of_its_own(method, dim_p, rhs, consts):
-    # pasted into the loop, they would silently change what it computes
-    with pytest.raises(ValueError, match="stepper's own"):
+    # pasted into the loop, they would silently change what it computes;
+    # the C translation prefixes its names, but it refuses what the Python
+    # stepper, its reference, refuses, with the same message
+    with pytest.raises(ValueError, match="stepper's own") as want:
         _stepper(method, dim_p, rhs, consts)
+    with pytest.raises(ValueError) as got:
+        native.c_source(dim_p, rhs, consts, method)
+    assert str(got.value) == str(want.value)
 
 
 def test_stepper_rejects_rhs_that_reads_t():
     # systems are autonomous and the loop defines no t: without the check,
     # the stepper's first call would end in a bare NameError
     rhs = ("dx_0 = x_1", "dx_1 = -theta_0 * x_0 + cos(t)")
-    with pytest.raises(ValueError, match="reads the time t"):
+    with pytest.raises(ValueError, match="reads the time t") as want:
         _stepper("rk4", 2, rhs, ("cos",))
+    with pytest.raises(ValueError) as got:
+        native.c_source(2, rhs, ("cos",), "rk4")
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +399,10 @@ def test_uncapped_solve_reads_no_values(path, monkeypatch):
 @pytest.mark.parametrize("case", ["unreachable node", "blow-up theta",
                                   "blow-up"])
 def test_compiled_solve_errors_match_the_python_stepper(case, monkeypatch):
-    # the compiled path hands every solve that ends in an error to the
-    # Python stepper, which raises what it always raised
+    # a solve's nodes are checked before either stepper runs, so an
+    # unreachable node raises one ValueError on both paths; the compiled
+    # path hands every solve that ends on a non-finite state to the Python
+    # stepper, which raises what it always raised
     if case == "unreachable node":
         system, theta, method, h = make_logistic_system(LogisticParams()), \
             1.1, "rk4", 0.1
@@ -450,10 +460,10 @@ def test_c_source_takes_only_its_subset():
 
 # sha256 of each bundled model's lone-library C source (the head and the
 # three methods' steppers, each with its plain solve), the bytes it has
-# since a lone solve takes no cap
+# since a lone solve takes no cap and a stepper meets no unreached node
 WHOLE_SOURCE_SHA256 = {
-    "logistic": "0fcc328e0db028f40c6e41f01db9b2e9570bc9b3b9bb57b8268afa968243a73b",
-    "glucose": "ebbd1a41bec36c82006e6b93caefef36a7f98d4fde28e78e8f8004cc3623174a",
+    "logistic": "261ac9b1ed2ffdb10b880205639eca2244e421b04840d760263c0315501e3808",
+    "glucose": "6be8f72c89a5d1c8935faefe01ca05a55f921a536dcd1bbd8f0e88731eb8ff93",
 }
 
 
