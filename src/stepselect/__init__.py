@@ -21,15 +21,16 @@ from .errors import (BoundsTooTight, DegenerateFit, DegenerateSampleWarning,
                      GridMismatch, IllConditionedFit, InfiniteVarianceWarning,
                      InitializationError, NonFiniteState, NonMonotoneTimes,
                      ParseError, StepSelectError, StuckChainWarning)
-from .evidence import (EvidenceEstimate, GridSpec, KdeDensity, bracket_bounds,
-                       evidence_from_chain, gelfand_dey, kde_fit,
-                       posterior_window, quadrature_marginal, subsample_draws)
+from .evidence import (EvidenceEstimate, EvidenceSettings, GridSpec,
+                       KdeDensity, bracket_bounds, evidence_from_chain,
+                       gelfand_dey, kde_fit, posterior_window,
+                       quadrature_marginal, subsample_draws)
 from .mcmc import Chain, McmcSettings, effective_sample_size, mh_run
 from .models import (GlucoseParams, LogisticParams, OdeSystem, logistic_exact,
                      make_glucose_system, make_logistic_system)
 from .ode import (METHOD_ORDERS, SolverConfig, check_grid, divides,
                   estimate_order, integrate_states)
-from .stepfit import (EvidenceCurve, build_report, fit_curve,
-                      posterior_discrepancy)
+from .stepfit import (EvidenceCurve, RegressionSettings, build_report,
+                      fit_curve, posterior_discrepancy)
 
 __version__ = "0.1.0"

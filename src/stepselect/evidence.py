@@ -29,13 +29,22 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .bayes import Dataset, Prior, make_log_posterior
+from .bayes import LOG_2PI, Dataset, Prior, make_log_posterior
 from .errors import (BoundsTooTight, DegenerateSampleWarning,
                      InfiniteVarianceWarning, StepSelectError)
 
-LOG_2PI = math.log(2.0 * math.pi)
 KDE_BLOCK_ROWS = 32      # points per block in KdeDensity.log_density
 GD_BATCHES = 32          # batch means behind gelfand_dey's standard error
+
+
+@dataclass
+class EvidenceSettings:
+    """The spec's ``evidence`` group, which ``evidence_from_chain`` reads."""
+
+    subsample: int = 500
+    shrink: float = 0.5
+    trunc_lo: float = 5.0
+    trunc_hi: float = 95.0
 
 
 @dataclass
@@ -113,7 +122,7 @@ def logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def subsample_draws(draws: np.ndarray, m: int = 500, seed: int = 0) -> np.ndarray:
+def subsample_draws(draws: np.ndarray, m: int, seed: int) -> np.ndarray:
     """Random subsample without replacement, kept in chain order."""
     draws = np.asarray(draws, dtype=float)
     if draws.size <= m:
@@ -122,8 +131,8 @@ def subsample_draws(draws: np.ndarray, m: int = 500, seed: int = 0) -> np.ndarra
     return draws[np.sort(rng.choice(draws.size, size=m, replace=False))]
 
 
-def kde_fit(draws: np.ndarray, shrink: float = 0.5,
-            trunc_pct: Tuple[float, float] = (5.0, 95.0)) -> KdeDensity:
+def kde_fit(draws: np.ndarray, shrink: float,
+            trunc_pct: Tuple[float, float]) -> KdeDensity:
     """Fit the weighting density from a (sub)sample of 1-D posterior draws.
 
     Centers outside the ``trunc_pct`` percentile range are dropped, which
@@ -163,8 +172,8 @@ def kde_fit(draws: np.ndarray, shrink: float = 0.5,
 # reciprocal importance sampling
 # ---------------------------------------------------------------------------
 
-def gelfand_dey(energies: np.ndarray, log_alpha: np.ndarray,
-                method: str = "gelfand_dey_kde") -> EvidenceEstimate:
+def gelfand_dey(energies: np.ndarray,
+                log_alpha: np.ndarray) -> EvidenceEstimate:
     """Reciprocal-importance marginal likelihood from the chain energies and
     the weighting log-density at the same draws, ``log_alpha[l] = -A_l``.
 
@@ -203,13 +212,13 @@ def gelfand_dey(energies: np.ndarray, log_alpha: np.ndarray,
                       InfiniteVarianceWarning)
 
     return EvidenceEstimate(log_marginal=log_marginal, mc_standard_error=se_log,
-                            method=method)
+                            method="gelfand_dey_kde")
 
 
-def evidence_from_chain(chain, subsample: int = 500, shrink: float = 0.5,
-                        seed: int = 0,
-                        trunc_pct: Tuple[float, float] = (5.0, 95.0)) -> EvidenceEstimate:
-    """Subsample -> KDE -> Gelfand-Dey, the default pipeline for one chain.
+def evidence_from_chain(chain, settings: EvidenceSettings,
+                        seed: int = 0) -> EvidenceEstimate:
+    """Subsample -> KDE -> Gelfand-Dey, the default pipeline for one chain,
+    with the subsample size, shrink factor and truncation of ``settings``.
 
     The chain is cut in half and each half is averaged under a weighting
     density fitted on the other half, the two reciprocal-scale estimates
@@ -222,16 +231,17 @@ def evidence_from_chain(chain, subsample: int = 500, shrink: float = 0.5,
     """
     draws = np.asarray(chain.draws, dtype=float)
     energies = np.asarray(chain.energies, dtype=float)
+    trunc_pct = (settings.trunc_lo, settings.trunc_hi)
+
+    def fit(part, part_seed):
+        return kde_fit(subsample_draws(part, settings.subsample, part_seed),
+                       settings.shrink, trunc_pct)
+
     if draws.size < 120:
-        sub = subsample_draws(draws, m=subsample, seed=seed)
-        alpha = kde_fit(sub, shrink=shrink, trunc_pct=trunc_pct)
-        return gelfand_dey(energies, alpha.log_density(draws))
+        return gelfand_dey(energies, fit(draws, seed).log_density(draws))
 
     cut = draws.size // 2
-    alphas = [kde_fit(subsample_draws(draws[:cut], m=subsample, seed=seed),
-                      shrink=shrink, trunc_pct=trunc_pct),
-              kde_fit(subsample_draws(draws[cut:], m=subsample, seed=seed + 1),
-                      shrink=shrink, trunc_pct=trunc_pct)]
+    alphas = [fit(draws[:cut], seed), fit(draws[cut:], seed + 1)]
     log_alpha = np.concatenate([alphas[1].log_density(draws[:cut]),
                                 alphas[0].log_density(draws[cut:])])
     return gelfand_dey(energies, log_alpha)

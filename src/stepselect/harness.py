@@ -38,20 +38,19 @@ from . import __version__
 from .bayes import (Dataset, GammaPrior, Prior, make_log_posterior,
                     make_logistic_exact_forward, make_solver_forward)
 from .errors import NonMonotoneTimes, ParseError, StepSelectError
-from .evidence import (GridSpec, evidence_from_chain, posterior_window,
-                       quadrature_marginal)
+from .evidence import (EvidenceSettings, GridSpec, evidence_from_chain,
+                       posterior_window, quadrature_marginal)
 from .mcmc import Chain, McmcSettings, effective_sample_size, mh_run
 from .models import (GlucoseParams, LogisticParams, logistic_exact,
                      make_glucose_system, make_logistic_system)
 from .ode import METHOD_ORDERS, SolverConfig
-from .stepfit import DEFAULT_THRESHOLD, build_report, fit_curve
+from .stepfit import (DEFAULT_THRESHOLD, RegressionSettings, build_report,
+                      fit_curve)
 
 # each model's constants class; its fields and defaults are the spec's params
 MODELS = {"logistic": LogisticParams, "glucose": GlucoseParams}
 PARAM_DEFAULTS = {name: {f.name: f.default for f in dataclasses.fields(cls)}
                   for name, cls in MODELS.items()}
-# the glucose spec also sets the initial glucose d0 and the gut deposit D0
-PARAM_DEFAULTS["glucose"].update(d0=90.0, D0=200.0)
 
 # the keys of every run in record.json, ok or failed, in this order
 RUN_FIELDS = ("h", "k", "seed", "status", "log_marginal", "se", "method",
@@ -65,24 +64,6 @@ class TimesSpec:
     start: float = 0.0
     stop: float = 10.0
     n: int = 26
-
-
-@dataclass
-class EvidenceSettings:
-    subsample: int = 500
-    shrink: float = 0.5
-    trunc_lo: float = 5.0
-    trunc_hi: float = 95.0
-
-
-@dataclass
-class RegressionSettings:
-    mask_smallest: int = 4
-    mask_h: Optional[Tuple[float, ...]] = None
-
-    def __post_init__(self):
-        if isinstance(self.mask_h, list):     # a JSON array
-            self.mask_h = tuple(self.mask_h)
 
 
 def _read_json(path):
@@ -161,11 +142,8 @@ class ExperimentSpec:
             raise ParseError(f"bad experiment spec: {exc}") from exc
 
     def model_params(self):
-        """The model's constants: LogisticParams or GlucoseParams (the
-        glucose spec's d0 and D0 stay in ``params``)."""
-        cls = MODELS[self.model]
-        return cls(**{f.name: self.params[f.name]
-                      for f in dataclasses.fields(cls)})
+        """The model's constants: LogisticParams or GlucoseParams."""
+        return MODELS[self.model](**self.params)
 
     def _validate(self) -> None:
         """Reject values the sweep would only trip over after it started;
@@ -177,10 +155,7 @@ class ExperimentSpec:
                 if name not in known:
                     raise ValueError(f"unknown {group} key {name!r}")
                 _check(f"{group}.{name}", value, float)
-        constants = self.model_params()
-        if self.model == "glucose":
-            make_glucose_system(constants, d0=self.params["d0"],
-                                D0=self.params["D0"])
+        self.model_params()          # the model class checks its values
         for h in self.h_grid:
             SolverConfig(self.solver, h)
         # squared as the likelihood squares it: sigma ** 2 would raise
@@ -283,8 +258,8 @@ class ExperimentSpec:
 def build_system(spec: ExperimentSpec, dataset: Dataset):
     if spec.model == "logistic":
         return make_logistic_system(spec.model_params())
-    return make_glucose_system(spec.model_params(), d0=float(dataset.values[0]),
-                               D0=spec.params["D0"])
+    return make_glucose_system(dataclasses.replace(
+        spec.model_params(), d0=float(dataset.values[0])))
 
 
 def exact_forward(spec: ExperimentSpec, dataset: Dataset):
@@ -306,16 +281,15 @@ def generate_synthetic(spec: ExperimentSpec) -> Dataset:
     truth is a reference RK4 solve 2^11 steps per observation gap deep,
     which parks the discretisation error at the 1e-15 level.
     """
-    times = spec.obs_times()
-    p = spec.params
+    times, params = spec.obs_times(), spec.model_params()
     if spec.model == "logistic":
-        truth = logistic_exact(times, spec.model_params())
+        truth = logistic_exact(times, params)
     else:
-        system = make_glucose_system(spec.model_params(), d0=p["d0"], D0=p["D0"])
+        system = make_glucose_system(params)
         gap = float(times[1] - times[0]) if times.size > 1 else 1.0
         forward = make_solver_forward(system, SolverConfig("rk4", gap / 2048.0),
                                       times)
-        truth = forward(np.array([p["theta0"]]))
+        truth = forward(np.array([params.theta0]))
     rng = np.random.default_rng(spec.data_seed())
     values = truth + spec.sigma * rng.standard_normal(times.size)
     return Dataset(times=times, values=values, sigma_fixed=spec.sigma)
@@ -426,10 +400,7 @@ def run_single(spec: ExperimentSpec, dataset: Dataset, k: int,
     chain = mh_run(logpost, spec.init_value(), spec.mcmc,
                    n_iter=spec.mcmc.n_iter,
                    burn_in=spec.mcmc.resolved_burn_in(), seed=seed)
-    est = evidence_from_chain(chain, subsample=spec.evidence.subsample,
-                              shrink=spec.evidence.shrink, seed=seed,
-                              trunc_pct=(spec.evidence.trunc_lo,
-                                         spec.evidence.trunc_hi))
+    est = evidence_from_chain(chain, spec.evidence, seed=seed)
     run = _run_record(spec, k, "ok", log_marginal=est.log_marginal,
                       se=est.mc_standard_error, method=est.method,
                       cpu_seconds=chain.wall_clock_seconds,
@@ -516,9 +487,7 @@ def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1,
     ok = sorted((r for r in runs if r["status"] == "ok"), key=lambda r: r["h"])
     try:
         curve = fit_curve([(r["h"], r["log_marginal"], r["se"]) for r in ok],
-                          p=METHOD_ORDERS[spec.solver],
-                          mask_h=spec.regression.mask_h,
-                          mask_smallest=spec.regression.mask_smallest)
+                          METHOD_ORDERS[spec.solver], spec.regression)
         record["curve"] = {
             "p": curve.p, "log_fitted_a": curve.log_fitted_a,
             "rel_se_a": curve.rel_se_a, "by": curve.by, "r2": curve.r2,

@@ -89,11 +89,13 @@ def make_logistic_system(params: LogisticParams) -> OdeSystem:
 
 @dataclass(frozen=True)
 class GlucoseParams:
-    """Constants of the four-state glucose model.
+    """Constants and initial state of the four-state glucose model.
 
     State (G, I, L, D): plasma glucose, the insulin-driven removal action,
     the liver release action, and the gut glucose deposit.  theta0 (insulin
-    response gain) is the inferred parameter; the rest stay fixed.
+    response gain) is the inferred parameter; the rest stay fixed.  d0 is
+    the initial glucose and D0 the dose in the gut; inference replaces d0
+    with the first observed value.
     """
 
     theta0: float = 10.0
@@ -102,25 +104,27 @@ class GlucoseParams:
     a: float = 1.0
     b: float = 2.0
     Gb: float = 80.0
+    d0: float = 90.0
+    D0: float = 200.0
 
     def __post_init__(self):
         for name in ("theta0", "theta1", "theta2", "a", "b", "Gb"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        if self.d0 <= 0.0:
+            raise ValueError("initial glucose d0 must be positive")
+        if self.D0 < 0.0:
+            raise ValueError("initial deposit D0 must be non-negative")
 
 
-def make_glucose_system(params: GlucoseParams, d0: float,
-                        D0: float = 200.0) -> OdeSystem:
+def make_glucose_system(params: GlucoseParams) -> OdeSystem:
     """Glucose system with theta_0 = theta0 inferred.
 
-    The initial state is (d0, 0, 0, D0): glucose anchored at the first
-    observed value d0, no insulin or liver action yet, and the full dose D0
-    sitting in the gut.  Only the glucose component is observed.
+    The initial state is (d0, 0, 0, D0): glucose at d0, which inference
+    replaces with the first observed value, no insulin or liver action yet,
+    and the full dose D0 sitting in the gut.  Only the glucose component is
+    observed.
     """
-    if d0 <= 0.0:
-        raise ValueError("initial glucose d0 must be positive")
-    if D0 < 0.0:
-        raise ValueError("initial deposit D0 must be non-negative")
     # The state (G, I, L, D) is (x_0, x_1, x_2, x_3).
     # dG = (L - I) G + D/theta2; the insulin and liver terms switch at
     # G = Gb.  The positive parts are exact clamps, not smooth
@@ -134,4 +138,5 @@ def make_glucose_system(params: GlucoseParams, d0: float,
     consts = {name: float(getattr(params, name))
               for name in ("theta1", "theta2", "a", "b", "Gb")}
     return OdeSystem(dim_p=4, rhs=rhs, consts=consts,
-                     x0=np.array([d0, 0.0, 0.0, float(D0)]))
+                     x0=np.array([float(params.d0), 0.0, 0.0,
+                                  float(params.D0)]))

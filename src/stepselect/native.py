@@ -306,11 +306,16 @@ int64_t block(post_t *p, double *state, double scale, const double *z,
 }}
 """
 
-# the fields of post_t as ctypes kinds: double, int64, pointer
-_POST_FIELDS = (*((f, "d") for f in ("c", "k1", "r", "ll0", "var", "h")),
-                ("n_steps", "i"), ("n_nodes", "i"), ("nodes", "p"),
-                ("values", "p"), ("consts", "p"), ("x0", "p"),
-                ("steps", "i"), ("stopped", "i"))
+
+class _Post(ctypes.Structure):
+    """The ctypes mirror of ``_BLOCK_C``'s ``post_t``."""
+
+    _fields_ = [*((f, ctypes.c_double) for f in ("c", "k1", "r", "ll0",
+                                                 "var", "h")),
+                *((f, ctypes.c_int64) for f in ("n_steps", "n_nodes")),
+                *((f, ctypes.c_void_p) for f in ("nodes", "values",
+                                                 "consts", "x0")),
+                *((f, ctypes.c_int64) for f in ("steps", "stopped"))]
 
 
 def lanes(dim_p: int) -> int:
@@ -388,7 +393,7 @@ def compile_source(source: str):
 class Library:
     """A loaded library: for the lone library (``c_source`` given no
     ``method``) ``solve``, its plain solve per method, and for a chain's its
-    chain block and ``post``, the ctypes structure the block reads."""
+    chain block, which reads a ``_Post``."""
 
     def __init__(self, cdll, method: str = None):
         d, i, ptr = ctypes.c_double, ctypes.c_int64, ctypes.c_void_p
@@ -399,11 +404,8 @@ class Library:
                 solve.argtypes = [ptr, ptr, d, d, i, ptr, i, ptr]
                 solve.restype = i
         else:
-            kinds = {"d": d, "i": i, "p": ptr}
-            self.post = type("Post", (ctypes.Structure,), {"_fields_": [
-                (name, kinds[kind]) for name, kind in _POST_FIELDS]})
             self.block = cdll.block
-            self.block.argtypes = [ctypes.POINTER(self.post), ptr, d, ptr,
+            self.block.argtypes = [ctypes.POINTER(_Post), ptr, d, ptr,
                                    ptr, i, ctypes.c_int, ptr, ptr]
             self.block.restype = i
         self.double, self.state = d, d * 3
@@ -428,10 +430,9 @@ class Library:
         the arrays it points into, which the caller keeps alive with it."""
         _, (_, consts), (_, x0) = csys
         values = _addressed(np.array(values, dtype=float))
-        post = self.post(c=c, k1=k1, r=r, ll0=ll0, var=var, h=h,
-                         n_steps=n_steps, n_nodes=len(nodes[0]),
-                         nodes=nodes[1], values=values[1], consts=consts,
-                         x0=x0)
+        post = _Post(c=c, k1=k1, r=r, ll0=ll0, var=var, h=h, n_steps=n_steps,
+                     n_nodes=len(nodes[0]), nodes=nodes[1],
+                     values=values[1], consts=consts, x0=x0)
         return post, (csys, nodes, values)
 
     def run_block(self, post, x, lp, scale, z, log_u, kept, draws,

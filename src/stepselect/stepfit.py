@@ -27,6 +27,18 @@ DEFAULT_THRESHOLD = 0.99    # Jeffreys: BF in [0.99, 1/0.99] is "no evidence"
 
 
 @dataclass
+class RegressionSettings:
+    """The spec's ``regression`` group, which ``fit_curve`` reads."""
+
+    mask_smallest: int = 4
+    mask_h: Optional[Tuple[float, ...]] = None
+
+    def __post_init__(self):
+        if isinstance(self.mask_h, list):     # a JSON array
+            self.mask_h = tuple(self.mask_h)
+
+
+@dataclass
 class EvidenceCurve:
     """Per-step marginals plus the fitted a + b h^p extrapolation.
 
@@ -46,15 +58,15 @@ class EvidenceCurve:
     r2: float
 
 
-def fit_curve(points: Sequence, p: int, mask_h: Optional[Sequence[float]] = None,
-              mask_smallest: int = 4) -> EvidenceCurve:
+def fit_curve(points: Sequence, p: int,
+              settings: RegressionSettings) -> EvidenceCurve:
     """Weighted least squares of the marginal (linear scale) on h^p.
 
     ``points`` is a sequence of (h, log_marginal, se) triples.  The fit
-    runs on the ``mask_smallest`` smallest steps unless ``mask_h`` names the
-    steps explicitly — the model P_h = a + b h^p only holds in the
-    asymptotic regime, so coarse points should stay out of the regression
-    even when they belong on the plot.
+    runs on the ``settings.mask_smallest`` smallest steps unless
+    ``settings.mask_h`` names the steps explicitly — the model
+    P_h = a + b h^p only holds in the asymptotic regime, so coarse points
+    should stay out of the regression even when they belong on the plot.
 
     Weights are 1/se^2 on the linear scale (uniform when every se is zero,
     e.g. quadrature input).  Raises IllConditionedFit when the mask holds
@@ -68,11 +80,11 @@ def fit_curve(points: Sequence, p: int, mask_h: Optional[Sequence[float]] = None
     order = np.argsort(hs)
     hs, logs, ses = hs[order], logs[order], ses[order]
 
-    if mask_h is not None:
-        mask = np.isin(hs, np.asarray(list(mask_h), dtype=float))
+    if settings.mask_h is not None:
+        mask = np.isin(hs, np.asarray(list(settings.mask_h), dtype=float))
     else:
         mask = np.zeros(hs.size, dtype=bool)
-        mask[:min(mask_smallest, hs.size)] = True
+        mask[:min(settings.mask_smallest, hs.size)] = True
     if mask.sum() < 3:
         raise IllConditionedFit(
             f"the fit mask holds {int(mask.sum())} of {hs.size} points; the "

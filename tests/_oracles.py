@@ -14,7 +14,7 @@ estimator is compared against.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.stats
@@ -83,7 +83,7 @@ def harmonic_mean(energies, log_prior_fn, draws) -> EvidenceEstimate:
     """Gelfand-Dey with alpha = prior: the harmonic mean of the likelihoods
     at the 1-D ``draws``, whose variance can be infinite."""
     log_alpha = np.array([float(log_prior_fn(x)) for x in draws])
-    return gelfand_dey(energies, log_alpha, method="harmonic_mean")
+    return replace(gelfand_dey(energies, log_alpha), method="harmonic_mean")
 
 
 def rhs_function(system):

@@ -81,7 +81,8 @@ def test_c2_evidence_matches_conjugate_closed_form():
     for seed in range(20):
         draws = case.posterior_draws(4000, seed)
         energies = case.energies(draws)
-        alpha = kde_fit(subsample_draws(draws, m=500, seed=seed))
+        alpha = kde_fit(subsample_draws(draws, m=500, seed=seed), 0.5,
+                        (5.0, 95.0))
         gd = gelfand_dey(energies, alpha.log_density(draws))
         zs.append((gd.log_marginal - log_true) / gd.mc_standard_error)
         with warnings.catch_warnings():
@@ -239,7 +240,7 @@ def test_c8_identical_spec_reproduces_tables_byte_for_byte(tmp_path):
 
 def test_c9_glucose_decay_and_evidence_plateau(sweep_glucose):
     gp = GlucoseParams()
-    system = make_glucose_system(gp, d0=90.0, D0=200.0)
+    system = make_glucose_system(gp)
     errs = {}
     for h in (0.125, 0.0625, 0.03125):
         n = round(2.0 / h)

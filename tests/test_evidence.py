@@ -9,9 +9,10 @@ from scipy.integrate import quad, simpson
 from scipy.special import logsumexp
 
 from _oracles import default_case, harmonic_mean
-from stepselect import (Dataset, GammaPrior, GridSpec, ParamVector, Prior,
-                        bracket_bounds, evidence_from_chain, gelfand_dey,
-                        kde_fit, quadrature_marginal, subsample_draws)
+from stepselect import (Dataset, EvidenceSettings, GammaPrior, GridSpec,
+                        ParamVector, Prior, bracket_bounds,
+                        evidence_from_chain, gelfand_dey, kde_fit,
+                        quadrature_marginal, subsample_draws)
 from stepselect import evidence
 from stepselect.bayes import log_posterior_unnorm
 from stepselect.errors import (BoundsTooTight, DegenerateSampleWarning,
@@ -64,7 +65,7 @@ def test_energy_shift_moves_log_marginal_exactly():
 
 def test_kde_alpha_matches_truth_within_mc_error():
     draws, U = make_inputs(seed=3)
-    alpha = kde_fit(subsample_draws(draws, m=500, seed=3))
+    alpha = kde_fit(subsample_draws(draws, m=500, seed=3), 0.5, (5.0, 95.0))
     est = gelfand_dey(U, alpha.log_density(draws))
     assert abs(est.log_marginal - LOG_TRUE) <= 3.0 * est.mc_standard_error
 
@@ -72,9 +73,9 @@ def test_kde_alpha_matches_truth_within_mc_error():
 def test_alpha_choice_shifts_estimate_within_noise():
     draws, U = make_inputs(seed=7)
     e1 = gelfand_dey(U, kde_fit(subsample_draws(draws, m=500, seed=1),
-                                shrink=0.5).log_density(draws))
+                                0.5, (5.0, 95.0)).log_density(draws))
     e2 = gelfand_dey(U, kde_fit(subsample_draws(draws, m=300, seed=2),
-                                shrink=0.8).log_density(draws))
+                                0.8, (5.0, 95.0)).log_density(draws))
     comb = math.hypot(e1.mc_standard_error, e2.mc_standard_error)
     assert abs(e1.log_marginal - e2.log_marginal) <= 3.0 * comb
 
@@ -86,7 +87,8 @@ def test_reciprocal_scale_unbiased_with_independent_alpha():
         th = CASE.posterior_draws(2000, 1000 + r)
         th_alpha = CASE.posterior_draws(600, 5000 + r)
         est = gelfand_dey(CASE.energies(th),
-                          kde_fit(th_alpha).log_density(th))
+                          kde_fit(th_alpha, 0.5, (5.0, 95.0))
+                          .log_density(th))
         rels.append(math.exp(LOG_TRUE - est.log_marginal) - 1.0)
         ses.append(est.mc_standard_error)
     mean_rel = float(np.mean(rels))
@@ -101,7 +103,7 @@ def test_cross_fit_pipeline_unbiased_on_same_draws():
     for r in range(60):
         th = CASE.posterior_draws(2000, 1000 + r)
         est = evidence_from_chain(_FakeChain(th, CASE.energies(th)),
-                                  seed=r)
+                                  EvidenceSettings(), seed=r)
         rels.append(math.exp(LOG_TRUE - est.log_marginal) - 1.0)
         ses.append(est.mc_standard_error)
     mean_rel = float(np.mean(rels))
@@ -111,8 +113,8 @@ def test_cross_fit_pipeline_unbiased_on_same_draws():
 
 def test_harmonic_mean_reports_larger_error():
     draws, U = make_inputs(seed=5)
-    gd = gelfand_dey(U, kde_fit(subsample_draws(draws, m=500, seed=5))
-                     .log_density(draws))
+    gd = gelfand_dey(U, kde_fit(subsample_draws(draws, m=500, seed=5),
+                                0.5, (5.0, 95.0)).log_density(draws))
 
     def log_prior_fn(x):
         return float(CASE.log_prior(np.asarray([float(x)]))[0])
@@ -145,8 +147,9 @@ def test_gelfand_dey_input_validation():
 
 def test_evidence_estimate_fields():
     draws, U = make_inputs(n_draws=200)
-    est = gelfand_dey(U, exact_log_alpha(draws), method="x")
-    assert est.method == "x" and est.marginal == math.exp(est.log_marginal)
+    est = gelfand_dey(U, exact_log_alpha(draws))
+    assert est.method == "gelfand_dey_kde"
+    assert est.marginal == math.exp(est.log_marginal)
     with pytest.raises(ValueError):
         type(est)(log_marginal=0.0, mc_standard_error=-1.0, method="x")
 
@@ -154,15 +157,16 @@ def test_evidence_estimate_fields():
 def test_evidence_from_chain_small_sample_falls_back():
     # below the split threshold the single-fit path runs; just needs >= 30
     th = CASE.posterior_draws(100, 4)
-    est = evidence_from_chain(_FakeChain(th, CASE.energies(th)))
+    est = evidence_from_chain(_FakeChain(th, CASE.energies(th)),
+                              EvidenceSettings())
     assert abs(est.log_marginal - LOG_TRUE) < 0.5
 
 
 def test_evidence_from_chain_deterministic():
     th = CASE.posterior_draws(2000, 12)
     chain = _FakeChain(th, CASE.energies(th))
-    a = evidence_from_chain(chain, seed=9)
-    b = evidence_from_chain(chain, seed=9)
+    a = evidence_from_chain(chain, EvidenceSettings(), seed=9)
+    b = evidence_from_chain(chain, EvidenceSettings(), seed=9)
     assert a.log_marginal == b.log_marginal
     assert a.mc_standard_error == b.mc_standard_error
 
@@ -173,7 +177,7 @@ def test_evidence_from_chain_deterministic():
 
 def test_kde_is_normalized_1d(monkeypatch):
     th = CASE.posterior_draws(800, 21)
-    kde = kde_fit(th)
+    kde = kde_fit(th, 0.5, (5.0, 95.0))
     lo = th.min() - 10.0
     hi = th.max() + 10.0
     xs = np.linspace(lo, hi, 4001)
@@ -209,7 +213,7 @@ def test_kde_log_density_is_the_mixture():
 
 def test_kde_log_density_does_not_depend_on_the_block_size(monkeypatch):
     rng = np.random.default_rng(23)
-    kde = kde_fit(rng.standard_normal(450))
+    kde = kde_fit(rng.standard_normal(450), 0.5, (5.0, 95.0))
     pts = rng.standard_normal(4000) * 3.0
     blocked = kde.log_density(pts)
     monkeypatch.setattr(evidence, "KDE_BLOCK_ROWS", pts.size)
@@ -264,7 +268,7 @@ def test_simpson_rejects_even_or_short_grids():
 
 def test_kde_truncation_thins_tails():
     th = CASE.posterior_draws(1000, 41)
-    kde = kde_fit(th, trunc_pct=(5.0, 95.0))
+    kde = kde_fit(th, 0.5, (5.0, 95.0))
     lo, hi = np.percentile(th, [5.0, 95.0])
     assert kde.centers.min() >= lo and kde.centers.max() <= hi
     assert kde.centers.size < 1000
@@ -272,17 +276,17 @@ def test_kde_truncation_thins_tails():
 
 def test_kde_degenerate_sample_warns():
     with pytest.warns(DegenerateSampleWarning):
-        kde = kde_fit(np.ones(50))
+        kde = kde_fit(np.ones(50), 0.5, (5.0, 95.0))
     assert math.isfinite(kde.bandwidth) and kde.bandwidth > 0.0
 
 
 def test_kde_fit_validation():
     with pytest.raises(ValueError):
-        kde_fit(np.ones(10))
+        kde_fit(np.ones(10), 0.5, (5.0, 95.0))
     with pytest.raises(ValueError):
-        kde_fit(np.ones(50), shrink=0.0)
+        kde_fit(np.ones(50), 0.0, (5.0, 95.0))
     with pytest.raises(ValueError, match="1-D"):
-        kde_fit(np.ones((50, 1)))
+        kde_fit(np.ones((50, 1)), 0.5, (5.0, 95.0))
 
 
 def test_subsample_draws_behavior():
@@ -294,7 +298,7 @@ def test_subsample_draws_behavior():
     # kept in chain order: the subsample is a monotone selection
     pos = [int(np.flatnonzero(draws == v)[0]) for v in sub]
     assert pos == sorted(pos)
-    small = subsample_draws(draws[:50], m=200)
+    small = subsample_draws(draws[:50], m=200, seed=0)
     assert small.shape == (50,)
     assert small is not draws   # a copy, never a view
 

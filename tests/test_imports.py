@@ -1,9 +1,11 @@
 """Every name a package module imports is used in that module, every private
 module-level name is used in the package, one helper spells the number
-tables' format, one class declares the sampler's settings, and the package
+tables' format, one class declares each settings group, and the package
 runs on numpy alone."""
 
 import ast
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import stepselect
+from stepselect import evidence, harness, stepfit
 
 SOURCES = sorted(Path(stepselect.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -83,16 +86,33 @@ def test_one_writer_formats_the_number_tables():
 
 
 def test_one_class_declares_the_sampler_settings():
-    # the sampler's settings are declared once, by the spec's mcmc group,
-    # which mh_run reads as it is
-    declaring = [f"{path.stem}.{node.name}" for path in SOURCES
-                 for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.ClassDef) and any(
-                     isinstance(stmt, ast.AnnAssign)
-                     and isinstance(stmt.target, ast.Name)
-                     and stmt.target.id == "target_accept"
-                     for stmt in node.body)]
-    assert declaring == ["mcmc.McmcSettings"]
+    # each settings group of the spec is declared once, as the class that
+    # the function reading it takes whole: the sampler's by mcmc (mh_run),
+    # the evidence estimate's by evidence (evidence_from_chain) and the
+    # regression's by stepfit (fit_curve); the functions below those readers
+    # repeat none of its defaults, and the model classes alone give the
+    # models' params
+    groups = {"target_accept": "mcmc.McmcSettings",
+              "trunc_lo": "evidence.EvidenceSettings",
+              "mask_smallest": "stepfit.RegressionSettings"}
+    declaring = sorted((stmt.target.id, f"{path.stem}.{node.name}")
+                       for path in SOURCES
+                       for node in ast.walk(ast.parse(path.read_text()))
+                       if isinstance(node, ast.ClassDef)
+                       for stmt in node.body
+                       if isinstance(stmt, ast.AnnAssign)
+                       and isinstance(stmt.target, ast.Name)
+                       and stmt.target.id in groups)
+    assert declaring == sorted(groups.items())
+    for model, cls in harness.MODELS.items():
+        assert harness.PARAM_DEFAULTS[model] == {
+            f.name: f.default for f in dataclasses.fields(cls)}
+    defaults = {f"{func.__name__}.{name}": param.default
+                for func in (evidence.kde_fit, evidence.subsample_draws,
+                             evidence.evidence_from_chain, stepfit.fit_curve)
+                for name, param in inspect.signature(func).parameters.items()
+                if param.default is not param.empty}
+    assert defaults == {"evidence_from_chain.seed": 0}
 
 
 RUN_WITHOUT_SCIPY = """

@@ -71,7 +71,7 @@ def test_logistic_system_rhs_uses_theta():
 
 def test_glucose_clamps_switch_at_basal():
     p = GlucoseParams()
-    rhs = rhs_function(make_glucose_system(p, d0=90.0))
+    rhs = rhs_function(make_glucose_system(p))
     theta = p.theta0
     # above basal: insulin response active, liver release off
     d = rhs((100.0, 0.0, 0.0, 0.0), theta)
@@ -93,16 +93,17 @@ def test_glucose_params_validation():
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError):
             GlucoseParams(Gb=bad)
-    with pytest.raises(ValueError):
-        make_glucose_system(GlucoseParams(), d0=-1.0)
-    with pytest.raises(ValueError):
-        make_glucose_system(GlucoseParams(), d0=90.0, D0=-5.0)
+    with pytest.raises(ValueError, match="initial glucose d0 must be positive"):
+        GlucoseParams(d0=-1.0)
+    with pytest.raises(ValueError,
+                       match="initial deposit D0 must be non-negative"):
+        GlucoseParams(D0=-5.0)
 
 
 def test_glucose_deposit_decays_exponentially():
     # dD = -D/theta2 decouples: D(t) = D0 exp(-t/theta2)
     p = GlucoseParams()
-    system = make_glucose_system(p, d0=90.0, D0=200.0)
+    system = make_glucose_system(p)
     final = integrate_states(system, 10.0, SolverConfig("rk4", 1.0 / 512),
                              0.0, 1024, (1024,))
     t = 2.0
@@ -112,7 +113,7 @@ def test_glucose_deposit_decays_exponentially():
 
 def test_glucose_observation_is_first_component():
     # the solver forward returns the glucose component, state column 0
-    system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
+    system = make_glucose_system(GlucoseParams())
     times = np.linspace(0.0, 2.0, 5)
     config = SolverConfig("rk4", 0.0625)
     states = integrate_states(system, 10.0, config, 0.0, 32,

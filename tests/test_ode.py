@@ -112,7 +112,7 @@ def test_final_state_bits_pinned(model, method):
         system = make_logistic_system(LogisticParams())
         theta, h, t_end = 1.1, 0.1, 3.0
     else:
-        system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
+        system = make_glucose_system(GlucoseParams())
         theta, h, t_end = 9.3, 0.0625, 2.0
     assert [v.hex() for v in final_state(system, theta, method, h, t_end)] \
         == PINNED_FINAL_STATES[model, method]
@@ -144,7 +144,7 @@ def test_integrate_states_at_nodes_matches_every_node_solve(model, method):
         nodes = [0, 1, 2, 2, 9, 30]
         assert (ode._c_system(system) is None) == (model in ("helper", "int"))
     else:
-        system = make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0)
+        system = make_glucose_system(GlucoseParams())
         theta, h, n_steps = 9.3, 0.0625, 32
         nodes = [0, 0, 5, 6, 6, 7, 31, 32]
     cfg = SolverConfig(method, h)
@@ -240,8 +240,7 @@ def test_generated_stepper_matches_plain_loop(method, dim_p):
     elif dim_p == 2:
         model, theta = rotation_system(), 1.3
     else:
-        model, theta = make_glucose_system(GlucoseParams(), d0=90.0,
-                                           D0=200.0), 9.3
+        model, theta = make_glucose_system(GlucoseParams()), 9.3
     check_stepper(model, theta, method, h, n_steps)
 
 
@@ -328,7 +327,7 @@ def model_solve(model):
     if model == "logistic":
         return (make_logistic_system(LogisticParams()), 1.1, 0.1, 30,
                 (0, 1, 4, 8, 8, 12, 16, 20, 24, 28, 30))
-    return (make_glucose_system(GlucoseParams(), d0=90.0, D0=200.0), 9.3,
+    return (make_glucose_system(GlucoseParams()), 9.3,
             0.0625, 32, (0, 2, 4, 8, 8, 12, 16, 20, 24, 28, 32))
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stepselect import (Dataset, GammaPrior, Prior, build_report, fit_curve,
-                        posterior_discrepancy)
+from stepselect import (Dataset, GammaPrior, Prior, RegressionSettings,
+                        build_report, fit_curve, posterior_discrepancy)
 from stepselect.errors import BoundsTooTight, IllConditionedFit
 
 GRID = (0.2, 0.1, 0.05, 0.025)
@@ -25,7 +25,7 @@ def synthetic_points(a, b, p, hs=GRID, se=0.0):
 
 def test_fit_recovers_exact_intercept():
     a, b = 2.7e-19, -4.0e-17
-    curve = fit_curve(synthetic_points(a, b, 4), p=4)
+    curve = fit_curve(synthetic_points(a, b, 4), 4, RegressionSettings())
     assert curve.log_fitted_a == pytest.approx(math.log(a), abs=1e-12)
     assert curve.by == pytest.approx(-b / a, rel=1e-9)
     assert curve.r2 == pytest.approx(1.0, abs=1e-12)
@@ -39,15 +39,16 @@ def test_fit_exact_recovery_property(log_a, rel_b, p):
     # b scaled so the curve stays positive over the grid
     a = math.exp(log_a)
     b = rel_b * a / max(GRID) ** p
-    curve = fit_curve(synthetic_points(a, b, p), p=p)
+    curve = fit_curve(synthetic_points(a, b, p), p, RegressionSettings())
     assert curve.log_fitted_a == pytest.approx(log_a, abs=1e-8)
 
 
 def test_fit_shift_invariance():
     # multiplying every marginal by e^C shifts the intercept by exactly C
     pts = synthetic_points(3e-20, -2e-18, 4, se=0.004)
-    c1 = fit_curve(pts, p=4)
-    c2 = fit_curve([(h, lm + 100.0, se) for h, lm, se in pts], p=4)
+    c1 = fit_curve(pts, 4, RegressionSettings())
+    c2 = fit_curve([(h, lm + 100.0, se) for h, lm, se in pts], 4,
+                   RegressionSettings())
     assert c2.log_fitted_a == pytest.approx(c1.log_fitted_a + 100.0, abs=1e-9)
     assert c2.rel_se_a == pytest.approx(c1.rel_se_a, rel=1e-6)
 
@@ -58,7 +59,7 @@ def test_fit_weights_downweight_noisy_point():
     # corrupt the finest point but give it a huge stated error
     h0, lm0, _ = pts[-1]
     pts[-1] = (h0, lm0 + 0.5, 10.0)
-    curve = fit_curve(pts, p=p)
+    curve = fit_curve(pts, p, RegressionSettings())
     assert abs(curve.log_fitted_a - math.log(a)) < 1e-3
 
 
@@ -68,31 +69,31 @@ def test_fit_mask_smallest_excludes_coarse_points():
     # wreck the coarsest point; a 4-point mask must ignore it
     pts[0] = (0.4, pts[0][1] + 2.0, 0.0)
     pts.sort(key=lambda t: t[0])
-    curve = fit_curve(pts, p=p, mask_smallest=4)
+    curve = fit_curve(pts, p, RegressionSettings(mask_smallest=4))
     assert not curve.mask[-1]
     assert curve.log_fitted_a == pytest.approx(0.0, abs=1e-10)
 
 
 def test_fit_mask_h_explicit():
     pts = synthetic_points(1.0, -0.3, 1, hs=(0.4, 0.2, 0.1, 0.05))
-    curve = fit_curve(pts, p=1, mask_h=(0.4, 0.2, 0.1))
+    curve = fit_curve(pts, 1, RegressionSettings(mask_h=(0.4, 0.2, 0.1)))
     assert curve.mask.sum() == 3
     assert set(curve.h[curve.mask]) == {0.4, 0.2, 0.1}
     with pytest.raises(IllConditionedFit):
-        fit_curve(pts, p=1, mask_h=(0.4, 0.2))
+        fit_curve(pts, 1, RegressionSettings(mask_h=(0.4, 0.2)))
 
 
 def test_fit_rejects_narrow_span():
     pts = synthetic_points(1.0, -0.1, 4, hs=(0.100, 0.098, 0.096, 0.094))
     with pytest.raises(IllConditionedFit):
-        fit_curve(pts, p=4)
+        fit_curve(pts, 4, RegressionSettings())
 
 
 def test_fit_rejects_nonpositive_intercept():
     # marginals that keep falling as h -> 0 extrapolate below zero
     pts = [(h, math.log(-0.1 + 2.0 * h), 0.0) for h in (0.8, 0.4, 0.2, 0.1)]
     with pytest.raises(IllConditionedFit):
-        fit_curve(pts, p=1)
+        fit_curve(pts, 1, RegressionSettings())
 
 
 def test_fit_rejects_weight_collapse():
@@ -100,16 +101,18 @@ def test_fit_rejects_weight_collapse():
     # would effectively run through a single point
     pts = [(h, -500.0 * h, 0.004) for h in GRID]
     with pytest.raises(IllConditionedFit):
-        fit_curve(pts, p=1)
+        fit_curve(pts, 1, RegressionSettings())
 
 
 def test_fit_input_validation():
     with pytest.raises(IllConditionedFit):
-        fit_curve(synthetic_points(1.0, 0.0, 1, hs=(0.1, 0.05)), p=1)
+        fit_curve(synthetic_points(1.0, 0.0, 1, hs=(0.1, 0.05)), 1,
+                  RegressionSettings())
     with pytest.raises(IllConditionedFit):
-        fit_curve([], p=1)
+        fit_curve([], 1, RegressionSettings())
     with pytest.raises(ValueError):
-        fit_curve(synthetic_points(1.0, 0.0, 1, hs=(0.1, 0.1, 0.05)), p=1)
+        fit_curve(synthetic_points(1.0, 0.0, 1, hs=(0.1, 0.1, 0.05)), 1,
+                  RegressionSettings())
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +125,7 @@ def test_jeffreys_window_boundaries():
     bfs = (0.99, 1.0100, 1.0102, 0.9899, 1.0 / 0.9899)
     pts = [(h, math.log(bf), 0.0)
            for h, bf in zip((0.025, 0.05, 0.1, 0.2, 0.4), bfs)]
-    curve = fit_curve(pts, p=1)
+    curve = fit_curve(pts, 1, RegressionSettings())
     object.__setattr__(curve, "log_fitted_a", 0.0)
     rep = build_report(curve, np.ones(5), np.ones(5))
     assert [s["flag"] for s in rep["steps"]] == [True, True, False, False,
@@ -136,7 +139,7 @@ def test_build_report_picks_coarsest_admissible():
            (0.05, math.log(a) + 0.004, 0.0),
            (0.1, math.log(a) + 0.009, 0.0),
            (0.2, math.log(a) + 0.2, 0.0)]
-    curve = fit_curve(sorted(pts), p=4, mask_smallest=3)
+    curve = fit_curve(sorted(pts), 4, RegressionSettings(mask_smallest=3))
     # overwrite the intercept so the flags are exactly the offsets above
     object.__setattr__(curve, "log_fitted_a", math.log(a))
     cpu = np.array([8.0, 4.0, 2.0, 1.0])
@@ -153,7 +156,7 @@ def test_build_report_picks_coarsest_admissible():
 
 def test_build_report_serializes_and_survives_failure():
     pts = [(h, math.log(1e-19) + 1.0 + h, 0.0) for h in GRID]
-    curve = fit_curve(sorted(pts), p=1)
+    curve = fit_curve(sorted(pts), 1, RegressionSettings())
     object.__setattr__(curve, "log_fitted_a", math.log(1e-19))
     rep = build_report(curve, np.array([4.0, 3.0, 2.0, 1.0]), [8, 4, 2, 1])
     assert rep["recommended_h"] is None and rep["speedup"] is None
