@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import sys
+import tempfile
 import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +35,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, ode
 from .bayes import (Dataset, GammaPrior, Prior, make_log_posterior,
                     make_logistic_exact_forward, make_solver_forward)
 from .errors import NonMonotoneTimes, ParseError, StepSelectError
@@ -469,9 +470,14 @@ def run_sweep(spec: ExperimentSpec, out_dir, jobs: int = 1,
     ks = list(range(len(spec.h_grid)))
     workers = min(jobs, len(ks))   # a pool starts all of its workers at once
     if workers > 1:
-        # finest step first: its chain costs the most, so queued last it
-        # would run alone after the others and set the makespan
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the workers build each library once between them, in a directory
+        # deleted after the pool; finest step first: its chain costs the
+        # most, so queued last it would run alone after the others and set
+        # the makespan
+        with tempfile.TemporaryDirectory(prefix="stepselect-") as builds, \
+                ProcessPoolExecutor(max_workers=workers,
+                                    initializer=ode.share_builds,
+                                    initargs=(builds,)) as pool:
             futures = {k: pool.submit(_sweep_worker, spec.to_dict(), k,
                                       str(out_dir), str(obs_csv))
                        for k in sorted(ks, key=lambda k: spec.h_grid[k])}

@@ -111,6 +111,8 @@ class GlucoseParams:
         for name in ("theta0", "theta1", "theta2", "a", "b", "Gb"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        if not (math.isfinite(self.d0) and math.isfinite(self.D0)):
+            raise ValueError("initial state d0 and D0 must be finite")
         if self.d0 <= 0.0:
             raise ValueError("initial glucose d0 must be positive")
         if self.D0 < 0.0:

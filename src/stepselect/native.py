@@ -42,20 +42,26 @@ program where no C compiler runs.
 
 ``ode._library`` decides when a library is built; this module is imported
 only then, so a process that never builds one neither compiles this source
-nor imports ``subprocess`` and ``sysconfig``.
+nor imports ``subprocess`` and ``sysconfig``.  ``compile_source`` builds
+each library once per sweep: a sweep's pool workers share a directory in
+which the first of them to need a library compiles it while the others
+wait on a lock inside their own tasks, then load the same file.
 """
 
 from __future__ import annotations
 
 import ast
 import ctypes
+import hashlib
 import math
+import os
 import subprocess
 import sysconfig
 import tempfile
 
 import numpy as np
 
+from . import ode
 from .ode import _METHODS, _addressed, _parts, _step_lines, _stepper
 
 # C variables carry a prefix so that no right-hand-side name meets one of
@@ -373,21 +379,43 @@ def c_source(dim_p: int, rhs: tuple, const_names: tuple,
 
 def compile_source(source: str):
     """Compile ``source`` into a shared library and load it with ctypes;
-    OSError when the compiler or the loader fails.  Nothing stays on disk
-    and no process outlives the call."""
+    OSError when the lock, the compiler or the loader fails.  No process
+    outlives the call.  With ``ode._BUILD_DIR`` set, as in a sweep's pool
+    worker, it builds ``<sha256 of source>.so`` there under the directory's
+    lock unless another process already has; elsewhere it builds in a
+    temporary directory deleted once the library is loaded."""
+    shared = ode._BUILD_DIR
+    if shared is None:
+        with tempfile.TemporaryDirectory(prefix="stepselect-") as tmp:
+            _compile(source, f"{tmp}/rhs.so")
+            return ctypes.PyDLL(f"{tmp}/rhs.so")
+    try:
+        import fcntl
+    except ImportError as exc:
+        raise OSError(f"no file locks here: {exc}") from exc
+    so_file = f"{shared}/{hashlib.sha256(source.encode()).hexdigest()}.so"
+    with open(f"{shared}/lock", "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)        # released as it closes
+        if not os.path.exists(so_file):
+            _compile(source, so_file)
+    return ctypes.PyDLL(so_file)
+
+
+def _compile(source: str, so_file: str) -> None:
+    """Run the C compiler on ``source`` into the shared library ``so_file``,
+    which appears whole or not at all: the compiler writes beside it and the
+    result is renamed into place.  OSError when the compiler fails."""
     cc = (sysconfig.get_config_var("CC") or "cc").split()
-    with tempfile.TemporaryDirectory(prefix="stepselect-") as tmp:
-        c_file, so_file = f"{tmp}/rhs.c", f"{tmp}/rhs.so"
-        with open(c_file, "w") as fh:
-            fh.write(source)
-        try:
-            subprocess.run([*cc, "-O1", "-fPIC", "-shared",
-                            "-ffp-contract=off", "-o", so_file, c_file,
-                            "-lm"], stdin=subprocess.DEVNULL,
-                           capture_output=True, check=True, timeout=120)
-        except subprocess.SubprocessError as exc:
-            raise OSError(f"C compiler failed: {exc}") from exc
-        return ctypes.PyDLL(so_file)
+    c_file, part = f"{so_file}.c", f"{so_file}.part"
+    with open(c_file, "w") as fh:
+        fh.write(source)
+    try:
+        subprocess.run([*cc, "-O1", "-fPIC", "-shared", "-ffp-contract=off",
+                        "-o", part, c_file, "-lm"], stdin=subprocess.DEVNULL,
+                       capture_output=True, check=True, timeout=120)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"C compiler failed: {exc}") from exc
+    os.replace(part, so_file)
 
 
 class Library:

@@ -328,7 +328,10 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
 # data compiles only its chains' library.  A library is compiled with
 # ``sysconfig``'s CC, or ``cc``, in a temporary directory deleted once it is
 # loaded, and a failed build is remembered, library by library, for the
-# rest of the process.
+# rest of the process.  The workers of a sweep's pool share one directory
+# (``_BUILD_DIR``, set in each by ``share_builds``), in which the first of
+# them to need a library compiles it and the others load that file
+# (``native.compile_source``), so a pool sweep compiles each library once.
 
 @functools.lru_cache(maxsize=64)
 def _c_system(system):
@@ -355,6 +358,16 @@ def _addressed(array: np.ndarray) -> tuple:
 # by a lone solve waits in _SOLVED_ONCE for its second
 _LIBRARIES = {}
 _SOLVED_ONCE = set()
+
+# the directory this process shares its builds in, or None to build alone
+_BUILD_DIR = None
+
+
+def share_builds(directory: str) -> None:
+    """Build libraries in ``directory``, shared with the other processes
+    that do: a process pool's initializer."""
+    global _BUILD_DIR
+    _BUILD_DIR = directory
 
 
 def _library(system, method: str = None) -> tuple:

@@ -3,6 +3,8 @@
 import functools
 import itertools
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -584,6 +586,55 @@ def test_a_failed_build_is_remembered_per_library(monkeypatch):
     assert "solve_" in calls[1] and "block" not in calls[1]
     key = ode._c_system(system)[0]
     assert ode._LIBRARIES == {(key, "rk4"): None, (key, None): None}
+
+
+def test_processes_that_share_a_build_directory_compile_once(tmp_path,
+                                                             monkeypatch):
+    # two forked processes, as a sweep's pool workers, each build a glucose
+    # chain's library in one shared directory: the compiler runs once, in
+    # one of them, and both chains give the Python stepper's bits
+    ds, prior, forward = model_case("glucose")
+    if not compiled(forward.solve[0]):
+        pytest.skip("no C compiler")
+    settings_ = McmcSettings(n_iter=300, step_scale=0.5)
+
+    def chain():
+        logpost = make_log_posterior(ds, prior, forward)
+        run = mh_run(logpost, 10.0, settings_, n_iter=300, burn_in=100,
+                     seed=4)
+        return (run.draws.tobytes(), run.energies.tobytes(),
+                logpost.compiled())
+    with monkeypatch.context() as patch:
+        on_python_stepper(patch)
+        want = chain()
+    log, run_compiler = tmp_path / "compiles.txt", native._compile
+
+    def logged(source, so_file):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run_compiler(source, so_file)
+    monkeypatch.setattr(native, "_compile", logged)
+    shared = tmp_path / "builds"
+    shared.mkdir()
+    context = multiprocessing.get_context("fork")
+    results = context.SimpleQueue()
+
+    def worker():
+        ode._LIBRARIES.clear()       # this process's copy only
+        ode.share_builds(str(shared))
+        results.put((os.getpid(), chain()))
+    processes = [context.Process(target=worker) for _ in range(2)]
+    for process in processes:
+        process.start()
+    for process in processes:
+        process.join(timeout=120)
+    assert [process.exitcode for process in processes] == [0, 0]
+    got = dict(results.get() for _ in processes)
+    assert sorted(got) == sorted(process.pid for process in processes)
+    compilers = log.read_text().split()
+    assert len(compilers) == 1 and int(compilers[0]) in got
+    assert list(got.values()) == [(*want[:2], True)] * 2
+    assert len(list(shared.glob("*.so"))) == 1
 
 
 @pytest.mark.parametrize("model", ["logistic", "glucose"])

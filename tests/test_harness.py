@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import re
+import tempfile
 import typing
 import warnings
 from concurrent.futures import Future
@@ -422,29 +424,40 @@ def test_json_int_params_run_the_compiled_float_chain(tmp_path, model, ints):
         == (tmp_path / "float" / "chain_1.csv").read_bytes()
 
 
-def test_each_pool_worker_compiles_its_solver_alone(tmp_path, monkeypatch):
-    # a chain builds the library of its own method, once per process: each
-    # forked worker inherits the wrapper and logs the steppers of every
-    # source it compiles, and the parent compiles nothing
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_a_pool_sweep_compiles_each_library_once(tmp_path, monkeypatch,
+                                                 jobs):
+    # a chain builds the library of its own method: the first worker to
+    # need it runs the compiler in the sweep's shared directory and the
+    # others load its file, so the compiler runs once per sweep; each
+    # forked worker inherits the wrapper and logs its process and the
+    # steppers of the source it compiles, the parent compiles nothing and
+    # the shared directory goes with the pool
     spec = small_spec(solver="rk2")
     ds = generate_synthetic(spec)
     if not compiled(build_system(spec, ds)):
         pytest.skip("no C compiler")
     monkeypatch.setattr(ode, "_LIBRARIES", {})
     monkeypatch.setattr(ode, "_SOLVED_ONCE", set())
-    log, compile_source = tmp_path / "compiles.txt", native.compile_source
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir()
+    log, run_compiler = tmp_path / "compiles.txt", native._compile
 
-    def logged(source):
+    def logged(source, so_file):
+        steppers = re.findall(r"\bstatic void (lanes_\w+)\(", source)
         with open(log, "a") as fh:
-            fh.write(" ".join(re.findall(r"\bstatic void (lanes_\w+)\(",
-                                         source)) + "\n")
-        return compile_source(source)
-    monkeypatch.setattr(native, "compile_source", logged)
-    rec = run_sweep(spec, tmp_path / "run", jobs=2, dataset=ds)
-    compiles = log.read_text().splitlines()
-    assert 1 <= len(compiles) <= 2 and set(compiles) == {"lanes_rk2"}
+            fh.write(f"{os.getpid()} {Path(so_file).parent.name} "
+                     f"{' '.join(steppers)}\n")
+        return run_compiler(source, so_file)
+    monkeypatch.setattr(native, "_compile", logged)
+    rec = run_sweep(spec, tmp_path / "run", jobs=jobs, dataset=ds)
+    (pid, directory, steppers), = (line.split(" ", 2)
+                                   for line in log.read_text().splitlines())
+    assert int(pid) != os.getpid() and directory.startswith("stepselect-")
+    assert steppers == "lanes_rk2"
     assert [r["compiled"] for r in rec["runs"]] == [True] * 3
-    assert ode._LIBRARIES == {}
+    assert ode._LIBRARIES == {} and ode._BUILD_DIR is None
+    assert list((tmp_path / "tmp").iterdir()) == []
 
 
 def test_a_sweep_that_generates_its_data_compiles_once(tmp_path,
@@ -479,7 +492,9 @@ def test_run_sweep_submits_finest_step_first(tmp_path, monkeypatch):
     submitted, pools = [], []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        # the initializer is left uncalled, so this process never holds a
+        # sweep's shared build directory
+        def __init__(self, max_workers, initializer=None, initargs=()):
             pools.append(max_workers)
 
         def __enter__(self):

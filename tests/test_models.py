@@ -100,6 +100,16 @@ def test_glucose_params_validation():
         GlucoseParams(D0=-5.0)
 
 
+@pytest.mark.parametrize("field", ["d0", "D0"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_glucose_initial_state_must_be_finite(field, bad):
+    # a NaN passes both sign checks and an infinity one of them, so the
+    # initial state is checked for finiteness before its signs
+    with pytest.raises(ValueError,
+                       match="initial state d0 and D0 must be finite"):
+        GlucoseParams(**{field: bad})
+
+
 def test_glucose_deposit_decays_exponentially():
     # dD = -D/theta2 decouples: D(t) = D0 exp(-t/theta2)
     p = GlucoseParams()
