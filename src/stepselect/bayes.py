@@ -16,7 +16,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from . import ode
+from . import mcmc, ode
 from .errors import NonFiniteState, NonMonotoneTimes
 from .models import LogisticParams, logistic_exact
 from .ode import METHOD_STAGES, SolverConfig, check_grid, integrate_states
@@ -162,18 +162,19 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
     its solves took and ``stopped_early()`` the number of solves a floor cut
     short.
 
-    The fused closure also has ``run_block(x, lp, scale, z, log_u, kept,
-    draws, energies)``, which runs one block of ``mcmc.mh_run``'s
-    Metropolis loop, this closure's evaluations included, in the chain
-    library of the right-hand side and the closure's method, with the same
-    bits and counts: the block solves proposals ahead of the Metropolis
-    test, and ``rhs_evals()`` and ``stopped_early()`` count only the solves
-    the loop used.  A chain builds that library at its first block, at
-    once, and solves nothing outside its blocks: ``mh_run`` evaluates the
-    initial point in a block too (see ``ode._library``).  It returns None
-    where there is no library, and ``compiled()`` tells whether its blocks
-    run compiled.  Any other forward map goes through
-    ``log_posterior_unnorm`` and ignores the floor.
+    The fused closure also has ``run_block(x, lp, scale, z, log_u, draws,
+    energies)``, which runs one block of ``mcmc.mh_run``'s Metropolis loop,
+    this closure's evaluations included, with ``mcmc._block``'s arguments,
+    bits and counts.  It runs the block in the chain library of the
+    right-hand side and the closure's method, which solves proposals ahead
+    of the Metropolis test while ``rhs_evals()`` and ``stopped_early()``
+    count only the solves the loop used, and where there is no library in
+    ``mcmc._block`` over the closure.  A chain builds that library at its
+    first block, at once, and solves nothing outside its blocks: ``mh_run``
+    evaluates the initial point in a block too (see ``ode._library``).
+    ``compiled()`` tells whether its blocks run compiled.  Any other
+    forward map goes through ``log_posterior_unnorm`` and ignores the
+    floor.
     """
     if dataset.sigma_fixed is None:
         raise ValueError("the log posterior needs dataset.sigma_fixed")
@@ -227,15 +228,16 @@ def make_log_posterior(dataset: Dataset, prior: Prior,
             return lp - math.inf
         return lp + (ll0 - 0.5 * ss / var)
 
-    def run_block(x, lp, scale, z, log_u, kept, draws, energies):
+    def run_block(x, lp, scale, z, log_u, draws, energies):
         lib, csys = ode._library(system, config.method)
         if lib is None:
-            return None
+            return mcmc._block(logpost, x, lp, scale, z, log_u, draws,
+                               energies)
         if not chain:
             chain.extend(lib.chain_post(
                 csys, config.h, n_steps, ode._checked_nodes(nodes, n_steps),
                 observed, c, k1, r, ll0, var))
-        return lib.run_block(chain[0], x, lp, scale, z, log_u, kept, draws,
+        return lib.run_block(chain[0], x, lp, scale, z, log_u, draws,
                              energies)
 
     stages = METHOD_STAGES[config.method]

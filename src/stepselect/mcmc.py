@@ -12,6 +12,7 @@ evidence estimators consume them directly.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -80,9 +81,8 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
         whose adaptation reads the exact acceptance probability, it is
         -inf.  A function that ignores ``floor`` meets this contract.  One
         with a ``run_block`` attribute (bayes.make_log_posterior's fused
-        closure) may run whole blocks of iterations itself, the initial
-        evaluation included, and is then called only for a block that
-        ``run_block`` hands back (returns None for).
+        closure) runs every block of iterations itself, the initial
+        evaluation included, with ``_block``'s arguments and returns.
     init : starting point; InitializationError, before any evaluation,
         when it is not finite.
     settings : read for ``step_scale``, ``adapt``, ``adapt_window`` and
@@ -98,15 +98,15 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
         raise InitializationError(
             f"the initial point {x} is not finite; start inside the support")
 
-    # A log posterior with ``run_block`` (bayes.make_log_posterior's fused
-    # closure) may run whole blocks in compiled code, and then evaluates
-    # the initial point in one too: one proposal of scale 0 from lp = -inf,
-    # accepted unless its log posterior is -inf as well.
-    run_block = getattr(log_posterior, "run_block", None)
+    # One runner for every block, chosen once: the log posterior's own
+    # ``run_block`` (bayes.make_log_posterior's fused closure, which may run
+    # it in compiled code) or ``_block``.  The initial point is evaluated in
+    # a block too: one proposal of scale 0 from lp = -inf, accepted unless
+    # its log posterior is -inf or NaN as well.
+    run_block = getattr(log_posterior, "run_block",
+                        functools.partial(_block, log_posterior))
     zero = np.zeros(1)
-    out = None if run_block is None else run_block(
-        x, -math.inf, 0.0, zero, zero, False, None, None)
-    lp = float(log_posterior(x, -math.inf)) if out is None else out[1]
+    lp = run_block(x, -math.inf, 0.0, zero, zero, None, None)[1]
     if not math.isfinite(lp):
         raise InitializationError(
             f"log posterior at the initial point is {lp}; start inside the support")
@@ -122,23 +122,17 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
     window = settings.adapt_window if settings.adapt else _BLOCK
 
     # The scale stays fixed within a block: an adaptation window (capped at
-    # the end of burn-in) during burn-in, _BLOCK iterations after it.
-    # ``run_block`` runs a block in compiled code with the same bits, or
-    # returns None, and the block runs in ``_block``, as for any other log
-    # posterior.
+    # the end of burn-in) during burn-in, _BLOCK iterations after it.  A
+    # kept block, and only a kept one, gets its slices of the draw arrays.
     edges = [*range(0, burn_in, window), *range(burn_in, n_iter, _BLOCK), n_iter]
     t_start, cpu_start = time.perf_counter(), time.process_time()
     for start, stop in zip(edges, edges[1:]):
         kept_block = start >= burn_in
-        block = (x, lp, scale, noise[start:stop], log_u[start:stop],
-                 kept_block,
-                 *((draws[start - burn_in:stop - burn_in],
-                    energies[start - burn_in:stop - burn_in]) if kept_block
-                   else (None, None)))
-        out = None if run_block is None else run_block(*block)
-        if out is None:
-            out = _block(log_posterior, *block)
-        x, lp, n_accept, prob = out
+        x, lp, n_accept, prob = run_block(
+            x, lp, scale, noise[start:stop], log_u[start:stop],
+            *((draws[start - burn_in:stop - burn_in],
+               energies[start - burn_in:stop - burn_in]) if kept_block
+              else (None, None)))
         if kept_block:
             n_accept_kept += n_accept
         elif settings.adapt and stop - start == window:
@@ -157,15 +151,16 @@ def mh_run(log_posterior: Callable, init: float, settings: McmcSettings,
                  step_scale=scale, process_seconds=cpu)
 
 
-def _block(log_posterior, x, lp, scale, noise, log_u, kept, draws,
-           energies):
+def _block(log_posterior, x, lp, scale, noise, log_u, draws, energies):
     """One block of Metropolis iterations at a fixed scale from (x, lp):
     the proposals x + scale * noise, accepted when log u is below the
-    change in log posterior, each evaluation floored at the rejection
-    threshold when ``kept``; the draws and energies go to ``draws`` and
-    ``energies`` unless they are None.  Returns (x, lp, accepted, the
-    summed acceptance probabilities).  The draws go to lists and then to
-    the arrays in one write, which bounds the objects alive."""
+    change in log posterior.  A kept block gets ``draws`` and ``energies``
+    arrays, which take its draws and energies, and floors each evaluation
+    at the rejection threshold; a burn-in block gets None for both.
+    Returns (x, lp, accepted, the summed acceptance probabilities).  The
+    draws go to lists and then to the arrays in one write, which bounds the
+    objects alive."""
+    kept = draws is not None
     xs, es = [], []
     n_accept, prob = 0, 0.0
     for z, lu in zip(noise.tolist(), log_u.tolist()):
@@ -178,7 +173,7 @@ def _block(log_posterior, x, lp, scale, noise, log_u, kept, draws,
             n_accept += 1
         xs.append(x)
         es.append(-lp)
-    if draws is not None:
+    if kept:
         draws[:] = xs
         energies[:] = es
     return x, lp, n_accept, prob

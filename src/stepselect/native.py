@@ -11,7 +11,7 @@ and a chain block that runs the fused log posterior of
 ``bayes.make_log_posterior`` and the Metropolis loop of ``mcmc.mh_run``,
 the initial evaluation included, solving the next ``lanes(dim_p)``
 proposals at once along the rejection path (see ``_BLOCK_C``).  The lone
-library, built at the right-hand side's second lone solve, holds every
+library, built at one system's second lone solve, holds every
 method's stepper and its plain solve, the stepper with one lane, for
 ``ode.integrate_states``' uncapped solves (see ``ode._library``).  A
 Python-level RK4 step of the logistic model costs 0.35-0.40 us and a
@@ -218,7 +218,8 @@ int64_t solve_{method}(const double *c, const double *x0, double theta,
 # library's one method, with the same bits.  Until a proposal is accepted
 # every proposal starts from the current point (x, lp), so the block solves
 # the next ``lanes(dim_p)`` proposals at once (lane l is x + scale z[i + l],
-# floored at lp + log_u[i + l]), then walks them with the Metropolis test up
+# floored at lp + log_u[i + l] exactly when the block is kept, that is, gets
+# draws and energies arrays), then walks them with the Metropolis test up
 # to the first acceptance and discards the lanes after it (prefetching along
 # the rejection path, Brockwell 2006).  Only the lanes walked count their
 # steps and stops, so the counters read what the sequential loop's do.
@@ -255,7 +256,7 @@ static double scored(post_t *p, double lp, int64_t rows, double ss)
 
 /* state is (x, lp, prob) in and out; returns the accepted count */
 int64_t block(post_t *p, double *state, double scale, const double *z,
-              const double *log_u, int64_t n, int kept, double *draws,
+              const double *log_u, int64_t n, double *draws,
               double *energies)
 {{
     double x = state[0], lp = state[1], prob = 0.0, v, floor, top, delta;
@@ -275,7 +276,7 @@ int64_t block(post_t *p, double *state, double scale, const double *z,
             lpv[l] = p->c + p->k1 * log(v) - p->r * v;
             if (lpv[l] == -INFINITY)
                 continue;
-            floor = kept ? lp + log_u[i + l] : -INFINITY;
+            floor = draws ? lp + log_u[i + l] : -INFINITY;
             top = lpv[l] + p->ll0;
             theta[ns] = v;
             cap[ns] = 2.0 * p->var * (
@@ -434,7 +435,7 @@ class Library:
         else:
             self.block = cdll.block
             self.block.argtypes = [ctypes.POINTER(_Post), ptr, d, ptr,
-                                   ptr, i, ctypes.c_int, ptr, ptr]
+                                   ptr, i, ptr, ptr]
             self.block.restype = i
         self.double, self.state = d, d * 3
         self.byref = ctypes.byref
@@ -463,13 +464,13 @@ class Library:
                      values=values[1], consts=consts, x0=x0)
         return post, (csys, nodes, values)
 
-    def run_block(self, post, x, lp, scale, z, log_u, kept, draws,
-                  energies):
+    def run_block(self, post, x, lp, scale, z, log_u, draws, energies):
         """One Metropolis block in C: (x, lp, accepted, prob) as
-        ``mcmc.mh_run``'s Python loop returns them.  ValueError, with
-        nothing run or written, unless ``z`` and ``log_u`` have one length
-        and ``draws`` and ``energies`` are both None or both writable
-        contiguous float arrays of that length."""
+        ``mcmc._block`` returns them, floored and writing its draws exactly
+        when given ``draws`` and ``energies``.  ValueError, with nothing run
+        or written, unless ``z`` and ``log_u`` have one length and ``draws``
+        and ``energies`` are both None or both writable contiguous float
+        arrays of that length."""
         n = len(z)
         z, log_u = (np.ascontiguousarray(a, dtype=float) for a in (z, log_u))
         if len(log_u) != n or (draws is None) != (energies is None) or any(
@@ -482,7 +483,6 @@ class Library:
         state = self.state(x, lp, 0.0)
         n_accept = self.block(
             self.byref(post), state, scale, z.ctypes.data, log_u.ctypes.data,
-            n, kept,
-            None if draws is None else draws.ctypes.data,
+            n, None if draws is None else draws.ctypes.data,
             None if energies is None else energies.ctypes.data)
         return state[0], state[1], n_accept, state[2]

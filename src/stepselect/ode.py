@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,12 +321,12 @@ def _stepper(method: str, dim_p: int, rhs: tuple, const_names: tuple):
 # the more the library holds.  A Metropolis chain builds its own at once: its
 # method's stepper and the chain block, in which the chain evaluates
 # everything, its initial point included (``mcmc.mh_run``).  Lone solves
-# (the quadrature oracles, ``estimate_order``) build theirs at the
-# right-hand side's second lone solve: every method's stepper and plain
-# solve, since the order check solves with every method.  So a process that
-# solves once (``stepselect gen``'s glucose reference solve) never runs the
-# compiler nor loads ``native``, and a glucose sweep that generates its own
-# data compiles only its chains' library.  A library is compiled with
+# (the quadrature oracles, ``estimate_order``) build theirs at one system's
+# second lone solve: every method's stepper and plain solve, since the order
+# check solves with every method.  So a process that solves each system once
+# (``stepselect gen``'s glucose reference solve, which builds its system per
+# call) never runs the compiler nor loads ``native``, and a glucose sweep
+# that generates its own data compiles only its chains' library.  A library is compiled with
 # ``sysconfig``'s CC, or ``cc``, in a temporary directory deleted once it is
 # loaded, and a failed build is remembered, library by library, for the
 # rest of the process.  The workers of a sweep's pool share one directory
@@ -354,10 +355,10 @@ def _addressed(array: np.ndarray) -> tuple:
 
 
 # (library key, method) -> the loaded library of a chain of that method,
-# or with method None the lone library, or None for good; a key seen once
-# by a lone solve waits in _SOLVED_ONCE for its second
+# or with method None the lone library, or None for good; a system solved
+# once alone waits in _SOLVED_ONCE for its second lone solve
 _LIBRARIES = {}
-_SOLVED_ONCE = set()
+_SOLVED_ONCE = weakref.WeakSet()
 
 # the directory this process shares its builds in, or None to build alone
 _BUILD_DIR = None
@@ -374,8 +375,8 @@ def _library(system, method: str = None) -> tuple:
     """(the compiled library of ``system``'s right-hand side for chains of
     ``method``, or with no ``method`` for lone solves, or None, the system
     as ``_c_system`` gives it).  A chain's library is built at once, the
-    lone library at the right-hand side's second lone solve in the process
-    (each lone call counts as a solve).  Once a library proves outside the
+    lone library at one system's second lone solve in the process (each
+    lone call counts as a solve).  Once a library proves outside the
     C subset or its compiler or loader fails, it stays None for the rest
     of the process."""
     csys = _c_system(system)
@@ -383,8 +384,8 @@ def _library(system, method: str = None) -> tuple:
         return None, None
     key = csys[0], method
     if key not in _LIBRARIES:
-        if method is None and csys[0] not in _SOLVED_ONCE:
-            _SOLVED_ONCE.add(csys[0])
+        if method is None and system not in _SOLVED_ONCE:
+            _SOLVED_ONCE.add(system)
             return None, csys
         from . import native
         try:

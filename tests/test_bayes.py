@@ -427,9 +427,9 @@ def test_chain_with_early_rejection_matches_the_exact_chain(case):
 
 def test_a_division_by_theta_gets_no_library():
     # dx/dt = -x / (theta - 2): a divisor that could be zero is outside the
-    # C subset, so the closure runs no block compiled, and mh_run's Python
-    # loop raises ZeroDivisionError at the proposal theta = 2 as it always
-    # did
+    # C subset, so the closure's run_block runs mcmc._block over the
+    # closure: the same returns, draws and energies where the proposals
+    # stay away from theta = 2, and the same ZeroDivisionError at it
     system = OdeSystem(dim_p=1, rhs=("dx = -x / (theta_0 - 2.0)",), consts={},
                        x0=np.array([1.0]))
     ds = small_dataset(n=6)
@@ -438,14 +438,22 @@ def test_a_division_by_theta_gets_no_library():
     with pytest.raises(ValueError, match="divisor"):
         native.c_source(1, system.rhs, ())
     lp = logpost(1.0)
-    # a log uniform of -inf accepts every proposal of finite value
+    rng = np.random.default_rng(34)
+    z, log_u = rng.standard_normal(8), np.log(rng.random(8))
+    for arrays in (None, None), (np.empty(8), np.empty(8)):
+        got = logpost.run_block(1.0, lp, 0.05, z, log_u, *arrays)
+        written = [a.copy() for a in arrays if a is not None]
+        want = mcmc._block(logpost, 1.0, lp, 0.05, z, log_u, *arrays)
+        assert got == want and 0 < got[2] < 8
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(written, arrays))
+    # a log uniform of -inf accepts every proposal of finite value, up to
+    # theta = 2
     ones, accept = np.ones(4), np.full(4, -np.inf)
-    for _ in range(2):     # the second solve would build a library
-        assert logpost.run_block(1.0, lp, 0.25, ones, accept, False, None,
-                                 None) is None
+    for block in (logpost.run_block, functools.partial(mcmc._block, logpost)):
+        with pytest.raises(ZeroDivisionError):
+            block(1.0, lp, 0.25, ones, accept, None, None)
     assert not logpost.compiled()
-    with pytest.raises(ZeroDivisionError):
-        mcmc._block(logpost, 1.0, lp, 0.25, ones, accept, False, None, None)
 
 
 def test_a_rhs_the_stepper_refuses_gets_no_library():
@@ -641,9 +649,9 @@ def test_processes_that_share_a_build_directory_compile_once(tmp_path,
 def test_compiled_block_matches_the_sequential_block(model):
     # the compiled block solves the next few proposals at once and walks
     # them up to the first acceptance; at every block length around its
-    # lane count, kept or not, it gives mcmc._block's returns, draws,
-    # energies and counters bit for bit, also where every proposal is
-    # accepted, where proposals cross 0 and where solves blow up
+    # lane count, kept (given draw arrays) or not, it gives mcmc._block's
+    # returns, draws, energies and counters bit for bit, also where every
+    # proposal is accepted, where proposals cross 0 and where solves blow up
     ds, prior, forward = model_case(model)
     if not compiled(forward.solve[0]):
         pytest.skip("no C compiler")
@@ -674,9 +682,9 @@ def test_compiled_block_matches_the_sequential_block(model):
         assert sequential(x) == lp and math.isfinite(lp)
         arrays = [np.full(len(z), np.nan) if kept else None
                   for _ in range(4)]
-        got = compiled_.run_block(x, lp, scale, z, log_u, kept, *arrays[:2])
+        got = compiled_.run_block(x, lp, scale, z, log_u, *arrays[:2])
         want = mcmc._block(lambda v, floor: sequential(v, floor), x, lp,
-                           scale, z, log_u, kept, *arrays[2:])
+                           scale, z, log_u, *arrays[2:])
         assert np.array(got).tobytes() == np.array(want).tobytes()
         if kept:
             assert arrays[0].tobytes() == arrays[2].tobytes()
@@ -717,15 +725,15 @@ def test_compiled_block_refuses_arrays_it_cannot_take(case):
         energies = None
     counters = logpost.rhs_evals(), logpost.stopped_early()
     with pytest.raises(ValueError):
-        logpost.run_block(1.0, lp, 0.01, z, log_u, True, draws, energies)
+        logpost.run_block(1.0, lp, 0.01, z, log_u, draws, energies)
     assert (logpost.rhs_evals(), logpost.stopped_early()) == counters
     assert np.isnan(draws).all()
     if energies is not None:
         assert np.isnan(energies).all()
     # the same block with arrays it takes runs, and accepts every proposal
     want = mcmc._block(lambda x, floor: logpost(x, floor), 1.0, lp, 0.01, z,
-                       z * -np.inf, True, None, None)
-    got = logpost.run_block(1.0, lp, 0.01, z, z * -np.inf, True, draws,
+                       z * -np.inf, None, None)
+    got = logpost.run_block(1.0, lp, 0.01, z, z * -np.inf, draws,
                             np.empty(4))
     assert got == want and got[2] == 4 and logpost.compiled()
 

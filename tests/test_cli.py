@@ -282,8 +282,8 @@ def test_console_script_help():
 
 
 def test_glucose_gen_builds_no_library(tmp_path):
-    # gen solves the glucose model once, and a library is built only at a
-    # right-hand side's second solve: the process neither compiles nor
+    # gen solves the glucose model once, and the lone library is built only
+    # at a system's second solve: the process neither compiles nor
     # imports the C translation
     spec = Path(__file__).resolve().parents[1] / "scripts" / "specs" \
         / "glucose.json"

@@ -486,6 +486,36 @@ def test_a_sweep_that_generates_its_data_compiles_once(tmp_path,
     assert [r["compiled"] for r in rec["runs"]] == [True] * 3
 
 
+def test_a_system_builds_the_lone_library_at_its_own_second_solve(
+        monkeypatch):
+    # each generate_synthetic call builds its own glucose system and solves
+    # it once, so two calls in one process compile nothing; a second solve
+    # of one of those systems builds the lone library, every method's
+    # stepper and plain solve
+    spec = ExperimentSpec.from_json_file(SPECS / "glucose.json")
+    if not compiled(build_system(spec, generate_synthetic(spec))):
+        pytest.skip("no C compiler")
+    monkeypatch.setattr(ode, "_LIBRARIES", {})
+    monkeypatch.setattr(ode, "_SOLVED_ONCE", set())
+    sources, compile_source = [], native.compile_source
+
+    def counted(source):
+        sources.append(source)
+        return compile_source(source)
+    monkeypatch.setattr(native, "compile_source", counted)
+    first, second = (generate_synthetic(spec) for _ in range(2))
+    assert first.values.tobytes() == second.values.tobytes()
+    assert sources == [] and ode._LIBRARIES == {}
+    assert len(ode._SOLVED_ONCE) == 2
+    system = next(iter(ode._SOLVED_ONCE))
+    ode.integrate_states(system, 10.0, SolverConfig("rk4", 0.25), 0.0, 8,
+                         (0, 8))
+    assert len(sources) == 1
+    assert re.findall(r"\bstatic void (lanes_\w+)\(", sources[0]) \
+        == ["lanes_euler", "lanes_rk2", "lanes_rk4"]
+    assert ode._LIBRARIES[ode._c_system(system)[0], None] is not None
+
+
 def test_run_sweep_submits_finest_step_first(tmp_path, monkeypatch):
     # the finest chain costs the most, so the pool gets it first; the
     # record still lists the steps in h_grid order

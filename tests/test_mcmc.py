@@ -110,8 +110,13 @@ def test_deterministic_given_seed():
 
 
 def test_initialization_off_support_raises():
-    with pytest.raises(InitializationError):
-        run(lambda x, floor: -math.inf, n_iter=100, step_scale=1.0)
+    # a plain callable's initial point is evaluated in a block of one
+    # proposal of scale 0, as a compiled chain's is, so a NaN there is
+    # rejected like -inf and named as such
+    for value in (-math.inf, math.nan):
+        with pytest.raises(InitializationError,
+                           match="initial point is -inf"):
+            run(lambda x, floor: value, n_iter=100, step_scale=1.0)
 
 
 def test_default_burn_in_is_a_fifth():
